@@ -9,7 +9,6 @@ from .linear import (
     NoConvergence,
     OutOfRange,
     linear_revenue,
-    power_rate,
     solve_linear,
 )
 from .measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE, alpha_params, beta_p_of
@@ -24,7 +23,6 @@ from .oracle import (
 from .solver import (
     NoRoot,
     PhaseRegion,
-    SolverDiverged,
     classify,
     critical_constants,
     solve,
@@ -62,7 +60,6 @@ __all__ = [
     "ShuffleBeta",
     "ShuffleBetaE",
     "SolveParams",
-    "SolverDiverged",
     "StructureKind",
     "alpha_params",
     "best_response_regions",
@@ -77,7 +74,6 @@ __all__ = [
     "linear_revenue",
     "local_max_check",
     "menu_from_structure",
-    "power_rate",
     "price_gradient",
     "rect_polygon",
     "solve",

@@ -3,23 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
-from .solver import SolverDiverged, solve
+from .solver import NoRoot, solve
 from .types import Rectangle, validate_rectangle
 
 __all__ = ["main"]
-
-#: Default seed for any stochastic subcommand behavior.  The shipped
-#: subcommands are fully deterministic; the flag pins the seed they
-#: would hand to a randomized search strategy.
-DEFAULT_SEED = 1729
 
 #: Fixed raster palette keyed by structure kind, for SVG phase maps.
 KIND_COLORS: dict[str, str] = {
@@ -34,17 +27,6 @@ KIND_COLORS: dict[str, str] = {
 }
 
 
-def _threads() -> int:
-    raw = os.environ.get("OPTMECH_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -57,7 +39,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     try:
         mech = solve(rect)
-    except SolverDiverged as exc:
+    except NoRoot as exc:
         return _fail(str(exc), 3)
     if ns.json:
         print(mech.to_json(indent=2))
@@ -68,19 +50,11 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 def _phase_grid(b1: float, b2: float, n: int, max_ratio: float) -> list[list[str]]:
     """Kinds on the n-by-n ratio grid, row-major in c1/b1."""
-    ratios = np.linspace(0.0, max_ratio, n)
-
-    def row(i: int) -> list[str]:
-        c1 = float(ratios[i]) * b1
-        out = []
-        for j in range(n):
-            c2 = float(ratios[j]) * b2
-            mech = solve(Rectangle(c1, c2, b1, b2))
-            out.append(mech.kind.name)
-        return out
-
-    with ThreadPoolExecutor(max_workers=min(_threads(), n)) as pool:
-        return list(pool.map(row, range(n)))
+    ratios = [float(r) for r in np.linspace(0.0, max_ratio, n)]
+    return [
+        [solve(Rectangle(r1 * b1, r2 * b2, b1, b2)).kind.name for r2 in ratios]
+        for r1 in ratios
+    ]
 
 
 def _phase_csv(grid: list[list[str]], max_ratio: float) -> str:
@@ -163,7 +137,7 @@ def cmd_phase(ns: argparse.Namespace) -> int:
 
     try:
         grid = _phase_grid(ns.b1, ns.b2, ns.grid, ns.max_ratio)
-    except SolverDiverged as exc:
+    except NoRoot as exc:
         return _fail(str(exc), 3)
     if fmt == "csv":
         text = _phase_csv(grid, ns.max_ratio)
@@ -191,7 +165,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     try:
         mech = solve(rect)
-    except SolverDiverged as exc:
+    except NoRoot as exc:
         return _fail(str(exc), 3)
     _, best = brute_force_menu_search(rect, coarse=ns.coarse, refine_rounds=ns.rounds)
     gap = mech.revenue - best
@@ -235,20 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="optmech",
         description="Revenue-optimal two-good menus on rectangular supports.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for stochastic subcommand behavior (current commands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one instance")
     for name in ("c1", "c2", "b1", "b2"):
         p.add_argument(name, type=float)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="print mechanism JSON")
-    fmt.add_argument("--pretty", action="store_true", help="print aligned table (default)")
+    p.add_argument("--json", action="store_true", help="print mechanism JSON (default: aligned table)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("phase", help="sweep a structure-kind map over corner ratios")

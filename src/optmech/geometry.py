@@ -7,7 +7,6 @@ so Sutherland-Hodgman clipping plus shoelace moments is everything needed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .types import MenuItem, Rectangle
@@ -251,11 +250,3 @@ def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
         if out.is_empty:
             break
     return out
-
-
-def _pairwise_diagnostic_area(regions: list[Polygon]) -> float:  # pragma: no cover
-    """Total pairwise overlap area; should be ~0 for a partition (debug aid)."""
-    tot = 0.0
-    for p, q in itertools.combinations(regions, 2):
-        tot += polygon_intersection(p, q).area()
-    return tot

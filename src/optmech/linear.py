@@ -26,7 +26,6 @@ __all__ = [
     "NoConvergence",
     "OutOfRange",
     "linear_revenue",
-    "power_rate",
     "solve_linear",
 ]
 
@@ -34,12 +33,6 @@ __all__ = [
 #: at this value the boundary slope a1 reaches 1 and the sloped segment
 #: becomes parallel to the bundle boundary.
 C_MAX = 0.250116
-
-#: Power rate of the linear family (interior weight is this times f1*f2).
-LINEAR_POWER_RATE = -5.0
-
-#: Power rate of a uniform density, for comparison.
-UNIFORM_POWER_RATE = -3.0
 
 _SQRT06 = math.sqrt(0.6)
 
@@ -84,23 +77,6 @@ class LinearDensityInstance:
 
     def cdf(self, z: float) -> float:
         return (z * z - self.c * self.c) / (2.0 * self.c + 1.0)
-
-
-def power_rate(c: float) -> float:
-    """Interior weight exponent for the linear family.
-
-    Parameters
-    ----------
-    c : float
-        Lower endpoint of the support, ``c >= 0``.
-
-    Returns
-    -------
-    float
-        Always ``-5.0`` for this family.  A uniform density has rate
-        ``-3.0`` (see ``UNIFORM_POWER_RATE``).
-    """
-    return LINEAR_POWER_RATE
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,14 @@ Three unrelated lines of evidence back every solve: a deterministic grid
 search over the four-item menu family, measure certificates (region masses
 and shuffle mass/moment conditions), and finite-difference stationarity of
 the expected revenue in each free menu parameter.
+
+The grid search scores a batch of menus at once.  Each item's
+best-response region is the support box cut by three half-planes, and its
+area is read off the seven boundary lines alone: with unit normals and
+coordinates centred on the box, twice the area is the sum over the lines
+of minus the line's offset times the length of the line that the other
+six leave.  Every array in that sum has the batch's shape, so no polygon
+vertices are ever built.
 """
 
 from __future__ import annotations
@@ -58,69 +66,46 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# Batched polygon clipping for the menu grid search
+# Half-plane area kernel for the menu grid search
 # ---------------------------------------------------------------------------
 
-def _clip_batch(
-    vx: np.ndarray, vy: np.ndarray, n: np.ndarray,
-    al: np.ndarray, be: np.ndarray, ga: np.ndarray,
+def _unit_form(
+    al: np.ndarray, be: np.ndarray, ga: np.ndarray, cx: float, cy: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clip a batch of convex polygons by per-row half-planes al*x+be*y >= ga.
+    """(nx, ny, g) with nx*x + ny*y >= g the half-plane al*z1 + be*z2 >= ga,
+    (nx, ny) a unit normal and (x, y) = (z1 - cx, z2 - cy).  (al, be) != 0."""
+    norm = np.hypot(al, be)
+    return al / norm, be / norm, (ga - al * cx - be * cy) / norm
 
-    vx, vy are (B, M) padded vertex buffers with per-row counts n.  Returns
-    new buffers with M+2 slots (a convex cut adds at most one vertex; the
-    spare slot absorbs round-off non-convexity).
+
+def _twice_area(lines: list[tuple]) -> np.ndarray:
+    """Twice the area of the polygon {nx*x + ny*y >= g for every line}, per row.
+
+    Each line is (nx, ny, g) with (nx, ny) a unit normal; entries are floats
+    or (B,) arrays, and the polygon is bounded in every row.  By the
+    divergence theorem twice the area is sum_i (-g_i) * len_i, where len_i
+    is the length of line i that the other lines leave.  Points of line i
+    are g_i n_i + s (-ny_i, nx_i), so each line j not parallel to it bounds
+    s from one side.  A parallel line is judged by comparing offsets, never
+    by a computed residual, so of two coincident lines exactly one keeps
+    its edge: the earlier one.
     """
-    bsz, m = vx.shape
-    idx = np.arange(m)
-    valid = idx[None, :] < n[:, None]
-    safe_n = np.maximum(n, 1)
-    nxt = (idx[None, :] + 1) % safe_n[:, None]
-    rows = np.arange(bsz)[:, None]
-
-    d = al[:, None] * vx + be[:, None] * vy - ga[:, None]
-    inside = d >= 0.0
-    dn = d[rows, nxt]
-    xn = vx[rows, nxt]
-    yn = vy[rows, nxt]
-    crossing = valid & (inside != inside[rows, nxt])
-    denom = d - dn
-    s = np.where(crossing, d / np.where(denom == 0.0, 1.0, denom), 0.0)
-    xi = vx + s * (xn - vx)
-    yi = vy + s * (yn - vy)
-
-    # Each directed edge emits its start vertex (if inside) then the
-    # crossing point (if the edge changes sides); compact with a prefix sum.
-    emit = np.empty((bsz, 2 * m), dtype=bool)
-    emit[:, 0::2] = valid & inside
-    emit[:, 1::2] = crossing
-    cx = np.empty((bsz, 2 * m))
-    cx[:, 0::2] = vx
-    cx[:, 1::2] = xi
-    cy = np.empty((bsz, 2 * m))
-    cy[:, 0::2] = vy
-    cy[:, 1::2] = yi
-
-    new_n = emit.sum(axis=1)
-    pos = np.cumsum(emit, axis=1) - 1
-    out_x = np.zeros((bsz, m + 2))
-    out_y = np.zeros((bsz, m + 2))
-    r, c = np.nonzero(emit)
-    out_x[r, pos[r, c]] = cx[r, c]
-    out_y[r, pos[r, c]] = cy[r, c]
-    return out_x, out_y, new_n
-
-
-def _area_batch(vx: np.ndarray, vy: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Shoelace areas of padded counter-clockwise vertex buffers."""
-    bsz, m = vx.shape
-    idx = np.arange(m)
-    valid = idx[None, :] < n[:, None]
-    safe_n = np.maximum(n, 1)
-    nxt = (idx[None, :] + 1) % safe_n[:, None]
-    rows = np.arange(bsz)[:, None]
-    cross = vx * vy[rows, nxt] - vx[rows, nxt] * vy
-    return np.maximum(0.5 * np.where(valid, cross, 0.0).sum(axis=1), 0.0)
+    twice = 0.0
+    for i, (nxi, nyi, gi) in enumerate(lines):
+        lo, hi, cut = -np.inf, np.inf, False
+        for j, (nxj, nyj, gj) in enumerate(lines):
+            if j == i:
+                continue
+            cos = nxj * nxi + nyj * nyi
+            den = nyj * nxi - nxj * nyi
+            parallel = den == 0.0
+            s = (gj - gi * cos) / np.where(parallel, 1.0, den)
+            lo = np.maximum(lo, np.where(den > 0.0, s, -np.inf))
+            hi = np.minimum(hi, np.where(den < 0.0, s, np.inf))
+            level = gj >= gi if j < i else gj > gi
+            cut = cut | (parallel & np.where(cos > 0.0, level, gj > -gi))
+        twice = twice - gi * np.where(cut, 0.0, np.maximum(hi - lo, 0.0))
+    return twice
 
 
 def _family_revenue(
@@ -128,35 +113,48 @@ def _family_revenue(
     a1: np.ndarray, a2: np.ndarray,
     t1: np.ndarray, t2: np.ndarray, tb: np.ndarray,
 ) -> np.ndarray:
-    """Exact expected revenue of each menu {null,(a1,1,t1),(1,a2,t2),(1,1,tb)}."""
+    """Exact expected revenue of each menu {null,(a1,1,t1),(1,a2,t2),(1,1,tb)}.
+
+    Item k's best-response region is the support box cut by the three
+    half-planes (q_k - q_j).z >= t_k - t_j, j != k, and its area is
+    _twice_area / 2 of the seven lines in unit-normal form, centred on the
+    box.  Every array keeps the batch's shape: no vertex lists, no per-row
+    counts.  Identical allocations (q_k == q_j) give no line: the cheaper
+    item wins and the lower index wins an exact price tie, so the loser's
+    region is empty and the winner's constraint becomes a copy of the box's
+    first edge, which the coincident-edge rule then drops.
+    """
     bsz = a1.size
     zeros = np.zeros(bsz)
     ones = np.ones(bsz)
     q1s = (zeros, a1, ones, ones)
     q2s = (zeros, ones, a2, ones)
     ts = (zeros, t1, t2, tb)
-    corner_x = np.array([rect.c1, rect.z1_max, rect.z1_max, rect.c1])
-    corner_y = np.array([rect.c2, rect.c2, rect.z2_max, rect.z2_max])
+    cx = rect.c1 + 0.5 * rect.b1
+    cy = rect.c2 + 0.5 * rect.b2
+    box = _unit_form(
+        np.array([1.0, -1.0, 0.0, 0.0]),
+        np.array([0.0, 0.0, 1.0, -1.0]),
+        np.array([rect.c1, -rect.z1_max, rect.c2, -rect.z2_max]),
+        cx, cy,
+    )
 
     revenue = np.zeros(bsz)
     for k in (1, 2, 3):
-        vx = np.broadcast_to(corner_x, (bsz, 4))
-        vy = np.broadcast_to(corner_y, (bsz, 4))
-        n = np.full(bsz, 4)
-        for j in (0, 1, 2, 3):
+        lines = list(zip(*box))
+        empty = np.zeros(bsz, dtype=bool)
+        for j in range(4):
             if j == k:
                 continue
             al = q1s[k] - q1s[j]
             be = q2s[k] - q2s[j]
             ga = ts[k] - ts[j]
-            degenerate = (al == 0.0) & (be == 0.0)
-            if degenerate.any():
-                # identical allocations: cheaper item wins, earlier index
-                # breaks exact price ties
-                lose = ga >= 0.0 if k > j else ga > 0.0
-                ga = np.where(degenerate, np.where(lose, 1.0, -1.0), ga)
-            vx, vy, n = _clip_batch(vx, vy, n, al, be, ga)
-        revenue += ts[k] * _area_batch(vx, vy, n)
+            same = (al == 0.0) & (be == 0.0)
+            empty |= same & (ga >= 0.0 if k > j else ga > 0.0)
+            unit = _unit_form(np.where(same, 1.0, al), be, ga, cx, cy)
+            lines.append(tuple(np.where(same, edge, v) for edge, v in zip(lines[0], unit)))
+        area = np.maximum(0.5 * _twice_area(lines), 0.0)
+        revenue += ts[k] * np.where(empty, 0.0, area)
     return revenue / rect.area
 
 

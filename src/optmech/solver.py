@@ -31,11 +31,11 @@ ROOT_DEDUP_REL_TOL = 1e-10
 
 
 class NoRoot(RuntimeError):
-    """No root of the residual exists in the admissible bracket."""
+    """No root of the residual exists in the admissible bracket.
 
-
-class SolverDiverged(RuntimeError):
-    """Every candidate structure failed its validity conditions."""
+    The solver's one error: ``solve`` lets it escape when a structure it
+    needs has no admissible root, and the CLI maps it to exit code 3.
+    """
 
 
 class PhaseRegion(Enum):

@@ -1,4 +1,4 @@
-"""Command-line behavior: output formats, exit codes, thread determinism."""
+"""Command-line behavior: output formats, exit codes, deterministic output."""
 
 import dataclasses
 import json
@@ -8,6 +8,7 @@ import pytest
 
 from optmech import cli
 from optmech.mechanism import expected_revenue
+from optmech.solver import NoRoot
 from optmech.solver import solve as real_solve
 
 BUNDLE_UNIT_SQUARE = (4.0 - math.sqrt(2.0)) / 3.0
@@ -19,13 +20,6 @@ def _parse_kv(out: str) -> dict[str, str]:
         key, _, value = line.partition(": ")
         pairs[key] = value
     return pairs
-
-
-def test_seed_flag_defaults_to_1729():
-    ns = cli.build_parser().parse_args(["solve", "0", "0", "1", "1"])
-    assert ns.seed == 1729
-    ns = cli.build_parser().parse_args(["--seed", "7", "solve", "0", "0", "1", "1"])
-    assert ns.seed == 7
 
 
 def test_solve_json_output(capsys):
@@ -51,11 +45,13 @@ def test_solve_rejects_bad_rectangle(capsys):
 
 def test_solve_reports_divergence(monkeypatch, capsys):
     def boom(rect):
-        raise cli.SolverDiverged("no root bracketed")
+        raise NoRoot("no root bracketed")
 
     monkeypatch.setattr(cli, "solve", boom)
     assert cli.main(["solve", "0", "0", "1", "1"]) == 3
     assert "no root bracketed" in capsys.readouterr().err
+    assert cli.main(["phase", "1", "1", "--grid", "10"]) == 3
+    assert cli.main(["verify", "0", "0", "1", "1", "--coarse", "8", "--rounds", "0"]) == 3
 
 
 def test_phase_argument_validation(tmp_path, capsys):
@@ -83,17 +79,16 @@ def test_phase_csv_stdout_and_header(capsys):
     assert lines[1] == "0,0,A", "the zero-corner unit square leads the sweep"
 
 
-def test_phase_csv_is_thread_invariant(tmp_path, monkeypatch):
-    paths = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("OPTMECH_THREADS", threads)
-        target = tmp_path / f"map_{threads}.csv"
+def test_phase_csv_is_deterministic(tmp_path):
+    runs = []
+    for k in range(2):
+        target = tmp_path / f"map_{k}.csv"
         code = cli.main(
             ["phase", "1", "1", "--grid", "12", "--max-ratio", "5", "--out", str(target)]
         )
         assert code == 0
-        paths[threads] = target.read_bytes()
-    assert paths["1"] == paths["4"], "CSV must be byte-identical across thread counts"
+        runs.append(target.read_bytes())
+    assert runs[0] == runs[1], "CSV must be byte-identical across runs"
 
 
 def test_phase_svg_contains_legend(capsys):

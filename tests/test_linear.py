@@ -13,7 +13,6 @@ from optmech.linear import (
     NoConvergence,
     OutOfRange,
     linear_revenue,
-    power_rate,
     solve_linear,
 )
 
@@ -44,11 +43,6 @@ def test_instance_validation_and_density():
     for bad in (-0.1, C_MAX + 1e-6, 0.3, math.nan):
         with pytest.raises(OutOfRange):
             LinearDensityInstance(bad)
-
-
-def test_power_rate_constant():
-    assert power_rate(0.0) == -5.0
-    assert power_rate(0.2) == -5.0
 
 
 def test_zero_endpoint_published_root():

@@ -21,18 +21,9 @@ from optmech.types import NULL_ITEM, MenuItem, Rectangle
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
 
-def test_family_revenue_matches_exact_polygon_revenue():
-    rect = Rectangle(0.3, 0.2, 1.2, 0.8)
-    rng = np.random.default_rng(7)
-    n = 64
-    a1 = rng.uniform(0.0, 1.0, n)
-    a2 = rng.uniform(0.0, 1.0, n)
-    t_hi = rect.z1_max + rect.z2_max
-    t1 = rng.uniform(0.0, t_hi, n)
-    t2 = rng.uniform(0.0, t_hi, n)
-    tb = rng.uniform(0.0, t_hi, n)
+def _assert_family_matches(rect, a1, a2, t1, t2, tb):
     batched = _family_revenue(rect, a1, a2, t1, t2, tb)
-    for k in range(n):
+    for k in range(a1.size):
         menu = (
             NULL_ITEM,
             MenuItem(float(a1[k]), 1.0, float(t1[k])),
@@ -40,7 +31,37 @@ def test_family_revenue_matches_exact_polygon_revenue():
             MenuItem(1.0, 1.0, float(tb[k])),
         )
         exact = expected_revenue(menu, rect)
-        assert batched[k] == pytest.approx(exact, abs=1e-10), f"menu {k}: {batched[k]} vs {exact}"
+        assert batched[k] == pytest.approx(exact, abs=1e-10), f"{rect} menu {menu}: {batched[k]} vs {exact}"
+
+
+def test_family_revenue_matches_exact_polygon_revenue():
+    rect = Rectangle(0.3, 0.2, 1.2, 0.8)
+    rng = np.random.default_rng(7)
+    n = 64
+    t_hi = rect.z1_max + rect.z2_max
+    _assert_family_matches(
+        rect,
+        rng.uniform(0.0, 1.0, n),
+        rng.uniform(0.0, 1.0, n),
+        rng.uniform(0.0, t_hi, n),
+        rng.uniform(0.0, t_hi, n),
+        rng.uniform(0.0, t_hi, n),
+    )
+    # Menus on the search's own coarse grid: allocations of 0 or 1, equal
+    # prices and coincident constraints (a1 = 1 with t1 = tb, or a1 = 0
+    # with tb - t1 = c1) all occur there, and random menus miss them.
+    for grid_rect in (rect, Rectangle(0.0, 1.999998, 2.3220394, 1.0)):
+        t_hi = grid_rect.z1_max + grid_rect.z2_max
+        alloc = np.linspace(0.0, 1.0, 8)
+        price = np.linspace(0.0, t_hi, 8)
+        _assert_family_matches(
+            grid_rect,
+            rng.choice(alloc, 200),
+            rng.choice(alloc, 200),
+            rng.choice(price, 200),
+            rng.choice(price, 200),
+            rng.choice(price, 200),
+        )
 
 
 def test_brute_force_tracks_the_solver():
@@ -50,6 +71,41 @@ def test_brute_force_tracks_the_solver():
     assert abs(gap) <= 5e-3 * mech.revenue, f"search best {rev} vs solver {mech.revenue}"
     assert len(menu) <= 4
     assert rev == pytest.approx(expected_revenue(menu, UNIT), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rect, revenue, menu",
+    [
+        (
+            Rectangle(0.05, 0.05, 1.0, 1.0),
+            0.6122314496701805,
+            [
+                (0.1607142857142857, 1.0, 0.7687499999999999),
+                (1.0, 0.1607142857142857, 0.7687499999999999),
+                (1.0, 1.0, 0.8999999999999999),
+            ],
+        ),
+        (
+            Rectangle(0.05068, 2.512, 1.267, 1.0),
+            2.848134766683273,
+            [(0.13392857142857142, 1.0, 2.587328571428571), (1.0, 1.0, 3.147916428571428)],
+        ),
+        (
+            Rectangle(0.0, 1.999998, 2.3220394, 1.0),
+            2.5756298342869384,
+            [(0.12499999999999999, 1.0, 2.1383185982142856), (1.0, 1.0, 3.136200610714285)],
+        ),
+    ],
+)
+def test_brute_force_frozen_outputs(rect, revenue, menu):
+    # A scoring rule that breaks ties differently moves the refinement
+    # window, and with it the menu the search ends on.
+    found, rev = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
+    assert rev == pytest.approx(revenue, rel=1e-12)
+    assert found[0] == NULL_ITEM
+    assert len(found) == len(menu) + 1
+    for item, (q1, q2, t) in zip(found[1:], menu):
+        assert (item.q1, item.q2, item.t) == pytest.approx((q1, q2, t), rel=1e-12, abs=1e-15)
 
 
 def test_brute_force_is_deterministic():
