@@ -177,22 +177,6 @@ def best_response_regions(rect: Rectangle, menu: tuple[MenuItem, ...]) -> list[P
     return regions
 
 
-def non_participation_region(rect: Rectangle, menu: tuple[MenuItem, ...]) -> Polygon:
-    """Types preferring the outside option to every menu item."""
-    poly = rect_polygon(rect)
-    for it in menu:
-        if it.q1 == 0.0 and it.q2 == 0.0:
-            # a free null item ties the outside option; only a subsidized
-            # one (t < 0) strictly dominates it everywhere
-            if it.t < 0.0:
-                return EMPTY_POLYGON
-            continue
-        poly = clip(poly, HalfPlane(it.q1, it.q2, it.t))
-        if poly.is_empty:
-            break
-    return poly
-
-
 def boundary_sections(
     poly: Polygon, axis: int, value: float, tol: float = 1e-9
 ) -> list[tuple[float, float]]:
@@ -219,34 +203,3 @@ def boundary_sections(
         else:
             merged.append((lo, hi))
     return merged
-
-
-def random_menu(rng, rect: Rectangle, n_items: int | None = None) -> tuple[MenuItem, ...]:
-    """A random menu (always containing the null item) for partition tests."""
-    if n_items is None:
-        n_items = int(rng.integers(2, 5))
-    t_max = rect.z1_max + rect.z2_max
-    items = [MenuItem(0.0, 0.0, 0.0)]
-    for _ in range(n_items - 1):
-        items.append(
-            MenuItem(
-                float(rng.uniform(0.0, 1.0)),
-                float(rng.uniform(0.0, 1.0)),
-                float(rng.uniform(0.0, t_max)),
-            )
-        )
-    return tuple(items)
-
-
-def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
-    """Intersection of two convex polygons (clip a by b's edges)."""
-    vs = b.vertices
-    if a.is_empty or not vs:
-        return EMPTY_POLYGON
-    out = a
-    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-        # interior of a CCW polygon is to the left of each directed edge
-        out = clip(out, HalfPlane(y1 - y0, -(x1 - x0), (y1 - y0) * x0 - (x1 - x0) * y0))
-        if out.is_empty:
-            break
-    return out

@@ -395,75 +395,6 @@ def _solve_positive(c: float) -> tuple[float, float, float]:
     return pa, a, P1
 
 
-def _nested_polish(
-    c: float, pa: float, a: float, P1: float
-) -> tuple[float, float, float]:
-    """Nested bisection: outer on p_a1 against the first-moment residual,
-    middle on a1 against the mass residual, with the bundle-region balance
-    fixing P1 at every step.  Falls back to the Newton point when a tight
-    bracket fails to straddle."""
-    dp = 2e-4 * max(1.0, abs(pa))
-    da = 2e-4 * max(1.0, abs(a))
-
-    def kink(pa_: float, a_: float) -> float | None:
-        cands = [x for x in _P1_candidates(c, pa_, a_) if abs(x - P1) < 0.05]
-        if not cands:
-            return None
-        return min(cands, key=lambda x: abs(x - P1))
-
-    def mid_a(pa_: float) -> float | None:
-        lo, hi = max(0.0, a - da), a + da
-
-        def res(a_: float) -> float | None:
-            x = kink(pa_, a_)
-            return None if x is None else _marginal(c, pa_, a_, x)
-
-        rlo, rhi = res(lo), res(hi)
-        if rlo is None or rhi is None or (rlo > 0.0) == (rhi > 0.0):
-            return None
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            rm = res(mid)
-            if rm is None:
-                return None
-            if (rm > 0.0) == (rlo > 0.0):
-                lo, rlo = mid, rm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def outer_res(pa_: float) -> float | None:
-        a_ = mid_a(pa_)
-        if a_ is None:
-            return None
-        x = kink(pa_, a_)
-        return None if x is None else _expectation(c, pa_, a_, x)
-
-    lo, hi = pa - dp, pa + dp
-    rlo, rhi = outer_res(lo), outer_res(hi)
-    if rlo is None or rhi is None or (rlo > 0.0) == (rhi > 0.0):
-        return pa, a, P1
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        rm = outer_res(mid)
-        if rm is None:
-            return pa, a, P1
-        if (rm > 0.0) == (rlo > 0.0):
-            lo, rlo = mid, rm
-        else:
-            hi = mid
-    pa_f = 0.5 * (lo + hi)
-    a_f = mid_a(pa_f)
-    if a_f is None:
-        return pa, a, P1
-    P1_f = kink(pa_f, a_f)
-    if P1_f is None:
-        return pa, a, P1
-    if _relative_residual(c, pa_f, a_f, P1_f) <= _relative_residual(c, pa, a, P1):
-        return pa_f, a_f, P1_f
-    return pa, a, P1
-
-
 def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     """Solve the balance equations for the linear-density family.
 
@@ -516,10 +447,9 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
         return LinearSolution(c=0.0, p_a1=_SQRT06, a1=0.0, P1=P1, P2=_SQRT06, p=p)
 
     pa, a, P1 = _solve_positive(inst.c)
-    pa, a, P1 = _nested_polish(inst.c, pa, a, P1)
     rel = _relative_residual(inst.c, pa, a, P1)
     if rel > 1e-9:
-        raise NoConvergence(f"residual {rel:.2e} at c={c!r} after polish")
+        raise NoConvergence(f"residual {rel:.2e} at c={c!r} after continuation")
     P2 = inst.c + pa - a * (P1 - inst.c)
     return LinearSolution(c=inst.c, p_a1=pa, a1=a, P1=P1, P2=P2, p=P1 + P2)
 

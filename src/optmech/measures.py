@@ -7,9 +7,10 @@ consists of an interior density -3/(b1 b2), line densities on the four edges
 Its total over the rectangle is exactly zero.
 
 Shuffling measures are signed 1-D measures supported on a segment of the
-top (or right) edge plus a point mass at the segment's left end; each kind
-of solution certifies optimality through the mass, first moment, and sign
-pattern of its shuffle.
+top edge plus a point mass at the segment's left end; each kind of solution
+certifies optimality through the mass, first moment, and sign pattern of
+its shuffle.  A shuffle on the right edge is the top-edge shuffle of the
+swapped rectangle.
 """
 
 from __future__ import annotations
@@ -23,19 +24,6 @@ from .types import Rectangle
 
 class ZeroCornerCase(ValueError):
     """Shuffle parameters are undefined when the relevant corner offset is zero."""
-
-
-Side = str  # "top" (acts on good 1) or "right" (acts on good 2)
-
-
-def _validate_side(side: Side) -> None:
-    if side not in ("top", "right"):
-        raise ValueError(f"side must be 'top' or 'right', got {side!r}")
-
-
-def _effective(rect: Rectangle, side: Side) -> Rectangle:
-    """Rectangle with axes arranged so the shuffle lives on the top edge."""
-    return rect if side == "top" else rect.swapped()
 
 
 class MuBar:
@@ -111,33 +99,24 @@ class MuBar:
         return self.mass(rect_polygon(self.rect))
 
 
-def mu_bar_of_polygon(rect: Rectangle, poly: Polygon) -> float:
-    """Total transformed measure of a convex polygon (clipped to the support)."""
-    return MuBar(rect).mass(poly)
-
-
 @dataclass(frozen=True)
 class ShuffleAlpha:
-    """Linear-ramp shuffle on a top- or right-edge segment of length m.
+    """Linear-ramp shuffle on a top-edge segment of length m.
 
     Density (2B - C - 3 p_a + 3 a (x - c)) / (b1 b2) for x in [c, c+m]
     along the edge, plus a point mass c (B - p_a) / (b1 b2) at x = c,
-    where c is the own-axis corner offset and B, C are the cross-axis
-    side length and corner offset.
+    where c = c1 is the own-axis corner offset and B = b2, C = c2 are the
+    cross-axis side length and corner offset.
     """
 
     rect: Rectangle
-    side: Side
     p_a: float
     a: float
     m: float
 
-    def __post_init__(self) -> None:
-        _validate_side(self.side)
-
     def _constants(self) -> tuple[float, float, float, float]:
-        eff = _effective(self.rect, self.side)
-        return eff.c1, eff.c2, eff.b2, self.rect.area
+        r = self.rect
+        return r.c1, r.c2, r.b2, r.area
 
     def point_mass(self) -> float:
         c, _, big_b, area = self._constants()
@@ -173,16 +152,14 @@ class ShuffleAlpha:
         )
 
 
-def alpha_params(rect: Rectangle, side: Side, p_a: float) -> ShuffleAlpha:
-    """Shuffle slope and span for a given edge price.
+def alpha_params(rect: Rectangle, p_a: float) -> ShuffleAlpha:
+    """Top-edge shuffle slope and span for a given edge price.
 
     Requires the own-axis corner offset to be positive (the zero-offset
     case has a degenerate flat shuffle handled separately by the solver)
     and p_a strictly inside ((2B - C)/3, B).
     """
-    _validate_side(side)
-    eff = _effective(rect, side)
-    c, big_c, big_b = eff.c1, eff.c2, eff.b2
+    c, big_c, big_b = rect.c1, rect.c2, rect.b2
     if c == 0.0:
         raise ZeroCornerCase(
             "alpha_params requires a positive own-axis corner offset"
@@ -190,36 +167,34 @@ def alpha_params(rect: Rectangle, side: Side, p_a: float) -> ShuffleAlpha:
     lo = (2.0 * big_b - big_c) / 3.0
     if not (lo < p_a < big_b):
         raise ValueError(
-            f"p_a must lie in ({lo!r}, {big_b!r}) for side {side!r}, got {p_a!r}"
+            f"p_a must lie in ({lo!r}, {big_b!r}), got {p_a!r}"
         )
     d = big_c - 2.0 * big_b + 3.0 * p_a
     a = d * d / (8.0 * c * (big_b - p_a))
     m = 4.0 * c * (big_b - p_a) / d
-    return ShuffleAlpha(rect, side, p_a, a, m)
+    return ShuffleAlpha(rect, p_a, a, m)
 
 
 @dataclass(frozen=True)
 class ShuffleBeta:
-    """Ramp-then-flat shuffle on [c, c+p] of the top (or right) edge.
+    """Ramp-then-flat shuffle on [c, c+p] of the top edge.
 
     Density (2B + (3 a (x - c) - C - 3 p_a) * 1(x <= c + p_a/a)) / (b1 b2)
     plus a point mass c (B - p_a) / (b1 b2) at x = c.
     """
 
     rect: Rectangle
-    side: Side
     p_a: float
     a: float
     p: float
 
     def __post_init__(self) -> None:
-        _validate_side(self.side)
         if self.a <= 0.0:
             raise ValueError(f"a must be positive, got {self.a!r}")
 
     def _constants(self) -> tuple[float, float, float, float]:
-        eff = _effective(self.rect, self.side)
-        return eff.c1, eff.c2, eff.b2, self.rect.area
+        r = self.rect
+        return r.c1, r.c2, r.b2, r.area
 
     @property
     def ramp_end(self) -> float:
@@ -261,16 +236,14 @@ class ShuffleBeta:
         )
 
 
-def beta_p_of(rect: Rectangle, side: Side, p_a: float, a: float) -> tuple[float, float]:
-    """Segment lengths p at which the ramp-then-flat shuffle has zero mass
-    and zero first moment, respectively.  The two agree exactly when the
-    structure's free parameters are consistent.
+def beta_p_of(rect: Rectangle, p_a: float, a: float) -> tuple[float, float]:
+    """Segment lengths p at which the top-edge ramp-then-flat shuffle has
+    zero mass and zero first moment, respectively.  The two agree exactly
+    when the structure's free parameters are consistent.
     """
-    _validate_side(side)
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
-    eff = _effective(rect, side)
-    c, big_c, big_b = eff.c1, eff.c2, eff.b2
+    c, big_c, big_b = rect.c1, rect.c2, rect.b2
     length = p_a / a
     p_from_mass = (
         1.5 * p_a * p_a / a + big_c * p_a / a - c * (big_b - p_a)
@@ -281,27 +254,24 @@ def beta_p_of(rect: Rectangle, side: Side, p_a: float, a: float) -> tuple[float,
 
 @dataclass(frozen=True)
 class ShuffleBetaE:
-    """Two-step shuffle for the deterministic single-good structures.
+    """Two-step top-edge shuffle for the deterministic single-good structure.
 
     Steps (2B - C)/(b1 b2) on [c, c + B' ] and 2B/(b1 b2) up to the
     midpoint (c + L)/2 of the own axis, plus a point mass c B / (b1 b2)
-    at x = c, where B' = L B / C with L the own-axis side length.
+    at x = c, where B' = L B / C with L = b1 the own-axis side length.
     """
 
     rect: Rectangle
-    side: Side
 
     def __post_init__(self) -> None:
-        _validate_side(self.side)
-        eff = _effective(self.rect, self.side)
-        if eff.c2 == 0.0:
+        if self.rect.c2 == 0.0:
             raise ZeroCornerCase(
                 "the two-step shuffle requires a positive cross-axis corner offset"
             )
 
     def _constants(self) -> tuple[float, float, float, float, float]:
-        eff = _effective(self.rect, self.side)
-        return eff.c1, eff.c2, eff.b1, eff.b2, self.rect.area
+        r = self.rect
+        return r.c1, r.c2, r.b1, r.b2, r.area
 
     @property
     def step_break(self) -> float:
@@ -334,19 +304,3 @@ class ShuffleBetaE:
     def sign_pattern_ok(self, tol: float = 1e-9) -> bool:
         _, big_c, _, big_b, _ = self._constants()
         return self.point_mass() >= -tol and 2.0 * big_b - big_c <= tol
-
-
-def check_interval_measure_cvx_zero(
-    measure: ShuffleAlpha | ShuffleBeta | ShuffleBetaE, tol: float = 1e-9
-) -> dict:
-    """Mass, first moment, and sign-pattern flag of a shuffling measure.
-
-    A shuffle certifies its structure when the mass vanishes, the first
-    moment vanishes (or is nonnegative, for the two-step shuffle), and the
-    density runs negative-to-positive after a nonnegative atom.
-    """
-    return {
-        "total_mass": measure.mass(),
-        "first_moment": measure.first_moment(),
-        "sign_pattern_ok": measure.sign_pattern_ok(tol),
-    }

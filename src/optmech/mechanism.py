@@ -40,13 +40,14 @@ def _require(params: SolveParams | None, kind: StructureKind, *names: str) -> li
 
 
 def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Menu:
-    """Explicit menu for a solved structure.
+    """Explicit menu for a solved structure of kind A-E.
 
     Partial-lottery prices come from utility continuity across the
     exclusion boundary (t = c2 + p_a1 + a1 c1 and its mirror); the
-    bundle price is c1 + c2 + p except for kinds D/G, where continuity
+    bundle price is c1 + c2 + p except for kind D, where continuity
     across the vertical boundary z1 = c1 + p forces
-    t_bundle = t_a1 + (1 - a1)(c1 + p).
+    t_bundle = t_a1 + (1 - a1)(c1 + p).  Kinds F, G and H are B, D and E
+    with the goods exchanged; ``build_mechanism`` mirrors them.
     """
     c1, c2 = rect.c1, rect.c2
     K = StructureKind
@@ -65,13 +66,6 @@ def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: R
             MenuItem(a1, 1.0, c2 + p_a1 + a1 * c1),
             MenuItem(1.0, 1.0, c1 + c2 + p),
         )
-    if kind is K.F:
-        p_a2, a2, p = _require(params, kind, "p_a2", "a2", "p")
-        return (
-            NULL_ITEM,
-            MenuItem(1.0, a2, c1 + p_a2 + a2 * c2),
-            MenuItem(1.0, 1.0, c1 + c2 + p),
-        )
     if kind is K.C:
         (p,) = _require(params, kind, "p")
         return (NULL_ITEM, MenuItem(1.0, 1.0, c1 + c2 + p))
@@ -83,25 +77,14 @@ def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: R
             MenuItem(a1, 1.0, t_a1),
             MenuItem(1.0, 1.0, t_a1 + (1.0 - a1) * (c1 + p)),
         )
-    if kind is K.G:
-        p_a2, a2, p = _require(params, kind, "p_a2", "a2", "p")
-        t_a2 = c1 + p_a2 + a2 * c2
-        return (
-            NULL_ITEM,
-            MenuItem(1.0, a2, t_a2),
-            MenuItem(1.0, 1.0, t_a2 + (1.0 - a2) * (c2 + p)),
-        )
     if kind is K.E:
         return (
             MenuItem(0.0, 1.0, c2),
             MenuItem(1.0, 1.0, c2 + 0.5 * (c1 + rect.b1)),
         )
-    if kind is K.H:
-        return (
-            MenuItem(1.0, 0.0, c1),
-            MenuItem(1.0, 1.0, c1 + 0.5 * (c2 + rect.b2)),
-        )
-    raise IncompleteParams(f"unknown structure kind {kind!r}")
+    raise IncompleteParams(
+        f"kind {kind.value} is a mirrored structure; build it with build_mechanism"
+    )
 
 
 def utility(menu: Menu, z: tuple[float, float]) -> tuple[float, MenuItem]:
@@ -184,6 +167,13 @@ def revenue_monotonicity_check(menu: Menu, rect: Rectangle, n: int) -> bool:
 
 
 def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Mechanism:
-    """Assemble the full record: menu from the structure, revenue from the menu."""
+    """Assemble the full record: menu from the structure, revenue from the menu.
+
+    Kinds F, G and H are built as B, D and E on the swapped support and
+    mirrored back, so the menu formulas exist for kinds A-E only.
+    """
+    if kind in (StructureKind.F, StructureKind.G, StructureKind.H):
+        mirrored = params.swapped() if params is not None else None
+        return build_mechanism(kind.swapped(), mirrored, rect.swapped()).swapped()
     menu = menu_from_structure(kind, params, rect)
     return Mechanism(kind=kind, params=params, menu=menu, revenue=expected_revenue(menu, rect))

@@ -36,6 +36,7 @@ GRAD_TOL = 1e-3
 HESS_TOL = 1e-4
 GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
+ZERO_OFFSET_REL = 1e-10  # corner offsets up to this fraction of their side count as zero
 
 _CHUNK = 65536
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
@@ -264,68 +265,55 @@ def _region_masses(rect: Rectangle, menu: Menu) -> dict[str, float]:
     return masses
 
 
-def _beta_deviation(
-    rect: Rectangle, side: str, p_a: float, a: float, p: float
-) -> tuple[float, float, bool]:
-    """(mass, |moment|, sign ok) of a ramp-then-flat shuffle, handling a=0.
+def _deviation(sh: ShuffleAlpha | ShuffleBeta | ShuffleBetaE) -> tuple[float, float, bool]:
+    """(|mass|, |moment|, sign ok) of a shuffle."""
+    return abs(sh.mass()), abs(sh.first_moment()), sh.sign_pattern_ok()
+
+
+def _beta_deviation(rect: Rectangle, p_a: float, a: float, p: float) -> tuple[float, float, bool]:
+    """(mass, |moment|, sign ok) of a top-edge ramp-then-flat shuffle, handling a=0.
 
     The a=0 limit is the two-step shuffle when the corner offset is
     positive, and a flat zero ramp over the whole segment when it vanishes.
+    An offset of at most ZERO_OFFSET_REL times its side counts as zero, as
+    the solver solves such a support with the offset set to zero.
     """
     if a > 0.0:
-        sh = ShuffleBeta(rect, side, p_a, a, p)
-        return abs(sh.mass()), abs(sh.first_moment()), sh.sign_pattern_ok()
-    eff = rect if side == "top" else rect.swapped()
-    if eff.c1 == 0.0:
-        base = 2.0 * eff.b2 - eff.c2 - 3.0 * p_a
+        return _deviation(ShuffleBeta(rect, p_a, a, p))
+    if rect.c1 <= ZERO_OFFSET_REL * rect.b1:
+        base = 2.0 * rect.b2 - rect.c2 - 3.0 * p_a
         mass = p * base / rect.area
         moment = 0.5 * p * p * base / rect.area
         return abs(mass), abs(moment), base <= 1e-9
-    sh_e = ShuffleBetaE(rect, side)
-    return abs(sh_e.mass()), abs(sh_e.first_moment()), sh_e.sign_pattern_ok()
+    return _deviation(ShuffleBetaE(rect))
 
 
 def _shuffle_deviations(mech: Mechanism, rect: Rectangle) -> tuple[float, float, bool]:
-    """Largest mass/moment deviation (and sign-pattern flag) per structure."""
+    """Largest mass/moment deviation (and sign-pattern flag) per structure.
+
+    Every shuffle is evaluated on the top edge: kind A's good-2 lottery on
+    the swapped support, and kinds F/G/H as their mirrors B/D/E.
+    """
     kind = mech.kind
     q = mech.params
-    rows: list[tuple[float, float, bool]] = []
+    if kind is StructureKind.C:
+        return 0.0, 0.0, True
     if kind is StructureKind.A:
-        for side, p_a, a, m in (
-            ("top", q.p_a1, q.a1, q.m1),
-            ("right", q.p_a2, q.a2, q.m2),
-        ):
-            sh = ShuffleAlpha(rect, side, p_a, a, m)
-            rows.append((abs(sh.mass()), abs(sh.first_moment()), sh.sign_pattern_ok()))
-    elif kind in (StructureKind.B, StructureKind.F):
+        mass1, moment1, ok1 = _deviation(ShuffleAlpha(rect, q.p_a1, q.a1, q.m1))
+        mass2, moment2, ok2 = _deviation(ShuffleAlpha(rect.swapped(), q.p_a2, q.a2, q.m2))
+        return max(mass1, mass2), max(moment1, moment2), ok1 and ok2
+    if kind is StructureKind.B and q.a1 > 0.0:
         # the lone lottery ends interior at m, so it carries the same ramp
         # shuffle as the two-lottery structure; only the degenerate flat
         # price (a == 0) spans the whole bundle offset
-        side = "top" if kind is StructureKind.B else "right"
-        p_a, a, m = (
-            (q.p_a1, q.a1, q.m1) if kind is StructureKind.B else (q.p_a2, q.a2, q.m2)
-        )
-        if a > 0.0:
-            sh = ShuffleAlpha(rect, side, p_a, a, m)
-            rows.append((abs(sh.mass()), abs(sh.first_moment()), sh.sign_pattern_ok()))
-        else:
-            rows.append(_beta_deviation(rect, side, p_a, a, q.p))
-    elif kind is StructureKind.D:
-        rows.append(_beta_deviation(rect, "top", q.p_a1, q.a1, q.p))
-    elif kind is StructureKind.G:
-        rows.append(_beta_deviation(rect, "right", q.p_a2, q.a2, q.p))
-    elif kind in (StructureKind.E, StructureKind.H):
-        side = "top" if kind is StructureKind.E else "right"
-        sh = ShuffleBetaE(rect, side)
+        return _deviation(ShuffleAlpha(rect, q.p_a1, q.a1, q.m1))
+    if kind in (StructureKind.B, StructureKind.D):
+        return _beta_deviation(rect, q.p_a1, q.a1, q.p)
+    if kind is StructureKind.E:
+        sh = ShuffleBetaE(rect)
         # the two-step first moment certifies with any nonnegative value
-        rows.append((abs(sh.mass()), max(0.0, -sh.first_moment()), sh.sign_pattern_ok()))
-    if not rows:
-        return 0.0, 0.0, True
-    return (
-        max(r[0] for r in rows),
-        max(r[1] for r in rows),
-        all(r[2] for r in rows),
-    )
+        return abs(sh.mass()), max(0.0, -sh.first_moment()), sh.sign_pattern_ok()
+    return _shuffle_deviations(mech.swapped(), rect.swapped())
 
 
 # ---------------------------------------------------------------------------

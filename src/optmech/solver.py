@@ -66,24 +66,23 @@ class CriticalConstants:
     p_star: float
 
 
-def critical_constants(rect: Rectangle) -> CriticalConstants:
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+def _edge_constants(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
+    """(r1, p_a1_star) of the support; (r2, p_a2_star) are those of its mirror."""
     r1 = (2.0 * b2 * (2.0 * b1 + 5.0 * c1) - c2 * (2.0 * b1 - 3.0 * c1)) / (
         3.0 * (2.0 * b1 + 3.0 * c1)
-    )
-    r2 = (2.0 * b1 * (2.0 * b2 + 5.0 * c2) - c1 * (2.0 * b2 - 3.0 * c2)) / (
-        3.0 * (2.0 * b2 + 3.0 * c2)
     )
     p_a1_star = (
         (2.0 * b2 - c2) / 3.0
         - 4.0 * c1 / 9.0
         + (2.0 / 9.0) * math.sqrt(2.0 * c1 * (2.0 * c1 + 3.0 * (b2 + c2)))
     )
-    p_a2_star = (
-        (2.0 * b1 - c1) / 3.0
-        - 4.0 * c2 / 9.0
-        + (2.0 / 9.0) * math.sqrt(2.0 * c2 * (2.0 * c2 + 3.0 * (b1 + c1)))
-    )
+    return r1, p_a1_star
+
+
+def critical_constants(rect: Rectangle) -> CriticalConstants:
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    r1, p_a1_star = _edge_constants(c1, c2, b1, b2)
+    r2, p_a2_star = _edge_constants(c2, c1, b2, b1)
     s = c1 + c2
     p_star = (math.sqrt(s * s + 6.0 * b1 * b2) - s) / 3.0
     return CriticalConstants(r1, r2, p_a1_star, p_a2_star, p_star)
@@ -273,32 +272,6 @@ def solve_pa2_given_pa1(rect: Rectangle, p_a1: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _swap_kind(kind: StructureKind) -> StructureKind:
-    K = StructureKind
-    return {K.A: K.A, K.B: K.F, K.F: K.B, K.C: K.C, K.D: K.G, K.G: K.D, K.E: K.H, K.H: K.E}[kind]
-
-
-def _swap_params(params: SolveParams | None) -> SolveParams | None:
-    if params is None:
-        return None
-    return SolveParams(
-        p_a1=params.p_a2,
-        p_a2=params.p_a1,
-        a1=params.a2,
-        a2=params.a1,
-        m1=params.m2,
-        m2=params.m1,
-        p=params.p,
-        P=(params.Q[1], params.Q[0]) if params.Q is not None else None,
-        Q=(params.P[1], params.P[0]) if params.P is not None else None,
-    )
-
-
-def _unswap_mechanism(mech: Mechanism, rect: Rectangle) -> Mechanism:
-    """Map a mechanism solved on the swapped rectangle back to rect."""
-    return build_mechanism(_swap_kind(mech.kind), _swap_params(mech.params), rect)
-
-
 def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism:
     return max(candidates, key=lambda m: m.revenue)
 
@@ -343,8 +316,7 @@ def solve_zero_corner(rect: Rectangle) -> Mechanism:
             Q=(p, 0.0),
         )
         return build_mechanism(StructureKind.B, params, rect)
-    swapped = solve_zero_corner(rect.swapped())
-    return _unswap_mechanism(swapped, rect)
+    return solve_zero_corner(rect.swapped()).swapped()
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +473,7 @@ def _solve_ss_general(rect: Rectangle) -> Mechanism:
         return mech
     swapped = _solve_ss_kind_b(rect.swapped(), critical_constants(rect.swapped()))
     if swapped is not None:
-        return _unswap_mechanism(swapped, rect)
+        return swapped.swapped()
     return solve_bundling(rect)
 
 
@@ -587,7 +559,7 @@ def _solve_ss_c1_zero(rect: Rectangle) -> Mechanism:
     swapped_rect = rect.swapped()
     mech = _solve_ss_kind_b(swapped_rect, critical_constants(swapped_rect))
     if mech is not None:
-        return _unswap_mechanism(mech, rect)
+        return mech.swapped()
     return solve_bundling(rect)
 
 
@@ -611,9 +583,7 @@ def solve_small_small(rect: Rectangle) -> Mechanism:
         base = _solve_ss_c1_zero(snapped)
         return base if snapped is rect else build_mechanism(base.kind, base.params, rect)
     if c2_zero:
-        snapped = rect if rect.c2 == 0.0 else Rectangle(rect.c1, 0.0, rect.b1, rect.b2)
-        base = _solve_ss_c1_zero(snapped.swapped())
-        return _unswap_mechanism(base, rect)
+        return solve_small_small(rect.swapped()).swapped()
     return _solve_ss_general(rect)
 
 
@@ -669,11 +639,11 @@ def solve_small_verylarge(rect: Rectangle) -> Mechanism:
 
 
 def solve_large_small(rect: Rectangle) -> Mechanism:
-    return _unswap_mechanism(solve_small_large(rect.swapped()), rect)
+    return solve_small_large(rect.swapped()).swapped()
 
 
 def solve_verylarge_small(rect: Rectangle) -> Mechanism:
-    return _unswap_mechanism(solve_small_verylarge(rect.swapped()), rect)
+    return solve_small_verylarge(rect.swapped()).swapped()
 
 
 def solve_bundling(rect: Rectangle) -> Mechanism:

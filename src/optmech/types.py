@@ -111,6 +111,10 @@ class MenuItem:
     def is_bundle(self) -> bool:
         return self.q1 == 1.0 and self.q2 == 1.0
 
+    def swapped(self) -> "MenuItem":
+        """The same lottery with the two goods exchanged."""
+        return MenuItem(self.q2, self.q1, self.t)
+
 
 NULL_ITEM = MenuItem(0.0, 0.0, 0.0)
 
@@ -130,6 +134,13 @@ class StructureKind(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    def swapped(self) -> "StructureKind":
+        """The kind of the same structure with the two goods exchanged
+        (A and C are their own mirrors)."""
+        return StructureKind(_MIRROR_KIND.get(self.value, self.value))
+
+
+_MIRROR_KIND = {"B": "F", "D": "G", "E": "H", "F": "B", "G": "D", "H": "E"}
 
 # Kinds whose menu has no free null option (every type buys something).
 KINDS_WITHOUT_NULL = frozenset({StructureKind.E, StructureKind.H})
@@ -170,6 +181,21 @@ class SolveParams:
                 kw[key] = tuple(float(x) for x in kw[key])
         return cls(**kw)
 
+    def swapped(self) -> "SolveParams":
+        """The parameters of the mirrored structure: indices 1 and 2 trade
+        places, and the roof corners P and Q trade places and coordinates."""
+        return SolveParams(
+            p_a1=self.p_a2,
+            p_a2=self.p_a1,
+            a1=self.a2,
+            a2=self.a1,
+            m1=self.m2,
+            m2=self.m1,
+            p=self.p,
+            P=(self.Q[1], self.Q[0]) if self.Q is not None else None,
+            Q=(self.P[1], self.P[0]) if self.P is not None else None,
+        )
+
 
 @dataclass(frozen=True)
 class Mechanism:
@@ -192,6 +218,23 @@ class Mechanism:
 
     def bundle_item(self) -> MenuItem:
         return next(item for item in self.menu if item.is_bundle)
+
+    def swapped(self) -> "Mechanism":
+        """The mechanism for the support with the two goods exchanged.
+
+        Each menu item trades its two allocations; prices and revenue stay.
+        A kind-A menu keeps its order null, (a1, 1), (1, a2), bundle, so its
+        two lotteries also trade places.
+        """
+        menu = tuple(item.swapped() for item in self.menu)
+        if self.kind is StructureKind.A:
+            menu = (menu[0], menu[2], menu[1], menu[3])
+        return Mechanism(
+            kind=self.kind.swapped(),
+            params=self.params.swapped() if self.params is not None else None,
+            menu=menu,
+            revenue=self.revenue,
+        )
 
     def to_dict(self) -> dict:
         return {

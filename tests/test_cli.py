@@ -111,6 +111,23 @@ def test_verify_passes_on_unit_square(capsys):
     assert abs(float(fields["oracle_gap"])) < 5e-3
 
 
+@pytest.mark.parametrize(
+    "args, kind",
+    [
+        (["1e-12", "0", "4.32577161455233", "0.646798625626365"], "B"),
+        (["0", "1e-12", "0.48768954745466575", "2.4021752207089593"], "F"),
+    ],
+)
+def test_verify_passes_on_snapped_offsets(args, kind, capsys):
+    # an offset of 1e-12 is solved as zero, and must be certified as zero
+    code = cli.main(["verify", *args, "--coarse", "9", "--rounds", "2"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    fields = _parse_kv(out)
+    assert fields["kind"] == kind
+    assert fields["result"] == "PASS"
+
+
 def test_verify_flags_a_mispriced_menu(monkeypatch, capsys):
     def mispriced(rect):
         mech = real_solve(rect)

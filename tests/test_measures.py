@@ -5,16 +5,14 @@ import math
 import pytest
 
 from optmech.geometry import HalfPlane, clip, rect_polygon
+from helpers import check_interval_measure_cvx_zero, mu_bar_of_polygon
 from optmech.measures import (
     MuBar,
-    ShuffleAlpha,
     ShuffleBeta,
     ShuffleBetaE,
     ZeroCornerCase,
     alpha_params,
     beta_p_of,
-    check_interval_measure_cvx_zero,
-    mu_bar_of_polygon,
 )
 from optmech.types import Rectangle
 
@@ -85,7 +83,7 @@ def test_measure_additivity_across_a_cut():
 def test_alpha_params_zero_mass_and_moment():
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
     for p_a in (0.701, 0.72, 0.74):
-        sh = alpha_params(rect, "top", p_a)
+        sh = alpha_params(rect, p_a)
         assert abs(sh.mass()) < 1e-15, f"alpha shuffle mass at p_a={p_a}"
         assert abs(sh.first_moment()) < 1e-15, f"alpha shuffle moment at p_a={p_a}"
         assert sh.sign_pattern_ok()
@@ -94,7 +92,7 @@ def test_alpha_params_zero_mass_and_moment():
 def test_alpha_params_frozen_values():
     # at p_a = 0.7 the closed forms are exactly a = 1/6, m = 0.6
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
-    sh = alpha_params(rect, "top", 0.7 + 1e-13)
+    sh = alpha_params(rect, 0.7 + 1e-13)
     assert sh.a == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert sh.m == pytest.approx(0.6, abs=1e-9)
 
@@ -102,7 +100,7 @@ def test_alpha_params_frozen_values():
 def test_alpha_numeric_cross_check():
     # density is linear in the offset, so the trapezoid rule is exact
     rect = Rectangle(0.2, 0.3, 1.5, 1.1)
-    sh = alpha_params(rect, "top", 0.8)
+    sh = alpha_params(rect, 0.8)
     n = 4000
     h = sh.m / n
     total = sh.point_mass()
@@ -116,30 +114,17 @@ def test_alpha_numeric_cross_check():
     assert moment == pytest.approx(sh.first_moment(), abs=1e-8)
 
 
-def test_alpha_params_right_side_mirrors_top():
-    rect = Rectangle(0.1, 0.2, 1.0, 1.2)
-    sh = alpha_params(rect, "right", 0.8)
-    mirrored = alpha_params(rect.swapped(), "top", 0.8)
-    assert sh.a == pytest.approx(mirrored.a, rel=1e-12)
-    assert sh.m == pytest.approx(mirrored.m, rel=1e-12)
-
-
 def test_alpha_params_zero_corner_raises():
     with pytest.raises(ZeroCornerCase):
-        alpha_params(UNIT, "top", 0.68)
+        alpha_params(UNIT, 0.68)
 
 
 def test_alpha_params_out_of_bracket_raises():
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        alpha_params(rect, "top", 0.6)  # below (2 b2 - c2)/3
+        alpha_params(rect, 0.6)  # below (2 b2 - c2)/3
     with pytest.raises(ValueError):
-        alpha_params(rect, "top", 1.0)  # at b2
-
-
-def test_shuffle_side_validation():
-    with pytest.raises(ValueError):
-        ShuffleAlpha(UNIT, "left", 0.6, 0.1, 0.5)
+        alpha_params(rect, 1.0)  # at b2
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +133,14 @@ def test_shuffle_side_validation():
 
 def test_beta_requires_positive_slope():
     with pytest.raises(ValueError):
-        ShuffleBeta(UNIT, "top", 0.5, 0.0, 0.4)
+        ShuffleBeta(UNIT, 0.5, 0.0, 0.4)
 
 
 def test_beta_ramp_end_and_densities():
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    sh = ShuffleBeta(rect, "top", 0.12, 0.3, 0.4)
+    sh = ShuffleBeta(rect, 0.12, 0.3, 0.4)
     assert sh.ramp_end == pytest.approx(0.4), "ramp longer than the segment is cut at p"
-    sh2 = ShuffleBeta(rect, "top", 0.12, 0.5, 0.4)
+    sh2 = ShuffleBeta(rect, 0.12, 0.5, 0.4)
     assert sh2.ramp_end == pytest.approx(0.24)
     assert sh2.density(0.3) == pytest.approx(2.0 * rect.b2 / rect.area)
 
@@ -163,7 +148,7 @@ def test_beta_ramp_end_and_densities():
 def test_beta_numeric_cross_check():
     # the density jumps at ramp_end, so integrate each smooth piece separately
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    sh = ShuffleBeta(rect, "top", 0.1, 0.33, 0.4)
+    sh = ShuffleBeta(rect, 0.1, 0.33, 0.4)
     n = 8000
     total = sh.point_mass()
     moment = 0.0
@@ -180,7 +165,7 @@ def test_beta_numeric_cross_check():
 
 def test_beta_p_of_rejects_flat_slope():
     with pytest.raises(ValueError):
-        beta_p_of(UNIT, "top", 0.5, 0.0)
+        beta_p_of(UNIT, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +174,7 @@ def test_beta_p_of_rejects_flat_slope():
 
 def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
     rect = Rectangle(0.5, 8.0, 1.0, 1.0)
-    sh = ShuffleBetaE(rect, "top")
+    sh = ShuffleBetaE(rect)
     assert abs(sh.mass()) < 1e-15, "two-step shuffle mass at the structure-E instance"
     assert abs(sh.first_moment()) < 1e-15
     assert sh.sign_pattern_ok()
@@ -200,19 +185,19 @@ def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
 def test_beta_e_moment_is_nonnegative_above_threshold():
     # deeper inside the region the mass still cancels but the moment is positive
     rect = Rectangle(0.5, 9.0, 1.0, 1.0)
-    sh = ShuffleBetaE(rect, "top")
+    sh = ShuffleBetaE(rect)
     assert abs(sh.mass()) < 1e-15
     assert sh.first_moment() > 1e-4
 
 
 def test_beta_e_zero_cross_corner_raises():
     with pytest.raises(ZeroCornerCase):
-        ShuffleBetaE(Rectangle(0.5, 0.0, 1.0, 1.0), "top")
+        ShuffleBetaE(Rectangle(0.5, 0.0, 1.0, 1.0))
 
 
 def test_check_interval_measure_report_keys():
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
-    rep = check_interval_measure_cvx_zero(alpha_params(rect, "top", 0.72))
+    rep = check_interval_measure_cvx_zero(alpha_params(rect, 0.72))
     assert set(rep) == {"total_mass", "first_moment", "sign_pattern_ok"}
     assert rep["sign_pattern_ok"] is True
     assert abs(rep["total_mass"]) < 1e-12

@@ -16,7 +16,7 @@ from optmech.oracle import (
     price_gradient,
 )
 from optmech.solver import solve
-from optmech.types import NULL_ITEM, MenuItem, Rectangle
+from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -138,6 +138,24 @@ def test_certificate_passes_on_solved_instances(rect):
     assert report.passed, f"{rect}: failures {report.failures}"
     assert abs(report.mu_D) <= 1e-12
     assert abs(report.mu_W) <= 1e-9 * rect.area
+    assert report.shuffle_mass <= 1e-10
+    assert report.shuffle_moment <= 1e-10
+
+
+#: An own-axis offset of 1e-12 is solved as zero (kind B with a flat
+#: lottery price), and its F mirror.
+SNAPPED_OFFSETS = (
+    Rectangle(1e-12, 0.0, 4.32577161455233, 0.646798625626365),
+    Rectangle(0.0, 1e-12, 0.48768954745466575, 2.4021752207089593),
+)
+
+
+@pytest.mark.parametrize("rect", SNAPPED_OFFSETS)
+def test_certificate_treats_snapped_offsets_as_zero(rect):
+    mech = solve(rect)
+    assert mech.kind is (StructureKind.B if rect.c1 > 0.0 else StructureKind.F)
+    report = certificate_check(mech, rect)
+    assert report.passed, f"{rect}: failures {report.failures}"
     assert report.shuffle_mass <= 1e-10
     assert report.shuffle_moment <= 1e-10
 

@@ -4,13 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optmech.geometry import (
-    best_response_regions,
-    clip,
-    polygon_intersection,
-    random_menu,
-    rect_polygon,
-)
+from helpers import polygon_intersection, random_menu
+from optmech.geometry import best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar
 from optmech.mechanism import (
     expected_revenue,

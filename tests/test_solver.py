@@ -116,8 +116,8 @@ def test_residual_w_matches_polygon_measure():
     for p_a1 in (0.705, 0.71, 0.715):
         assert cc.r1 < p_a1 < cc.p_a1_star
         p_a2 = solve_pa2_given_pa1(rect, p_a1)
-        sh1 = alpha_params(rect, "top", p_a1)
-        sh2 = alpha_params(rect, "right", p_a2)
+        sh1 = alpha_params(rect, p_a1)
+        sh2 = alpha_params(rect.swapped(), p_a2)
         big_p = (rect.c1 + sh1.m, rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
         p = big_p[0] + big_p[1] - rect.c1 - rect.c2
         params = SolveParams(p_a1=p_a1, p_a2=p_a2, a1=sh1.a, a2=sh2.a, p=p)
@@ -135,8 +135,8 @@ def test_solve_pa2_given_pa1_zeroes_diagonal_mismatch():
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
     p_a1 = 0.71
     p_a2 = solve_pa2_given_pa1(rect, p_a1)
-    sh1 = alpha_params(rect, "top", p_a1)
-    sh2 = alpha_params(rect, "right", p_a2)
+    sh1 = alpha_params(rect, p_a1)
+    sh2 = alpha_params(rect.swapped(), p_a2)
     lhs = (rect.c1 + sh1.m) + (rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
     rhs = (rect.c1 + 0.5 * (2.0 * rect.b1 - rect.c1 - p_a2)) + (rect.c2 + sh2.m)
     assert lhs == pytest.approx(rhs, abs=1e-10), "both roof corners must sit on one diagonal"
@@ -198,7 +198,7 @@ def test_symmetric_small_corner_kind_a():
     assert mech.params.a1 == pytest.approx(mech.params.a2, abs=1e-9)
     assert mech.menu[1].t == pytest.approx(mech.menu[2].t, abs=1e-9)
     # edge shuffles vanish at the solved prices
-    sh = alpha_params(Rectangle(0.05, 0.05, 1.0, 1.0), "top", mech.params.p_a1)
+    sh = alpha_params(Rectangle(0.05, 0.05, 1.0, 1.0), mech.params.p_a1)
     assert abs(sh.mass()) < 1e-12 and abs(sh.first_moment()) < 1e-12
 
 
@@ -228,7 +228,7 @@ def test_ramp_lottery_structure_kind_d():
     assert mech.kind is StructureKind.D
     assert mech.params.p == pytest.approx(0.4, abs=1e-14), "bundle boundary at (b1 - c1)/2"
     assert mech.revenue == pytest.approx(3.1626672471591504, abs=1e-12)
-    p_mass, p_moment = beta_p_of(rect, "top", mech.params.p_a1, mech.params.a1)
+    p_mass, p_moment = beta_p_of(rect, mech.params.p_a1, mech.params.a1)
     assert p_mass == pytest.approx(0.4, abs=1e-9), "shuffle mass-zero length equals the boundary"
     assert p_moment == pytest.approx(0.4, abs=1e-9), "shuffle moment-zero length equals the boundary"
 
