@@ -1,22 +1,28 @@
 """Decision procedure for the revenue-optimal selling structure.
 
 Given a value rectangle, the solver classifies it into a phase region,
-then pins down the structure parameters by one-dimensional bracketed
-bisection (nested where two parameters interact).  Each candidate
-structure's defining residual is the transformed measure of the
-top-right bundle region, which must vanish at the optimum; partial
-lotteries additionally require their edge shuffle to vanish, which the
-closed-form slopes and spans encode exactly.
+then pins down the structure parameters.  Each candidate structure's
+defining residual is the transformed measure of the top-right bundle
+region, which must vanish at the optimum, written out in closed form;
+partial lotteries additionally require their edge shuffle to vanish,
+which the closed-form slopes and spans encode exactly.  The c1 = 0
+one-lottery residual is linear, the one-lottery and ramp residuals are
+cubics solved by companion-matrix eigenvalues, and the edge prices of
+the two-lottery structure are found by (nested) bisection.  SmallSmall
+structures are solved in the edge offsets D_i rather than in the edge
+prices, which keeps them accurate at small corner offsets.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .geometry import HalfPlane, clip_many, rect_polygon
-from .measures import MuBar
+from numpy.polynomial import polynomial as npoly
+
 from .mechanism import build_mechanism
 from .types import Mechanism, Rectangle, SolveParams, StructureKind
 
@@ -26,8 +32,17 @@ from .types import Mechanism, Rectangle, SolveParams, StructureKind
 #: because the residual slope at the root carries the same amplification.
 BISECT_REL_TOL = 4e-16
 BISECT_MAX_ITER = 200
-SCAN_PANELS = 256
-ROOT_DEDUP_REL_TOL = 1e-10
+#: A root this close outside a bracket end, relative to the interval
+#: magnitude, lies on the end: where a structure puts its root exactly on
+#: the end, rounding moves it to either side.
+ROOT_END_REL_TOL = 1e-10
+#: Companion eigenvalues this close to the real axis and to each other,
+#: relative to the interval magnitude, form one cluster: the eigenvalue
+#: solver splits a double root into a pair about 1e-8 apart.
+ROOT_MERGE_REL_TOL = 1e-6
+#: A cluster without a sign change is a double root where the polynomial's
+#: extremum is within this many rounding units of sum |a_i| |x|^i.
+ROOT_DOUBLE_ULPS = 16.0
 
 
 class NoRoot(RuntimeError):
@@ -66,23 +81,23 @@ class CriticalConstants:
     p_star: float
 
 
-def _edge_constants(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
-    """(r1, p_a1_star) of the support; (r2, p_a2_star) are those of its mirror."""
-    r1 = (2.0 * b2 * (2.0 * b1 + 5.0 * c1) - c2 * (2.0 * b1 - 3.0 * c1)) / (
-        3.0 * (2.0 * b1 + 3.0 * c1)
-    )
-    p_a1_star = (
-        (2.0 * b2 - c2) / 3.0
-        - 4.0 * c1 / 9.0
-        + (2.0 / 9.0) * math.sqrt(2.0 * c1 * (2.0 * c1 + 3.0 * (b2 + c2)))
-    )
-    return r1, p_a1_star
+def _edge_offsets(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
+    """Edge offsets D1 = c2 - 2 b2 + 3 p_a1 at r1 and at p_a1_star; those of
+    good 2 are the mirror's.
+
+    The SmallSmall structures are solved in D1 and D2, not in the edge
+    prices: at a small corner offset the price sits next to (2 b2 - c2)/3,
+    and forming D1 from it would cancel all but a few of its digits.
+    """
+    lo = 2.0 * c1 * (2.0 * b2 + 3.0 * c2) / (2.0 * b1 + 3.0 * c1)
+    hi = (2.0 * math.sqrt(2.0 * c1 * (2.0 * c1 + 3.0 * (b2 + c2))) - 4.0 * c1) / 3.0
+    return lo, hi
 
 
 def critical_constants(rect: Rectangle) -> CriticalConstants:
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    r1, p_a1_star = _edge_constants(c1, c2, b1, b2)
-    r2, p_a2_star = _edge_constants(c2, c1, b2, b1)
+    r1, p_a1_star = ((2.0 * b2 - c2 + d) / 3.0 for d in _edge_offsets(c1, c2, b1, b2))
+    r2, p_a2_star = ((2.0 * b1 - c1 + d) / 3.0 for d in _edge_offsets(c2, c1, b2, b1))
     s = c1 + c2
     p_star = (math.sqrt(s * s + 6.0 * b1 * b2) - s) / 3.0
     return CriticalConstants(r1, r2, p_a1_star, p_a2_star, p_star)
@@ -97,8 +112,9 @@ def classify(rect: Rectangle) -> PhaseRegion:
     structure takes over exactly at the threshold).
     """
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    if (c1 <= b1 and c2 <= 2.0 * b2 * (b1 + c1) / (b1 + 3.0 * c1)) or (
-        c2 <= b2 and c1 <= 2.0 * b1 * (b2 + c2) / (b2 + 3.0 * c2)
+    # the ratio first: at a zero offset the threshold is exactly 2 b
+    if (c1 <= b1 and c2 <= 2.0 * b2 * ((b1 + c1) / (b1 + 3.0 * c1))) or (
+        c2 <= b2 and c1 <= 2.0 * b1 * ((b2 + c2) / (b2 + 3.0 * c2))
     ):
         return PhaseRegion.SMALL_SMALL
     if c1 <= b1:
@@ -114,19 +130,10 @@ def classify(rect: Rectangle) -> PhaseRegion:
     return PhaseRegion.BOTH_LARGE
 
 
-def _bisect(
-    f,
-    lo: float,
-    hi: float,
-    flo: float | None = None,
-    fhi: float | None = None,
-) -> float:
-    """Bracketed bisection to the relative rounding floor of the argument."""
+def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Bisection of f, valued flo and fhi at the bracket ends, to the
+    relative rounding floor of the argument."""
     tol = BISECT_REL_TOL * max(abs(lo), abs(hi))
-    if flo is None:
-        flo = f(lo)
-    if fhi is None:
-        fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -164,46 +171,63 @@ def _feasible_edge(f, lo: float, hi: float) -> float:
     return lo
 
 
-def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, hi: float) -> list[float]:
-    """Roots of a polynomial (ascending coefficients, degree <= 4) in [lo, hi].
+def _horner(coeffs: list[float], x: float) -> float:
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
 
-    The interval is scanned in 256 panels for sign changes, each bracketing
-    panel is bisected to the relative rounding floor, and roots closer than
-    1e-10 of the interval magnitude are merged.  Tangent roots without a
-    sign change are not detected by design; the residuals this is used on
-    cross zero transversally.
+
+def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, hi: float) -> list[float]:
+    """Real roots in [lo, hi] of a polynomial (ascending coefficients, degree <= 4).
+
+    Trailing zero coefficients are dropped and the rest is solved by the
+    eigenvalues of its companion matrix, clustered by ``ROOT_MERGE_REL_TOL``.
+    A cluster whose bracket ends differ in sign holds one root, bisected to
+    the rounding floor.  Otherwise its extremum (the bisected root of the
+    derivative) is a double root if zero to ``ROOT_DOUBLE_ULPS``, splits two
+    roots if of the opposite sign, and marks a complex pair if not.  Roots
+    within ``ROOT_END_REL_TOL`` outside an end are clamped onto it.
     """
     if len(coeffs) > 5:
         raise ValueError(f"degree at most 4 supported, got {len(coeffs) - 1}")
-    if hi < lo:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if hi < lo or len(coeffs) < 2:
         return []
-
-    def poly(x: float) -> float:
-        acc = 0.0
-        for a in reversed(coeffs):
-            acc = acc * x + a
-        return acc
-
+    poly = partial(_horner, coeffs)
+    slope = partial(_horner, [i * a for i, a in enumerate(coeffs)][1:])
+    mag = max(abs(lo), abs(hi))
+    near, end = ROOT_MERGE_REL_TOL * mag, ROOT_END_REL_TOL * mag
+    estimates = sorted(
+        float(r.real)
+        for r in npoly.polyroots(coeffs)
+        if abs(r.imag) <= near and lo - near <= r.real <= hi + near
+    )
+    groups: list[list[float]] = []  # [first, last] of each run of close estimates
+    for x in estimates:
+        if groups and x - groups[-1][1] <= near:
+            groups[-1][1] = x
+        else:
+            groups.append([x, x])
     roots: list[float] = []
-    prev_x = lo
-    prev_v = poly(lo)
-    if prev_v == 0.0:
-        roots.append(lo)
-    for k in range(1, SCAN_PANELS + 1):
-        x = lo + (hi - lo) * k / SCAN_PANELS
-        v = poly(x)
-        if v == 0.0:
-            roots.append(x)
-        elif (prev_v < 0.0 < v) or (v < 0.0 < prev_v):
-            roots.append(_bisect(poly, prev_x, x, prev_v, v))
-        prev_x, prev_v = x, v
-    roots.sort()
-    dedup = ROOT_DEDUP_REL_TOL * max(abs(lo), abs(hi))
-    out: list[float] = []
-    for r in roots:
-        if not out or r - out[-1] > dedup:
-            out.append(r)
-    return out
+    for first, last in groups:
+        a, b = first - 0.5 * near, last + 0.5 * near
+        fa, fb, sa, sb = poly(a), poly(b), slope(a), slope(b)
+        found: list[float] = []
+        if fa <= 0.0 <= fb or fb <= 0.0 <= fa:
+            found = [_bisect(poly, a, b, fa, fb)]
+        elif (sa > 0.0) != (sb > 0.0):
+            x = _bisect(slope, a, b, sa, sb)
+            fx = poly(x)
+            scale = _horner([abs(c) for c in coeffs], abs(x))
+            if abs(fx) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale:
+                found = [x]
+            elif (fx > 0.0) != (fa > 0.0):
+                found = [_bisect(poly, a, x, fa, fx), _bisect(poly, x, b, fx, fb)]
+        roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
+    return roots
 
 
 def residual_W(rect: Rectangle, p_a1: float, p_a2: float) -> float:
@@ -215,12 +239,16 @@ def residual_W(rect: Rectangle, p_a1: float, p_a2: float) -> float:
     bracket.  The optimum is the zero of this residual.
     """
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    d1 = c2 - 2.0 * b2 + 3.0 * p_a1
-    d2 = c1 - 2.0 * b1 + 3.0 * p_a2
-    n1 = b1 * d1 - 4.0 * c1 * (b2 - p_a1)
-    n2 = b2 * d2 - 4.0 * c2 * (b1 - p_a2)
-    t1 = (2.0 * b2 - c2 - p_a1) * d2 - 8.0 * c2 * (b1 - p_a2)
-    t2 = (2.0 * b1 - c1 - p_a2) * d1 - 8.0 * c1 * (b2 - p_a1)
+    return _residual_w(rect, c2 - 2.0 * b2 + 3.0 * p_a1, c1 - 2.0 * b1 + 3.0 * p_a2)
+
+
+def _residual_w(rect: Rectangle, d1: float, d2: float) -> float:
+    """``residual_W`` in the edge offsets."""
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    n1 = b1 * d1 - 4.0 * c1 * (b2 + c2 - d1) / 3.0
+    n2 = b2 * d2 - 4.0 * c2 * (b1 + c1 - d2) / 3.0
+    t1 = ((4.0 * b2 - 2.0 * c2 - d1) * d2 - 8.0 * c2 * (b1 + c1 - d2)) / 3.0
+    t2 = ((4.0 * b1 - 2.0 * c1 - d2) * d1 - 8.0 * c1 * (b2 + c2 - d1)) / 3.0
     return (
         3.0 * n1 * n2
         - (c2 + b2) * n1 * d2
@@ -243,24 +271,25 @@ def solve_pa2_given_pa1(rect: Rectangle, p_a1: float) -> float:
     d1 = c2 - 2.0 * b2 + 3.0 * p_a1
     if d1 <= 0.0:
         raise ValueError(f"p_a1 below the admissible range: {p_a1!r}")
-    m1 = 4.0 * c1 * (b2 - p_a1) / d1
-    k = m1 + 0.5 * (2.0 * b2 - c2 - p_a1) - 0.5 * (2.0 * b1 - c1)
-    lo = (2.0 * b1 - c1) / 3.0
-    hi = critical_constants(rect).p_a2_star
+    return (2.0 * b1 - c1 + _match_offset(rect, d1)) / 3.0
 
-    def mismatch(pa2: float) -> float:
-        d2 = c1 - 2.0 * b1 + 3.0 * pa2
-        return k + 0.5 * pa2 - 4.0 * c2 * (b1 - pa2) / d2
+
+def _match_offset(rect: Rectangle, d1: float) -> float:
+    """``solve_pa2_given_pa1`` in the edge offsets: D2 for a given D1."""
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    k = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1) + (4.0 * (b2 - b1) - 2.0 * (c2 - c1) - d1) / 6.0
+    lo, hi = 0.0, _edge_offsets(c2, c1, b2, b1)[1]
+
+    def mismatch(d2: float) -> float:
+        return k + d2 / 6.0 - 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
 
     f_hi = mismatch(hi)
-    if f_hi < 0.0:
+    if f_hi <= 0.0:
         if f_hi > -1e-9 * (b1 + b2):
             return hi
         raise NoRoot("diagonal matching requires a lottery weight above 1")
-    if f_hi == 0.0:
-        return hi
     # mismatch -> -inf at lo+, increasing: bisect without evaluating at lo
-    tol = BISECT_REL_TOL * max(abs(lo), abs(hi))
+    tol = BISECT_REL_TOL * hi
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
@@ -272,8 +301,8 @@ def solve_pa2_given_pa1(rect: Rectangle, p_a1: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism:
-    return max(candidates, key=lambda m: m.revenue)
+def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism | None:
+    return max(candidates, key=lambda m: m.revenue, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,51 +368,41 @@ def _geometric_w_residual(
     )
 
 
-def _kind_a_params(rect: Rectangle, p_a1: float, p_a2: float) -> SolveParams:
+def _kind_a_params(rect: Rectangle, d1: float, d2: float) -> SolveParams:
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    d1 = c2 - 2.0 * b2 + 3.0 * p_a1
-    d2 = c1 - 2.0 * b1 + 3.0 * p_a2
-    a1 = min(1.0, d1 * d1 / (8.0 * c1 * (b2 - p_a1)))
-    a2 = min(1.0, d2 * d2 / (8.0 * c2 * (b1 - p_a2)))
-    m1 = 4.0 * c1 * (b2 - p_a1) / d1
-    m2 = 4.0 * c2 * (b1 - p_a2) / d2
-    big_p = (c1 + m1, c2 + 0.5 * (2.0 * b2 - c2 - p_a1))
-    big_q = (c1 + 0.5 * (2.0 * b1 - c1 - p_a2), c2 + m2)
+    m1 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1)
+    m2 = 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
+    big_p = (c1 + m1, c2 + (4.0 * b2 - 2.0 * c2 - d1) / 6.0)
+    big_q = (c1 + (4.0 * b1 - 2.0 * c1 - d2) / 6.0, c2 + m2)
     p = big_p[0] + big_p[1] - c1 - c2
     return SolveParams(
-        p_a1=p_a1, p_a2=p_a2, a1=a1, a2=a2, m1=m1, m2=m2, p=p, P=big_p, Q=big_q
+        p_a1=(2.0 * b2 - c2 + d1) / 3.0, p_a2=(2.0 * b1 - c1 + d2) / 3.0,
+        a1=min(1.0, 0.5 * d1 / m1), a2=min(1.0, 0.5 * d2 / m2),
+        m1=m1, m2=m2, p=p, P=big_p, Q=big_q,
     )
 
 
-def _solve_ss_kind_a(rect: Rectangle, cc: CriticalConstants) -> Mechanism | None:
-    """Two-lottery structure: nested bisection over the edge prices."""
+def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
+    """Two-lottery structure: nested bisection over the edge offsets."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    if cc.r1 > cc.p_a1_star or cc.r2 > cc.p_a2_star:
+    lo, hi = _edge_offsets(c1, c2, b1, b2)
+    lo2, hi2 = _edge_offsets(c2, c1, b2, b1)
+    if lo > hi or lo2 > hi2:
         return None
+    m2_at_cap = 4.0 * c2 * (b1 + c1 - hi2) / (3.0 * hi2)
 
-    lo2 = (2.0 * b1 - c1) / 3.0
-    m2_at_cap = 4.0 * c2 * (b1 - cc.p_a2_star) / (c1 - 2.0 * b1 + 3.0 * cc.p_a2_star)
+    def feasibility(d1: float) -> float:
+        """Diagonal mismatch at the capped D2; >= 0 means solvable."""
+        m1 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1)
+        return m1 + (4.0 * (b2 - b1) - 2.0 * (c2 - c1) - d1 + hi2) / 6.0 - m2_at_cap
 
-    def feasibility(pa1: float) -> float:
-        """Diagonal mismatch at the capped p_a2; >= 0 means solvable."""
-        d1 = c2 - 2.0 * b2 + 3.0 * pa1
-        m1 = 4.0 * c1 * (b2 - pa1) / d1
-        return (
-            m1
-            + 0.5 * (2.0 * b2 - c2 - pa1)
-            - 0.5 * (2.0 * b1 - c1 - cc.p_a2_star)
-            - m2_at_cap
-        )
-
-    lo = cc.r1
-    hi = cc.p_a1_star
     if feasibility(lo) < 0.0:
         return None
     if feasibility(hi) < 0.0:
         hi = _feasible_edge(feasibility, lo, hi)
 
-    def g(pa1: float) -> float:
-        return residual_W(rect, pa1, solve_pa2_given_pa1(rect, pa1))
+    def g(d1: float) -> float:
+        return _residual_w(rect, d1, _match_offset(rect, d1))
 
     g_lo = g(lo)
     g_hi = g(hi)
@@ -397,8 +416,7 @@ def _solve_ss_kind_a(rect: Rectangle, cc: CriticalConstants) -> Mechanism | None
         root = lo
     else:
         root = _bisect(g, lo, hi, g_lo, g_hi)
-    p_a2 = solve_pa2_given_pa1(rect, root)
-    params = _kind_a_params(rect, root, p_a2)
+    params = _kind_a_params(rect, root, _match_offset(rect, root))
     tol = 1e-9 * (rect.b1 + rect.b2)
     if params.P[0] > params.Q[0] + tol or params.Q[1] > params.P[1] + tol:
         return None
@@ -407,157 +425,122 @@ def _solve_ss_kind_a(rect: Rectangle, cc: CriticalConstants) -> Mechanism | None
 
 def _kind_b_cubic(rect: Rectangle) -> tuple[float, float, float, float]:
     """Ascending coefficients of the one-lottery structure's residual cubic
-    in p_a1 (the residual equals -1 times the bundle-region measure up to
+    in D1 (the residual equals -1 times the bundle-region measure up to
     a positive scale)."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    e = c2 - 2.0 * b2
-    k0 = (
-        -8.0 * c1 * b2 * b2
-        + (c2 * b1 - b2 * b1 - b2 * c1) * e
-        + (0.5 * c2 - b1) * e * e
-        - 0.375 * e**3
+    return (
+        -8.0 * b2 * c1 * (b2 + c2) / 3.0,
+        (6.0 * b1 * b2 - 4.0 * b2 * b2 + 10.0 * b2 * c1 + c2 * c2) / 6.0,
+        b2 / 3.0,
+        -1.0 / 24.0,
     )
-    k1 = (
-        c1 * (4.0 * c2 - 3.0 * b2)
-        + 3.0 * b1 * b2
-        + 2.0 * (c2 - 2.0 * c1) * e
-        - 1.875 * e * e
-    )
-    k2 = 1.5 * c2 - 2.625 * e
-    k3 = -1.125
-    return (k0, k1, k2, k3)
 
 
-def _kind_b_params(rect: Rectangle, p_a1: float) -> SolveParams | None:
+def _kind_b_params(rect: Rectangle, d1: float) -> SolveParams | None:
     """Parameters of the one-lottery structure; None if geometry is invalid."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    d1 = c2 - 2.0 * b2 + 3.0 * p_a1
-    if d1 <= 0.0 or p_a1 >= b2:
+    if d1 <= 0.0 or d1 >= b2 + c2:  # the edge price reaches b2
         return None
     if c1 > 0.0:
-        a1 = min(1.0, d1 * d1 / (8.0 * c1 * (b2 - p_a1)))
-        m1 = 4.0 * c1 * (b2 - p_a1) / d1
+        m1 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1)
+        a1 = min(1.0, 0.5 * d1 / m1)
     else:
         a1, m1 = 0.0, 0.0
-    half = 0.5 * (2.0 * b2 - c2 - p_a1)
+    half = (4.0 * b2 - 2.0 * c2 - d1) / 6.0
     p = m1 + half
     big_p = (c1 + m1, c2 + half)
     tol = 1e-9 * (b1 + b2)
-    if not (0.0 <= p <= b1 + tol and c2 <= big_p[1] <= rect.z2_max + tol):
+    # on the SmallSmall curve P[1] = c2, which rounding misses by an ulp
+    floor = c2 - 4.0 * sys.float_info.epsilon * max(c2, b2)
+    if not (0.0 <= p <= b1 + tol and floor <= big_p[1] <= rect.z2_max + tol):
         return None
     if big_p[0] > c1 + p + tol:
         return None
+    p_a1 = (2.0 * b2 - c2 + d1) / 3.0
     return SolveParams(p_a1=p_a1, a1=a1, m1=m1, p=p, P=big_p, Q=(c1 + p, c2))
 
 
-def _solve_ss_kind_b(rect: Rectangle, cc: CriticalConstants) -> Mechanism | None:
-    if cc.r1 > cc.p_a1_star:
+def _solve_ss_kind_b(rect: Rectangle) -> Mechanism | None:
+    lo, hi = _edge_offsets(rect.c1, rect.c2, rect.b1, rect.b2)
+    if lo > hi:
         return None
-    roots = real_roots_in_interval(_kind_b_cubic(rect), cc.r1, cc.p_a1_star)
-    candidates = []
-    for root in roots:
-        params = _kind_b_params(rect, root)
-        if params is not None:
-            candidates.append(build_mechanism(StructureKind.B, params, rect))
-    return _best_by_revenue(candidates) if candidates else None
+    roots = real_roots_in_interval(_kind_b_cubic(rect), lo, hi)
+    params = [sp for sp in (_kind_b_params(rect, root) for root in roots) if sp is not None]
+    return _best_by_revenue([build_mechanism(StructureKind.B, sp, rect) for sp in params])
 
 
 def _solve_ss_general(rect: Rectangle) -> Mechanism:
     """Both corner offsets positive: try the structures in fixed order."""
-    cc = critical_constants(rect)
-    mech = _solve_ss_kind_a(rect, cc)
+    mech = _solve_ss_kind_a(rect) or _solve_ss_kind_b(rect)
     if mech is not None:
         return mech
-    mech = _solve_ss_kind_b(rect, cc)
-    if mech is not None:
-        return mech
-    swapped = _solve_ss_kind_b(rect.swapped(), critical_constants(rect.swapped()))
+    swapped = _solve_ss_kind_b(rect.swapped())
     if swapped is not None:
         return swapped.swapped()
     return solve_bundling(rect)
-
-
-def _polygon_w_mass(rect: Rectangle, halfplanes: list[HalfPlane]) -> float:
-    return MuBar(rect).mass(clip_many(rect_polygon(rect), halfplanes))
 
 
 def _solve_ss_c1_zero(rect: Rectangle) -> Mechanism:
     """Small/Small with c1 = 0 < c2: the good-1 lottery is pinned flat.
 
     The flat edge price is (2 b2 - c2)/3 with zero lottery weight, so one
-    residual equation remains: sweep p_a2 for the two-lottery structure,
-    falling back to a one-dimensional bundle-price bisection, the mirrored
-    cubic, and pure bundling, in that order.
+    residual equation remains: sweep D2 for the two-lottery structure,
+    falling back to the one-lottery structure, whose bundle offset has a
+    closed form, the mirrored cubic, and pure bundling, in that order.
     """
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    cc = critical_constants(rect)
     p_a1 = (2.0 * b2 - c2) / 3.0
 
-    def candidate_a(pa2: float) -> SolveParams:
-        d2 = c1 - 2.0 * b1 + 3.0 * pa2
-        m2 = 4.0 * c2 * (b1 - pa2) / d2
-        big_q = (c1 + 0.5 * (2.0 * b1 - c1 - pa2), c2 + m2)
+    def candidate_a(d2: float) -> SolveParams:
+        m2 = 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
+        big_q = (c1 + (4.0 * b1 - 2.0 * c1 - d2) / 6.0, c2 + m2)
         p = big_q[0] + big_q[1] - c1 - c2
         big_p = (c1 + c2 + p - (c2 + p_a1), c2 + p_a1)
         return SolveParams(
-            p_a1=p_a1, p_a2=pa2, a1=0.0,
-            a2=min(1.0, d2 * d2 / (8.0 * c2 * (b1 - pa2))),
-            m1=0.0, m2=m2, p=p, P=big_p, Q=big_q,
+            p_a1=p_a1, p_a2=(2.0 * b1 - c1 + d2) / 3.0, a1=0.0,
+            a2=min(1.0, 0.5 * d2 / m2), m1=0.0, m2=m2, p=p, P=big_p, Q=big_q,
         )
 
-    def g(pa2: float) -> float:
-        sp = candidate_a(pa2)
+    def g(d2: float) -> float:
+        sp = candidate_a(d2)
         return _geometric_w_residual(rect, sp.P[0], sp.P[1], sp.Q[0], sp.Q[1])
 
     tol = 1e-9 * (b1 + b2)
-    if cc.r2 <= cc.p_a2_star:
-        g_lo, g_hi = g(cc.r2), g(cc.p_a2_star)
+    lo, hi = _edge_offsets(c2, c1, b2, b1)
+    if lo <= hi:
+        g_lo, g_hi = g(lo), g(hi)
         root = None
         if g_lo >= 0.0:
             # the residual is quadratic in the lengths
             if g_lo <= 1e-9 * rect.area:
-                root = cc.r2
+                root = lo
         elif g_hi >= 0.0:
-            root = _bisect(g, cc.r2, cc.p_a2_star, g_lo, g_hi)
+            root = _bisect(g, lo, hi, g_lo, g_hi)
         if root is not None:
             params = candidate_a(root)
             # near the bracket start the corner coordinates move at rate
-            # ~(3 m2 + 4 c2)/d2 per unit edge price, so the root resolution
+            # ~(m2 + 4 c2/3)/D2 per unit edge offset, so the root resolution
             # leaves a band of that width around P1 = c1 inside which the
             # two-lottery candidate cannot be told from the one-lottery
             # fallbacks; route the band to the fallbacks deterministically
-            d2 = abs(c1 - 2.0 * b1 + 3.0 * root)
-            rate = (3.0 * abs(params.m2) + 4.0 * c2) / d2 if d2 > 0.0 else 0.0
-            wide = 8.0 * rate * BISECT_REL_TOL * abs(root) + tol
+            rate = (abs(params.m2) + 4.0 * c2 / 3.0) / root
+            wide = 8.0 * rate * BISECT_REL_TOL * hi + tol
             if params.P[0] >= c1 + wide and params.P[0] <= params.Q[0] - wide:
                 return build_mechanism(StructureKind.A, params, rect)
 
-    # one-lottery structure: the flat price fixes the vertical boundary at
-    # z1 = c1 + p - p_a1; bisect the bundle offset for zero bundle measure
-    def w_mass(p: float) -> float:
-        return _polygon_w_mass(
-            rect,
-            [
-                HalfPlane(-1.0, 0.0, -(c1 + p - p_a1)),
-                HalfPlane(-1.0, -1.0, -(c1 + c2 + p)),
-            ],
+    # one-lottery structure: the flat price puts the vertical boundary at
+    # z1 = p - p_a1, and on p_a1 <= p <= b1 the bundle region's measure is
+    # linear in the bundle offset, b1 b2 mu(W) = 2 b2 p - b1 b2 - 1.5 p_a1^2
+    p = 0.5 * b1 + 0.75 * p_a1 * p_a1 / b2
+    if p_a1 <= p <= b1:
+        params = SolveParams(
+            p_a1=p_a1, a1=0.0, m1=0.0, p=p,
+            P=(c1 + p - p_a1, c2 + p_a1), Q=(c1 + p, c2),
         )
+        if params.P[0] <= rect.z1_max + tol:
+            return build_mechanism(StructureKind.B, params, rect)
 
-    lo, hi = p_a1, b1
-    if p_a1 < b1:
-        try:
-            p = _bisect(w_mass, lo, hi)
-            params = SolveParams(
-                p_a1=p_a1, a1=0.0, m1=0.0, p=p,
-                P=(c1 + p - p_a1, c2 + p_a1), Q=(c1 + p, c2),
-            )
-            if params.P[0] <= rect.z1_max + tol:
-                return build_mechanism(StructureKind.B, params, rect)
-        except NoRoot:
-            pass
-
-    swapped_rect = rect.swapped()
-    mech = _solve_ss_kind_b(swapped_rect, critical_constants(swapped_rect))
+    mech = _solve_ss_kind_b(rect.swapped())
     if mech is not None:
         return mech.swapped()
     return solve_bundling(rect)
@@ -608,8 +591,7 @@ def solve_small_large(rect: Rectangle) -> Mechanism:
     )
     k2 = 2.0 * c1 * c1 * c2 - 4.0 * b1 * b2 * c1 - 2.25 * b2 * (b1 - c1) ** 2
     k3 = 2.0 * c1 * c1
-    lo = max(2.0 * b2 - c2, 0.0)
-    roots = real_roots_in_interval((k0, k1, k2, k3), lo, b2)
+    roots = real_roots_in_interval((k0, k1, k2, k3), max(2.0 * b2 - c2, 0.0), b2)
     p = 0.5 * (b1 - c1)
     candidates: list[Mechanism] = []
     for p_a1 in roots:
@@ -627,9 +609,7 @@ def solve_small_large(rect: Rectangle) -> Mechanism:
             m1 = b1 * b2 / c2 if c2 > 0.0 else 0.0
         params = SolveParams(p_a1=p_a1, a1=a1, m1=m1, p=p)
         candidates.append(build_mechanism(StructureKind.D, params, rect))
-    if candidates:
-        return _best_by_revenue(candidates)
-    return solve_bundling(rect)
+    return _best_by_revenue(candidates) or solve_bundling(rect)
 
 
 def solve_small_verylarge(rect: Rectangle) -> Mechanism:

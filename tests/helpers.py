@@ -1,9 +1,13 @@
 """Helpers that only the tests use: random menus, polygon intersection,
-the non-participation region and a shuffle report."""
+the non-participation region, a shuffle report and the simple menus every
+optimum must match."""
+
+import math
 
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, clip, rect_polygon
 from optmech.measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE
-from optmech.types import MenuItem, Rectangle
+from optmech.mechanism import expected_revenue
+from optmech.types import NULL_ITEM, MenuItem, Rectangle
 
 
 def random_menu(rng, rect: Rectangle, n_items: int | None = None) -> tuple[MenuItem, ...]:
@@ -72,3 +76,31 @@ def check_interval_measure_cvx_zero(
         "first_moment": measure.first_moment(),
         "sign_pattern_ok": measure.sign_pattern_ok(tol),
     }
+
+
+def rival_revenue(rect: Rectangle) -> float:
+    """Best revenue of the simple menus that every optimum must match.
+
+    Pure bundling at each stationary price of the bundle revenue (one per
+    piece of the distribution of z1 + z2, plus its kinks), separate sale at
+    each good's own optimal price, and the E and H menus (one good at its
+    lowest value, the other as an upgrade at its own optimal price); each
+    menu is evaluated by ``expected_revenue``.
+    """
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    s0, short, long_ = c1 + c2, min(b1, b2), max(b1, b2)
+    offsets = (
+        (math.sqrt(s0 * s0 + 6.0 * b1 * b2) - s0) / 3.0,
+        (2.0 * long_ + short - 2.0 * s0) / 4.0,
+        (b1 + b2 - 2.0 * s0) / 3.0,
+        short,
+        long_,
+    )
+    t1, t2 = max(c1, 0.5 * (c1 + rect.z1_max)), max(c2, 0.5 * (c2 + rect.z2_max))
+    menus = [(NULL_ITEM, MenuItem(1.0, 1.0, s0 + min(max(u, 0.0), b1 + b2))) for u in offsets]
+    menus += [
+        (NULL_ITEM, MenuItem(1.0, 0.0, t1), MenuItem(0.0, 1.0, t2), MenuItem(1.0, 1.0, t1 + t2)),
+        (NULL_ITEM, MenuItem(0.0, 1.0, c2), MenuItem(1.0, 1.0, c2 + t1)),
+        (NULL_ITEM, MenuItem(1.0, 0.0, c1), MenuItem(1.0, 1.0, c1 + t2)),
+    ]
+    return max(expected_revenue(menu, rect) for menu in menus)

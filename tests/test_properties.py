@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import polygon_intersection, random_menu
+from helpers import polygon_intersection, random_menu, rival_revenue
 from optmech.geometry import best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar
 from optmech.mechanism import (
@@ -13,8 +13,8 @@ from optmech.mechanism import (
     revenue_monotonicity_check,
     utility,
 )
-from optmech.solver import solve
-from optmech.types import Rectangle
+from optmech.solver import classify, solve
+from optmech.types import NULL_ITEM, Rectangle
 
 MIRROR_KIND = {"A": "A", "B": "F", "C": "C", "D": "G", "E": "H", "F": "B", "G": "D", "H": "E"}
 
@@ -28,6 +28,35 @@ def rectangles(draw):
     b1 = draw(sides)
     b2 = draw(sides)
     return Rectangle(draw(corner_ratios) * b1, draw(corner_ratios) * b2, b1, b2)
+
+
+@st.composite
+def threshold_rectangles(draw):
+    """Rectangles on a ``classify`` threshold or 1e-14..1e-2 (relative) to
+    either side of it, with c1 = 0 or c1 > 0, mirrored half the time.
+
+    The thresholds are the SmallSmall curve c2 = 2 b2 (b1+c1)/(b1+3 c1),
+    the SmallVeryLarge curve c2 = 2 b2 (b1/(b1-c1))^2 and the BothLarge
+    line c1 = b1 (with c2 inside the SmallLarge band); the mirror adds
+    their swapped counterparts.
+    """
+    b1, b2 = draw(sides), draw(sides)
+    c1 = b1 * draw(st.just(0.0) | st.floats(min_value=0.0, max_value=0.95))
+    which = draw(st.sampled_from(["small_small", "very_large", "both_large"]))
+    if which == "small_small":
+        c2 = 2.0 * b2 * ((b1 + c1) / (b1 + 3.0 * c1))
+    elif which == "very_large":
+        c2 = 2.0 * b2 * (b1 / (b1 - c1)) ** 2
+    else:
+        c1, c2 = b1, b2 * (1.0 + draw(st.floats(min_value=0.01, max_value=5.0)))
+    side = draw(st.sampled_from([0.0, -1.0, 1.0]))
+    shift = 1.0 + side * 10.0 ** draw(st.floats(min_value=-14.0, max_value=-2.0))
+    if which == "both_large":
+        c1 *= shift
+    else:
+        c2 *= shift
+    rect = Rectangle(c1, c2, b1, b2)
+    return rect.swapped() if draw(st.booleans()) else rect
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,7 +142,17 @@ def test_utility_is_one_lipschitz(rect, x1, y1, x2, y2):
     assert uz >= 0.0 and uw >= 0.0, "participation must never hurt"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=400, deadline=None)
+@given(threshold_rectangles())
+def test_solve_is_never_beaten_by_a_simple_menu(rect):
+    mech = solve(rect)
+    rival = rival_revenue(rect)
+    # expected_revenue drops polygon slivers thinner than an absolute 1e-12,
+    # which moves a revenue by up to about 1e-12 relative on these supports
+    assert mech.revenue >= rival * (1.0 - 1e-10), f"{mech.kind.value} at {mech.revenue} < {rival} on {rect}"
+
+
+@settings(max_examples=400, deadline=None)
 @given(rectangles(), st.floats(min_value=0.1, max_value=10.0))
 def test_scaling_the_support_scales_the_mechanism(rect, lam):
     base = solve(rect)
@@ -127,8 +166,29 @@ def test_scaling_the_support_scales_the_mechanism(rect, lam):
         assert abs(item.t - lam * ref.t) < 1e-7 * max(lam * ref.t, 1.0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(rectangles())
+@settings(max_examples=400, deadline=None)
+@given(threshold_rectangles(), st.floats(min_value=0.1, max_value=10.0))
+def test_scaling_a_threshold_support_scales_the_menu(rect, lam):
+    base = solve(rect)
+    scaled = solve(rect.scaled(lam))
+    if classify(rect.scaled(lam)) is classify(rect):
+        assert scaled.kind == base.kind, f"kind changed under scaling of {rect}"
+    # otherwise rounding of the scaled coordinates moved a support on a
+    # threshold with c1 > 0 across it, and the kind is the structure of the
+    # other side (B and D, D and E, ...); both name the same menu up to a
+    # null item, which no type strictly prefers there
+    assert abs(scaled.revenue - lam * base.revenue) < 1e-7 * max(lam * base.revenue, 1.0)
+    items = [item for item in scaled.menu if item != NULL_ITEM]
+    refs = [item for item in base.menu if item != NULL_ITEM]
+    assert len(items) == len(refs)
+    for item, ref in zip(items, refs):
+        assert abs(item.q1 - ref.q1) < 1e-7
+        assert abs(item.q2 - ref.q2) < 1e-7
+        assert abs(item.t - lam * ref.t) < 1e-7 * max(lam * ref.t, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rectangles(), threshold_rectangles()))
 def test_swapping_the_goods_mirrors_the_solution(rect):
     mech = solve(rect)
     mirrored = solve(rect.swapped())

@@ -1,14 +1,21 @@
 """Decision procedure: classification, brackets, residuals, solved structures."""
 
+import ast
 import math
+import pathlib
+import re
+import sys
 
 import pytest
 
+import optmech.solver
+from helpers import rival_revenue
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar, alpha_params, beta_p_of
-from optmech.mechanism import expected_revenue, menu_from_structure
+from optmech.mechanism import menu_from_structure
 from optmech.solver import (
     NoRoot,
+    _kind_b_params,
     PhaseRegion,
     classify,
     critical_constants,
@@ -101,6 +108,67 @@ def test_real_roots_in_interval_cubic():
     assert real_roots_in_interval(coeffs, 0.3, 0.6) == []
     with pytest.raises(ValueError):
         real_roots_in_interval((1.0,) * 6, 0.0, 1.0)
+
+
+def test_real_roots_on_the_interval_ends():
+    # (x - 0.25)(x - 0.75)
+    assert real_roots_in_interval((0.1875, -1.0, 1.0), 0.25, 0.75) == [0.25, 0.75]
+
+
+def test_real_roots_just_outside_an_end_are_clamped_onto_it():
+    # (x - r)(x + 3) with r 1e-13 above the upper end, then below the lower
+    for r, lo, hi, end in ((1.0 + 1e-13, 0.0, 1.0, 1.0), (0.5 - 1e-13, 0.5, 1.0, 0.5)):
+        assert real_roots_in_interval((-3.0 * r, 3.0 - r, 1.0), lo, hi) == [end]
+    # 1e-8 outside is a root outside the interval
+    r = 1.0 + 1e-8
+    assert real_roots_in_interval((-3.0 * r, 3.0 - r, 1.0), 0.0, 1.0) == []
+
+
+def test_real_roots_after_a_degree_drop():
+    # a vanishing leading coefficient leaves (x - 0.2)(x - 0.3)
+    roots = real_roots_in_interval((0.06, -0.5, 1.0, 0.0), 0.0, 1.0)
+    assert roots == pytest.approx([0.2, 0.3], abs=1e-15)
+    assert real_roots_in_interval((1.0, 0.0, 0.0), 0.0, 1.0) == []
+
+
+def test_real_roots_of_a_quartic_with_four_in_the_interval():
+    # (x - 0.1)(x - 0.35)(x - 0.6)(x - 0.9)
+    coeffs = (0.0189, -0.2955, 1.25, -1.95, 1.0)
+    assert real_roots_in_interval(coeffs, 0.0, 1.0) == pytest.approx([0.1, 0.35, 0.6, 0.9], abs=1e-15)
+
+
+@pytest.mark.parametrize("a,q", [(0.5, 1.5), (0.3, 1.0), (0.7, 0.25), (1.0 / 3.0, -2.0)])
+def test_a_double_root_counts_once(a, q):
+    # (x - a)^2 (x - q): the companion matrix splits the double root into a
+    # pair about 1e-8 apart, on the real axis or off it
+    coeffs = (-a * a * q, a * a + 2.0 * a * q, -2.0 * a - q, 1.0)
+    roots = real_roots_in_interval(coeffs, 0.0, 0.9)
+    expected = sorted([a] + ([q] if 0.0 <= q <= 0.9 else []))
+    assert roots == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_near_real_complex_pair_is_no_root():
+    # (x - 0.5)^2 + 1e-6 has roots 0.5 +- 1e-3 i; times (x - 0.2)
+    coeffs = (-0.050_000_2, 0.450_001, -1.2, 1.0)
+    assert real_roots_in_interval(coeffs, 0.0, 1.0) == pytest.approx([0.2], abs=1e-15)
+    assert real_roots_in_interval((0.250_001, -1.0, 1.0), 0.0, 1.0) == []
+
+
+@pytest.mark.parametrize("gap,roots", [(1e-14, []), (1e-15, [0.5])])
+def test_a_complex_pair_within_rounding_is_a_double_root(gap, roots):
+    # (x - 0.5)^2 + gap has roots 0.5 +- sqrt(gap) i, both inside the
+    # eigenvalue cluster width; the minimum value, gap, tells them apart
+    # from a double root against 16 rounding units of the Horner scale 1
+    assert real_roots_in_interval((0.25 + gap, -1.0, 1.0), 0.0, 1.0) == roots
+
+
+def test_two_roots_inside_one_cluster_are_both_found():
+    # (x - 0.5)(x - 0.5 - 5e-7): the eigenvalues fall in one cluster with
+    # the same sign at both of its ends; rounding the coefficients moves
+    # roots this close by about 1e-16 / 5e-7
+    r = 0.5 + 5e-7
+    roots = real_roots_in_interval((0.5 * r, -0.5 - r, 1.0), 0.0, 1.0)
+    assert roots == pytest.approx([0.5, r], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +353,91 @@ def test_solve_is_deterministic():
 
 
 def test_revenue_beats_naive_benchmarks():
-    # the optimum dominates pure bundling at the critical price and
-    # separate single-good sales wherever those are feasible menus
+    # the optimum dominates pure bundling, separate sale and the E/H menus
     for rect in (UNIT, Rectangle(0.05, 0.05, 1.0, 1.0), Rectangle(0.2, 2.8, 1.0, 1.0)):
-        mech = solve(rect)
-        cc = critical_constants(rect)
-        bundle_only = (MenuItem(0.0, 0.0, 0.0), MenuItem(1.0, 1.0, rect.c1 + rect.c2 + cc.p_star))
-        assert mech.revenue >= expected_revenue(bundle_only, rect) - 1e-12
+        assert solve(rect).revenue >= rival_revenue(rect) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the SmallSmall threshold with a zero or tiny offset (ROADMAP item 1)
+
+
+@pytest.mark.parametrize(
+    "rect,kind,revenue",
+    [
+        # just below c2 = 2 b2 at c1 = 0: the one-lottery root sits near b1/2
+        (Rectangle(0.0, 1.999998, 2.3220394, 1.0), StructureKind.B, 2.5805078500003313),
+        # on c2 = 2 b2 the flat lottery prices good 2 at c2: separate sale
+        (Rectangle(0.0, 2.0, 2.3220394, 1.0), StructureKind.B, 2.58050985),
+        # the admissible cubic root is the bracket start r1
+        (
+            Rectangle(0.025046799746115234, 1.9298110455140176, 1.352252268428042, 1.0),
+            StructureKind.B,
+            2.281767928265737,
+        ),
+        # on c2 = 2 b2 the one-lottery menu is the E menu, c2 + b1/4
+        (Rectangle(0.0, 2.65625, 1.0, 1.328125), StructureKind.B, 2.90625),
+        # on the curve the corner point P sits on z2 = c2, an ulp below by
+        # rounding; rejecting it ends in bundling at 1.76039
+        (
+            Rectangle(0.6682533869744467, 0.783100649397846, 2.184779298022095, 0.5749725701060531),
+            StructureKind.B,
+            1.7909324776242415,
+        ),
+    ],
+)
+def test_small_small_threshold_is_never_beaten(rect, kind, revenue):
+    mech = solve(rect)
+    assert mech.kind is kind
+    assert mech.revenue >= rival_revenue(rect) * (1.0 - 1e-12)
+    assert mech.revenue == pytest.approx(revenue, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rect,kind",
+    [
+        (Rectangle(0.0, 3.75e-10, 1.0, 1.25), StructureKind.A),
+        (Rectangle(0.3, 1e-9, 1.0, 1.0), StructureKind.F),
+        (Rectangle(1e-9, 0.3, 1.0, 1.0), StructureKind.B),
+        (Rectangle(1e-9, 1e-9, 1.0, 1.0), StructureKind.A),
+    ],
+)
+def test_a_tiny_corner_offset_scales_to_rounding(rect, kind):
+    # the edge offsets D_i are of the order of the square root of the
+    # corner offset; solved in the edge prices they kept only a few digits,
+    # and the menu prices moved by up to 1e-6 relative under scaling
+    base = solve(rect)
+    assert base.kind is kind
+    for lam in (0.37, 1.5, 7.3):
+        scaled = solve(rect.scaled(lam))
+        assert scaled.kind is kind
+        for item, ref in zip(scaled.menu, base.menu):
+            assert item.t == pytest.approx(lam * ref.t, rel=1e-12)
+
+
+def test_one_lottery_corner_below_the_support_is_rejected():
+    # on the SmallSmall curve the corner point P sits on z2 = c2, at the
+    # edge offset D1 = 4 b2 - 2 c2; P[1] = c2 + (4 b2 - 2 c2 - D1) / 6
+    rect = Rectangle(0.6682533869744467, 0.783100649397846, 2.184779298022095, 0.5749725701060531)
+    d1 = 4.0 * rect.b2 - 2.0 * rect.c2
+    below = _kind_b_params(rect, d1 * (1.0 + 8.0 * sys.float_info.epsilon))
+    assert below is not None and 0.0 < rect.c2 - below.P[1] < 1e-15
+    assert _kind_b_params(rect, d1 * (1.0 + 1e-12)) is None
+
+
+def test_solver_is_plain_polynomial_algebra():
+    # solver.py imports only the mechanism builder, the types, the standard
+    # library and numpy, and does not reach for the measure or the clipper
+    path = pathlib.Path(optmech.solver.__file__)
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in ("mechanism", "types"), f"solver imports .{node.module}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"solver imports {name}"
+    text = path.read_text()
+    for name in ("MuBar", "clip", "clip_many", "SCAN_PANELS"):
+        assert not re.search(rf"\b{name}\b", text), f"solver names {name}"
