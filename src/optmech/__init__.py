@@ -13,13 +13,7 @@ from .linear import (
 )
 from .measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE, alpha_params, beta_p_of
 from .mechanism import build_mechanism, expected_revenue, menu_from_structure, utility
-from .oracle import (
-    CertificateReport,
-    brute_force_menu_search,
-    certificate_check,
-    local_max_check,
-    price_gradient,
-)
+from .oracle import CertificateReport, brute_force_menu_search, certificate_check
 from .solver import (
     NoRoot,
     PhaseRegion,
@@ -72,9 +66,7 @@ __all__ = [
     "critical_constants",
     "expected_revenue",
     "linear_revenue",
-    "local_max_check",
     "menu_from_structure",
-    "price_gradient",
     "rect_polygon",
     "solve",
     "solve_linear",

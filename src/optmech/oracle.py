@@ -10,8 +10,10 @@ best-response region is the support box cut by three half-planes, and its
 area is read off the seven boundary lines alone: with unit normals and
 coordinates centred on the box, twice the area is the sum over the lines
 of minus the line's offset times the length of the line that the other
-six leave.  Every array in that sum has the batch's shape, so no polygon
-vertices are ever built.
+six leave.  The five menu parameters lie on five broadcast axes, so each
+line is built only over the parameters it uses, each pair term over the
+union of its two lines' parameters, and only the sums span the whole
+batch; no polygon vertices are ever built.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
 ZERO_OFFSET_REL = 1e-10  # corner offsets up to this fraction of their side count as zero
 
-_CHUNK = 65536
+_CHUNK = 65536  # element cap on one block of a1 values in the grid search
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
 
 
@@ -74,7 +76,8 @@ def _unit_form(
     al: np.ndarray, be: np.ndarray, ga: np.ndarray, cx: float, cy: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nx, ny, g) with nx*x + ny*y >= g the half-plane al*z1 + be*z2 >= ga,
-    (nx, ny) a unit normal and (x, y) = (z1 - cx, z2 - cy).  (al, be) != 0."""
+    (nx, ny) a unit normal and (x, y) = (z1 - cx, z2 - cy).  (al, be) != 0;
+    the inputs broadcast against each other."""
     norm = np.hypot(al, be)
     return al / norm, be / norm, (ga - al * cx - be * cy) / norm
 
@@ -83,13 +86,14 @@ def _twice_area(lines: list[tuple]) -> np.ndarray:
     """Twice the area of the polygon {nx*x + ny*y >= g for every line}, per row.
 
     Each line is (nx, ny, g) with (nx, ny) a unit normal; entries are floats
-    or (B,) arrays, and the polygon is bounded in every row.  By the
-    divergence theorem twice the area is sum_i (-g_i) * len_i, where len_i
-    is the length of line i that the other lines leave.  Points of line i
-    are g_i n_i + s (-ny_i, nx_i), so each line j not parallel to it bounds
-    s from one side.  A parallel line is judged by comparing offsets, never
-    by a computed residual, so of two coincident lines exactly one keeps
-    its edge: the earlier one.
+    or arrays that broadcast against each other, each pair term takes the
+    union of its two lines' shapes, and the polygon is bounded in every
+    row.  By the divergence theorem twice the area is sum_i (-g_i) * len_i,
+    where len_i is the length of line i that the other lines leave.  Points
+    of line i are g_i n_i + s (-ny_i, nx_i), so each line j not parallel to
+    it bounds s from one side.  A parallel line is judged by comparing
+    offsets, never by a computed residual, so of two coincident lines
+    exactly one keeps its edge: the earlier one.
     """
     twice = 0.0
     for i, (nxi, nyi, gi) in enumerate(lines):
@@ -116,21 +120,21 @@ def _family_revenue(
 ) -> np.ndarray:
     """Exact expected revenue of each menu {null,(a1,1,t1),(1,a2,t2),(1,1,tb)}.
 
-    Item k's best-response region is the support box cut by the three
-    half-planes (q_k - q_j).z >= t_k - t_j, j != k, and its area is
-    _twice_area / 2 of the seven lines in unit-normal form, centred on the
-    box.  Every array keeps the batch's shape: no vertex lists, no per-row
-    counts.  Identical allocations (q_k == q_j) give no line: the cheaper
-    item wins and the lower index wins an exact price tie, so the loser's
-    region is empty and the winner's constraint becomes a copy of the box's
-    first edge, which the coincident-edge rule then drops.
+    The five parameters broadcast against each other; the search places
+    each on its own axis, so the result spans the outer product of the
+    five grids.  Item k's best-response region is the support box cut by
+    the three half-planes (q_k - q_j).z >= t_k - t_j, j != k, and its area
+    is _twice_area / 2 of the seven lines in unit-normal form, centred on
+    the box.  A line spans only the parameters it uses: item 1 against the
+    null item (a1, t1), against the bundle (a1, t1, tb), against item 2
+    all but tb.  Identical allocations (q_k == q_j) give no line: the
+    cheaper item wins and the lower index wins an exact price tie, so the
+    loser's region is empty and the winner's constraint becomes a copy of
+    the box's first edge, which the coincident-edge rule then drops.
     """
-    bsz = a1.size
-    zeros = np.zeros(bsz)
-    ones = np.ones(bsz)
-    q1s = (zeros, a1, ones, ones)
-    q2s = (zeros, ones, a2, ones)
-    ts = (zeros, t1, t2, tb)
+    q1s = (0.0, a1, 1.0, 1.0)
+    q2s = (0.0, 1.0, a2, 1.0)
+    ts = (0.0, t1, t2, tb)
     cx = rect.c1 + 0.5 * rect.b1
     cy = rect.c2 + 0.5 * rect.b2
     box = _unit_form(
@@ -140,10 +144,10 @@ def _family_revenue(
         cx, cy,
     )
 
-    revenue = np.zeros(bsz)
+    revenue = 0.0
     for k in (1, 2, 3):
         lines = list(zip(*box))
-        empty = np.zeros(bsz, dtype=bool)
+        empty = False
         for j in range(4):
             if j == k:
                 continue
@@ -151,11 +155,11 @@ def _family_revenue(
             be = q2s[k] - q2s[j]
             ga = ts[k] - ts[j]
             same = (al == 0.0) & (be == 0.0)
-            empty |= same & (ga >= 0.0 if k > j else ga > 0.0)
+            empty = empty | (same & (ga >= 0.0 if k > j else ga > 0.0))
             unit = _unit_form(np.where(same, 1.0, al), be, ga, cx, cy)
             lines.append(tuple(np.where(same, edge, v) for edge, v in zip(lines[0], unit)))
         area = np.maximum(0.5 * _twice_area(lines), 0.0)
-        revenue += ts[k] * np.where(empty, 0.0, area)
+        revenue = revenue + ts[k] * np.where(empty, 0.0, area)
     return revenue / rect.area
 
 
@@ -199,17 +203,15 @@ def brute_force_menu_search(
 
     def sweep(grids: list[np.ndarray]) -> None:
         nonlocal best_rev, best
-        mesh = np.meshgrid(*grids, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        total = flat[0].size
-        for start in range(0, total, _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            chunk = [f[sl] for f in flat]
-            rev = _family_revenue(rect, *chunk)
+        block = max(1, _CHUNK // math.prod(g.size for g in grids[1:]))
+        for start in range(0, grids[0].size, block):
+            part = [grids[0][start : start + block], *grids[1:]]
+            axes = [g.reshape([-1 if d == i else 1 for d in range(5)]) for i, g in enumerate(part)]
+            rev = _family_revenue(rect, *axes)
             k = int(np.argmax(rev))
-            if rev[k] > best_rev:
-                best_rev = float(rev[k])
-                best = tuple(float(p[k]) for p in chunk)
+            if rev.flat[k] > best_rev:
+                best_rev = float(rev.flat[k])
+                best = tuple(float(g[i]) for g, i in zip(part, np.unravel_index(k, rev.shape)))
 
     sweep([np.linspace(lo, hi, coarse) for lo, hi in domains])
     spacing = [(hi - lo) / (coarse - 1) for lo, hi in domains]
@@ -338,14 +340,6 @@ def _perturbed(menu: Menu, i: int, attr: str, value: float) -> Menu:
     return menu[:i] + (replace(menu[i], **{attr: value}),) + menu[i + 1 :]
 
 
-def price_gradient(menu: Menu, rect: Rectangle, index: int, step: float = FD_STEP) -> float:
-    """Central-difference derivative of expected revenue in one item's price."""
-    t = menu[index].t
-    hi = expected_revenue(_perturbed(menu, index, "t", t + step), rect)
-    lo = expected_revenue(_perturbed(menu, index, "t", t - step), rect)
-    return (hi - lo) / (2.0 * step)
-
-
 def _stationarity(
     menu: Menu, rect: Rectangle, step: float
 ) -> tuple[float, float]:
@@ -459,27 +453,3 @@ def certificate_check(
         passed=not failures,
         failures=tuple(failures),
     )
-
-
-def local_max_check(menu: Menu, rect: Rectangle, eps: float) -> bool:
-    """True iff no single-coordinate +-eps perturbation gains revenue.
-
-    Perturbations leaving the valid parameter box (allocations in [0, 1],
-    prices nonnegative) are skipped, so boundary parameters are tested
-    one-sided.  Gains up to 1e-10 are attributed to round-off.
-    """
-    if not 0.0 < eps < 0.1:
-        raise ValueError(f"eps must lie in (0, 0.1), got {eps!r}")
-    base = expected_revenue(menu, rect)
-    for i, item in enumerate(menu):
-        if item.is_null:
-            continue
-        for attr, lo, hi in (("q1", 0.0, 1.0), ("q2", 0.0, 1.0), ("t", 0.0, math.inf)):
-            v = getattr(item, attr)
-            for sign in (1.0, -1.0):
-                w = v + sign * eps
-                if w < lo or w > hi:
-                    continue
-                if expected_revenue(_perturbed(menu, i, attr, w), rect) > base + 1e-10:
-                    return False
-    return True

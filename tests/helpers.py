@@ -1,12 +1,13 @@
 """Helpers that only the tests use: random menus, polygon intersection,
-the non-participation region, a shuffle report and the simple menus every
-optimum must match."""
+the non-participation region, a shuffle report, the simple menus every
+optimum must match, and finite-difference checks of a menu's revenue."""
 
 import math
 
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, clip, rect_polygon
 from optmech.measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE
 from optmech.mechanism import expected_revenue
+from optmech.oracle import FD_STEP, _perturbed
 from optmech.types import NULL_ITEM, MenuItem, Rectangle
 
 
@@ -104,3 +105,35 @@ def rival_revenue(rect: Rectangle) -> float:
         (NULL_ITEM, MenuItem(1.0, 0.0, c1), MenuItem(1.0, 1.0, c1 + t2)),
     ]
     return max(expected_revenue(menu, rect) for menu in menus)
+
+
+def price_gradient(menu: tuple[MenuItem, ...], rect: Rectangle, index: int, step: float = FD_STEP) -> float:
+    """Central-difference derivative of expected revenue in one item's price."""
+    t = menu[index].t
+    hi = expected_revenue(_perturbed(menu, index, "t", t + step), rect)
+    lo = expected_revenue(_perturbed(menu, index, "t", t - step), rect)
+    return (hi - lo) / (2.0 * step)
+
+
+def local_max_check(menu: tuple[MenuItem, ...], rect: Rectangle, eps: float) -> bool:
+    """True iff no single-coordinate +-eps perturbation gains revenue.
+
+    Perturbations leaving the valid parameter box (allocations in [0, 1],
+    prices nonnegative) are skipped, so boundary parameters are tested
+    one-sided.  Gains up to 1e-10 are attributed to round-off.
+    """
+    if not 0.0 < eps < 0.1:
+        raise ValueError(f"eps must lie in (0, 0.1), got {eps!r}")
+    base = expected_revenue(menu, rect)
+    for i, item in enumerate(menu):
+        if item.is_null:
+            continue
+        for attr, lo, hi in (("q1", 0.0, 1.0), ("q2", 0.0, 1.0), ("t", 0.0, math.inf)):
+            v = getattr(item, attr)
+            for sign in (1.0, -1.0):
+                w = v + sign * eps
+                if w < lo or w > hi:
+                    continue
+                if expected_revenue(_perturbed(menu, i, attr, w), rect) > base + 1e-10:
+                    return False
+    return True

@@ -128,6 +128,19 @@ def test_verify_passes_on_snapped_offsets(args, kind, capsys):
     assert fields["result"] == "PASS"
 
 
+def test_verify_passes_the_grid_sensitive_kind_e_support_at_the_defaults(capsys):
+    # At --coarse 8 --rounds 2 the search trails the solver here by 1.56 x
+    # GAP_SHORTFALL_REL and verify exits 5: where the coarse grid falls
+    # limits that search, not the solved menu.
+    args = ["0.028844260254100137", "1.4933677433752508", "0.704893940903433", "0.5774788202066793"]
+    code = cli.main(["verify", *args])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    fields = _parse_kv(out)
+    assert fields["kind"] == "E"
+    assert fields["result"] == "PASS"
+
+
 def test_verify_flags_a_mispriced_menu(monkeypatch, capsys):
     def mispriced(rect):
         mech = real_solve(rect)

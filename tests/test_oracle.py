@@ -5,16 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import local_max_check, price_gradient
+from optmech import oracle
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
-from optmech.oracle import (
-    _family_revenue,
-    brute_force_menu_search,
-    certificate_check,
-    local_max_check,
-    price_gradient,
-)
+from optmech.oracle import _family_revenue, brute_force_menu_search, certificate_check
 from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 
@@ -101,11 +97,46 @@ def test_brute_force_frozen_outputs(rect, revenue, menu):
     # A scoring rule that breaks ties differently moves the refinement
     # window, and with it the menu the search ends on.
     found, rev = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
-    assert rev == pytest.approx(revenue, rel=1e-12)
+    assert rev == revenue
     assert found[0] == NULL_ITEM
-    assert len(found) == len(menu) + 1
-    for item, (q1, q2, t) in zip(found[1:], menu):
-        assert (item.q1, item.q2, item.t) == pytest.approx((q1, q2, t), rel=1e-12, abs=1e-15)
+    assert [(item.q1, item.q2, item.t) for item in found[1:]] == menu
+
+
+def test_brute_force_frozen_outputs_at_the_defaults():
+    # At coarse 16 the sweep splits a1 into 16 blocks.
+    found, rev = brute_force_menu_search(Rectangle(0.0, 1.999998, 2.3220394, 1.0))
+    assert rev == 2.5804364772223383
+    assert [(item.q1, item.q2, item.t) for item in found] == [
+        (0.0, 0.0, 0.0),
+        (0.014583333333333334, 1.0, 2.0165532335937493),
+        (1.0, 1.0, 3.1599597062499996),
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 2 * 9**4 + 1])
+def test_brute_force_blocks_keep_the_unsplit_result(monkeypatch, chunk):
+    # 9^5 menus fit one block at the default cap; a cap of 1 gives one a1
+    # value per block and 2 * 9^4 + 1 gives blocks of 2, 2, 2, 2, 1, so a
+    # maximum tied across blocks must still resolve to the earliest point.
+    rect = Rectangle(0.05, 0.05, 1.0, 1.0)
+    whole = brute_force_menu_search(rect, coarse=9, refine_rounds=1)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    assert brute_force_menu_search(rect, coarse=9, refine_rounds=1) == whole
+
+
+@pytest.mark.parametrize(
+    "rect", [Rectangle(0.3, 0.2, 1.2, 0.8), Rectangle(0.0, 1.999998, 2.3220394, 1.0)]
+)
+def test_family_revenue_on_axes_equals_the_flat_batch(rect):
+    # The fault rectangle's coarse grid holds equal allocations and
+    # coincident constraints.
+    t_hi = rect.z1_max + rect.z2_max
+    grids = [np.linspace(0.0, 1.0, 8)] * 2 + [np.linspace(0.0, t_hi, 8)] * 3
+    axes = [g.reshape([-1 if d == i else 1 for d in range(5)]) for i, g in enumerate(grids)]
+    flat = [m.reshape(-1) for m in np.meshgrid(*grids, indexing="ij")]
+    on_axes = _family_revenue(rect, *axes)
+    assert on_axes.shape == (8,) * 5
+    assert np.array_equal(on_axes.reshape(-1), _family_revenue(rect, *flat))
 
 
 def test_brute_force_is_deterministic():
