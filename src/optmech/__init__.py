@@ -3,7 +3,6 @@
 from .geometry import HalfPlane, Polygon, best_response_regions, clip, rect_polygon
 from .linear import (
     C_MAX,
-    GenShuffleAlpha,
     LinearDensityInstance,
     LinearSolution,
     NoConvergence,
@@ -37,7 +36,6 @@ __all__ = [
     "C_MAX",
     "NULL_ITEM",
     "CertificateReport",
-    "GenShuffleAlpha",
     "HalfPlane",
     "LinearDensityInstance",
     "LinearSolution",

@@ -5,6 +5,11 @@ Each valuation is drawn independently with density f(z) = 2z/(2c+1) on
 boundary segment per side; three balance equations (transported mass of
 the boundary segment, its first moment, and the mass balance of the
 bundle region) pin down the parameters (p_a1, a1, P1).
+
+The equations are polynomial.  At a fixed kink P1 the first two are
+quadratics in A0 = c + p_a1 + a1 c whose resultant is a quadratic in
+a1^2, so (p_a1, a1) follow in closed form; the bundle-region balance is
+then a function of P1 alone, bisected on (c, c + 1].
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import Polygon, best_response_regions
+from .solver import NoRoot, _bisect
 from .types import NULL_ITEM, MenuItem, Rectangle
 
 __all__ = [
     "C_MAX",
-    "GenShuffleAlpha",
     "LinearDensityInstance",
     "LinearSolution",
     "NoConvergence",
@@ -36,12 +41,12 @@ C_MAX = 0.250116
 
 _SQRT06 = math.sqrt(0.6)
 
-# Newton seeds transition from the small-c expansion to stepwise
-# continuation above this lower endpoint.
-_ANCHOR_C = 0.15
-
-_REL_TOL = 1e-11
-_MAX_NEWTON = 60
+# The kink bracket starts this far above c.  As P1 nears c the boundary
+# segment shrinks, a1 grows like 1/(P1 - c), and below about 1e-8 the
+# bundle-region balance is rounding noise; from here to c + 1 it changes
+# sign once, from negative to positive, on a 200-point grid of (0, C_MAX]
+# and at c down to 1e-12.
+_KINK_OFFSET = 1e-6
 
 
 class OutOfRange(ValueError):
@@ -49,7 +54,7 @@ class OutOfRange(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The balance-equation solver failed to reach the requested accuracy."""
+    """The balance equations have no root in the kink bracket."""
 
 
 @dataclass(frozen=True)
@@ -77,48 +82,6 @@ class LinearDensityInstance:
 
     def cdf(self, z: float) -> float:
         return (z * z - self.c * self.c) / (2.0 * self.c + 1.0)
-
-
-@dataclass(frozen=True)
-class GenShuffleAlpha:
-    """Boundary measure with a point mass at z1=c and a density on (c, P1].
-
-    Its total mass and its first moment about z1=c both vanish at a
-    solution of the balance equations.
-    """
-
-    c: float
-    p_a1: float
-    a1: float
-    P1: float
-
-    def __post_init__(self) -> None:
-        if self.c < 0.0:
-            raise ValueError(f"c must be nonnegative, got {self.c!r}")
-        if not self.c < self.P1 <= self.c + 1.0:
-            raise ValueError(f"P1={self.P1!r} outside (c, c+1]")
-        if self.a1 < 0.0:
-            raise ValueError(f"a1 must be nonnegative, got {self.a1!r}")
-        if self.p_a1 <= 0.0:
-            raise ValueError(f"p_a1 must be positive, got {self.p_a1!r}")
-
-    def point_mass(self) -> float:
-        c = self.c
-        u = c + self.p_a1
-        return 2.0 * c * c * ((c + 1.0) ** 2 - u * u) / (2.0 * c + 1.0) ** 2
-
-    def density(self, z1: float) -> float:
-        c = self.c
-        w = c + self.p_a1 - self.a1 * (z1 - c)
-        return 2.0 * z1 * (3.0 * (c + 1.0) ** 2 - 5.0 * w * w) / (2.0 * c + 1.0) ** 2
-
-    def mass(self) -> float:
-        scale = (2.0 * self.c + 1.0) ** 2
-        return _marginal(self.c, self.p_a1, self.a1, self.P1) / scale
-
-    def first_moment(self) -> float:
-        scale = (2.0 * self.c + 1.0) ** 2
-        return _expectation(self.c, self.p_a1, self.a1, self.P1) / scale
 
 
 @dataclass(frozen=True)
@@ -249,150 +212,48 @@ def _mu_w_coeffs(c: float, pa: float, a: float) -> np.ndarray:
     return full
 
 
-def _P1_candidates(c: float, pa: float, a: float) -> list[float]:
-    """Real roots of the bundle-region balance that give a valid kink pair."""
-    coeffs = _mu_w_coeffs(c, pa, a)
-    a0 = c + pa + a * c
-    top = c + 1.0
-    out = []
-    for r in npoly.polyroots(coeffs):
-        if abs(r.imag) > 1e-9 * max(1.0, abs(r.real)):
-            continue
-        x = float(r.real)
-        if not c < x <= top + 1e-12:
-            continue
-        p2 = a0 - a * x
-        if p2 < x - 1e-10 or p2 > top + 1e-9:
-            continue
-        out.append(x)
-    return sorted(out)
+def _homogeneous(coeffs: tuple[float, ...], c: float, s: float) -> float:
+    """sum_i coeffs[i] * c^(n-i) * s^i, by Horner in c."""
+    acc = 0.0
+    s_pow = 1.0
+    for co in coeffs:
+        acc = acc * c + co * s_pow
+        s_pow *= s
+    return acc
 
 
-def _residual_scales(c: float, pa: float, a: float, P1: float) -> tuple[float, float, float]:
-    """Natural magnitudes of the three balance equations, for relative tests."""
+def _boundary_branch(c: float, P1: float) -> tuple[float, float]:
+    """(p_a1, a1) at which ``_marginal`` and ``_expectation`` both vanish
+    for a kink at P1 > c.
+
+    With s = P1 - c and A0 = c + p_a1 + a1 c, ``_marginal`` is
+    m0 + m1 A0 - m2 A0^2 and ``_expectation`` is s^2 times another
+    quadratic in A0.  In both, the A0^2 coefficient is free of a1, the A0
+    coefficient is odd in a1 and the constant is even, so their resultant
+    in A0 is a quadratic q2 x^2 + q1 x + q0 in x = a1^2.  The solution
+    branch is its small root; A0 is then the larger root of the
+    ``_marginal`` quadratic, the one where ``_expectation`` vanishes too.
+    Every coefficient is written in s, so nothing cancels as P1 nears c
+    or a1 nears 0.
+    """
+    s = P1 - c
     k = (c + 1.0) ** 2
-    s = 2.0 * c + 1.0
-    u = c + pa
-    a0 = u + a * c
-    k2 = abs(3.0 * k - 5.0 * a0 * a0)
-    k3 = abs(20.0 * a0 * a / 3.0)
-    k4 = abs(2.5 * a * a)
-    tm = 2.0 * c * c * abs(k - u * u) + k2 * P1 * P1 + k3 * P1**3 + k4 * P1**4
-    te = (k2 + k3 * P1 + k4 * P1 * P1) * P1**3
-    onem = (k - P1 * P1) / s
-    tw = 4.0 * k * abs(onem) / s + 5.0 * onem * onem + 1.0
-    # floor the scales so rounding noise in the 3k - 5*a0^2 cancellation
-    # (absolute size ~eps*k) cannot dominate the relative test at small c
-    floor = 1e-4 * k * max(P1, c) ** 2
-    return max(tm, floor), max(te, floor * max(P1, c)), tw
-
-
-def _relative_residual(c: float, pa: float, a: float, P1: float) -> float:
-    tm, te, tw = _residual_scales(c, pa, a, P1)
-    return max(
-        abs(_marginal(c, pa, a, P1)) / tm,
-        abs(_expectation(c, pa, a, P1)) / te,
-        abs(_mu_w(c, pa, a, P1)) / tw,
+    q0 = 16.0 * (c * c * k * (3.0 * c + 2.0 * s)) ** 2 / 9.0
+    q1 = (
+        -s * s * k
+        * _homogeneous((3720.0, 13416.0, 20304.0, 16160.0, 6960.0, 1500.0, 125.0), c, s)
+        / 27.0
     )
-
-
-def _newton3(
-    c: float, pa: float, a: float, P1: float
-) -> tuple[float, float, float, float] | None:
-    """Damped Newton on the three balance equations; returns the iterate
-    and its relative residual, or None if it left the valid domain."""
-
-    def f(v: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                _marginal(c, v[0], v[1], v[2]),
-                _expectation(c, v[0], v[1], v[2]),
-                _mu_w(c, v[0], v[1], v[2]),
-            ]
-        )
-
-    v = np.array([pa, a, P1])
-    best: tuple[float, np.ndarray] = (math.inf, v)
-    for _ in range(_MAX_NEWTON):
-        r = f(v)
-        rel = _relative_residual(c, *v)
-        if rel < best[0]:
-            best = (rel, v.copy())
-        jac = np.zeros((3, 3))
-        for j in range(3):
-            h = 1e-8 * max(0.05, abs(v[j]))
-            vp = v.copy()
-            vm = v.copy()
-            vp[j] += h
-            vm[j] -= h
-            jac[:, j] = (f(vp) - f(vm)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            break
-        nrm = float(np.max(np.abs(step)))
-        if nrm > 0.03:
-            step *= 0.03 / nrm
-        v = v - step
-        if not (0.0 < v[0] < 1.5 and -0.5 < v[1] < 2.0 and c < v[2] < c + 1.0):
-            break
-        if nrm < 1e-14:
-            rel = _relative_residual(c, *v)
-            if rel < best[0]:
-                best = (rel, v.copy())
-            break
-    rel, v = best
-    if not math.isfinite(rel):
-        return None
-    return float(v[0]), float(v[1]), float(v[2]), rel
-
-
-def _seed(c: float) -> tuple[float, float, float]:
-    """Small-c expansion of the solution, refined through the kink root."""
-    wstar = _SQRT06 * (c + 1.0)
-    big_l = 0.3163 * (c + 1.0)
-    pa, a = wstar - c, 0.0
-    for _ in range(3):
-        y = (
-            12.0
-            * ((c + 1.0) ** 2 - wstar * wstar)
-            / (5.0 * wstar * big_l**3 * (1.0 + 6.0 * c / big_l))
-        )
-        a = y * c * c
-        pa = wstar - c + 0.75 * y * big_l * c * c
-        cands = _P1_candidates(c, pa, a)
-        if not cands:
-            break
-        big_l = cands[0] - c
-    return pa, a, c + big_l
-
-
-def _solve_positive(c: float) -> tuple[float, float, float]:
-    """Solve the three balance equations for 0 < c <= C_MAX."""
-    if c <= _ANCHOR_C:
-        got = _newton3(c, *_seed(c))
-        if got is None or got[3] > _REL_TOL:
-            rel = "none" if got is None else f"{got[3]:.2e}"
-            raise NoConvergence(f"direct solve failed at c={c!r} (residual {rel})")
-        return got[0], got[1], got[2]
-
-    pa, a, P1 = _solve_positive(_ANCHOR_C)
-    cur = _ANCHOR_C
-    step = 0.01
-    while cur < c:
-        nxt = min(cur + step, c)
-        got = _newton3(nxt, pa, a, P1)
-        if got is None or got[3] > _REL_TOL or abs(got[1] - a) > 0.2:
-            step *= 0.5
-            if step < 1e-7:
-                raise NoConvergence(
-                    f"continuation stalled at c={cur!r} heading to {c!r}"
-                )
-            continue
-        pa, a, P1 = got[0], got[1], got[2]
-        cur = nxt
-        step = min(step * 1.5, 0.01)
-    return pa, a, P1
+    q2 = s**4 * _homogeneous((1350.0, 4660.0, 6614.0, 4840.0, 1870.0, 350.0, 25.0), c, s) / 54.0
+    x = 2.0 * q0 / (-q1 + math.sqrt(q1 * q1 - 4.0 * q0 * q2))
+    a = math.sqrt(x)
+    m2 = _homogeneous((2.0, 10.0, 5.0), c, s)
+    m1 = 4.0 * a * _homogeneous((3.0, 15.0, 15.0, 5.0), c, s) / 3.0
+    m0 = k * _homogeneous((2.0, 6.0, 3.0), c, s) - 0.5 * x * _homogeneous(
+        (4.0, 20.0, 30.0, 20.0, 5.0), c, s
+    )
+    a0 = (m1 + math.sqrt(m1 * m1 + 4.0 * m2 * m0)) / (2.0 * m2)
+    return a0 - c - a * c, a
 
 
 def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
@@ -401,7 +262,10 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     Parameters
     ----------
     c : float
-        Lower endpoint of the support, in [0, C_MAX].
+        Lower endpoint of the support, in [0, C_MAX].  For c > 0 the kink
+        P1 is the root of the bundle-region balance between just above c
+        and c + 1, found by bisection; at each P1 the other two balance
+        equations give (p_a1, a1) in closed form.
     root : {"above_flat", "interior"}, optional
         Only used at c=0, where the boundary is flat (a1=0) and the
         bundle-region balance is a quartic with two positive roots.
@@ -422,7 +286,8 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     OutOfRange
         If c is outside [0, C_MAX].
     NoConvergence
-        If the Newton continuation cannot reach the requested accuracy.
+        If the bundle-region balance has no sign change over the kink
+        bracket (c > 0), or no root of the requested kind (c = 0).
     """
     inst = LinearDensityInstance(c)
     if root not in ("above_flat", "interior"):
@@ -446,10 +311,15 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
             p = P1 + _SQRT06
         return LinearSolution(c=0.0, p_a1=_SQRT06, a1=0.0, P1=P1, P2=_SQRT06, p=p)
 
-    pa, a, P1 = _solve_positive(inst.c)
-    rel = _relative_residual(inst.c, pa, a, P1)
-    if rel > 1e-9:
-        raise NoConvergence(f"residual {rel:.2e} at c={c!r} after continuation")
+    def balance(kink: float) -> float:
+        return _mu_w(inst.c, *_boundary_branch(inst.c, kink), kink)
+
+    lo, hi = inst.c + _KINK_OFFSET, inst.c + 1.0
+    try:
+        P1 = _bisect(balance, lo, hi, balance(lo), balance(hi))
+    except NoRoot as exc:
+        raise NoConvergence(f"no kink root at c={c!r}: {exc}") from None
+    pa, a = _boundary_branch(inst.c, P1)
     P2 = inst.c + pa - a * (P1 - inst.c)
     return LinearSolution(c=inst.c, p_a1=pa, a1=a, P1=P1, P2=P2, p=P1 + P2)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from .geometry import best_response_regions
-from .measures import MuBar
 from .types import (
     NULL_ITEM,
     MenuItem,
@@ -112,58 +111,6 @@ def expected_revenue(menu: Menu, rect: Rectangle) -> float:
         if item.t != 0.0:
             total += item.t * region.area()
     return total / rect.area
-
-
-def primal_objective(menu: Menu, rect: Rectangle) -> float:
-    """Integral of the buyer's utility against the transformed measure.
-
-    The corner atom counts the utility of the cheapest type once more than
-    the integration by parts produces, so that term is subtracted; the
-    result equals the expected revenue for every menu, which the invariant
-    tests verify independently.
-    """
-    mu = MuBar(rect)
-    regions = best_response_regions(rect, menu)
-    total = 0.0
-    for item, region in zip(menu, regions):
-        if region.is_empty:
-            continue
-        mass, m1, m2 = mu.moments(region)
-        total += item.q1 * m1 + item.q2 * m2 - item.t * mass
-    corner_u, _ = utility(menu, (rect.c1, rect.c2))
-    return total - corner_u
-
-
-def revenue_monotonicity_check(menu: Menu, rect: Rectangle, n: int) -> bool:
-    """True iff componentwise-larger types never pay strictly less.
-
-    Payments are sampled on an n x n grid; monotonicity along both grid
-    axes is equivalent to monotonicity over all comparable grid pairs.
-    Choices within a few ulps of the maximum utility resolve toward the
-    higher price, so grid points sitting on an indifference line cannot
-    register rounding noise as a violation.
-    """
-    if n < 2:
-        raise ValueError(f"grid size must be at least 2, got {n}")
-    tol = 1e-9
-    pay = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        z1 = rect.c1 + rect.b1 * i / (n - 1)
-        for j in range(n):
-            z2 = rect.c2 + rect.b2 * j / (n - 1)
-            tie_eps = 1e-12 * (1.0 + abs(z1) + abs(z2))
-            best_u = max(0.0, max(item.utility(z1, z2) for item in menu))
-            near_best = [
-                item.t for item in menu if item.utility(z1, z2) >= best_u - tie_eps
-            ]
-            pay[i][j] = max(near_best, default=0.0)
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n and pay[i + 1][j] < pay[i][j] - tol:
-                return False
-            if j + 1 < n and pay[i][j + 1] < pay[i][j] - tol:
-                return False
-    return True
 
 
 def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Mechanism:

@@ -1,12 +1,16 @@
 """Helpers that only the tests use: random menus, polygon intersection,
 the non-participation region, a shuffle report, the simple menus every
-optimum must match, and finite-difference checks of a menu's revenue."""
+optimum must match, finite-difference checks of a menu's revenue, the
+duality-side revenue pairing, a payment-monotonicity check, and the
+linear family's boundary measure."""
 
 import math
+from dataclasses import dataclass
 
-from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, clip, rect_polygon
+from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE
-from optmech.mechanism import expected_revenue
+from optmech.linear import _expectation, _marginal
+from optmech.mechanism import expected_revenue, utility
 from optmech.oracle import FD_STEP, _perturbed
 from optmech.types import NULL_ITEM, MenuItem, Rectangle
 
@@ -137,3 +141,98 @@ def local_max_check(menu: tuple[MenuItem, ...], rect: Rectangle, eps: float) -> 
                 if expected_revenue(_perturbed(menu, i, attr, w), rect) > base + 1e-10:
                     return False
     return True
+
+
+def primal_objective(menu: tuple[MenuItem, ...], rect: Rectangle) -> float:
+    """Integral of the buyer's utility against the transformed measure.
+
+    The corner atom counts the utility of the cheapest type once more than
+    the integration by parts produces, so that term is subtracted; the
+    result equals the expected revenue for every menu, which the invariant
+    tests verify independently.
+    """
+    mu = MuBar(rect)
+    regions = best_response_regions(rect, menu)
+    total = 0.0
+    for item, region in zip(menu, regions):
+        if region.is_empty:
+            continue
+        mass, m1, m2 = mu.moments(region)
+        total += item.q1 * m1 + item.q2 * m2 - item.t * mass
+    corner_u, _ = utility(menu, (rect.c1, rect.c2))
+    return total - corner_u
+
+
+def revenue_monotonicity_check(menu: tuple[MenuItem, ...], rect: Rectangle, n: int) -> bool:
+    """True iff componentwise-larger types never pay strictly less.
+
+    Payments are sampled on an n x n grid; monotonicity along both grid
+    axes is equivalent to monotonicity over all comparable grid pairs.
+    Choices within a few ulps of the maximum utility resolve toward the
+    higher price, so grid points sitting on an indifference line cannot
+    register rounding noise as a violation.
+    """
+    if n < 2:
+        raise ValueError(f"grid size must be at least 2, got {n}")
+    tol = 1e-9
+    pay = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        z1 = rect.c1 + rect.b1 * i / (n - 1)
+        for j in range(n):
+            z2 = rect.c2 + rect.b2 * j / (n - 1)
+            tie_eps = 1e-12 * (1.0 + abs(z1) + abs(z2))
+            best_u = max(0.0, max(item.utility(z1, z2) for item in menu))
+            near_best = [
+                item.t for item in menu if item.utility(z1, z2) >= best_u - tie_eps
+            ]
+            pay[i][j] = max(near_best, default=0.0)
+    for i in range(n):
+        for j in range(n):
+            if i + 1 < n and pay[i + 1][j] < pay[i][j] - tol:
+                return False
+            if j + 1 < n and pay[i][j + 1] < pay[i][j] - tol:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class GenShuffleAlpha:
+    """Linear-family boundary measure: a point mass at z1=c and a density
+    on (c, P1].
+
+    Its total mass and its first moment about z1=c both vanish at a
+    solution of the balance equations.
+    """
+
+    c: float
+    p_a1: float
+    a1: float
+    P1: float
+
+    def __post_init__(self) -> None:
+        if self.c < 0.0:
+            raise ValueError(f"c must be nonnegative, got {self.c!r}")
+        if not self.c < self.P1 <= self.c + 1.0:
+            raise ValueError(f"P1={self.P1!r} outside (c, c+1]")
+        if self.a1 < 0.0:
+            raise ValueError(f"a1 must be nonnegative, got {self.a1!r}")
+        if self.p_a1 <= 0.0:
+            raise ValueError(f"p_a1 must be positive, got {self.p_a1!r}")
+
+    def point_mass(self) -> float:
+        c = self.c
+        u = c + self.p_a1
+        return 2.0 * c * c * ((c + 1.0) ** 2 - u * u) / (2.0 * c + 1.0) ** 2
+
+    def density(self, z1: float) -> float:
+        c = self.c
+        w = c + self.p_a1 - self.a1 * (z1 - c)
+        return 2.0 * z1 * (3.0 * (c + 1.0) ** 2 - 5.0 * w * w) / (2.0 * c + 1.0) ** 2
+
+    def mass(self) -> float:
+        scale = (2.0 * self.c + 1.0) ** 2
+        return _marginal(self.c, self.p_a1, self.a1, self.P1) / scale
+
+    def first_moment(self) -> float:
+        scale = (2.0 * self.c + 1.0) ** 2
+        return _expectation(self.c, self.p_a1, self.a1, self.P1) / scale

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import GenShuffleAlpha
 from optmech.linear import (
     C_MAX,
-    GenShuffleAlpha,
     LinearDensityInstance,
     LinearSolution,
     NoConvergence,
     OutOfRange,
+    _mu_w,
     linear_revenue,
     solve_linear,
 )
@@ -94,12 +95,31 @@ def test_solution_internal_consistency():
         assert 0.0 < sol.a1 <= 1.0 + 1e-5
 
 
+@pytest.mark.parametrize(
+    "c, p_a1, a1, P1, p, revenue",
+    [
+        (0.15, 0.8166390739511264, 0.4407056940950538, 0.39341707386445907, 1.2527808573235621, 0.9970806241385674),
+        (0.2, 0.837224593253971, 0.6936006210211794, 0.4224661400086805, 1.305388080396446, 1.0566207472208444),
+        (0.24, 0.8532010481214279, 0.9331245340374449, 0.44553824404198333, 1.3469465139648609, 1.1076461545221126),
+    ],
+    ids=["c=0.15", "c=0.2", "c=0.24"],
+)
+def test_frozen_solutions_above_a_tenth(c, p_a1, a1, P1, p, revenue):
+    sol = solve_linear(c)
+    assert sol.p_a1 == pytest.approx(p_a1, abs=1e-12)
+    assert sol.a1 == pytest.approx(a1, abs=1e-12)
+    assert sol.P1 == pytest.approx(P1, abs=1e-12)
+    assert sol.p == pytest.approx(p, abs=1e-12)
+    assert linear_revenue(sol, c) == pytest.approx(revenue, abs=1e-12)
+
+
 def test_balance_equations_vanish_at_solutions():
-    for c in (0.05, 0.1, 0.2):
+    for c in (1e-6, 1e-4, 0.05, 0.1, 0.15, 0.2, 0.24, C_MAX):
         sol = solve_linear(c)
         sh = GenShuffleAlpha(c, sol.p_a1, sol.a1, sol.P1)
         assert abs(sh.mass()) < 1e-12, f"boundary mass at c={c}"
         assert abs(sh.first_moment()) < 1e-12, f"boundary moment at c={c}"
+        assert abs(_mu_w(c, sol.p_a1, sol.a1, sol.P1)) < 1e-12, f"bundle-region mass at c={c}"
         assert sh.point_mass() > 0.0
         assert sh.density(c + 1e-9) < 0.0, "density starts negative next to the atom"
         assert sh.density(sol.P1) > 0.0, "density ends positive at the kink"
@@ -119,7 +139,7 @@ def test_gen_shuffle_validation():
 def test_validity_edge_is_unit_slope():
     sol = solve_linear(C_MAX)
     assert sol.a1 == pytest.approx(1.0, abs=1e-4), "the range endpoint is where a1 reaches 1"
-    assert sol.p == pytest.approx(1.3573866672473334, abs=1e-8)
+    assert sol.p == pytest.approx(1.357386667247333, abs=1e-12)
     menu = sol.menu()
     assert menu[1].q1 <= 1.0, "menu allocations are clipped into [0, 1]"
 

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
+from helpers import primal_objective, revenue_monotonicity_check
 from optmech.mechanism import (
     IncompleteParams,
     build_mechanism,
     expected_revenue,
     menu_from_structure,
-    primal_objective,
-    revenue_monotonicity_check,
     utility,
 )
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, SolveParams, StructureKind

@@ -4,15 +4,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import polygon_intersection, random_menu, rival_revenue
+from helpers import (
+    polygon_intersection,
+    primal_objective,
+    random_menu,
+    revenue_monotonicity_check,
+    rival_revenue,
+)
 from optmech.geometry import best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar
-from optmech.mechanism import (
-    expected_revenue,
-    primal_objective,
-    revenue_monotonicity_check,
-    utility,
-)
+from optmech.mechanism import expected_revenue, utility
 from optmech.solver import classify, solve
 from optmech.types import NULL_ITEM, Rectangle
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import optmech.mechanism
 import optmech.solver
 from helpers import rival_revenue
 from optmech.geometry import best_response_regions
@@ -441,3 +442,21 @@ def test_solver_is_plain_polynomial_algebra():
     text = path.read_text()
     for name in ("MuBar", "clip", "clip_many", "SCAN_PANELS"):
         assert not re.search(rf"\b{name}\b", text), f"solver names {name}"
+
+
+def test_solve_path_shares_no_module_with_the_verifier():
+    # the certificate's measure and the oracle check the solver's output;
+    # neither may sit on the path that produces it
+    verifier = {"measures", "oracle"}
+    for module in (optmech.solver, optmech.mechanism):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                parts = set(name.split("."))
+                assert not parts & verifier, f"{module.__name__} imports {name}"
