@@ -10,7 +10,7 @@ from .linear import (
     linear_revenue,
     solve_linear,
 )
-from .measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE, alpha_params, beta_p_of
+from .measures import MuBar
 from .mechanism import build_mechanism, expected_revenue, menu_from_structure, utility
 from .oracle import CertificateReport, brute_force_menu_search, certificate_check
 from .solver import (
@@ -48,14 +48,9 @@ __all__ = [
     "PhaseRegion",
     "Polygon",
     "Rectangle",
-    "ShuffleAlpha",
-    "ShuffleBeta",
-    "ShuffleBetaE",
     "SolveParams",
     "StructureKind",
-    "alpha_params",
     "best_response_regions",
-    "beta_p_of",
     "brute_force_menu_search",
     "build_mechanism",
     "certificate_check",

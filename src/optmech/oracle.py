@@ -24,12 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import best_response_regions
-from .measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE
+from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
-from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
+from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
 
 # Verification tolerances.  Region masses are judged relative to the support
-# area; the rest are absolute on O(1) dimensionless quantities.
+# area; the total measure relative to its terms' total variation
+# 6 + 2 (c1/b1 + c2/b2), at 1e-12 for zero offsets; the rest are absolute
+# on O(1) dimensionless quantities.
 MU_D_TOL = 1e-12
 REGION_TOL_REL = 1e-9
 SHUFFLE_TOL = 1e-10
@@ -267,55 +269,50 @@ def _region_masses(rect: Rectangle, menu: Menu) -> dict[str, float]:
     return masses
 
 
-def _deviation(sh: ShuffleAlpha | ShuffleBeta | ShuffleBetaE) -> tuple[float, float, bool]:
-    """(|mass|, |moment|, sign ok) of a shuffle."""
-    return abs(sh.mass()), abs(sh.first_moment()), sh.sign_pattern_ok()
+def _top_shuffle(kind: StructureKind, q: SolveParams, rect: Rectangle) -> Shuffle:
+    """Top-edge shuffle of the (a1, 1) lottery of kind A, B or D, or the
+    two-step shuffle of kind E.
 
-
-def _beta_deviation(rect: Rectangle, p_a: float, a: float, p: float) -> tuple[float, float, bool]:
-    """(mass, |moment|, sign ok) of a top-edge ramp-then-flat shuffle, handling a=0.
-
-    The a=0 limit is the two-step shuffle when the corner offset is
-    positive, and a flat zero ramp over the whole segment when it vanishes.
-    An offset of at most ZERO_OFFSET_REL times its side counts as zero, as
-    the solver solves such a support with the offset set to zero.
+    A lottery ending inside the edge at m1 carries a ramp; a ramp-lottery
+    structure's ramp goes flat past p_a1/a1 up to the bundle offset p.
+    A flat price (a1 = 0) at a zero offset is a zero ramp over [0, p]; an
+    offset of at most ZERO_OFFSET_REL times its side counts as zero, as
+    the solver solves such a support with the offset set to zero.  Every
+    other flat price, and kind E, has the two-step shuffle up to the
+    midpoint (b1 - c1)/2.
     """
-    if a > 0.0:
-        return _deviation(ShuffleBeta(rect, p_a, a, p))
-    if rect.c1 <= ZERO_OFFSET_REL * rect.b1:
-        base = 2.0 * rect.b2 - rect.c2 - 3.0 * p_a
-        mass = p * base / rect.area
-        moment = 0.5 * p * p * base / rect.area
-        return abs(mass), abs(moment), base <= 1e-9
-    return _deviation(ShuffleBetaE(rect))
+    if kind is StructureKind.A or (kind is StructureKind.B and q.a1 > 0.0):
+        return Shuffle(rect, q.p_a1, q.a1, q.m1, q.m1)
+    if kind is not StructureKind.E and q.a1 > 0.0:
+        return Shuffle(rect, q.p_a1, q.a1, min(q.p_a1 / q.a1, q.p), q.p)
+    if kind is not StructureKind.E and rect.c1 <= ZERO_OFFSET_REL * rect.b1:
+        return Shuffle(Rectangle(0.0, rect.c2, rect.b1, rect.b2), q.p_a1, 0.0, q.p, q.p)
+    half = 0.5 * (rect.b1 - rect.c1)
+    return Shuffle(rect, 0.0, 0.0, min(rect.b1 * rect.b2 / rect.c2, half), half)
 
 
 def _shuffle_deviations(mech: Mechanism, rect: Rectangle) -> tuple[float, float, bool]:
-    """Largest mass/moment deviation (and sign-pattern flag) per structure.
+    """Largest |mass| and moment deviation, and the sign-pattern flag, of
+    the structure's shuffles.
 
-    Every shuffle is evaluated on the top edge: kind A's good-2 lottery on
-    the swapped support, and kinds F/G/H as their mirrors B/D/E.
+    Kind A's good-2 lottery is certified on the swapped support, and kinds
+    F/G/H as their mirrors B/D/E.  The two-step first moment of kind E
+    certifies with any nonnegative value.
     """
     kind = mech.kind
-    q = mech.params
     if kind is StructureKind.C:
         return 0.0, 0.0, True
+    if kind not in (StructureKind.A, StructureKind.B, StructureKind.D, StructureKind.E):
+        return _shuffle_deviations(mech.swapped(), rect.swapped())
+    shuffles = [_top_shuffle(kind, mech.params, rect)]
     if kind is StructureKind.A:
-        mass1, moment1, ok1 = _deviation(ShuffleAlpha(rect, q.p_a1, q.a1, q.m1))
-        mass2, moment2, ok2 = _deviation(ShuffleAlpha(rect.swapped(), q.p_a2, q.a2, q.m2))
-        return max(mass1, mass2), max(moment1, moment2), ok1 and ok2
-    if kind is StructureKind.B and q.a1 > 0.0:
-        # the lone lottery ends interior at m, so it carries the same ramp
-        # shuffle as the two-lottery structure; only the degenerate flat
-        # price (a == 0) spans the whole bundle offset
-        return _deviation(ShuffleAlpha(rect, q.p_a1, q.a1, q.m1))
-    if kind in (StructureKind.B, StructureKind.D):
-        return _beta_deviation(rect, q.p_a1, q.a1, q.p)
-    if kind is StructureKind.E:
-        sh = ShuffleBetaE(rect)
-        # the two-step first moment certifies with any nonnegative value
-        return abs(sh.mass()), max(0.0, -sh.first_moment()), sh.sign_pattern_ok()
-    return _shuffle_deviations(mech.swapped(), rect.swapped())
+        shuffles.append(_top_shuffle(kind, mech.params.swapped(), rect.swapped()))
+    moment = (lambda m: max(0.0, -m)) if kind is StructureKind.E else abs
+    return (
+        max(abs(sh.mass()) for sh in shuffles),
+        max(moment(sh.first_moment()) for sh in shuffles),
+        all(sh.sign_pattern_ok() for sh in shuffles),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +414,7 @@ def certificate_check(
     grad_norm, max_hess = _stationarity(menu, rect, fd_step)
 
     failures: list[str] = []
-    if abs(mu_total) > MU_D_TOL:
+    if abs(mu_total) > MU_D_TOL * (1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2):
         failures.append("mu_D")
     region_tol = region_tol_rel * rect.area
     for key in ("Z", "A", "B", "W"):

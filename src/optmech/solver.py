@@ -7,10 +7,12 @@ region, which must vanish at the optimum, written out in closed form;
 partial lotteries additionally require their edge shuffle to vanish,
 which the closed-form slopes and spans encode exactly.  The c1 = 0
 one-lottery residual is linear, the one-lottery and ramp residuals are
-cubics solved by companion-matrix eigenvalues, and the edge prices of
-the two-lottery structure are found by (nested) bisection.  SmallSmall
-structures are solved in the edge offsets D_i rather than in the edge
-prices, which keeps them accurate at small corner offsets.
+cubics solved by companion-matrix eigenvalues, and the two-lottery
+structure bisects one residual in the good-1 edge offset, with the
+matching good-2 offset and the bracket's feasibility edge each the
+positive root of a quadratic.  SmallSmall structures are solved in the
+edge offsets D_i rather than in the edge prices, which keeps them
+accurate at small corner offsets.
 """
 
 from __future__ import annotations
@@ -154,21 +156,10 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _feasible_edge(f, lo: float, hi: float) -> float:
-    """Largest x with f(x) >= 0, for f decreasing with f(lo) >= 0 > f(hi).
-
-    Returns the feasible side of the final bracket, so f(result) >= 0 holds.
-    """
-    tol = BISECT_REL_TOL * max(abs(lo), abs(hi))
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _positive_root(b: float, c: float) -> float:
+    """Positive root of x^2 + b x - c for c > 0, free of cancellation."""
+    disc = math.sqrt(b * b + 4.0 * c)
+    return 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -278,7 +269,7 @@ def _match_offset(rect: Rectangle, d1: float) -> float:
     """``solve_pa2_given_pa1`` in the edge offsets: D2 for a given D1."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     k = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1) + (4.0 * (b2 - b1) - 2.0 * (c2 - c1) - d1) / 6.0
-    lo, hi = 0.0, _edge_offsets(c2, c1, b2, b1)[1]
+    hi = _edge_offsets(c2, c1, b2, b1)[1]
 
     def mismatch(d2: float) -> float:
         return k + d2 / 6.0 - 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
@@ -288,17 +279,8 @@ def _match_offset(rect: Rectangle, d1: float) -> float:
         if f_hi > -1e-9 * (b1 + b2):
             return hi
         raise NoRoot("diagonal matching requires a lottery weight above 1")
-    # mismatch -> -inf at lo+, increasing: bisect without evaluating at lo
-    tol = BISECT_REL_TOL * hi
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        if mismatch(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # 6 D2 times the mismatch is D2^2 + (6 k + 8 c2) D2 - 8 c2 (b1 + c1)
+    return _positive_root(6.0 * k + 8.0 * c2, 8.0 * c2 * (b1 + c1))
 
 
 def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism | None:
@@ -383,23 +365,20 @@ def _kind_a_params(rect: Rectangle, d1: float, d2: float) -> SolveParams:
 
 
 def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
-    """Two-lottery structure: nested bisection over the edge offsets."""
+    """Two-lottery structure: bisection over the good-1 edge offset."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     lo, hi = _edge_offsets(c1, c2, b1, b2)
     lo2, hi2 = _edge_offsets(c2, c1, b2, b1)
     if lo > hi or lo2 > hi2:
         return None
-    m2_at_cap = 4.0 * c2 * (b1 + c1 - hi2) / (3.0 * hi2)
-
-    def feasibility(d1: float) -> float:
-        """Diagonal mismatch at the capped D2; >= 0 means solvable."""
-        m1 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1)
-        return m1 + (4.0 * (b2 - b1) - 2.0 * (c2 - c1) - d1 + hi2) / 6.0 - m2_at_cap
-
-    if feasibility(lo) < 0.0:
+    # the diagonal mismatch at the capped D2 is m1 + K - D1/6, decreasing
+    # in D1; >= 0 means solvable, and 6 D1 times it vanishes at the
+    # positive root of D1^2 + (8 c1 - 6 K) D1 - 8 c1 (b2 + c2)
+    k = (4.0 * (b2 - b1) - 2.0 * (c2 - c1) + hi2) / 6.0 - 4.0 * c2 * (b1 + c1 - hi2) / (3.0 * hi2)
+    edge = _positive_root(8.0 * c1 - 6.0 * k, 8.0 * c1 * (b2 + c2))
+    if edge < lo:
         return None
-    if feasibility(hi) < 0.0:
-        hi = _feasible_edge(feasibility, lo, hi)
+    hi = min(hi, edge)
 
     def g(d1: float) -> float:
         return _residual_w(rect, d1, _match_offset(rect, d1))

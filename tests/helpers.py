@@ -1,5 +1,6 @@
 """Helpers that only the tests use: random menus, polygon intersection,
-the non-participation region, a shuffle report, the simple menus every
+the non-participation region, a shuffle report, the closed-form shuffle
+parameters of the lottery structures, the simple menus every
 optimum must match, finite-difference checks of a menu's revenue, the
 duality-side revenue pairing, a payment-monotonicity check, and the
 linear family's boundary measure."""
@@ -8,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
-from optmech.measures import MuBar, ShuffleAlpha, ShuffleBeta, ShuffleBetaE
+from optmech.measures import MuBar, Shuffle
 from optmech.linear import _expectation, _marginal
 from optmech.mechanism import expected_revenue, utility
 from optmech.oracle import FD_STEP, _perturbed
@@ -68,7 +69,7 @@ def mu_bar_of_polygon(rect: Rectangle, poly: Polygon) -> float:
 
 
 def check_interval_measure_cvx_zero(
-    measure: ShuffleAlpha | ShuffleBeta | ShuffleBetaE, tol: float = 1e-9
+    measure: Shuffle, tol: float = 1e-9
 ) -> dict:
     """Mass, first moment, and sign-pattern flag of a shuffling measure.
 
@@ -81,6 +82,33 @@ def check_interval_measure_cvx_zero(
         "first_moment": measure.first_moment(),
         "sign_pattern_ok": measure.sign_pattern_ok(tol),
     }
+
+
+def alpha_params(rect: Rectangle, p_a: float) -> Shuffle:
+    """Ramp shuffle of a lottery ending inside the top edge at edge price p_a.
+
+    Its slope a and span m zero the mass and first moment; requires a
+    positive own-axis corner offset and p_a strictly inside
+    ((2 b2 - c2)/3, b2).
+    """
+    c, big_c, big_b = rect.c1, rect.c2, rect.b2
+    lo = (2.0 * big_b - big_c) / 3.0
+    if not (lo < p_a < big_b):
+        raise ValueError(f"p_a must lie in ({lo!r}, {big_b!r}), got {p_a!r}")
+    d = big_c - 2.0 * big_b + 3.0 * p_a
+    m = 4.0 * c * (big_b - p_a) / d
+    return Shuffle(rect, p_a, d * d / (8.0 * c * (big_b - p_a)), m, m)
+
+
+def beta_p_of(rect: Rectangle, p_a: float, a: float) -> tuple[float, float]:
+    """Segment lengths p at which the top-edge ramp-then-flat shuffle of
+    slope a > 0 has zero mass and zero first moment, respectively.  The
+    two agree exactly when the structure's free parameters are consistent.
+    """
+    c, big_c, big_b = rect.c1, rect.c2, rect.b2
+    length = p_a / a
+    p_from_mass = (1.5 * p_a * p_a / a + big_c * p_a / a - c * (big_b - p_a)) / (2.0 * big_b)
+    return p_from_mass, length * math.sqrt((p_a + big_c) / (2.0 * big_b))
 
 
 def rival_revenue(rect: Rectangle) -> float:

@@ -1,20 +1,16 @@
 """Boundary-measure evaluation and the 1-D shuffling measures."""
 
 import math
+import random
 
 import pytest
 
-from optmech.geometry import HalfPlane, clip, rect_polygon
-from helpers import check_interval_measure_cvx_zero, mu_bar_of_polygon
-from optmech.measures import (
-    MuBar,
-    ShuffleBeta,
-    ShuffleBetaE,
-    ZeroCornerCase,
-    alpha_params,
-    beta_p_of,
-)
-from optmech.types import Rectangle
+from optmech.geometry import HalfPlane, best_response_regions, clip, rect_polygon
+from helpers import alpha_params, check_interval_measure_cvx_zero, mu_bar_of_polygon
+from optmech.measures import MuBar, Shuffle
+from optmech.oracle import _top_shuffle
+from optmech.solver import solve
+from optmech.types import Rectangle, SolveParams, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -77,7 +73,56 @@ def test_measure_additivity_across_a_cut():
 
 
 # ---------------------------------------------------------------------------
-# ShuffleAlpha
+# Shuffle
+
+
+def _lottery_cases(n_each: int = 12):
+    """Seeded solves with a partial lottery (a1, 1), 0 < a1 < 1, as (mech,
+    rect) in the top-edge frame: kinds A, B and D, and kind A's good-2
+    lottery on the swapped support."""
+    rng = random.Random(11)
+
+    def small_large() -> tuple[float, float]:
+        # c2/b2 inside the SmallLarge band at c1/b1 = u
+        u = rng.uniform(0.05, 0.9)
+        return u, 2.0 * rng.uniform((1.0 + u) / (1.0 + 3.0 * u), 1.0 / (1.0 - u) ** 2)
+
+    recipes = {
+        StructureKind.A: lambda: (rng.uniform(0.002, 0.05), rng.uniform(0.002, 0.05)),
+        StructureKind.B: lambda: (rng.uniform(0.01, 0.5), rng.uniform(0.3, 1.5)),
+        StructureKind.D: small_large,
+    }
+    counts = dict.fromkeys(recipes, 0)
+    cases = []
+    for _ in range(20 * n_each):
+        if min(counts.values()) >= n_each:
+            break
+        r1, r2 = recipes[min(counts, key=counts.get)]()
+        b1, b2 = math.exp(rng.uniform(-1.0, 1.0)), math.exp(rng.uniform(-1.0, 1.0))
+        rect = Rectangle(r1 * b1, r2 * b2, b1, b2)
+        mech = solve(rect)
+        if mech.kind in (StructureKind.F, StructureKind.G):
+            mech, rect = mech.swapped(), rect.swapped()
+        frames = [(mech, rect)]
+        if mech.kind is StructureKind.A:
+            frames.append((mech.swapped(), rect.swapped()))
+        for m, r in frames:
+            if m.kind in counts and 0.0 < m.params.a1 < 1.0:
+                counts[m.kind] += 1
+                cases.append((m, r))
+    assert min(counts.values()) >= n_each, counts
+    return cases
+
+
+def test_shuffle_is_minus_the_lottery_region_measure():
+    # the closed-form shuffle of a partial lottery is the transformed
+    # measure of that lottery's best-response region, with the sign flipped
+    for mech, rect in _lottery_cases():
+        (i,) = [i for i, it in enumerate(mech.menu) if it.q2 == 1.0 and 0.0 < it.q1 < 1.0]
+        mass, m1, _ = MuBar(rect).moments(best_response_regions(rect, mech.menu)[i])
+        sh = _top_shuffle(mech.kind, mech.params, rect)
+        assert sh.mass() == pytest.approx(-mass, abs=1e-12), f"{mech.kind} on {rect}"
+        assert sh.first_moment() == pytest.approx(-(m1 - rect.c1 * mass), abs=1e-12), f"{mech.kind} on {rect}"
 
 
 def test_alpha_params_zero_mass_and_moment():
@@ -94,7 +139,7 @@ def test_alpha_params_frozen_values():
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
     sh = alpha_params(rect, 0.7 + 1e-13)
     assert sh.a == pytest.approx(1.0 / 6.0, abs=1e-9)
-    assert sh.m == pytest.approx(0.6, abs=1e-9)
+    assert sh.ramp_end == sh.end == pytest.approx(0.6, abs=1e-9)
 
 
 def test_alpha_numeric_cross_check():
@@ -102,7 +147,7 @@ def test_alpha_numeric_cross_check():
     rect = Rectangle(0.2, 0.3, 1.5, 1.1)
     sh = alpha_params(rect, 0.8)
     n = 4000
-    h = sh.m / n
+    h = sh.end / n
     total = sh.point_mass()
     moment = 0.0
     for i in range(n):
@@ -114,11 +159,6 @@ def test_alpha_numeric_cross_check():
     assert moment == pytest.approx(sh.first_moment(), abs=1e-8)
 
 
-def test_alpha_params_zero_corner_raises():
-    with pytest.raises(ZeroCornerCase):
-        alpha_params(UNIT, 0.68)
-
-
 def test_alpha_params_out_of_bracket_raises():
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -127,32 +167,24 @@ def test_alpha_params_out_of_bracket_raises():
         alpha_params(rect, 1.0)  # at b2
 
 
-# ---------------------------------------------------------------------------
-# ShuffleBeta
-
-
-def test_beta_requires_positive_slope():
-    with pytest.raises(ValueError):
-        ShuffleBeta(UNIT, 0.5, 0.0, 0.4)
-
-
 def test_beta_ramp_end_and_densities():
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    sh = ShuffleBeta(rect, 0.12, 0.3, 0.4)
+    sh = _top_shuffle(StructureKind.D, SolveParams(p_a1=0.12, a1=0.3, p=0.4), rect)
     assert sh.ramp_end == pytest.approx(0.4), "ramp longer than the segment is cut at p"
-    sh2 = ShuffleBeta(rect, 0.12, 0.5, 0.4)
+    sh2 = _top_shuffle(StructureKind.D, SolveParams(p_a1=0.12, a1=0.5, p=0.4), rect)
     assert sh2.ramp_end == pytest.approx(0.24)
+    assert sh2.end == 0.4
     assert sh2.density(0.3) == pytest.approx(2.0 * rect.b2 / rect.area)
 
 
 def test_beta_numeric_cross_check():
     # the density jumps at ramp_end, so integrate each smooth piece separately
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    sh = ShuffleBeta(rect, 0.1, 0.33, 0.4)
+    sh = Shuffle(rect, 0.1, 0.33, 0.1 / 0.33, 0.4)
     n = 8000
     total = sh.point_mass()
     moment = 0.0
-    for lo, hi in ((0.0, sh.ramp_end), (sh.ramp_end, sh.p)):
+    for lo, hi in ((0.0, sh.ramp_end), (sh.ramp_end, sh.end)):
         h = (hi - lo) / n
         for i in range(n):
             x = lo + (i + 0.5) * h
@@ -163,36 +195,22 @@ def test_beta_numeric_cross_check():
     assert moment == pytest.approx(sh.first_moment(), abs=1e-6)
 
 
-def test_beta_p_of_rejects_flat_slope():
-    with pytest.raises(ValueError):
-        beta_p_of(UNIT, 0.5, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# ShuffleBetaE
-
-
 def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
     rect = Rectangle(0.5, 8.0, 1.0, 1.0)
-    sh = ShuffleBetaE(rect)
+    sh = _top_shuffle(StructureKind.E, SolveParams(p=0.25), rect)
     assert abs(sh.mass()) < 1e-15, "two-step shuffle mass at the structure-E instance"
     assert abs(sh.first_moment()) < 1e-15
     assert sh.sign_pattern_ok()
-    assert sh.step_break == pytest.approx(0.125)
-    assert sh.half_span == pytest.approx(0.25)
+    assert sh.ramp_end == pytest.approx(0.125), "step break b1 b2 / c2"
+    assert sh.end == pytest.approx(0.25), "half span (b1 - c1)/2"
 
 
 def test_beta_e_moment_is_nonnegative_above_threshold():
     # deeper inside the region the mass still cancels but the moment is positive
     rect = Rectangle(0.5, 9.0, 1.0, 1.0)
-    sh = ShuffleBetaE(rect)
+    sh = _top_shuffle(StructureKind.E, SolveParams(p=0.25), rect)
     assert abs(sh.mass()) < 1e-15
     assert sh.first_moment() > 1e-4
-
-
-def test_beta_e_zero_cross_corner_raises():
-    with pytest.raises(ZeroCornerCase):
-        ShuffleBetaE(Rectangle(0.5, 0.0, 1.0, 1.0))
 
 
 def test_check_interval_measure_report_keys():

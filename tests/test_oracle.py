@@ -173,6 +173,18 @@ def test_certificate_passes_on_solved_instances(rect):
     assert report.shuffle_moment <= 1e-10
 
 
+def test_certificate_total_measure_tolerance_scales_with_offsets():
+    # the whole-support measure is zero exactly; its terms add up to a
+    # total variation of 6 + 2 (c1/b1 + c2/b2), about 4e4 here, and the
+    # computed value is their rounding (-2.25e-12)
+    rect = Rectangle(0.2839449830311523, 4561.57733837128, 0.28687336841713984, 0.23766270878662552)
+    mech = solve(rect)
+    assert mech.kind is StructureKind.E
+    report = certificate_check(mech, rect)
+    assert abs(report.mu_D) > 1e-12
+    assert report.passed, f"{rect}: failures {report.failures}"
+
+
 #: An own-axis offset of 1e-12 is solved as zero (kind B with a flat
 #: lottery price), and its F mirror.
 SNAPPED_OFFSETS = (

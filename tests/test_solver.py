@@ -10,9 +10,9 @@ import pytest
 
 import optmech.mechanism
 import optmech.solver
-from helpers import rival_revenue
+from helpers import alpha_params, beta_p_of, rival_revenue
 from optmech.geometry import best_response_regions
-from optmech.measures import MuBar, alpha_params, beta_p_of
+from optmech.measures import MuBar
 from optmech.mechanism import menu_from_structure
 from optmech.solver import (
     NoRoot,
@@ -187,7 +187,7 @@ def test_residual_w_matches_polygon_measure():
         p_a2 = solve_pa2_given_pa1(rect, p_a1)
         sh1 = alpha_params(rect, p_a1)
         sh2 = alpha_params(rect.swapped(), p_a2)
-        big_p = (rect.c1 + sh1.m, rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
+        big_p = (rect.c1 + sh1.end, rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
         p = big_p[0] + big_p[1] - rect.c1 - rect.c2
         params = SolveParams(p_a1=p_a1, p_a2=p_a2, a1=sh1.a, a2=sh2.a, p=p)
         menu = menu_from_structure(StructureKind.A, params, rect)
@@ -206,8 +206,8 @@ def test_solve_pa2_given_pa1_zeroes_diagonal_mismatch():
     p_a2 = solve_pa2_given_pa1(rect, p_a1)
     sh1 = alpha_params(rect, p_a1)
     sh2 = alpha_params(rect.swapped(), p_a2)
-    lhs = (rect.c1 + sh1.m) + (rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
-    rhs = (rect.c1 + 0.5 * (2.0 * rect.b1 - rect.c1 - p_a2)) + (rect.c2 + sh2.m)
+    lhs = (rect.c1 + sh1.end) + (rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
+    rhs = (rect.c1 + 0.5 * (2.0 * rect.b1 - rect.c1 - p_a2)) + (rect.c2 + sh2.end)
     assert lhs == pytest.approx(rhs, abs=1e-10), "both roof corners must sit on one diagonal"
 
 
