@@ -9,7 +9,8 @@ bundle region) pin down the parameters (p_a1, a1, P1).
 The equations are polynomial.  At a fixed kink P1 the first two are
 quadratics in A0 = c + p_a1 + a1 c whose resultant is a quadratic in
 a1^2, so (p_a1, a1) follow in closed form; the bundle-region balance is
-then a function of P1 alone, bisected on (c, c + 1].
+then a function of P1 alone, whose root on (c, c + 1] the solver's
+bracketed root finder resolves to the rounding floor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import Polygon, best_response_regions
-from .solver import NoRoot, _bisect
+from .solver import NoRoot, _root_in_bracket
 from .types import NULL_ITEM, MenuItem, Rectangle
 
 __all__ = [
@@ -264,7 +265,8 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     c : float
         Lower endpoint of the support, in [0, C_MAX].  For c > 0 the kink
         P1 is the root of the bundle-region balance between just above c
-        and c + 1, found by bisection; at each P1 the other two balance
+        and c + 1, found by a bracketed Brent-Dekker search (about 10
+        balance evaluations); at each P1 the other two balance
         equations give (p_a1, a1) in closed form.
     root : {"above_flat", "interior"}, optional
         Only used at c=0, where the boundary is flat (a1=0) and the
@@ -287,7 +289,8 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
         If c is outside [0, C_MAX].
     NoConvergence
         If the bundle-region balance has no sign change over the kink
-        bracket (c > 0), or no root of the requested kind (c = 0).
+        bracket (c > 0; the message names the bracket and both end
+        balances), or no root of the requested kind (c = 0).
     """
     inst = LinearDensityInstance(c)
     if root not in ("above_flat", "interior"):
@@ -316,7 +319,7 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
 
     lo, hi = inst.c + _KINK_OFFSET, inst.c + 1.0
     try:
-        P1 = _bisect(balance, lo, hi, balance(lo), balance(hi))
+        P1 = _root_in_bracket(balance, lo, hi, balance(lo), balance(hi))
     except NoRoot as exc:
         raise NoConvergence(f"no kink root at c={c!r}: {exc}") from None
     pa, a = _boundary_branch(inst.c, P1)

@@ -8,11 +8,13 @@ partial lotteries additionally require their edge shuffle to vanish,
 which the closed-form slopes and spans encode exactly.  The c1 = 0
 one-lottery residual is linear, the one-lottery and ramp residuals are
 cubics solved by companion-matrix eigenvalues, and the two-lottery
-structure bisects one residual in the good-1 edge offset, with the
+structure has one residual root in the good-1 edge offset, with the
 matching good-2 offset and the bracket's feasibility edge each the
-positive root of a quadratic.  SmallSmall structures are solved in the
-edge offsets D_i rather than in the edge prices, which keeps them
-accurate at small corner offsets.
+positive root of a quadratic.  Every bracketed root, including the
+polish of each eigenvalue, comes from one Brent-Dekker search
+(``_root_in_bracket``) resolved to the rounding floor.  SmallSmall
+structures are solved in the edge offsets D_i rather than in the edge
+prices, which keeps them accurate at small corner offsets.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from numpy.polynomial import polynomial as npoly
 from .mechanism import build_mechanism
 from .types import Mechanism, Rectangle, SolveParams, StructureKind
 
-#: Relative bracket width at which bisection stops.  Resolving roots to the
-#: rounding floor keeps the derived parameters accurate even where the
-#: parametrization amplifies root error by the reciprocal corner offset,
+#: Relative bracket width at which the root finder stops.  Resolving roots
+#: to the rounding floor keeps the derived parameters accurate even where
+#: the parametrization amplifies root error by the reciprocal corner offset,
 #: because the residual slope at the root carries the same amplification.
-BISECT_REL_TOL = 4e-16
-BISECT_MAX_ITER = 200
+ROOT_REL_TOL = 4e-16
+ROOT_MAX_ITER = 200
 #: A root this close outside a bracket end, relative to the interval
 #: magnitude, lies on the end: where a structure puts its root exactly on
 #: the end, rounding moves it to either side.
@@ -132,28 +134,60 @@ def classify(rect: Rectangle) -> PhaseRegion:
     return PhaseRegion.BOTH_LARGE
 
 
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection of f, valued flo and fhi at the bracket ends, to the
-    relative rounding floor of the argument."""
-    tol = BISECT_REL_TOL * max(abs(lo), abs(hi))
+def _root_in_bracket(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Root of f, valued flo and fhi at the bracket ends, by Brent-Dekker.
+
+    Each step takes the secant or inverse quadratic estimate through the
+    last iterates when it falls well inside the bracket, and halves the
+    bracket otherwise.  The search stops once the bracket holding the sign
+    change is no wider than ``ROOT_REL_TOL`` times the larger end magnitude,
+    or no float lies strictly inside it, and returns the bracket end of
+    smaller |f|.
+    """
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo > 0.0) == (fhi > 0.0):
-        raise NoRoot(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fhi > 0.0):
-            hi, fhi = mid, fm
+        raise NoRoot(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
+    half_tol = 0.5 * ROOT_REL_TOL * max(abs(lo), abs(hi))
+    # b is the best estimate, c the bracket's other end, a the last b
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    step = last = b - a
+    for _ in range(ROOT_MAX_ITER):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = last = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        half = 0.5 * (c - b)
+        if abs(half) <= half_tol or math.nextafter(b, c) == c:
+            return b
+        if abs(last) >= half_tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(half_tol * q), abs(last * q)):
+                last, step = step, p / q
+            else:
+                step = last = half
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            step = last = half
+        a, fa = b, fb
+        b += step if abs(step) > half_tol else math.copysign(half_tol, half)
+        fb = f(b)
+        if fb == 0.0:
+            return b
+    return b
 
 
 def _positive_root(b: float, c: float) -> float:
@@ -174,9 +208,9 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
 
     Trailing zero coefficients are dropped and the rest is solved by the
     eigenvalues of its companion matrix, clustered by ``ROOT_MERGE_REL_TOL``.
-    A cluster whose bracket ends differ in sign holds one root, bisected to
-    the rounding floor.  Otherwise its extremum (the bisected root of the
-    derivative) is a double root if zero to ``ROOT_DOUBLE_ULPS``, splits two
+    A cluster whose bracket ends differ in sign holds one root, polished by
+    ``_root_in_bracket`` to the rounding floor.  Otherwise its extremum (the
+    bracketed root of the derivative) is a double root if zero to ``ROOT_DOUBLE_ULPS``, splits two
     roots if of the opposite sign, and marks a complex pair if not.  Roots
     within ``ROOT_END_REL_TOL`` outside an end are clamped onto it.
     """
@@ -208,15 +242,18 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
         fa, fb, sa, sb = poly(a), poly(b), slope(a), slope(b)
         found: list[float] = []
         if fa <= 0.0 <= fb or fb <= 0.0 <= fa:
-            found = [_bisect(poly, a, b, fa, fb)]
+            found = [_root_in_bracket(poly, a, b, fa, fb)]
         elif (sa > 0.0) != (sb > 0.0):
-            x = _bisect(slope, a, b, sa, sb)
+            x = _root_in_bracket(slope, a, b, sa, sb)
             fx = poly(x)
             scale = _horner([abs(c) for c in coeffs], abs(x))
             if abs(fx) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale:
                 found = [x]
             elif (fx > 0.0) != (fa > 0.0):
-                found = [_bisect(poly, a, x, fa, fx), _bisect(poly, x, b, fx, fb)]
+                found = [
+                    _root_in_bracket(poly, a, x, fa, fx),
+                    _root_in_bracket(poly, x, b, fx, fb),
+                ]
         roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
     return roots
 
@@ -365,7 +402,7 @@ def _kind_a_params(rect: Rectangle, d1: float, d2: float) -> SolveParams:
 
 
 def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
-    """Two-lottery structure: bisection over the good-1 edge offset."""
+    """Two-lottery structure: one bracketed root in the good-1 edge offset."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     lo, hi = _edge_offsets(c1, c2, b1, b2)
     lo2, hi2 = _edge_offsets(c2, c1, b2, b1)
@@ -394,7 +431,7 @@ def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
             return None
         root = lo
     else:
-        root = _bisect(g, lo, hi, g_lo, g_hi)
+        root = _root_in_bracket(g, lo, hi, g_lo, g_hi)
     params = _kind_a_params(rect, root, _match_offset(rect, root))
     tol = 1e-9 * (rect.b1 + rect.b2)
     if params.P[0] > params.Q[0] + tol or params.Q[1] > params.P[1] + tol:
@@ -494,7 +531,7 @@ def _solve_ss_c1_zero(rect: Rectangle) -> Mechanism:
             if g_lo <= 1e-9 * rect.area:
                 root = lo
         elif g_hi >= 0.0:
-            root = _bisect(g, lo, hi, g_lo, g_hi)
+            root = _root_in_bracket(g, lo, hi, g_lo, g_hi)
         if root is not None:
             params = candidate_a(root)
             # near the bracket start the corner coordinates move at rate
@@ -503,7 +540,7 @@ def _solve_ss_c1_zero(rect: Rectangle) -> Mechanism:
             # two-lottery candidate cannot be told from the one-lottery
             # fallbacks; route the band to the fallbacks deterministically
             rate = (abs(params.m2) + 4.0 * c2 / 3.0) / root
-            wide = 8.0 * rate * BISECT_REL_TOL * hi + tol
+            wide = 8.0 * rate * ROOT_REL_TOL * hi + tol
             if params.P[0] >= c1 + wide and params.P[0] <= params.Q[0] - wide:
                 return build_mechanism(StructureKind.A, params, rect)
 

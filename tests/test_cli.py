@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import optmech.linear
 from optmech import cli
 from optmech.mechanism import expected_revenue
 from optmech.solver import NoRoot
@@ -187,3 +188,10 @@ def test_linear_zero_endpoint(capsys):
 def test_linear_rejects_out_of_range(capsys):
     assert cli.main(["linear", "0.3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_linear_reports_a_missing_kink_root(monkeypatch, capsys):
+    monkeypatch.setattr(optmech.linear, "_mu_w", lambda *args: -0.5)
+    assert cli.main(["linear", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert "no kink root at c=0.1" in err and "f = -0.5, -0.5" in err

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import optmech.linear
 from helpers import GenShuffleAlpha
 from optmech.linear import (
     C_MAX,
@@ -123,6 +124,31 @@ def test_balance_equations_vanish_at_solutions():
         assert sh.point_mass() > 0.0
         assert sh.density(c + 1e-9) < 0.0, "density starts negative next to the atom"
         assert sh.density(sol.P1) > 0.0, "density ends positive at the kink"
+
+
+def test_solve_stays_within_its_balance_budget(monkeypatch):
+    # two bracket ends and a superlinear search; bisection to the rounding
+    # floor made 51-52
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _mu_w(*args)
+
+    monkeypatch.setattr(optmech.linear, "_mu_w", counted)
+    for k in range(1, 62):
+        calls.clear()
+        solve_linear(k * C_MAX / 61)
+        assert 0 < len(calls) <= 16, (k, len(calls))
+
+
+def test_no_sign_change_names_the_bracket_and_end_balances(monkeypatch):
+    monkeypatch.setattr(optmech.linear, "_mu_w", lambda *args: 0.5)
+    with pytest.raises(NoConvergence) as info:
+        solve_linear(0.1)
+    message = str(info.value)
+    assert message.startswith("no kink root at c=0.1: no sign change on [")
+    assert f"[{0.1 + 1e-6!r}, {1.1!r}]: f = 0.5, 0.5" in message
 
 
 def test_gen_shuffle_validation():

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import random
 import re
 import sys
 
@@ -15,8 +16,11 @@ from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.mechanism import menu_from_structure
 from optmech.solver import (
+    ROOT_MAX_ITER,
+    ROOT_REL_TOL,
     NoRoot,
     _kind_b_params,
+    _root_in_bracket,
     PhaseRegion,
     classify,
     critical_constants,
@@ -97,6 +101,100 @@ def test_bundle_critical_price_closed_form():
     assert cc.p_star == pytest.approx((math.sqrt(22.0) - 4.0) / 3.0, abs=1e-14)
     cc0 = critical_constants(UNIT)
     assert cc0.p_star == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# bracketed root finder
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
+
+
+def test_root_in_bracket_returns_an_end_where_f_vanishes():
+    f, calls = _counted(lambda x: x - 0.25)
+    assert _root_in_bracket(f, 0.25, 1.0, 0.0, 0.75) == 0.25
+    assert _root_in_bracket(f, -1.0, 0.25, -1.25, 0.0) == 0.25
+    assert calls == []
+
+
+def test_root_in_bracket_without_a_sign_change_names_the_bracket():
+    with pytest.raises(NoRoot, match=r"no sign change on \[0\.5, 2\.0\]: f = 1\.5, 0\.25"):
+        _root_in_bracket(lambda x: 1.0, 0.5, 2.0, 1.5, 0.25)
+    with pytest.raises(NoRoot, match=r"f = -1\.5, -0\.25"):
+        _root_in_bracket(lambda x: 1.0, 0.5, 2.0, -1.5, -0.25)
+
+
+def _sign_change_near(f, x: float, tol: float) -> bool:
+    """Whether f vanishes or changes sign on the floats of [x - tol, x + tol]."""
+    y, signs = x - tol, set()
+    while y <= x + tol:
+        v = f(y)
+        if v == 0.0:
+            return True
+        signs.add(v > 0.0)
+        y = math.nextafter(y, math.inf)
+    return len(signs) == 2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_root_in_bracket_resolves_a_simple_cubic_root(seed):
+    # (x - r)(x^2 + u x + v) with v > u^2/4 has the one real root r
+    rng = random.Random(seed)
+    r, u = rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 2.0)
+    v = 0.25 * u * u + rng.uniform(0.05, 2.0)
+    lo, hi = r - rng.uniform(0.01, 2.0), r + rng.uniform(0.01, 2.0)
+    f, calls = _counted(lambda x: (x - r) * (x * x + u * x + v))
+    x = _root_in_bracket(f, lo, hi, f(lo), f(hi))
+    assert lo <= x <= hi
+    assert _sign_change_near(f, x, ROOT_REL_TOL * max(abs(lo), abs(hi)))
+    assert len(calls) <= 20
+
+
+def test_root_in_bracket_ends_a_step_well_before_the_iteration_cap():
+    r = 0.3
+    f, calls = _counted(lambda x: -1.0 if x < r else 1.0)
+    x = _root_in_bracket(f, 0.0, 1.0, -1.0, 1.0)
+    assert abs(x - r) <= ROOT_REL_TOL
+    assert len(calls) <= 80 < ROOT_MAX_ITER
+
+
+def test_root_in_bracket_stops_where_no_float_lies_inside(monkeypatch):
+    f, calls = _counted(lambda x: -1.0 if x <= 1.0 else 1.0)
+    hi = math.nextafter(1.0, 2.0)
+    assert _root_in_bracket(f, 1.0, hi, -1.0, 1.0) in (1.0, hi)
+    assert calls == []
+    # with a relative width below one float spacing, only the spacing ends
+    # the search
+    monkeypatch.setattr(optmech.solver, "ROOT_REL_TOL", 1e-17)
+    for r, g in ((0.3, lambda x: -1.0 if x < 0.3 else 1.0), (math.sqrt(2.0), lambda x: x * x - 2.0)):
+        f, calls = _counted(g)
+        x = _root_in_bracket(f, 0.0, 2.0, f(0.0), f(2.0))
+        assert abs(x - r) <= math.ulp(r)
+        assert len(calls) <= 80 < ROOT_MAX_ITER
+
+
+def test_a_kind_a_solve_stays_within_its_residual_budget(monkeypatch):
+    # the two bracket ends and a superlinear search; bisection to the
+    # rounding floor made 53
+    calls = []
+    residual = optmech.solver._residual_w
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(optmech.solver, "_residual_w", counted)
+    for c in (0.02, 0.05, 0.076):
+        calls.clear()
+        assert solve(Rectangle(c, c, 1.0, 1.0)).kind is StructureKind.A
+        assert 0 < len(calls) <= 16, (c, len(calls))
 
 
 def test_real_roots_in_interval_cubic():
