@@ -1,6 +1,6 @@
 """Revenue-optimal two-good menus for one buyer on rectangular supports."""
 
-from .geometry import HalfPlane, Polygon, best_response_regions, clip, rect_polygon
+from .geometry import best_response_regions
 from .linear import (
     C_MAX,
     LinearDensityInstance,
@@ -36,7 +36,6 @@ __all__ = [
     "C_MAX",
     "NULL_ITEM",
     "CertificateReport",
-    "HalfPlane",
     "LinearDensityInstance",
     "LinearSolution",
     "Mechanism",
@@ -46,7 +45,6 @@ __all__ = [
     "NoRoot",
     "OutOfRange",
     "PhaseRegion",
-    "Polygon",
     "Rectangle",
     "SolveParams",
     "StructureKind",
@@ -55,12 +53,10 @@ __all__ = [
     "build_mechanism",
     "certificate_check",
     "classify",
-    "clip",
     "critical_constants",
     "expected_revenue",
     "linear_revenue",
     "menu_from_structure",
-    "rect_polygon",
     "solve",
     "solve_linear",
     "utility",

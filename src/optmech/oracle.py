@@ -40,7 +40,6 @@ GRAD_TOL = 1e-3
 HESS_TOL = 1e-4
 GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
-ZERO_OFFSET_REL = 1e-10  # corner offsets up to this fraction of their side count as zero
 
 _CHUNK = 65536  # element cap on one block of a1 values in the grid search
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
@@ -273,20 +272,16 @@ def _top_shuffle(kind: StructureKind, q: SolveParams, rect: Rectangle) -> Shuffl
     """Top-edge shuffle of the (a1, 1) lottery of kind A, B or D, or the
     two-step shuffle of kind E.
 
-    A lottery ending inside the edge at m1 carries a ramp; a ramp-lottery
+    A lottery ending inside the edge at m1 carries a ramp, which is zero
+    for the flat price (a1 = 0) of a zero offset; a ramp-lottery
     structure's ramp goes flat past p_a1/a1 up to the bundle offset p.
-    A flat price (a1 = 0) at a zero offset is a zero ramp over [0, p]; an
-    offset of at most ZERO_OFFSET_REL times its side counts as zero, as
-    the solver solves such a support with the offset set to zero.  Every
-    other flat price, and kind E, has the two-step shuffle up to the
-    midpoint (b1 - c1)/2.
+    A flat ramp-lottery price, and kind E, has the two-step shuffle up to
+    the midpoint (b1 - c1)/2.
     """
-    if kind is StructureKind.A or (kind is StructureKind.B and q.a1 > 0.0):
+    if kind is StructureKind.A or kind is StructureKind.B:
         return Shuffle(rect, q.p_a1, q.a1, q.m1, q.m1)
-    if kind is not StructureKind.E and q.a1 > 0.0:
+    if kind is StructureKind.D and q.a1 > 0.0:
         return Shuffle(rect, q.p_a1, q.a1, min(q.p_a1 / q.a1, q.p), q.p)
-    if kind is not StructureKind.E and rect.c1 <= ZERO_OFFSET_REL * rect.b1:
-        return Shuffle(Rectangle(0.0, rect.c2, rect.b1, rect.b2), q.p_a1, 0.0, q.p, q.p)
     half = 0.5 * (rect.b1 - rect.c1)
     return Shuffle(rect, 0.0, 0.0, min(rect.b1 * rect.b2 / rect.c2, half), half)
 

@@ -5,16 +5,17 @@ then pins down the structure parameters.  Each candidate structure's
 defining residual is the transformed measure of the top-right bundle
 region, which must vanish at the optimum, written out in closed form;
 partial lotteries additionally require their edge shuffle to vanish,
-which the closed-form slopes and spans encode exactly.  The c1 = 0
-one-lottery residual is linear, the one-lottery and ramp residuals are
-cubics solved by companion-matrix eigenvalues, and the two-lottery
-structure has one residual root in the good-1 edge offset, with the
-matching good-2 offset and the bracket's feasibility edge each the
+which the closed-form slopes and spans encode exactly.  The SmallSmall
+structures are written in the lottery kinks m_i, where each lottery ends
+on its top edge, with the edge offsets D_i and weights a_i derived from
+them; every quantity then has a finite limit as a corner offset tends to
+0, so zero offsets take the same path as positive ones.  The one-lottery
+and ramp residuals are cubics solved by companion-matrix eigenvalues,
+and the two-lottery structure has one residual root in the good-1 kink,
+with the matching good-2 kink and the bracket's feasibility edge each the
 positive root of a quadratic.  Every bracketed root, including the
 polish of each eigenvalue, comes from one Brent-Dekker search
-(``_root_in_bracket``) resolved to the rounding floor.  SmallSmall
-structures are solved in the edge offsets D_i rather than in the edge
-prices, which keeps them accurate at small corner offsets.
+(``_root_in_bracket``) resolved to the rounding floor.
 """
 
 from __future__ import annotations
@@ -85,23 +86,25 @@ class CriticalConstants:
     p_star: float
 
 
-def _edge_offsets(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
-    """Edge offsets D1 = c2 - 2 b2 + 3 p_a1 at r1 and at p_a1_star; those of
-    good 2 are the mirror's.
-
-    The SmallSmall structures are solved in D1 and D2, not in the edge
-    prices: at a small corner offset the price sits next to (2 b2 - c2)/3,
-    and forming D1 from it would cancel all but a few of its digits.
-    """
-    lo = 2.0 * c1 * (2.0 * b2 + 3.0 * c2) / (2.0 * b1 + 3.0 * c1)
-    hi = (2.0 * math.sqrt(2.0 * c1 * (2.0 * c1 + 3.0 * (b2 + c2))) - 4.0 * c1) / 3.0
-    return lo, hi
+def _sweep_kinks(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
+    """Kinks m1 at p_a1_star (a1 = 1) and at r1 (coincident corner points),
+    the ends of the good-1 sweep; those of good 2 are the mirror's."""
+    full = _positive_root(4.0 * c1 / 3.0, 2.0 * c1 * (b2 + c2) / 3.0)
+    coincident = 2.0 * (2.0 * b1 + 3.0 * c1) * (b2 + c2) / (3.0 * (2.0 * b2 + 3.0 * c2)) - 4.0 * c1 / 3.0
+    return full, coincident
 
 
 def critical_constants(rect: Rectangle) -> CriticalConstants:
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    r1, p_a1_star = ((2.0 * b2 - c2 + d) / 3.0 for d in _edge_offsets(c1, c2, b1, b2))
-    r2, p_a2_star = ((2.0 * b1 - c1 + d) / 3.0 for d in _edge_offsets(c2, c1, b2, b1))
+
+    def edge_prices(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
+        # the edge offset D1 = c2 - 2 b2 + 3 p_a1 is 2 m1 where a1 = 1
+        d = 2.0 * c1 * (2.0 * b2 + 3.0 * c2) / (2.0 * b1 + 3.0 * c1)
+        full = _sweep_kinks(c1, c2, b1, b2)[0]
+        return (2.0 * b2 - c2 + d) / 3.0, (2.0 * b2 - c2 + 2.0 * full) / 3.0
+
+    r1, p_a1_star = edge_prices(c1, c2, b1, b2)
+    r2, p_a2_star = edge_prices(c2, c1, b2, b1)
     s = c1 + c2
     p_star = (math.sqrt(s * s + 6.0 * b1 * b2) - s) / 3.0
     return CriticalConstants(r1, r2, p_a1_star, p_a2_star, p_star)
@@ -206,7 +209,8 @@ def _horner(coeffs: list[float], x: float) -> float:
 def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, hi: float) -> list[float]:
     """Real roots in [lo, hi] of a polynomial (ascending coefficients, degree <= 4).
 
-    Trailing zero coefficients are dropped and the rest is solved by the
+    Trailing zero coefficients are dropped, and leading ones are factored
+    out as a root at 0, reported once.  The rest is solved by the
     eigenvalues of its companion matrix, clustered by ``ROOT_MERGE_REL_TOL``.
     A cluster whose bracket ends differ in sign holds one root, polished by
     ``_root_in_bracket`` to the rounding floor.  Otherwise its extremum (the
@@ -221,10 +225,13 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
         coeffs.pop()
     if hi < lo or len(coeffs) < 2:
         return []
-    poly = partial(_horner, coeffs)
-    slope = partial(_horner, [i * a for i, a in enumerate(coeffs)][1:])
     mag = max(abs(lo), abs(hi))
     near, end = ROOT_MERGE_REL_TOL * mag, ROOT_END_REL_TOL * mag
+    order = next(i for i, a in enumerate(coeffs) if a != 0.0)
+    roots = [min(max(0.0, lo), hi)] if order and lo - end <= 0.0 <= hi + end else []
+    coeffs = coeffs[order:]
+    poly = partial(_horner, coeffs)
+    slope = partial(_horner, [i * a for i, a in enumerate(coeffs)][1:])
     estimates = sorted(
         float(r.real)
         for r in npoly.polyroots(coeffs)
@@ -236,7 +243,6 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
             groups[-1][1] = x
         else:
             groups.append([x, x])
-    roots: list[float] = []
     for first, last in groups:
         a, b = first - 0.5 * near, last + 0.5 * near
         fa, fb, sa, sb = poly(a), poly(b), slope(a), slope(b)
@@ -255,69 +261,7 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
                     _root_in_bracket(poly, x, b, fx, fb),
                 ]
         roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
-    return roots
-
-
-def residual_W(rect: Rectangle, p_a1: float, p_a2: float) -> float:
-    """Scaled deficit of the bundle region for the two-lottery structure.
-
-    Equals -b1 b2 D1 D2 times the transformed measure of the region
-    northeast of the two corner points and the price diagonal, where
-    D_i = c_{-i} - 2 b_{-i} + 3 p_a_i are positive inside the sweep
-    bracket.  The optimum is the zero of this residual.
-    """
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    return _residual_w(rect, c2 - 2.0 * b2 + 3.0 * p_a1, c1 - 2.0 * b1 + 3.0 * p_a2)
-
-
-def _residual_w(rect: Rectangle, d1: float, d2: float) -> float:
-    """``residual_W`` in the edge offsets."""
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    n1 = b1 * d1 - 4.0 * c1 * (b2 + c2 - d1) / 3.0
-    n2 = b2 * d2 - 4.0 * c2 * (b1 + c1 - d2) / 3.0
-    t1 = ((4.0 * b2 - 2.0 * c2 - d1) * d2 - 8.0 * c2 * (b1 + c1 - d2)) / 3.0
-    t2 = ((4.0 * b1 - 2.0 * c1 - d2) * d1 - 8.0 * c1 * (b2 + c2 - d1)) / 3.0
-    return (
-        3.0 * n1 * n2
-        - (c2 + b2) * n1 * d2
-        - (c1 + b1) * n2 * d1
-        - 0.375 * t1 * t2
-    )
-
-
-def solve_pa2_given_pa1(rect: Rectangle, p_a1: float) -> float:
-    """Edge price of good 2 putting both corner points on one diagonal.
-
-    The mismatch (P1 + P2) - (Q1 + Q2) is strictly increasing in p_a2 and
-    tends to -inf at the lower bracket end, so a root exists iff the
-    mismatch at p_a2_star is nonnegative; otherwise NoRoot is raised
-    (the good-2 lottery weight would have to exceed 1).
-    """
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    if c2 <= 0.0:
-        raise ValueError("solve_pa2_given_pa1 requires c2 > 0")
-    d1 = c2 - 2.0 * b2 + 3.0 * p_a1
-    if d1 <= 0.0:
-        raise ValueError(f"p_a1 below the admissible range: {p_a1!r}")
-    return (2.0 * b1 - c1 + _match_offset(rect, d1)) / 3.0
-
-
-def _match_offset(rect: Rectangle, d1: float) -> float:
-    """``solve_pa2_given_pa1`` in the edge offsets: D2 for a given D1."""
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    k = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1) + (4.0 * (b2 - b1) - 2.0 * (c2 - c1) - d1) / 6.0
-    hi = _edge_offsets(c2, c1, b2, b1)[1]
-
-    def mismatch(d2: float) -> float:
-        return k + d2 / 6.0 - 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
-
-    f_hi = mismatch(hi)
-    if f_hi <= 0.0:
-        if f_hi > -1e-9 * (b1 + b2):
-            return hi
-        raise NoRoot("diagonal matching requires a lottery weight above 1")
-    # 6 D2 times the mismatch is D2^2 + (6 k + 8 c2) D2 - 8 c2 (b1 + c1)
-    return _positive_root(6.0 * k + 8.0 * c2, 8.0 * c2 * (b1 + c1))
+    return sorted(roots)
 
 
 def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism | None:
@@ -325,143 +269,149 @@ def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism | None:
 
 
 # ---------------------------------------------------------------------------
-# Structures with both corner offsets zero (closed forms)
-# ---------------------------------------------------------------------------
-
-def solve_zero_corner(rect: Rectangle) -> Mechanism:
-    """Closed-form solution when both corner offsets vanish.
-
-    Side ratio at most 2 gives the two-lottery structure with edge prices
-    2 b_{-i}/3; above 2 the shorter good keeps its lottery and the longer
-    one is sold only inside the bundle.
-    """
-    if rect.c1 != 0.0 or rect.c2 != 0.0:
-        raise ValueError("solve_zero_corner requires c1 == c2 == 0")
-    b1, b2 = rect.b1, rect.b2
-    if max(b1, b2) <= 2.0 * min(b1, b2):
-        s = math.sqrt(2.0 * b1 * b2)
-        p = (2.0 * (b1 + b2) - s) / 3.0
-        params = SolveParams(
-            p_a1=2.0 * b2 / 3.0,
-            p_a2=2.0 * b1 / 3.0,
-            a1=0.0,
-            a2=0.0,
-            m1=0.0,
-            m2=0.0,
-            p=p,
-            P=((2.0 * b1 - s) / 3.0, 2.0 * b2 / 3.0),
-            Q=(2.0 * b1 / 3.0, (2.0 * b2 - s) / 3.0),
-        )
-        return build_mechanism(StructureKind.A, params, rect)
-    if b1 > 2.0 * b2:
-        p = 0.5 * b1 + b2 / 3.0
-        params = SolveParams(
-            p_a1=2.0 * b2 / 3.0,
-            a1=0.0,
-            m1=0.0,
-            p=p,
-            P=(p - 2.0 * b2 / 3.0, 2.0 * b2 / 3.0),
-            Q=(p, 0.0),
-        )
-        return build_mechanism(StructureKind.B, params, rect)
-    return solve_zero_corner(rect.swapped()).swapped()
-
-
-# ---------------------------------------------------------------------------
 # Small/Small region
 # ---------------------------------------------------------------------------
+#
+# A lottery (a_i, 1) ends on its top edge at the kink z_i = c_i + m_i, and
+# its edge offset D_i = c_{-i} - 2 b_{-i} + 3 p_a_i and weight a_i follow
+# from the kink: D_i = 4 c_i s_i / (3 m_i + 4 c_i) with s_i = b_{-i} + c_{-i}
+# the far edge, and a_i = D_i / (2 m_i), capped at 1.  As c_i -> 0, D_i
+# and a_i tend to 0 at every kink m_i > 0, so a zero corner offset is an
+# ordinary point of the structures written in the kinks.
 
-def _geometric_w_residual(
-    rect: Rectangle, p1: float, p2: float, q1: float, q2: float
-) -> float:
+
+def _lottery(c: float, s: float, m: float) -> tuple[float, float]:
+    """Edge offset D and weight a of the lottery with kink m; at and below
+    the kink where a reaches 1 (6 m^2 + 8 c m = 4 c s), D = 2 m and a = 1."""
+    if m * (3.0 * m + 4.0 * c) <= 2.0 * c * s:
+        return 2.0 * m, 1.0
+    d = 4.0 * c * s / (3.0 * m + 4.0 * c)
+    return d, 0.5 * d / m
+
+
+def _kink(c: float, s: float, r: float) -> float:
+    """Kink m >= 0 of the lottery with m - D(m)/6 = r, which is increasing
+    in m: 3 m + 4 c times it is 3 (m^2 + (4 c/3 - r) m - 4 c (r + s/6)/3)."""
+    q = 4.0 * c / 3.0
+    return _positive_root(q - r, max(0.0, q * (r + s / 6.0)))
+
+
+def _match_kink(rect: Rectangle, m1: float, d1: float) -> float:
+    """Good-2 kink putting both corner points on one diagonal, given the
+    good-1 kink and edge offset: P1 + P2 = Q1 + Q2 reads
+    m2 - D2/6 = m1 + (4 (b2 - b1) - 2 (c2 - c1) - D1)/6."""
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    return _kink(c2, b1 + c1, m1 + (4.0 * (b2 - b1) - 2.0 * (c2 - c1) - d1) / 6.0)
+
+
+def _kind_a_residual(rect: Rectangle, m1: float, d1: float, m2: float, d2: float) -> float:
     """-b1 b2 times the transformed measure of the region northeast of the
-    corner points P, Q and the straight cut between them."""
+    two corner points and the price diagonal; the optimum is its zero."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    w1 = c1 + b1 - p1
-    h2 = c2 + b2 - q2
     return (
-        3.0 * w1 * h2
-        - 1.5 * (p2 - q2) * (q1 - p1)
-        - (c2 + b2) * w1
-        - (c1 + b1) * h2
+        3.0 * (b1 - m1) * (b2 - m2)
+        - (c2 + b2) * (b1 - m1)
+        - (c1 + b1) * (b2 - m2)
+        - (4.0 * b2 - 2.0 * c2 - d1 - 6.0 * m2) * (4.0 * b1 - 2.0 * c1 - d2 - 6.0 * m1) / 24.0
     )
 
 
-def _kind_a_params(rect: Rectangle, d1: float, d2: float) -> SolveParams:
+def _kind_a_point(rect: Rectangle, m1: float) -> tuple[float, float, float, float, float]:
+    """(D1, a1, m2, D2, a2) of the two-lottery structure with kink m1."""
+    d1, a1 = _lottery(rect.c1, rect.b2 + rect.c2, m1)
+    m2 = _match_kink(rect, m1, d1)
+    return (d1, a1, m2) + _lottery(rect.c2, rect.b1 + rect.c1, m2)
+
+
+def residual_W(rect: Rectangle, p_a1: float, p_a2: float) -> float:
+    """Two-lottery residual in the edge prices: -b1 b2 D1 D2 times the
+    transformed measure of the bundle region, for D_i > 0."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    m1 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1)
-    m2 = 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
-    big_p = (c1 + m1, c2 + (4.0 * b2 - 2.0 * c2 - d1) / 6.0)
-    big_q = (c1 + (4.0 * b1 - 2.0 * c1 - d2) / 6.0, c2 + m2)
-    p = big_p[0] + big_p[1] - c1 - c2
-    return SolveParams(
-        p_a1=(2.0 * b2 - c2 + d1) / 3.0, p_a2=(2.0 * b1 - c1 + d2) / 3.0,
-        a1=min(1.0, 0.5 * d1 / m1), a2=min(1.0, 0.5 * d2 / m2),
-        m1=m1, m2=m2, p=p, P=big_p, Q=big_q,
-    )
+    d1, d2 = c2 - 2.0 * b2 + 3.0 * p_a1, c1 - 2.0 * b1 + 3.0 * p_a2
+    m1, m2 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1), 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
+    return d1 * d2 * _kind_a_residual(rect, m1, d1, m2, d2)
+
+
+def solve_pa2_given_pa1(rect: Rectangle, p_a1: float) -> float:
+    """Edge price of good 2 putting both corner points on one diagonal,
+    with the good-2 weight not capped at 1."""
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    if c2 <= 0.0:
+        raise ValueError("solve_pa2_given_pa1 requires c2 > 0")
+    d1 = c2 - 2.0 * b2 + 3.0 * p_a1
+    if d1 <= 0.0:
+        raise ValueError(f"p_a1 below the admissible range: {p_a1!r}")
+    m2 = _match_kink(rect, 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1), d1)
+    return (2.0 * b1 - c1 + 4.0 * c2 * (b1 + c1) / (3.0 * m2 + 4.0 * c2)) / 3.0
 
 
 def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
-    """Two-lottery structure: one bracketed root in the good-1 edge offset."""
+    """Two-lottery structure: one bracketed root in the good-1 kink."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    lo, hi = _edge_offsets(c1, c2, b1, b2)
-    lo2, hi2 = _edge_offsets(c2, c1, b2, b1)
+    lo, hi = _sweep_kinks(c1, c2, b1, b2)
+    lo2, hi2 = _sweep_kinks(c2, c1, b2, b1)
     if lo > hi or lo2 > hi2:
         return None
-    # the diagonal mismatch at the capped D2 is m1 + K - D1/6, decreasing
-    # in D1; >= 0 means solvable, and 6 D1 times it vanishes at the
-    # positive root of D1^2 + (8 c1 - 6 K) D1 - 8 c1 (b2 + c2)
-    k = (4.0 * (b2 - b1) - 2.0 * (c2 - c1) + hi2) / 6.0 - 4.0 * c2 * (b1 + c1 - hi2) / (3.0 * hi2)
-    edge = _positive_root(8.0 * c1 - 6.0 * k, 8.0 * c1 * (b2 + c2))
-    if edge < lo:
+    # a2 <= 1 holds where the matched m2 is at least lo2, where
+    # m2 - D2/6 = 2 lo2/3: m1 - D1/6 >= 2 lo2/3 - K
+    edge = _kink(c1, b2 + c2, 2.0 * lo2 / 3.0 - (4.0 * (b2 - b1) - 2.0 * (c2 - c1)) / 6.0)
+    if edge > hi:
         return None
-    hi = min(hi, edge)
+    lo = max(lo, edge)
 
-    def g(d1: float) -> float:
-        return _residual_w(rect, d1, _match_offset(rect, d1))
+    def g(m1: float) -> float:
+        d1, _, m2, d2, _ = _kind_a_point(rect, m1)
+        return _kind_a_residual(rect, m1, d1, m2, d2)
 
     g_lo = g(lo)
     g_hi = g(hi)
-    if g_hi < 0.0:
+    if g_lo < 0.0:
         return None
-    if g_lo >= 0.0:
-        # the residual starts nonnegative only when the root sits at the
-        # bracket start itself (coincident corner points)
-        if g_lo > 1e-9 * (rect.area * rect.area):
+    if g_hi >= 0.0:
+        # the residual ends nonnegative only when the root sits at the
+        # bracket end itself (coincident corner points)
+        if g_hi > 1e-9 * rect.area:
             return None
-        root = lo
+        m1 = hi
     else:
-        root = _root_in_bracket(g, lo, hi, g_lo, g_hi)
-    params = _kind_a_params(rect, root, _match_offset(rect, root))
-    tol = 1e-9 * (rect.b1 + rect.b2)
-    if params.P[0] > params.Q[0] + tol or params.Q[1] > params.P[1] + tol:
+        m1 = _root_in_bracket(g, lo, hi, g_lo, g_hi)
+    d1, a1, m2, d2, a2 = _kind_a_point(rect, m1)
+    big_p = (c1 + m1, c2 + (4.0 * b2 - 2.0 * c2 - d1) / 6.0)
+    big_q = (c1 + (4.0 * b1 - 2.0 * c1 - d2) / 6.0, c2 + m2)
+    tol = 1e-9 * (b1 + b2)
+    if min(m1, m2) <= 0.0 or big_p[0] > big_q[0] + tol or big_q[1] > big_p[1] + tol:
         return None
+    params = SolveParams(
+        p_a1=(2.0 * b2 - c2 + d1) / 3.0, p_a2=(2.0 * b1 - c1 + d2) / 3.0,
+        a1=a1, a2=a2, m1=m1, m2=m2, p=big_p[0] + big_p[1] - c1 - c2, P=big_p, Q=big_q,
+    )
     return build_mechanism(StructureKind.A, params, rect)
 
 
 def _kind_b_cubic(rect: Rectangle) -> tuple[float, float, float, float]:
     """Ascending coefficients of the one-lottery structure's residual cubic
-    in D1 (the residual equals -1 times the bundle-region measure up to
-    a positive scale)."""
+    in m1: -b1 b2 times the bundle-region measure, times a positive factor.
+
+    The leading coefficient is -36 b2, and at c1 = 0 the two low ones
+    vanish, leaving the root m1 = b1/2 - b2/3 + c2^2/(12 b2).
+    """
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     return (
-        -8.0 * b2 * c1 * (b2 + c2) / 3.0,
-        (6.0 * b1 * b2 - 4.0 * b2 * b2 + 10.0 * b2 * c1 + c2 * c2) / 6.0,
-        b2 / 3.0,
-        -1.0 / 24.0,
+        4.0 * c1 * c1 * (8.0 * b1 * b2 - 3.0 * b2 * b2 - 8.0 * b2 * c1 + 2.0 * b2 * c2 + c2 * c2),
+        8.0 * c1 * (6.0 * b1 * b2 - 3.0 * b2 * b2 - 14.0 * b2 * c1 + b2 * c2 + c2 * c2),
+        3.0 * (6.0 * b1 * b2 - 4.0 * b2 * b2 - 38.0 * b2 * c1 + c2 * c2),
+        -36.0 * b2,
     )
 
 
-def _kind_b_params(rect: Rectangle, d1: float) -> SolveParams | None:
+def _kind_b_params(rect: Rectangle, m1: float) -> SolveParams | None:
     """Parameters of the one-lottery structure; None if geometry is invalid."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    if d1 <= 0.0 or d1 >= b2 + c2:  # the edge price reaches b2
+    if m1 <= 0.0:  # the image of D1 = inf
         return None
-    if c1 > 0.0:
-        m1 = 4.0 * c1 * (b2 + c2 - d1) / (3.0 * d1)
-        a1 = min(1.0, 0.5 * d1 / m1)
-    else:
-        a1, m1 = 0.0, 0.0
+    d1, a1 = _lottery(c1, b2 + c2, m1)
+    if d1 >= b2 + c2:  # the edge price reaches b2
+        return None
     half = (4.0 * b2 - 2.0 * c2 - d1) / 6.0
     p = m1 + half
     big_p = (c1 + m1, c2 + half)
@@ -470,23 +420,27 @@ def _kind_b_params(rect: Rectangle, d1: float) -> SolveParams | None:
     floor = c2 - 4.0 * sys.float_info.epsilon * max(c2, b2)
     if not (0.0 <= p <= b1 + tol and floor <= big_p[1] <= rect.z2_max + tol):
         return None
-    if big_p[0] > c1 + p + tol:
-        return None
     p_a1 = (2.0 * b2 - c2 + d1) / 3.0
     return SolveParams(p_a1=p_a1, a1=a1, m1=m1, p=p, P=big_p, Q=(c1 + p, c2))
 
 
 def _solve_ss_kind_b(rect: Rectangle) -> Mechanism | None:
-    lo, hi = _edge_offsets(rect.c1, rect.c2, rect.b1, rect.b2)
+    lo, hi = _sweep_kinks(rect.c1, rect.c2, rect.b1, rect.b2)
     if lo > hi:
         return None
-    roots = real_roots_in_interval(_kind_b_cubic(rect), lo, hi)
-    params = [sp for sp in (_kind_b_params(rect, root) for root in roots) if sp is not None]
+    # roots below lo have a1 > 1, and those within the search's resolution
+    # ROOT_REL_TOL * hi of 0 are the root at 0; searching from 0 keeps the
+    # end rule, relative to hi, from clamping them onto a far smaller lo
+    roots = real_roots_in_interval(_kind_b_cubic(rect), 0.0, hi)
+    floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
+    kinks = [max(m, lo) for m in roots if m > floor]
+    params = [sp for sp in (_kind_b_params(rect, m1) for m1 in kinks) if sp is not None]
     return _best_by_revenue([build_mechanism(StructureKind.B, sp, rect) for sp in params])
 
 
-def _solve_ss_general(rect: Rectangle) -> Mechanism:
-    """Both corner offsets positive: try the structures in fixed order."""
+def solve_small_small(rect: Rectangle) -> Mechanism:
+    """Both offset-to-side ratios small: the two-lottery structure, the
+    one-lottery structure, its mirror and pure bundling, in that order."""
     mech = _solve_ss_kind_a(rect) or _solve_ss_kind_b(rect)
     if mech is not None:
         return mech
@@ -494,96 +448,6 @@ def _solve_ss_general(rect: Rectangle) -> Mechanism:
     if swapped is not None:
         return swapped.swapped()
     return solve_bundling(rect)
-
-
-def _solve_ss_c1_zero(rect: Rectangle) -> Mechanism:
-    """Small/Small with c1 = 0 < c2: the good-1 lottery is pinned flat.
-
-    The flat edge price is (2 b2 - c2)/3 with zero lottery weight, so one
-    residual equation remains: sweep D2 for the two-lottery structure,
-    falling back to the one-lottery structure, whose bundle offset has a
-    closed form, the mirrored cubic, and pure bundling, in that order.
-    """
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    p_a1 = (2.0 * b2 - c2) / 3.0
-
-    def candidate_a(d2: float) -> SolveParams:
-        m2 = 4.0 * c2 * (b1 + c1 - d2) / (3.0 * d2)
-        big_q = (c1 + (4.0 * b1 - 2.0 * c1 - d2) / 6.0, c2 + m2)
-        p = big_q[0] + big_q[1] - c1 - c2
-        big_p = (c1 + c2 + p - (c2 + p_a1), c2 + p_a1)
-        return SolveParams(
-            p_a1=p_a1, p_a2=(2.0 * b1 - c1 + d2) / 3.0, a1=0.0,
-            a2=min(1.0, 0.5 * d2 / m2), m1=0.0, m2=m2, p=p, P=big_p, Q=big_q,
-        )
-
-    def g(d2: float) -> float:
-        sp = candidate_a(d2)
-        return _geometric_w_residual(rect, sp.P[0], sp.P[1], sp.Q[0], sp.Q[1])
-
-    tol = 1e-9 * (b1 + b2)
-    lo, hi = _edge_offsets(c2, c1, b2, b1)
-    if lo <= hi:
-        g_lo, g_hi = g(lo), g(hi)
-        root = None
-        if g_lo >= 0.0:
-            # the residual is quadratic in the lengths
-            if g_lo <= 1e-9 * rect.area:
-                root = lo
-        elif g_hi >= 0.0:
-            root = _root_in_bracket(g, lo, hi, g_lo, g_hi)
-        if root is not None:
-            params = candidate_a(root)
-            # near the bracket start the corner coordinates move at rate
-            # ~(m2 + 4 c2/3)/D2 per unit edge offset, so the root resolution
-            # leaves a band of that width around P1 = c1 inside which the
-            # two-lottery candidate cannot be told from the one-lottery
-            # fallbacks; route the band to the fallbacks deterministically
-            rate = (abs(params.m2) + 4.0 * c2 / 3.0) / root
-            wide = 8.0 * rate * ROOT_REL_TOL * hi + tol
-            if params.P[0] >= c1 + wide and params.P[0] <= params.Q[0] - wide:
-                return build_mechanism(StructureKind.A, params, rect)
-
-    # one-lottery structure: the flat price puts the vertical boundary at
-    # z1 = p - p_a1, and on p_a1 <= p <= b1 the bundle region's measure is
-    # linear in the bundle offset, b1 b2 mu(W) = 2 b2 p - b1 b2 - 1.5 p_a1^2
-    p = 0.5 * b1 + 0.75 * p_a1 * p_a1 / b2
-    if p_a1 <= p <= b1:
-        params = SolveParams(
-            p_a1=p_a1, a1=0.0, m1=0.0, p=p,
-            P=(c1 + p - p_a1, c2 + p_a1), Q=(c1 + p, c2),
-        )
-        if params.P[0] <= rect.z1_max + tol:
-            return build_mechanism(StructureKind.B, params, rect)
-
-    mech = _solve_ss_kind_b(rect.swapped())
-    if mech is not None:
-        return mech.swapped()
-    return solve_bundling(rect)
-
-
-#: Offsets below this fraction of the own side length leave the structure
-#: comparisons inside floating-point noise (revenue gaps of order ratio
-#: squared), so they are routed as exact zeros for stable classification.
-_ZERO_OFFSET_REL = 1e-10
-
-
-def solve_small_small(rect: Rectangle) -> Mechanism:
-    """Both offset-to-side ratios small: lottery structures with a bundle."""
-    c1_zero = rect.c1 <= _ZERO_OFFSET_REL * rect.b1
-    c2_zero = rect.c2 <= _ZERO_OFFSET_REL * rect.b2
-    if c1_zero and c2_zero:
-        if rect.c1 == 0.0 and rect.c2 == 0.0:
-            return solve_zero_corner(rect)
-        base = solve_zero_corner(Rectangle(0.0, 0.0, rect.b1, rect.b2))
-        return build_mechanism(base.kind, base.params, rect)
-    if c1_zero:
-        snapped = rect if rect.c1 == 0.0 else Rectangle(0.0, rect.c2, rect.b1, rect.b2)
-        base = _solve_ss_c1_zero(snapped)
-        return base if snapped is rect else build_mechanism(base.kind, base.params, rect)
-    if c2_zero:
-        return solve_small_small(rect.swapped()).swapped()
-    return _solve_ss_general(rect)
 
 
 # ---------------------------------------------------------------------------

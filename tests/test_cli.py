@@ -120,7 +120,8 @@ def test_verify_passes_on_unit_square(capsys):
     ],
 )
 def test_verify_passes_on_snapped_offsets(args, kind, capsys):
-    # an offset of 1e-12 is solved as zero, and must be certified as zero
+    # an offset of 1e-12 gives a lottery weight of about 1e-12, whose
+    # ramp shuffle must certify like the flat price at a zero offset
     code = cli.main(["verify", *args, "--coarse", "9", "--rounds", "2"])
     out = capsys.readouterr().out
     assert code == 0, out

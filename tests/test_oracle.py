@@ -185,8 +185,8 @@ def test_certificate_total_measure_tolerance_scales_with_offsets():
     assert report.passed, f"{rect}: failures {report.failures}"
 
 
-#: An own-axis offset of 1e-12 is solved as zero (kind B with a flat
-#: lottery price), and its F mirror.
+#: An own-axis offset of 1e-12 (kind B with a lottery weight of about
+#: 1e-12, next to the flat price of a zero offset), and its F mirror.
 SNAPPED_OFFSETS = (
     Rectangle(1e-12, 0.0, 4.32577161455233, 0.646798625626365),
     Rectangle(0.0, 1e-12, 0.48768954745466575, 2.4021752207089593),

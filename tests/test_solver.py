@@ -28,7 +28,6 @@ from optmech.solver import (
     residual_W,
     solve,
     solve_pa2_given_pa1,
-    solve_zero_corner,
 )
 from optmech.types import MenuItem, Rectangle, SolveParams, StructureKind
 
@@ -184,13 +183,13 @@ def test_a_kind_a_solve_stays_within_its_residual_budget(monkeypatch):
     # the two bracket ends and a superlinear search; bisection to the
     # rounding floor made 53
     calls = []
-    residual = optmech.solver._residual_w
+    residual = optmech.solver._kind_a_residual
 
     def counted(*args):
         calls.append(args)
         return residual(*args)
 
-    monkeypatch.setattr(optmech.solver, "_residual_w", counted)
+    monkeypatch.setattr(optmech.solver, "_kind_a_residual", counted)
     for c in (0.02, 0.05, 0.076):
         calls.clear()
         assert solve(Rectangle(c, c, 1.0, 1.0)).kind is StructureKind.A
@@ -270,6 +269,18 @@ def test_two_roots_inside_one_cluster_are_both_found():
     assert roots == pytest.approx([0.5, r], abs=1e-9)
 
 
+def test_exact_zero_low_coefficients_are_one_root_at_zero():
+    # x^2 (x - 0.3): the zero coefficients are factored out, and the root
+    # at 0 is reported once, by the same end rule as any other root
+    coeffs = (0.0, 0.0, -0.3, 1.0)
+    assert real_roots_in_interval(coeffs, 0.1, 1.0) == pytest.approx([0.3], abs=1e-15)
+    roots = real_roots_in_interval(coeffs, 0.0, 1.0)
+    assert roots[0] == 0.0 and roots[1:] == pytest.approx([0.3], abs=1e-15)
+    assert real_roots_in_interval(coeffs, -1e-11, 1.0)[0] == 0.0
+    assert real_roots_in_interval(coeffs, 1e-11, 1.0)[0] == 1e-11
+    assert real_roots_in_interval((0.0, 0.0, 1.0), 0.0, 1.0) == [0.0]
+
+
 # ---------------------------------------------------------------------------
 # residuals
 
@@ -342,16 +353,12 @@ def test_skewed_zero_corner_drops_one_lottery():
 
 
 def test_zero_corner_ratio_two_is_continuous():
-    # the side-ratio-2 boundary is shared by both closed-form branches
-    low = solve_zero_corner(Rectangle(0.0, 0.0, 2.0 - 1e-12, 1.0))
-    high = solve_zero_corner(Rectangle(0.0, 0.0, 2.0 + 1e-12, 1.0))
+    # at zero offsets the side ratio 2 parts the two-lottery structure
+    # from the one-lottery one
+    low = solve(Rectangle(0.0, 0.0, 2.0 - 1e-12, 1.0))
+    high = solve(Rectangle(0.0, 0.0, 2.0 + 1e-12, 1.0))
     assert abs(low.revenue - high.revenue) < 1e-9
     assert abs(low.bundle_item().t - high.bundle_item().t) < 1e-9
-
-
-def test_zero_corner_rejects_nonzero_corner():
-    with pytest.raises(ValueError):
-        solve_zero_corner(Rectangle(0.1, 0.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +434,11 @@ def test_one_lottery_kind_b_rational_instance():
 
 
 def test_zero_c1_route_pins_flat_lottery():
-    mech = solve(Rectangle(0.0, 0.3, 1.0, 1.0))
+    rect = Rectangle(0.0, 0.3, 1.0, 1.0)
+    mech = solve(rect)
     assert mech.kind in (StructureKind.A, StructureKind.B)
-    assert mech.params.a1 == 0.0 and mech.params.m1 == 0.0
+    # the kink is the c1 -> 0 limit: the flat lottery ends at P
+    assert mech.params.a1 == 0.0 and mech.params.m1 == mech.params.P[0] - rect.c1
     assert mech.params.p_a1 == pytest.approx((2.0 - 0.3) / 3.0, abs=1e-14)
     assert mech.revenue == pytest.approx(0.7578525462962963, abs=1e-12)
 
@@ -514,14 +523,55 @@ def test_a_tiny_corner_offset_scales_to_rounding(rect, kind):
             assert item.t == pytest.approx(lam * ref.t, rel=1e-12)
 
 
+def _zero_offset_supports(n):
+    # seeded SmallSmall supports with c1 = 0 (c2 <= 2 b2), and their mirrors
+    rng = random.Random(20261018)
+    rects = []
+    for _ in range(n):
+        b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        rect = Rectangle(0.0, rng.uniform(0.0, 2.0 * b2), b1, b2)
+        rects += [rect, rect.swapped()]
+    return rects
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 1e-10, 1e-8])
+def test_a_zero_corner_offset_is_the_limit_of_small_ones(eps):
+    # zero offsets take the path of positive ones, so moving a zero offset
+    # to eps b keeps the kind and moves the revenue by O(eps)
+    for rect in _zero_offset_supports(40):
+        c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+        zero = Rectangle(0.0, 0.0, b1, b2)
+        pairs = [
+            (rect, Rectangle(c1 or eps * b1, c2 or eps * b2, b1, b2)),
+            (zero, Rectangle(eps * b1, eps * b2, b1, b2)),
+        ]
+        for base, moved in pairs:
+            ref, got = solve(base), solve(moved)
+            assert got.kind is ref.kind, (base, moved)
+            assert abs(got.revenue - ref.revenue) <= 10.0 * eps * ref.revenue, (base, moved)
+
+
+@pytest.mark.parametrize("c1", [1e-30, 1e-200, 5e-324])
+def test_an_offset_far_below_the_root_resolution_solves_like_zero(c1):
+    # with no one-lottery root at c1 = 0, the kind-B cubic keeps two roots
+    # of order c1 (a1 >> 1) far below the kink where a1 = 1; neither may
+    # pass for a one-lottery menu, which would earn 1.9% below bundling
+    zero = Rectangle(0.0, 1.3632366061483172, 0.463836411344813, 1.3742297462905475)
+    ref, got = solve(zero), solve(Rectangle(c1, zero.c2, zero.b1, zero.b2))
+    assert ref.kind is got.kind is StructureKind.C
+    assert got.revenue == pytest.approx(ref.revenue, rel=1e-15)
+
+
 def test_one_lottery_corner_below_the_support_is_rejected():
     # on the SmallSmall curve the corner point P sits on z2 = c2, at the
-    # edge offset D1 = 4 b2 - 2 c2; P[1] = c2 + (4 b2 - 2 c2 - D1) / 6
+    # edge offset D1 = 4 b2 - 2 c2; P[1] = c2 + (4 b2 - 2 c2 - D1) / 6, and
+    # D1 = 4 c1 (b2 + c2) / (3 m1 + 4 c1) falls as the kink m1 grows
     rect = Rectangle(0.6682533869744467, 0.783100649397846, 2.184779298022095, 0.5749725701060531)
     d1 = 4.0 * rect.b2 - 2.0 * rect.c2
-    below = _kind_b_params(rect, d1 * (1.0 + 8.0 * sys.float_info.epsilon))
+    m1 = 4.0 * rect.c1 * (rect.b2 + rect.c2 - d1) / (3.0 * d1)
+    below = _kind_b_params(rect, m1 * (1.0 - 8.0 * sys.float_info.epsilon))
     assert below is not None and 0.0 < rect.c2 - below.P[1] < 1e-15
-    assert _kind_b_params(rect, d1 * (1.0 + 1e-12)) is None
+    assert _kind_b_params(rect, m1 * (1.0 - 1e-12)) is None
 
 
 def test_solver_is_plain_polynomial_algebra():
