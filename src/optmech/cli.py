@@ -175,6 +175,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     print(f"revenue: {mech.revenue:.12g}")
     print(f"search best: {best:.12g}")
     print(f"oracle_gap: {gap:.6e}")
+    print(f"revenue_gap: {report.revenue_gap:.6e}")
     for name in ("mu_D", "mu_Z", "mu_W", "mu_A", "mu_B"):
         print(f"{name}: {getattr(report, name):.6e}")
     print(f"shuffle_mass: {report.shuffle_mass:.6e}")

@@ -1,8 +1,10 @@
 """Convex polygon primitives on the value rectangle.
 
-Polygons are convex, counterclockwise, possibly empty.  All regions used
-by the solver arise from clipping the support rectangle with half-planes,
-so Sutherland-Hodgman clipping plus shoelace moments is everything needed.
+Polygons are convex, counterclockwise, possibly empty.  Every
+best-response region of a menu arises from clipping the support rectangle
+with half-planes, so Sutherland-Hodgman clipping plus shoelace moments is
+everything needed.  The verifier and the linear family clip; the solver
+takes its regions' areas in closed form instead.
 """
 
 from __future__ import annotations

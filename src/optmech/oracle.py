@@ -30,9 +30,12 @@ from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, Struc
 
 # Verification tolerances.  Region masses are judged relative to the support
 # area; the total measure relative to its terms' total variation
-# 6 + 2 (c1/b1 + c2/b2), at 1e-12 for zero offsets; the rest are absolute
-# on O(1) dimensionless quantities.
+# 6 + 2 (c1/b1 + c2/b2), at 1e-12 for zero offsets; the solver's closed-form
+# revenue against the menu's polygon revenue relative to the revenue, with
+# the same offset scaling; the rest are absolute on O(1) dimensionless
+# quantities.
 MU_D_TOL = 1e-12
+REVENUE_TOL_REL = 1e-11
 REGION_TOL_REL = 1e-9
 SHUFFLE_TOL = 1e-10
 FD_STEP = 1e-5
@@ -52,8 +55,10 @@ class CertificateReport:
     Masses are of the transformed boundary measure over the best-response
     regions (Z exclusion, A fractional good 1, B fractional good 2, W
     bundle); shuffle fields hold the largest deviation of any applicable
-    shuffle's mass/moment condition; oracle_gap is solver revenue minus the
-    best grid-search revenue when a search was run.
+    shuffle's mass/moment condition; revenue_gap is the solver's
+    closed-form revenue minus the polygon revenue of its menu; oracle_gap
+    is solver revenue minus the best grid-search revenue when a search was
+    run.
     """
 
     mu_D: float
@@ -64,6 +69,7 @@ class CertificateReport:
     shuffle_mass: float
     shuffle_moment: float
     foc_gradient_norm: float
+    revenue_gap: float
     oracle_gap: float | None
     passed: bool
     failures: tuple[str, ...] = ()
@@ -333,7 +339,7 @@ def _perturbed(menu: Menu, i: int, attr: str, value: float) -> Menu:
 
 
 def _stationarity(
-    menu: Menu, rect: Rectangle, step: float
+    menu: Menu, rect: Rectangle, step: float, base: float
 ) -> tuple[float, float]:
     """(ascent-rate norm, largest second difference) over free menu coordinates.
 
@@ -341,9 +347,8 @@ def _stationarity(
     the rate at which revenue rises in some direction, so a maximum at a
     kink (one-sided derivatives of opposite sign, as for the pinned
     lottery price of the two-item structures) certifies cleanly while any
-    strictly improving move is flagged.
+    strictly improving move is flagged.  base is the menu's own revenue.
     """
-    base = expected_revenue(menu, rect)
     grad_sq = 0.0
     max_hess = -math.inf
     for i, attr in _free_coordinates(menu, step):
@@ -400,17 +405,23 @@ def certificate_check(
     and moment of the structure's shuffling measure, and stationarity
     differentiates the expected revenue numerically in every free menu
     coordinate (step ``fd_step``, one-sided slopes judged separately so
-    kink maxima certify).
+    kink maxima certify).  The reported revenue must equal the polygon
+    revenue of the menu, so a wrong closed form fails ``revenue_form``.
     """
     menu = mech.menu
     mu_total = MuBar(rect).total()
     masses = _region_masses(rect, menu)
     shuffle_mass, shuffle_moment, signs_ok = _shuffle_deviations(mech, rect)
-    grad_norm, max_hess = _stationarity(menu, rect, fd_step)
+    polygon_revenue = expected_revenue(menu, rect)
+    grad_norm, max_hess = _stationarity(menu, rect, fd_step, polygon_revenue)
+    revenue_gap = mech.revenue - polygon_revenue
 
     failures: list[str] = []
-    if abs(mu_total) > MU_D_TOL * (1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2):
+    offsets = 1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2
+    if abs(mu_total) > MU_D_TOL * offsets:
         failures.append("mu_D")
+    if abs(revenue_gap) > REVENUE_TOL_REL * offsets * abs(mech.revenue):
+        failures.append("revenue_form")
     region_tol = region_tol_rel * rect.area
     for key in ("Z", "A", "B", "W"):
         if abs(masses[key]) > region_tol:
@@ -441,6 +452,7 @@ def certificate_check(
         shuffle_mass=shuffle_mass,
         shuffle_moment=shuffle_moment,
         foc_gradient_norm=grad_norm,
+        revenue_gap=revenue_gap,
         oracle_gap=oracle_gap,
         passed=not failures,
         failures=tuple(failures),

@@ -9,6 +9,7 @@ import pytest
 import optmech.linear
 from optmech import cli
 from optmech.mechanism import expected_revenue
+from optmech.oracle import REVENUE_TOL_REL
 from optmech.solver import NoRoot
 from optmech.solver import solve as real_solve
 
@@ -110,6 +111,8 @@ def test_verify_passes_on_unit_square(capsys):
     assert fields["result"] == "PASS"
     assert fields["failures"] == "none"
     assert abs(float(fields["oracle_gap"])) < 5e-3
+    # zero offsets: the closed-form revenue is judged relative to itself
+    assert abs(float(fields["revenue_gap"])) <= REVENUE_TOL_REL * float(fields["revenue"])
 
 
 @pytest.mark.parametrize(

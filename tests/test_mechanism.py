@@ -1,18 +1,23 @@
 """Menus from structures, revenue evaluation, and payment monotonicity."""
 
-import math
+from fractions import Fraction
 
 import pytest
 
+import optmech.geometry
+import optmech.mechanism
 from helpers import primal_objective, revenue_monotonicity_check
 from optmech.mechanism import (
     IncompleteParams,
     build_mechanism,
     expected_revenue,
     menu_from_structure,
+    region_areas,
     utility,
 )
+from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, SolveParams, StructureKind
+from test_mirror import INSTANCES
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -109,3 +114,51 @@ def test_build_mechanism_assembles_consistent_record():
     assert mech.kind is StructureKind.C
     assert mech.revenue == pytest.approx(expected_revenue(mech.menu, rect), rel=1e-14)
     assert mech.bundle_item().t == pytest.approx(4.23)
+
+
+def test_the_solve_path_never_clips(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the solve path clipped a polygon")
+
+    monkeypatch.setattr(optmech.geometry, "best_response_regions", refuse)
+    monkeypatch.setattr(optmech.geometry, "clip", refuse)
+    monkeypatch.setattr(optmech.mechanism, "best_response_regions", refuse)
+    cases = dict(INSTANCES)
+    # a zero corner offset, and the one-lottery structure 1e-12 below c2 = 2 b2
+    cases["A0"] = Rectangle(0.0, 0.0, 1.0, 1.0)
+    cases["B2"] = Rectangle(0.0, 2.0 * 1.328125 * (1.0 - 1e-12), 1.0, 1.328125)
+    kinds = {name: solve(rect).kind for name, rect in cases.items()}
+    assert kinds == {**{k: k for k in INSTANCES}, "A0": StructureKind.A, "B2": StructureKind.B}
+
+
+@pytest.mark.parametrize("kind", [StructureKind(k) for k in "ABCDE"])
+def test_closed_form_areas_are_the_best_response_polygons(kind):
+    rect = INSTANCES[kind]
+    mech = solve(rect)
+    areas = region_areas(kind, mech.params, rect)
+    polygons = optmech.geometry.best_response_regions(rect, mech.menu)
+    assert len(areas) == len(mech.menu)
+    assert sum(areas) == pytest.approx(rect.area, rel=1e-15)
+    for area, poly in zip(areas, polygons):
+        assert area == pytest.approx(poly.area(), rel=1e-12, abs=1e-15 * rect.area)
+
+
+def _exact_revenue(menu, rect, monkeypatch):
+    # the menu's revenue in rational arithmetic: every clip and area is
+    # exact once no vertex is merged
+    monkeypatch.setattr(optmech.geometry, "_DEDUP_TOL", 0)
+    exact = Rectangle(*(Fraction(v) for v in (rect.c1, rect.c2, rect.b1, rect.b2)))
+    items = tuple(MenuItem(Fraction(i.q1), Fraction(i.q2), Fraction(i.t)) for i in menu)
+    regions = optmech.geometry.best_response_regions(exact, items)
+    return sum((i.t * r.area() for i, r in zip(items, regions)), Fraction(0)) / exact.area
+
+
+def test_kind_g_revenue_is_exact_to_rounding(monkeypatch):
+    # the good-2 lottery line meets the support's edge 7e-13 short of the
+    # cut, and the polygon revenue of the mirrored kind-D menu is 6e-13
+    # off the exact revenue there
+    rect = Rectangle(0.4637221434032175, 0.0015094564449771076, 0.23332377944819968, 0.47703342290948475)
+    mech = solve(rect)
+    assert mech.kind is StructureKind.G
+    exact = _exact_revenue(mech.menu, rect, monkeypatch)
+    assert abs(Fraction(mech.revenue) - exact) <= Fraction(1, 10**15) * exact

@@ -53,8 +53,8 @@ def test_solving_the_swapped_support_mirrors_the_solution(rect):
         assert direct == mirrored
         return
     # pure bundling is solved in each orientation on its own: its price
-    # takes 6 b1 b2 in the other order, and its revenue sums a differently
-    # ordered polygon, so the two agree to rounding only
+    # takes 6 b1 b2 in the other order, so the two agree to rounding only;
+    # its closed-form revenue is symmetric in the sides
     assert mirrored.kind is K.C
     assert direct.params.p == pytest.approx(mirrored.params.p, rel=1e-12, abs=0.0)
     assert direct.bundle_item().t == pytest.approx(mirrored.bundle_item().t, rel=1e-12, abs=0.0)

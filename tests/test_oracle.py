@@ -1,5 +1,7 @@
 """Grid-search oracle, measure certificates, and stationarity checks."""
 
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +226,65 @@ def test_certificate_oracle_gap_logic():
     tiny = certificate_check(mech, UNIT, oracle_gap=1e-6)
     assert tiny.passed
     assert tiny.oracle_gap == 1e-6
+
+
+def _revenue_form_supports(n):
+    # seeded supports in every phase region: anywhere, with zero offsets,
+    # within 1e-14..1e-2 of the SmallSmall, VeryLarge and c1 = b1
+    # thresholds, and small offsets where kind A lives; half swapped; and
+    # five supports at scales 1e-6 and 1e6 and side ratio 1e12
+    rng = random.Random(20261018)
+    rects = []
+    for k in range(n):
+        b1, b2 = math.exp(rng.uniform(-1.6, 1.6)), math.exp(rng.uniform(-1.6, 1.6))
+        near = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-14.0, -2.0)
+        mode = k % 6
+        if mode == 0:
+            c1, c2 = rng.uniform(0.0, 5.0) * b1, rng.uniform(0.0, 5.0) * b2
+        elif mode == 1:
+            c1, c2 = 0.0, rng.choice((0.0, rng.uniform(0.0, 3.0) * b2))
+        elif mode == 2:
+            c1 = rng.choice((0.0, rng.uniform(0.0, 1.0) * b1))
+            c2 = 2.0 * b2 * (b1 + c1) / (b1 + 3.0 * c1) * near
+        elif mode == 3:
+            c1 = rng.uniform(0.0, 0.95) * b1
+            c2 = 2.0 * b2 * (b1 / (b1 - c1)) ** 2 * near
+        elif mode == 4:
+            c1, c2 = b1 * near, rng.uniform(0.0, 5.0) * b2
+        else:
+            c1, c2 = rng.uniform(0.0, 0.09) * b1, rng.uniform(0.0, 0.09) * b2
+        rect = Rectangle(c1, c2, b1, b2)
+        rects.append(rect if k % 2 else rect.swapped())
+    # the check is relative to the revenue, so it holds at any scale, and
+    # the polygons are clipped on the support as given, at any side ratio
+    return rects + [
+        Rectangle(0.05, 0.05, 1.0, 1.0).scaled(1e-6),
+        Rectangle(0.2, 2.8, 1.0, 1.0).scaled(1e6),
+        Rectangle(0.0, 0.3, 1e12, 1.0),
+        Rectangle(3e11, 0.2, 1e12, 1.0),
+        Rectangle(1e-6, 0.0, 1.0, 1e12),
+    ]
+
+
+def test_closed_form_revenue_matches_the_polygon_revenue_of_the_menu():
+    kinds = set()
+    for rect in _revenue_form_supports(300):
+        mech = solve(rect)
+        kinds.add(mech.kind)
+        report = certificate_check(mech, rect)
+        assert "revenue_form" not in report.failures, (rect, report.revenue_gap)
+        assert report.revenue_gap == mech.revenue - expected_revenue(mech.menu, rect)
+    assert kinds == set(StructureKind)
+
+
+def test_certificate_rejects_a_revenue_the_menu_does_not_earn():
+    for rect in (UNIT, Rectangle(0.2, 2.8, 1.0, 1.0), Rectangle(2.8, 0.2, 1.0, 1.0)):
+        mech = solve(rect)
+        assert "revenue_form" not in certificate_check(mech, rect).failures
+        bad = replace(mech, revenue=mech.revenue * (1.0 + 1e-9))
+        report = certificate_check(bad, rect)
+        assert "revenue_form" in report.failures
+        assert report.revenue_gap == pytest.approx(1e-9 * mech.revenue, rel=1e-3)
 
 
 def test_price_gradient_equals_negative_region_measure():
