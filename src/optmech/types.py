@@ -93,10 +93,10 @@ class MenuItem:
     t: float
 
     def __post_init__(self) -> None:
-        for name in ("q1", "q2"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        if not 0.0 <= self.q1 <= 1.0:
+            raise ValueError(f"q1 must lie in [0, 1], got {self.q1!r}")
+        if not 0.0 <= self.q2 <= 1.0:
+            raise ValueError(f"q2 must lie in [0, 1], got {self.q2!r}")
         if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
 
@@ -137,10 +137,13 @@ class StructureKind(enum.Enum):
     def swapped(self) -> "StructureKind":
         """The kind of the same structure with the two goods exchanged
         (A and C are their own mirrors)."""
-        return StructureKind(_MIRROR_KIND.get(self.value, self.value))
+        return _MIRROR_KIND[self]
 
 
-_MIRROR_KIND = {"B": "F", "D": "G", "E": "H", "F": "B", "G": "D", "H": "E"}
+_MIRROR_KIND = {
+    StructureKind(kind): StructureKind(mirror)
+    for kind, mirror in ("AA", "BF", "CC", "DG", "EH", "FB", "GD", "HE")
+}
 
 # Kinds whose menu has no free null option (every type buys something).
 KINDS_WITHOUT_NULL = frozenset({StructureKind.E, StructureKind.H})
@@ -184,16 +187,14 @@ class SolveParams:
     def swapped(self) -> "SolveParams":
         """The parameters of the mirrored structure: indices 1 and 2 trade
         places, and the roof corners P and Q trade places and coordinates."""
+        P, Q = self.P, self.Q
+        if P is Q is None and self.p_a1 == self.p_a2 and self.a1 == self.a2 and self.m1 == self.m2:
+            return self  # its own mirror, such as a bundle price alone
+        # positional, in field order: p_a1, p_a2, a1, a2, m1, m2, p, P, Q
         return SolveParams(
-            p_a1=self.p_a2,
-            p_a2=self.p_a1,
-            a1=self.a2,
-            a2=self.a1,
-            m1=self.m2,
-            m2=self.m1,
-            p=self.p,
-            P=(self.Q[1], self.Q[0]) if self.Q is not None else None,
-            Q=(self.P[1], self.P[0]) if self.P is not None else None,
+            self.p_a2, self.p_a1, self.a2, self.a1, self.m2, self.m1, self.p,
+            None if Q is None else (Q[1], Q[0]),
+            None if P is None else (P[1], P[0]),
         )
 
 
@@ -209,11 +210,13 @@ class Mechanism:
     def __post_init__(self) -> None:
         if len(self.menu) > 4:
             raise ValueError(f"menu has {len(self.menu)} items, at most 4 allowed")
-        if not any(item.is_bundle for item in self.menu):
+        bundle = null = False
+        for item in self.menu:
+            bundle = bundle or item.is_bundle
+            null = null or item.is_null
+        if not bundle:
             raise ValueError("menu must contain the full bundle (q1 = q2 = 1)")
-        if self.kind not in KINDS_WITHOUT_NULL and not any(
-            item.is_null for item in self.menu
-        ):
+        if not null and self.kind not in KINDS_WITHOUT_NULL:
             raise ValueError(f"kind {self.kind.value} menu must contain the null item")
 
     def bundle_item(self) -> MenuItem:
@@ -226,15 +229,11 @@ class Mechanism:
         A kind-A menu keeps its order null, (a1, 1), (1, a2), bundle, so its
         two lotteries also trade places.
         """
-        menu = tuple(item.swapped() for item in self.menu)
+        menu = tuple(map(MenuItem.swapped, self.menu))
         if self.kind is StructureKind.A:
             menu = (menu[0], menu[2], menu[1], menu[3])
-        return Mechanism(
-            kind=self.kind.swapped(),
-            params=self.params.swapped() if self.params is not None else None,
-            menu=menu,
-            revenue=self.revenue,
-        )
+        params = self.params.swapped() if self.params is not None else None
+        return Mechanism(self.kind.swapped(), params, menu, self.revenue)
 
     def to_dict(self) -> dict:
         return {

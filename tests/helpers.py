@@ -2,17 +2,29 @@
 the non-participation region, a shuffle report, the closed-form shuffle
 parameters of the lottery structures, the simple menus every
 optimum must match, finite-difference checks of a menu's revenue, the
-duality-side revenue pairing, a payment-monotonicity check, and the
-linear family's boundary measure."""
+duality-side revenue pairing, a payment-monotonicity check, the
+linear family's boundary measure, and the companion-matrix root finder
+the closed-form one is checked against."""
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial
+
+from numpy.polynomial import polynomial as npoly
 
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar, Shuffle
 from optmech.linear import _expectation, _marginal
 from optmech.mechanism import expected_revenue, utility
 from optmech.oracle import FD_STEP, _perturbed
+from optmech.solver import (
+    ROOT_DOUBLE_ULPS,
+    ROOT_END_REL_TOL,
+    ROOT_MERGE_REL_TOL,
+    _horner,
+    _root_in_bracket,
+)
 from optmech.types import NULL_ITEM, MenuItem, Rectangle
 
 
@@ -264,3 +276,49 @@ class GenShuffleAlpha:
     def first_moment(self) -> float:
         scale = (2.0 * self.c + 1.0) ** 2
         return _expectation(self.c, self.p_a1, self.a1, self.P1) / scale
+
+
+def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:
+    """``solver.real_roots_in_interval`` with its root estimates taken from
+    numpy's companion-matrix eigenvalues (``polyroots``) instead of the
+    closed forms, and every estimate polished in its cluster bracket: the
+    reference the closed-form estimates are checked against."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if hi < lo or len(coeffs) < 2:
+        return []
+    mag = max(abs(lo), abs(hi))
+    near, end = ROOT_MERGE_REL_TOL * mag, ROOT_END_REL_TOL * mag
+    order = next(i for i, a in enumerate(coeffs) if a != 0.0)
+    roots = [min(max(0.0, lo), hi)] if order and lo - end <= 0.0 <= hi + end else []
+    coeffs = coeffs[order:]
+    poly = partial(_horner, coeffs)
+    slope = partial(_horner, [i * a for i, a in enumerate(coeffs)][1:])
+    estimates = sorted(
+        float(r.real)
+        for r in npoly.polyroots(coeffs)
+        if abs(r.imag) <= near and lo - near <= r.real <= hi + near
+    )
+    groups: list[list[float]] = []
+    for x in estimates:
+        if groups and x - groups[-1][1] <= near:
+            groups[-1][1] = x
+        else:
+            groups.append([x, x])
+    for first, last in groups:
+        a, b = first - 0.5 * near, last + 0.5 * near
+        fa, fb, sa, sb = poly(a), poly(b), slope(a), slope(b)
+        found: list[float] = []
+        if fa <= 0.0 <= fb or fb <= 0.0 <= fa:
+            found = [_root_in_bracket(poly, a, b, fa, fb)]
+        elif (sa > 0.0) != (sb > 0.0):
+            x = _root_in_bracket(slope, a, b, sa, sb)
+            fx = poly(x)
+            scale = _horner([abs(c) for c in coeffs], abs(x))
+            if abs(fx) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale:
+                found = [x]
+            elif (fx > 0.0) != (fa > 0.0):
+                found = [_root_in_bracket(poly, a, x, fa, fx), _root_in_bracket(poly, x, b, fx, fb)]
+        roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
+    return sorted(roots)

@@ -237,8 +237,8 @@ def test_real_roots_of_a_quartic_with_four_in_the_interval():
 
 @pytest.mark.parametrize("a,q", [(0.5, 1.5), (0.3, 1.0), (0.7, 0.25), (1.0 / 3.0, -2.0)])
 def test_a_double_root_counts_once(a, q):
-    # (x - a)^2 (x - q): the companion matrix splits the double root into a
-    # pair about 1e-8 apart, on the real axis or off it
+    # (x - a)^2 (x - q): rounding splits the double root into a pair about
+    # 1e-8 apart, on the real axis or off it
     coeffs = (-a * a * q, a * a + 2.0 * a * q, -2.0 * a - q, 1.0)
     roots = real_roots_in_interval(coeffs, 0.0, 0.9)
     expected = sorted([a] + ([q] if 0.0 <= q <= 0.9 else []))
@@ -255,13 +255,13 @@ def test_a_near_real_complex_pair_is_no_root():
 @pytest.mark.parametrize("gap,roots", [(1e-14, []), (1e-15, [0.5])])
 def test_a_complex_pair_within_rounding_is_a_double_root(gap, roots):
     # (x - 0.5)^2 + gap has roots 0.5 +- sqrt(gap) i, both inside the
-    # eigenvalue cluster width; the minimum value, gap, tells them apart
+    # estimates' cluster width; the minimum value, gap, tells them apart
     # from a double root against 16 rounding units of the Horner scale 1
     assert real_roots_in_interval((0.25 + gap, -1.0, 1.0), 0.0, 1.0) == roots
 
 
 def test_two_roots_inside_one_cluster_are_both_found():
-    # (x - 0.5)(x - 0.5 - 5e-7): the eigenvalues fall in one cluster with
+    # (x - 0.5)(x - 0.5 - 5e-7): the estimates fall in one cluster with
     # the same sign at both of its ends; rounding the coefficients moves
     # roots this close by about 1e-16 / 5e-7
     r = 0.5 + 5e-7
@@ -279,6 +279,16 @@ def test_exact_zero_low_coefficients_are_one_root_at_zero():
     assert real_roots_in_interval(coeffs, -1e-11, 1.0)[0] == 0.0
     assert real_roots_in_interval(coeffs, 1e-11, 1.0)[0] == 1e-11
     assert real_roots_in_interval((0.0, 0.0, 1.0), 0.0, 1.0) == [0.0]
+
+
+def test_a_root_far_below_the_interval_keeps_its_relative_accuracy():
+    # (x - 1e-200)(x^2 + 0.7 x - 0.3): polished in its cluster bracket,
+    # 1e-6 wide, the root was resolved only to 4e-16 of that width
+    r = 1e-200
+    roots = real_roots_in_interval((0.3 * r, -0.3 - 0.7 * r, 0.7 - r, 1.0), 0.0, 1.0)
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(r, rel=1e-15, abs=0.0)
+    assert roots[1] == pytest.approx(0.3, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +585,8 @@ def test_one_lottery_corner_below_the_support_is_rejected():
 
 
 def test_solver_is_plain_polynomial_algebra():
-    # solver.py imports only the mechanism builder, the types, the standard
-    # library and numpy, and does not reach for the measure or the clipper
+    # solver.py imports only the mechanism builder, the types and the
+    # standard library, and does not reach for the measure or the clipper
     path = pathlib.Path(optmech.solver.__file__)
     tree = ast.parse(path.read_text())
     for node in ast.walk(tree):
@@ -586,7 +596,7 @@ def test_solver_is_plain_polynomial_algebra():
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
             for name in names:
                 top = name.split(".")[0]
-                assert top in sys.stdlib_module_names or top == "numpy", f"solver imports {name}"
+                assert top in sys.stdlib_module_names, f"solver imports {name}"
     text = path.read_text()
     for name in ("MuBar", "clip", "clip_many", "SCAN_PANELS"):
         assert not re.search(rf"\b{name}\b", text), f"solver names {name}"
@@ -608,3 +618,18 @@ def test_solve_path_shares_no_module_with_the_verifier():
             for name in names:
                 parts = set(name.split("."))
                 assert not parts & verifier, f"{module.__name__} imports {name}"
+
+
+def test_solver_imports_no_numpy():
+    # every root comes from the closed forms and the bracket polish; the
+    # companion-matrix eigen-solve is only the tests' reference
+    text = pathlib.Path(optmech.solver.__file__).read_text()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "numpy" for name in names), names
+    assert not re.search(r"\b(numpy|np|npoly)\b", text)
