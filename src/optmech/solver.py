@@ -218,6 +218,16 @@ def _zero_to_rounding(coeffs: list[float], x: float, fx: float) -> bool:
     return abs(fx) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale
 
 
+def _cbrt(v: float) -> float:
+    """Real cube root of a finite v, to a few rounding units: the power
+    form, then one Newton step (``math.cbrt`` needs Python 3.11)."""
+    if v == 0.0:
+        return v
+    a = abs(v)
+    r = a ** (1.0 / 3.0)
+    return math.copysign(r - (r - a / (r * r)) / 3.0, v)
+
+
 def _quadratic_roots(a0: float, a1: float, a2: float) -> list[tuple[float, float]]:
     """Roots (re, im) of a2 x^2 + a1 x + a0 for a2 != 0, free of
     cancellation: the root of larger magnitude first, the other from the
@@ -246,7 +256,7 @@ def _cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[tuple[float
     other two, forward otherwise, each the stable order for that root.
     """
     r2, r1, r0 = a2 / a3, a1 / a3, a0 / a3
-    s = max(abs(r2), math.sqrt(abs(r1)), math.cbrt(abs(r0)))
+    s = max(abs(r2), math.sqrt(abs(r1)), abs(r0) ** (1.0 / 3.0))
     if s == math.inf:  # the large roots are past every float: drop a3
         if a2 != 0.0:
             return _quadratic_roots(a0, a1, a2)
@@ -261,7 +271,7 @@ def _cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[tuple[float
     half_q, third_p = 0.5 * q, p / 3.0
     disc = half_q * half_q + third_p * third_p * third_p
     if disc >= 0.0:  # one real root, or a multiple one
-        u = math.cbrt(-half_q - math.copysign(math.sqrt(disc), half_q))
+        u = _cbrt(-half_q - math.copysign(math.sqrt(disc), half_q))
         y = (u - third_p / u if u != 0.0 else 0.0) - shift
     else:  # three real roots: 2 m cos(phi - 2 pi k / 3)
         m = math.sqrt(-third_p)

@@ -16,7 +16,7 @@ import pytest
 
 import optmech.solver
 from helpers import polyroots_real_roots_in_interval
-from optmech.solver import ROOT_DOUBLE_ULPS, ROOT_REL_TOL, real_roots_in_interval, solve
+from optmech.solver import ROOT_DOUBLE_ULPS, ROOT_REL_TOL, _cbrt, real_roots_in_interval, solve
 from optmech.types import Rectangle
 
 
@@ -182,6 +182,14 @@ def test_a_small_root_keeps_its_relative_accuracy():
         assert min(values) <= 0 <= max(values), (coeffs, small)
 
 
+def test_the_cube_root_is_exact_to_a_few_rounding_units():
+    rng = random.Random(20261021)
+    for _ in range(2000):
+        v = rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-300, 1e300)
+        r = Fraction(_cbrt(v))
+        assert abs(r**3 - Fraction(v)) <= 12 * sys.float_info.epsilon * abs(Fraction(v)), v
+
+
 def _threshold_supports(rng, n):
     """Supports at 1e-14..1e-2 relative of the SmallSmall, SmallLarge and
     c1 = b1 thresholds, on the diagonal kind change and at zero and tiny
@@ -231,3 +239,13 @@ def test_solve_matches_the_companion_roots_over_seeded_supports(monkeypatch, sup
         ref = solve(rect)
         assert mech.kind is ref.kind, rect
         assert mech.revenue == pytest.approx(ref.revenue, rel=1e-14, abs=0.0), rect
+
+
+def test_solve_runs_on_the_python_3_10_math_module(monkeypatch):
+    # pyproject allows Python 3.10, whose math module has no cbrt or exp2
+    rng = random.Random("python 3.10")
+    rects = _ramp_supports(rng, 200) + _threshold_supports(rng, 200)
+    before = [solve(rect) for rect in rects]
+    for name in ("cbrt", "exp2"):
+        monkeypatch.delattr(math, name, raising=False)
+    assert [solve(rect) for rect in rects] == before
