@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -205,7 +206,10 @@ def cmd_linear(ns: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built on the first call and shared
+    after; its handlers look up the solver when they run."""
     parser = argparse.ArgumentParser(
         prog="optmech",
         description="Revenue-optimal two-good menus on rectangular supports.",

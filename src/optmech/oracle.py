@@ -5,15 +5,11 @@ search over the four-item menu family, measure certificates (region masses
 and shuffle mass/moment conditions), and finite-difference stationarity of
 the expected revenue in each free menu parameter.
 
-The grid search scores a batch of menus at once.  Each item's
-best-response region is the support box cut by three half-planes, and its
-area is read off the seven boundary lines alone: with unit normals and
-coordinates centred on the box, twice the area is the sum over the lines
-of minus the line's offset times the length of the line that the other
-six leave.  The five menu parameters lie on five broadcast axes, so each
-line is built only over the parameters it uses, each pair term over the
-union of its two lines' parameters, and only the sums span the whole
-batch; no polygon vertices are ever built.
+The grid search scores a batch of menus at once, with every region's area
+in closed form: in u = z - c each region is a strip of the support under
+at most two lines, and its area a sum of integrals of a clipped linear
+height.  The five menu parameters lie on five broadcast axes, and each
+intermediate spans only the axes it uses.
 """
 
 from __future__ import annotations
@@ -44,7 +40,9 @@ HESS_TOL = 1e-4
 GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
 
-_CHUNK = 65536  # element cap on one block of a1 values in the grid search
+# Element cap on one block of a1 values in the grid search: blocks of two
+# to four a1 values measured fastest, and keep the temporaries small.
+_CHUNK = 16384
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
 
 
@@ -76,98 +74,97 @@ class CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# Half-plane area kernel for the menu grid search
+# Closed-form region areas for the menu grid search
 # ---------------------------------------------------------------------------
 
-def _unit_form(
-    al: np.ndarray, be: np.ndarray, ga: np.ndarray, cx: float, cy: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nx, ny, g) with nx*x + ny*y >= g the half-plane al*z1 + be*z2 >= ga,
-    (nx, ny) a unit normal and (x, y) = (z1 - cx, z2 - cy).  (al, be) != 0;
-    the inputs broadcast against each other."""
-    norm = np.hypot(al, be)
-    return al / norm, be / norm, (ga - al * cx - be * cy) / norm
+def _clip(x, hi) -> np.ndarray:
+    return np.minimum(np.maximum(x, 0.0), hi)
 
 
-def _twice_area(lines: list[tuple]) -> np.ndarray:
-    """Twice the area of the polygon {nx*x + ny*y >= g for every line}, per row.
+def _ramp(y0, y1, h, length, inv_slope) -> np.ndarray:
+    """Integral of clip(y, 0, h) along a length over which y rises linearly
+    from y0 to y1 at slope 1/inv_slope (any finite value where y0 == y1):
+    the trapezoid with both ends inside (0, h), the full strip with both at
+    or above it, and else the primitive's rise (hi^2 - lo^2)/2 + h (y1 - h)+
+    over the slope, factored to cancel nowhere.  So an end at or below 0
+    adds exactly nothing, wherever it lies."""
+    lo, hi = _clip(y0, h), _clip(y1, h)
+    twice_rise = (hi - lo) * (hi + lo) + 2.0 * h * np.maximum(y1 - h, 0.0)
+    inside = (y0 > 0.0) & (y1 < h)
+    return np.where(y0 >= h, h * length, np.where(inside, (y0 + y1) * length, twice_rise * inv_slope) * 0.5)
 
-    Each line is (nx, ny, g) with (nx, ny) a unit normal; entries are floats
-    or arrays that broadcast against each other, each pair term takes the
-    union of its two lines' shapes, and the polygon is bounded in every
-    row.  By the divergence theorem twice the area is sum_i (-g_i) * len_i,
-    where len_i is the length of line i that the other lines leave.  Points
-    of line i are g_i n_i + s (-ny_i, nx_i), so each line j not parallel to
-    it bounds s from one side.  A parallel line is judged by comparing
-    offsets, never by a computed residual, so of two coincident lines
-    exactly one keeps its edge: the earlier one.
+
+def _cut(a, t, p, c: float, wins) -> np.ndarray:
+    """u = z - c along the first good of the lottery (a, 1, t) where the
+    buyer turns from it to the item (1, 1, p).  At a = 1 the allocations
+    coincide: +inf where the lottery wins (mask wins), else -inf."""
+    frac = a < 1.0
+    cut = (p - t) / np.where(frac, 1.0 - a, 1.0)
+    return np.where(frac, cut, np.where(wins, np.inf, -np.inf)) - c
+
+
+def _full_area(rect: Rectangle, p, x, y) -> np.ndarray:
+    """Area of the region of an item (1, 1, p) cut at u1 >= x and u2 >= y:
+    the box corner above the line u1 + u2 = p - c1 - c2, along u1."""
+    x0 = _clip(x, rect.b1)
+    top = rect.b2 + rect.c1 + rect.c2 - p  # top edge over the line at u1 = 0
+    return _ramp(top + x0, top + rect.b1, rect.b2 - _clip(y, rect.b2), rect.b1 - x0, 1.0)
+
+
+def _lottery_area(rect: Rectangle, a, a_other, t, t_other, tb) -> np.ndarray:
+    """Area of the region of the lottery (a, 1, t), a < 1, against the
+    lottery (1, a_other, t_other) and the bundle at tb.
+
+    In u = z - c it is the strip 0 <= u1 <= end (the bundle's cut) under
+    the top edge and above the null line (slope -a) left of the point x*
+    where that meets the other lottery's line (slope (1 - a)/(1 - a_other)),
+    above the latter right of x*.  If the other line cuts nothing the area
+    is the null ramp over the strip, which t_other does not move; if the
+    bundle cuts nothing the other ramp ends at or below 0, which tb does
+    not move.  At a_other = 1 the other lottery is an item (1, 1, t_other).
     """
-    twice = 0.0
-    for i, (nxi, nyi, gi) in enumerate(lines):
-        lo, hi, cut = -np.inf, np.inf, False
-        for j, (nxj, nyj, gj) in enumerate(lines):
-            if j == i:
-                continue
-            cos = nxj * nxi + nyj * nyi
-            den = nyj * nxi - nxj * nyi
-            parallel = den == 0.0
-            s = (gj - gi * cos) / np.where(parallel, 1.0, den)
-            lo = np.maximum(lo, np.where(den > 0.0, s, -np.inf))
-            hi = np.minimum(hi, np.where(den < 0.0, s, np.inf))
-            level = gj >= gi if j < i else gj > gi
-            cut = cut | (parallel & np.where(cos > 0.0, level, gj > -gi))
-        twice = twice - gi * np.where(cut, 0.0, np.maximum(hi - lo, 0.0))
-    return twice
-
-
-def _family_revenue(
-    rect: Rectangle,
-    a1: np.ndarray, a2: np.ndarray,
-    t1: np.ndarray, t2: np.ndarray, tb: np.ndarray,
-) -> np.ndarray:
-    """Exact expected revenue of each menu {null,(a1,1,t1),(1,a2,t2),(1,1,tb)}.
-
-    The five parameters broadcast against each other; the search places
-    each on its own axis, so the result spans the outer product of the
-    five grids.  Item k's best-response region is the support box cut by
-    the three half-planes (q_k - q_j).z >= t_k - t_j, j != k, and its area
-    is _twice_area / 2 of the seven lines in unit-normal form, centred on
-    the box.  A line spans only the parameters it uses: item 1 against the
-    null item (a1, t1), against the bundle (a1, t1, tb), against item 2
-    all but tb.  Identical allocations (q_k == q_j) give no line: the
-    cheaper item wins and the lower index wins an exact price tie, so the
-    loser's region is empty and the winner's constraint becomes a copy of
-    the box's first edge, which the coincident-edge rule then drops.
-    """
-    q1s = (0.0, a1, 1.0, 1.0)
-    q2s = (0.0, 1.0, a2, 1.0)
-    ts = (0.0, t1, t2, tb)
-    cx = rect.c1 + 0.5 * rect.b1
-    cy = rect.c2 + 0.5 * rect.b2
-    box = _unit_form(
-        np.array([1.0, -1.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, 1.0, -1.0]),
-        np.array([rect.c1, -rect.z1_max, rect.c2, -rect.z2_max]),
-        cx, cy,
+    c, b, c_other, b_other = rect.c1, rect.b1, rect.c2, rect.b2
+    null0 = b_other + c_other - t + a * c  # top edge over the null line at u1 = 0
+    inv_a = 1.0 / np.where(a > 0.0, a, 1.0)
+    end = _clip(_cut(a, t, tb, c, True), b)
+    null_end = null0 + a * end
+    dup_end = _clip(_cut(a, t, np.minimum(t_other, tb), c, True), b)
+    apart = a_other < 1.0
+    gap = np.where(apart, 1.0 - a_other, 1.0)
+    den = 1.0 - a * a_other
+    cross = (t_other - a_other * t - den * c) / np.where(den > 0.0, den, 1.0)
+    mid = _clip(cross, b)
+    other0 = b_other + c_other - (t - t_other + (1.0 - a) * c) / gap
+    fall = (1.0 - a) / gap  # the top edge's height over the other line falls
+    other_end = other0 - fall * end
+    split = _ramp(null0, null0 + a * mid, b_other, mid, inv_a) + _ramp(
+        other_end, other0 - fall * mid, b_other, end - mid, 1.0 / np.where(fall > 0.0, fall, 1.0)
+    )
+    idle = (cross >= end) | (null_end <= 0.0) | (other_end >= b_other)
+    return np.where(
+        apart,
+        np.where(idle, _ramp(null0, null_end, b_other, end, inv_a), split),
+        _ramp(null0, null0 + a * dup_end, b_other, dup_end, inv_a),
     )
 
-    revenue = 0.0
-    for k in (1, 2, 3):
-        lines = list(zip(*box))
-        empty = False
-        for j in range(4):
-            if j == k:
-                continue
-            al = q1s[k] - q1s[j]
-            be = q2s[k] - q2s[j]
-            ga = ts[k] - ts[j]
-            same = (al == 0.0) & (be == 0.0)
-            empty = empty | (same & (ga >= 0.0 if k > j else ga > 0.0))
-            unit = _unit_form(np.where(same, 1.0, al), be, ga, cx, cy)
-            lines.append(tuple(np.where(same, edge, v) for edge, v in zip(lines[0], unit)))
-        area = np.maximum(0.5 * _twice_area(lines), 0.0)
-        revenue = revenue + ts[k] * np.where(empty, 0.0, area)
-    return revenue / rect.area
+
+def _family_revenue(rect: Rectangle, a1, a2, t1, t2, tb) -> np.ndarray:
+    """Exact expected revenue of each menu {null,(a1,1,t1),(1,a2,t2),(1,1,tb)}.
+
+    The parameters broadcast.  The bundle's region is the box corner past
+    its cuts at the lotteries; item 2's is item 1's on the swapped support.
+    A lottery at a_i = 1 is an item (1, 1, t_i): the cheapest such wins, the
+    lowest index on a tie, with the bundle's region at its price.  So an
+    item no type chooses moves no other area, and menus that differ only in
+    it score exactly alike.
+    """
+    c1, c2 = rect.c1, rect.c2
+    full1 = np.where(t1 <= tb, _full_area(rect, t1, -np.inf, _cut(a2, t2, t1, c2, t2 < t1)), 0.0)
+    full2 = np.where(t2 <= tb, _full_area(rect, t2, _cut(a1, t1, t2, c1, t1 <= t2), -np.inf), 0.0)
+    area1 = np.where(a1 >= 1.0, full1, _lottery_area(rect, a1, a2, t1, t2, tb))
+    area2 = np.where(a2 >= 1.0, full2, _lottery_area(rect.swapped(), a2, a1, t2, t1, tb))
+    area_b = _full_area(rect, tb, _cut(a1, t1, tb, c1, t1 <= tb), _cut(a2, t2, tb, c2, t2 <= tb))
+    return (t1 * area1 + t2 * area2 + tb * area_b) / rect.area
 
 
 def brute_force_menu_search(

@@ -511,7 +511,14 @@ def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
     big_p = (c1 + m1, c2 + (4.0 * b2 - 2.0 * c2 - d1) / 6.0)
     big_q = (c1 + (4.0 * b1 - 2.0 * c1 - d2) / 6.0, c2 + m2)
     tol = 1e-9 * (b1 + b2)
-    if min(m1, m2) <= 0.0 or big_p[0] > big_q[0] + tol or big_q[1] > big_p[1] + tol:
+    # a kink within rounding of 0 is the one-lottery structure's: at zero
+    # offsets and b2 = 2 b1 the kink is 0, and rounding put it anywhere in
+    # [0, 3e-16 b2] depending on the scale of the support
+    if (
+        min(m1, m2) <= 4.0 * ROOT_REL_TOL * (b1 + b2)
+        or big_p[0] > big_q[0] + tol
+        or big_q[1] > big_p[1] + tol
+    ):
         return None
     params = SolveParams(
         p_a1=(2.0 * b2 - c2 + d1) / 3.0, p_a2=(2.0 * b1 - c1 + d2) / 3.0,

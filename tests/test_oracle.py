@@ -1,5 +1,6 @@
 """Grid-search oracle, measure certificates, and stationarity checks."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import local_max_check, price_gradient
+from test_mirror import INSTANCES
 from optmech import oracle
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
@@ -16,6 +18,7 @@ from optmech.oracle import _family_revenue, brute_force_menu_search, certificate
 from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 
+K = StructureKind
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
 
@@ -60,6 +63,79 @@ def test_family_revenue_matches_exact_polygon_revenue():
             rng.choice(price, 200),
             rng.choice(price, 200),
         )
+    # Allocations of 0, 1/2 and 1 against a few shared prices, so that every
+    # exact tie occurs (t1 = t2, t1 = tb, t2 = tb and all three), on a
+    # zero-offset support, a side ratio of 100 and the fault rectangle.
+    for tie_rect in (
+        Rectangle(0.0, 0.0, 1.0, 1.5),
+        Rectangle(0.02, 0.3, 0.01, 1.0),
+        Rectangle(0.0, 1.999998, 2.3220394, 1.0),
+    ):
+        t_hi = tie_rect.z1_max + tie_rect.z2_max
+        alloc = (0.0, 0.5, 1.0)
+        price = np.linspace(0.0, t_hi, 6)[1:5]
+        menus = np.array(list(itertools.product(alloc, alloc, price, price, price)))
+        _assert_family_matches(tie_rect, *menus.T)
+
+
+@pytest.mark.parametrize("ratio, tol", [(1.0, 1e-12), (1e2, 1e-12), (1e4, 1e-9)])
+def test_family_revenue_is_scale_invariant(ratio, tol):
+    # Revenue scales with the support, to within tol of the revenue; below
+    # 1e-3 of the top price a region is a sliver, whose area is only as
+    # accurate as the lines that bound it, so the bound is taken there.
+    rng = np.random.default_rng(11)
+    for rect in (
+        Rectangle(0.3, 0.2, 1.2, 0.8 * ratio),
+        Rectangle(0.0, 0.0, 1.0, ratio),
+        Rectangle(0.5 * ratio, 0.0, ratio, 1.0),
+        Rectangle(0.0, 1.999998, 2.3220394 * ratio, 1.0),
+    ):
+        t_hi = rect.z1_max + rect.z2_max
+        highs = (1.0, 1.0, t_hi, t_hi, t_hi)
+        random_menus = [rng.uniform(0.0, hi, 300) for hi in highs]
+        grid_menus = [rng.choice(np.linspace(0.0, hi, 8), 300) for hi in highs]
+        a1, a2, t1, t2, tb = (np.concatenate(pair) for pair in zip(random_menus, grid_menus))
+        base = _family_revenue(rect, a1, a2, t1, t2, tb)
+        for lam in (1e-6, 1e-3, 1e3, 1e6):
+            scaled = _family_revenue(rect.scaled(lam), a1, a2, lam * t1, lam * t2, lam * tb) / lam
+            excess = np.abs(scaled - base) / (tol * np.maximum(np.abs(base), 1e-3 * t_hi))
+            assert np.all(excess <= 1.0), (rect, lam, excess.max())
+
+
+def _on_axes(rect, *grids):
+    axes = [np.reshape(g, [-1 if d == i else 1 for d in range(5)]) for i, g in enumerate(grids)]
+    return _family_revenue(rect, *axes)
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [
+        Rectangle(0.3, 0.2, 1.2, 0.8),
+        Rectangle(0.05, 0.05, 1.0, 1.0),
+        Rectangle(0.0, 0.0, 1.0, 3.0),
+        Rectangle(2.0, 0.1, 0.5, 1.0),
+        Rectangle(0.0, 1.999998, 2.3220394, 1.0),
+    ],
+)
+def test_an_item_no_type_chooses_moves_no_revenue(rect):
+    # The search keeps the earliest of exactly tied menus, so menus that
+    # differ only in an item nobody buys must score exactly alike: a lottery
+    # dearer than the bundle, a bundle dearer than any value, and a lottery
+    # at a_i = 1, which is the bundle at its own price.
+    t_hi = rect.z1_max + rect.z2_max
+    alloc = np.linspace(0.0, 1.0, 8)
+    price = np.linspace(0.0, t_hi, 8)
+    out = [2.0 * t_hi]
+    rev = _on_axes(rect, alloc, alloc, price, price, price)
+    lottery1 = _on_axes(rect, [0.0], alloc, out, price, price)
+    lottery2 = _on_axes(rect, alloc, [0.0], price, out, price)
+    for i in range(8):
+        assert np.all(rev[:-1, :, i, :, :i] == lottery1[:, :, 0, :, :i])
+        assert np.all(rev[:, :-1, :, i, :i] == lottery2[:, :, :, 0, :i])
+        assert np.all(rev[-1:, :, i, :, i:] == lottery1[:, :, 0, :, i : i + 1])
+        assert np.all(rev[:, -1:, :, i, i:] == lottery2[:, :, :, 0, i : i + 1])
+    dear = _on_axes(rect, alloc, alloc, price, price, [1.5 * t_hi, 3.0 * t_hi])
+    assert np.all(dear == _on_axes(rect, alloc, alloc, price, price, out))
 
 
 def test_brute_force_tracks_the_solver():
@@ -69,6 +145,19 @@ def test_brute_force_tracks_the_solver():
     assert abs(gap) <= 5e-3 * mech.revenue, f"search best {rev} vs solver {mech.revenue}"
     assert len(menu) <= 4
     assert rev == pytest.approx(expected_revenue(menu, UNIT), rel=1e-12)
+
+
+#: The search's result on each kind's support in test_mirror.INSTANCES;
+#: kind A's support is the first case of the frozen test.
+FROZEN_BY_KIND = {
+    K.B: (9.774900796616546, [(0.42857142857142855, 1.0, 7.5982142857142865), (1.0, 1.0, 12.116071428571429)]),
+    K.C: (4.118107120080174, [(1.0, 1.0, 4.232142857142857)]),
+    K.D: (3.161564625850339, [(0.10714285714285714, 1.0, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
+    K.E: (8.5576171875, [(1.0, 1.0, 8.625)]),
+    K.F: (1.5757699206062175, [(1.0, 0.02232142857142857, 0.6964285714285714), (1.0, 1.0, 2.8392857142857144)]),
+    K.G: (3.161564625850338, [(1.0, 0.10714285714285714, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
+    K.H: (8.5576171875, [(1.0, 1.0, 8.625)]),
+}
 
 
 @pytest.mark.parametrize(
@@ -93,6 +182,7 @@ def test_brute_force_tracks_the_solver():
             2.5756298342869384,
             [(0.12499999999999999, 1.0, 2.1383185982142856), (1.0, 1.0, 3.136200610714285)],
         ),
+        *[(INSTANCES[kind], revenue, menu) for kind, (revenue, menu) in FROZEN_BY_KIND.items()],
     ],
 )
 def test_brute_force_frozen_outputs(rect, revenue, menu):

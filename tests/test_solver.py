@@ -371,6 +371,19 @@ def test_zero_corner_ratio_two_is_continuous():
     assert abs(low.bundle_item().t - high.bundle_item().t) < 1e-9
 
 
+def test_zero_corner_at_ratio_two_is_one_kind_at_every_scale():
+    # exactly at the ratio the two-lottery structure's good-1 kink is 0 and
+    # its residual there rounds to 0 or an ulp either side, so the kink
+    # came out 0 or up to 3e-16 b2, and the kind A or F by the scale
+    rng = random.Random(2)
+    for _ in range(400):
+        b = math.exp(rng.uniform(-4.0, 4.0))
+        assert solve(Rectangle(0.0, 0.0, b, 2.0 * b)).kind is StructureKind.F
+        assert solve(Rectangle(0.0, 0.0, 2.0 * b, b)).kind is StructureKind.B
+    for lam in (1.0, 0.296875):
+        assert solve(Rectangle(0.0, 0.0, 0.3, 0.6).scaled(lam)).kind is StructureKind.F
+
+
 # ---------------------------------------------------------------------------
 # solved structures (frozen values and certificates)
 
