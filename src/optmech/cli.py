@@ -6,8 +6,6 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
 from .solver import NoRoot, solve
@@ -49,22 +47,19 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _phase_grid(b1: float, b2: float, n: int, max_ratio: float) -> list[list[str]]:
-    """Kinds on the n-by-n ratio grid, row-major in c1/b1."""
-    ratios = [float(r) for r in np.linspace(0.0, max_ratio, n)]
+def _phase_grid(b1: float, b2: float, ratios: list[float]) -> list[list[str]]:
+    """Kinds on the grid of corner ratios, row-major in c1/b1."""
     return [
         [solve(Rectangle(r1 * b1, r2 * b2, b1, b2)).kind.name for r2 in ratios]
         for r1 in ratios
     ]
 
 
-def _phase_csv(grid: list[list[str]], max_ratio: float) -> str:
-    n = len(grid)
-    ratios = np.linspace(0.0, max_ratio, n)
+def _phase_csv(grid: list[list[str]], ratios: list[float]) -> str:
     lines = ["c1_ratio,c2_ratio,kind"]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{ratios[i]:.10g},{ratios[j]:.10g},{grid[i][j]}")
+    for r1, row in zip(ratios, grid):
+        for r2, kind in zip(ratios, row):
+            lines.append(f"{r1:.10g},{r2:.10g},{kind}")
     return "\n".join(lines) + "\n"
 
 
@@ -136,12 +131,15 @@ def cmd_phase(ns: argparse.Namespace) -> int:
     else:
         return _fail(f"--out must be csv, svg, or a path ending in .csv/.svg, got {out!r}", 2)
 
+    # numpy's linspace, to the bit: i * step, with the last ratio exact
+    step = ns.max_ratio / (ns.grid - 1)
+    ratios = [i * step for i in range(ns.grid - 1)] + [ns.max_ratio]
     try:
-        grid = _phase_grid(ns.b1, ns.b2, ns.grid, ns.max_ratio)
+        grid = _phase_grid(ns.b1, ns.b2, ratios)
     except NoRoot as exc:
         return _fail(str(exc), 3)
     if fmt == "csv":
-        text = _phase_csv(grid, ns.max_ratio)
+        text = _phase_csv(grid, ratios)
     else:
         text = _phase_svg(grid, ns.max_ratio, ns.b1, ns.b2)
     if path is None:

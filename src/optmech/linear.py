@@ -18,9 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial import polynomial as npoly
-
 from .geometry import Polygon, best_response_regions
 from .solver import NoRoot, _root_in_bracket
 from .types import NULL_ITEM, MenuItem, Rectangle
@@ -42,11 +39,12 @@ C_MAX = 0.250116
 
 _SQRT06 = math.sqrt(0.6)
 
-# The kink bracket starts this far above c.  As P1 nears c the boundary
-# segment shrinks, a1 grows like 1/(P1 - c), and below about 1e-8 the
-# bundle-region balance is rounding noise; from here to c + 1 it changes
-# sign once, from negative to positive, on a 200-point grid of (0, C_MAX]
-# and at c down to 1e-12.
+# The kink bracket starts this far above c.  For c > 0, as P1 nears c the
+# boundary segment shrinks, a1 grows like 1/(P1 - c), and below about 1e-8
+# the bundle-region balance is rounding noise; at c = 0 the boundary stays
+# flat (a1 = 0) at every kink.  From here to c + 1 the balance changes sign
+# once, from negative to positive, on a 200-point grid of (0, C_MAX], at c
+# down to 1e-12, and at c = 0.
 _KINK_OFFSET = 1e-6
 
 
@@ -186,33 +184,6 @@ def _mu_w(c: float, pa: float, a: float, P1: float) -> float:
     return edge + interior + 5.0 * (anti(P2) - anti(P1))
 
 
-def _mu_w_coeffs(c: float, pa: float, a: float) -> np.ndarray:
-    """Ascending quartic coefficients of s^2 * _mu_w as a polynomial in P1."""
-    k = (c + 1.0) ** 2
-    a0 = c + pa + a * c
-    x = np.array([0.0, 1.0])
-    p2 = np.array([a0, -a])
-    p = npoly.polyadd(p2, x)
-    kmx2 = np.array([k, 0.0, -1.0])
-    out = npoly.polymul(np.array([4.0 * k]), kmx2)
-    out = npoly.polyadd(out, -5.0 * npoly.polymul(kmx2, kmx2))
-    x2 = npoly.polymul(x, x)
-    p2sq = npoly.polymul(p2, p2)
-    tri = npoly.polymul(npoly.polysub(npoly.polymul(p, p), x2), npoly.polysub(p2sq, x2))
-    tri = npoly.polysub(
-        tri,
-        npoly.polymul((4.0 / 3.0) * p, npoly.polysub(npoly.polymul(p2sq, p2), npoly.polymul(x2, x))),
-    )
-    tri = npoly.polyadd(
-        tri,
-        0.5 * npoly.polysub(npoly.polymul(p2sq, p2sq), npoly.polymul(x2, x2)),
-    )
-    out = npoly.polyadd(out, 5.0 * tri)
-    full = np.zeros(5)
-    full[: out.size] = out
-    return full
-
-
 def _homogeneous(coeffs: tuple[float, ...], c: float, s: float) -> float:
     """sum_i coeffs[i] * c^(n-i) * s^i, by Horner in c."""
     acc = 0.0
@@ -263,19 +234,18 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     Parameters
     ----------
     c : float
-        Lower endpoint of the support, in [0, C_MAX].  For c > 0 the kink
-        P1 is the root of the bundle-region balance between just above c
-        and c + 1, found by a bracketed Brent-Dekker search (about 10
-        balance evaluations); at each P1 the other two balance
-        equations give (p_a1, a1) in closed form.
+        Lower endpoint of the support, in [0, C_MAX].  The kink P1 is the
+        root of the bundle-region balance between just above c and c + 1,
+        found by a bracketed Brent-Dekker search (about 10 balance
+        evaluations); at each P1 the other two balance equations give
+        (p_a1, a1) in closed form.
     root : {"above_flat", "interior"}, optional
-        Only used at c=0, where the boundary is flat (a1=0) and the
-        bundle-region balance is a quartic with two positive roots.
-        "above_flat" selects the root exceeding the flat boundary height
-        sqrt(0.6) and reads it as the bundle price.  "interior" selects
-        the root inside the valuation square and reads it as the kink
-        coordinate P1, which is the reading that zeroes the bundle-region
-        balance.  Ignored for c > 0.
+        Only used at c=0, where the boundary is flat at height sqrt(0.6)
+        (a1=0) for every kink and the bundle-region balance has two
+        positive roots.  "above_flat" takes the root between sqrt(0.6)
+        and 1 + sqrt(0.6), by the same search, and reads it as the bundle
+        price.  "interior" takes the kink root above, which is the reading
+        that zeroes the bundle-region balance.  Ignored for c > 0.
 
     Returns
     -------
@@ -288,43 +258,27 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     OutOfRange
         If c is outside [0, C_MAX].
     NoConvergence
-        If the bundle-region balance has no sign change over the kink
-        bracket (c > 0; the message names the bracket and both end
-        balances), or no root of the requested kind (c = 0).
+        If the bundle-region balance has no sign change over the bracket;
+        the message names the bracket and both end balances.
     """
     inst = LinearDensityInstance(c)
     if root not in ("above_flat", "interior"):
         raise ValueError(f"unknown root selection {root!r}")
-    if inst.c == 0.0:
-        coeffs = _mu_w_coeffs(0.0, _SQRT06, 0.0)
-        reals = sorted(
-            float(r.real) for r in npoly.polyroots(coeffs) if abs(r.imag) < 1e-9
-        )
-        if root == "above_flat":
-            above = [r for r in reals if r > _SQRT06]
-            if not above:
-                raise NoConvergence("no balance root above the flat boundary at c=0")
-            p = above[0]
-            P1 = p - _SQRT06
-        else:
-            inside = [r for r in reals if 0.0 < r <= 1.0]
-            if not inside:
-                raise NoConvergence("no interior balance root at c=0")
-            P1 = inside[0]
-            p = P1 + _SQRT06
-        return LinearSolution(c=0.0, p_a1=_SQRT06, a1=0.0, P1=P1, P2=_SQRT06, p=p)
 
     def balance(kink: float) -> float:
         return _mu_w(inst.c, *_boundary_branch(inst.c, kink), kink)
 
-    lo, hi = inst.c + _KINK_OFFSET, inst.c + 1.0
+    as_price = inst.c == 0.0 and root == "above_flat"
+    lo, hi = (_SQRT06, 1.0 + _SQRT06) if as_price else (inst.c + _KINK_OFFSET, inst.c + 1.0)
     try:
-        P1 = _root_in_bracket(balance, lo, hi, balance(lo), balance(hi))
+        x = _root_in_bracket(balance, lo, hi, balance(lo), balance(hi))
     except NoRoot as exc:
-        raise NoConvergence(f"no kink root at c={c!r}: {exc}") from None
-    pa, a = _boundary_branch(inst.c, P1)
-    P2 = inst.c + pa - a * (P1 - inst.c)
-    return LinearSolution(c=inst.c, p_a1=pa, a1=a, P1=P1, P2=P2, p=P1 + P2)
+        raise NoConvergence(f"no {'price' if as_price else 'kink'} root at c={c!r}: {exc}") from None
+    if as_price:
+        return LinearSolution(c=0.0, p_a1=_SQRT06, a1=0.0, P1=x - _SQRT06, P2=_SQRT06, p=x)
+    pa, a = _boundary_branch(inst.c, x)
+    P2 = inst.c + pa - a * (x - inst.c)
+    return LinearSolution(c=inst.c, p_a1=pa, a1=a, P1=x, P2=P2, p=x + P2)
 
 
 def _xy_moment(poly: Polygon) -> float:
@@ -348,13 +302,13 @@ def _xy_moment(poly: Polygon) -> float:
     return total
 
 
-def linear_revenue(params: LinearSolution | tuple[float, float, float, float], c: float) -> float:
+def linear_revenue(sol: LinearSolution, c: float) -> float:
     """Expected revenue of the solved menu under the linear density.
 
     Parameters
     ----------
-    params : LinearSolution or (p_a1, a1, P1, p) tuple
-        Menu parameters.  A tuple is completed symmetrically.
+    sol : LinearSolution
+        Menu parameters.
     c : float
         Lower endpoint of the support, in [0, C_MAX].
 
@@ -365,12 +319,6 @@ def linear_revenue(params: LinearSolution | tuple[float, float, float, float], c
         bilinear density 4*z1*z2/(2c+1)^2 over the best-response regions.
     """
     inst = LinearDensityInstance(c)
-    if isinstance(params, LinearSolution):
-        sol = params
-    else:
-        pa, a1, P1, p = params
-        P2 = p - P1
-        sol = LinearSolution(c=inst.c, p_a1=pa, a1=a1, P1=P1, P2=P2, p=p)
     rect = Rectangle(inst.c, inst.c, 1.0, 1.0)
     menu = sol.menu()
     regions = best_response_regions(rect, menu)

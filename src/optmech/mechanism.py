@@ -50,7 +50,7 @@ def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: R
     bundle price is c1 + c2 + p except for kind D, where continuity
     across the vertical boundary z1 = c1 + p forces
     t_bundle = t_a1 + (1 - a1)(c1 + p).  Kinds F, G and H are B, D and E
-    with the goods exchanged; ``build_mechanism`` mirrors them.
+    with the goods exchanged; ``Mechanism.swapped()`` mirrors them.
     """
     c1, c2 = rect.c1, rect.c2
     K = StructureKind
@@ -86,7 +86,8 @@ def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: R
             MenuItem(1.0, 1.0, c2 + 0.5 * (c1 + rect.b1)),
         )
     raise IncompleteParams(
-        f"kind {kind.value} is a mirrored structure; build it with build_mechanism"
+        f"kind {kind.value} is a mirrored structure; build its mirror kind on the "
+        "swapped support and take Mechanism.swapped()"
     )
 
 
@@ -180,20 +181,17 @@ def region_areas(kind: StructureKind, params: SolveParams | None, rect: Rectangl
         half = 0.5 * b2
         return half * (b1 - rect.c1), half * (b1 + rect.c1)
     raise IncompleteParams(
-        f"kind {kind.value} is a mirrored structure; build it with build_mechanism"
+        f"kind {kind.value} is a mirrored structure; build its mirror kind on the "
+        "swapped support and take Mechanism.swapped()"
     )
 
 
 def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Mechanism:
     """Assemble the full record: the menu, and its revenue from the
-    closed-form region areas of the structure.
-
-    Kinds F, G and H are built as B, D and E on the swapped support and
-    mirrored back, so the menu and revenue forms exist for kinds A-E only.
+    closed-form region areas of the structure, for kinds A-E.  Kinds F, G
+    and H are B, D and E on the swapped support, mirrored back by
+    ``Mechanism.swapped()``.
     """
-    if kind in (StructureKind.F, StructureKind.G, StructureKind.H):
-        mirrored = params.swapped() if params is not None else None
-        return build_mechanism(kind.swapped(), mirrored, rect.swapped()).swapped()
     menu = menu_from_structure(kind, params, rect)
     areas = region_areas(kind, params, rect)
     revenue = sum(item.t * area for item, area in zip(menu, areas)) / rect.area

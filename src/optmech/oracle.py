@@ -369,11 +369,6 @@ def certificate_check(
     rect: Rectangle,
     *,
     oracle_gap: float | None = None,
-    fd_step: float = FD_STEP,
-    grad_tol: float = GRAD_TOL,
-    hess_tol: float = HESS_TOL,
-    region_tol_rel: float = REGION_TOL_REL,
-    shuffle_tol: float = SHUFFLE_TOL,
 ) -> CertificateReport:
     """Measure and stationarity certificates for a solved mechanism.
 
@@ -401,7 +396,7 @@ def certificate_check(
     extracted menu, shuffle conditions re-evaluate the closed-form mass
     and moment of the structure's shuffling measure, and stationarity
     differentiates the expected revenue numerically in every free menu
-    coordinate (step ``fd_step``, one-sided slopes judged separately so
+    coordinate (step ``FD_STEP``, one-sided slopes judged separately so
     kink maxima certify).  The reported revenue must equal the polygon
     revenue of the menu, so a wrong closed form fails ``revenue_form``.
     """
@@ -410,7 +405,7 @@ def certificate_check(
     masses = _region_masses(rect, menu)
     shuffle_mass, shuffle_moment, signs_ok = _shuffle_deviations(mech, rect)
     polygon_revenue = expected_revenue(menu, rect)
-    grad_norm, max_hess = _stationarity(menu, rect, fd_step, polygon_revenue)
+    grad_norm, max_hess = _stationarity(menu, rect, FD_STEP, polygon_revenue)
     revenue_gap = mech.revenue - polygon_revenue
 
     failures: list[str] = []
@@ -419,19 +414,19 @@ def certificate_check(
         failures.append("mu_D")
     if abs(revenue_gap) > REVENUE_TOL_REL * offsets * abs(mech.revenue):
         failures.append("revenue_form")
-    region_tol = region_tol_rel * rect.area
+    region_tol = REGION_TOL_REL * rect.area
     for key in ("Z", "A", "B", "W"):
         if abs(masses[key]) > region_tol:
             failures.append(f"mu_{key}")
-    if shuffle_mass > shuffle_tol:
+    if shuffle_mass > SHUFFLE_TOL:
         failures.append("shuffle_mass")
-    if shuffle_moment > shuffle_tol:
+    if shuffle_moment > SHUFFLE_TOL:
         failures.append("shuffle_moment")
     if not signs_ok:
         failures.append("shuffle_sign")
-    if grad_norm >= grad_tol:
+    if grad_norm >= GRAD_TOL:
         failures.append("foc_gradient")
-    if max_hess > hess_tol * max(1.0, abs(mech.revenue)):
+    if max_hess > HESS_TOL * max(1.0, abs(mech.revenue)):
         failures.append("foc_curvature")
     if oracle_gap is not None:
         scale = max(abs(mech.revenue), 1e-12)

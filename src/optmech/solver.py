@@ -46,8 +46,7 @@ ROOT_END_REL_TOL = 1e-10
 #: splits a double root into a pair about 1e-8 apart, real or complex.
 ROOT_MERGE_REL_TOL = 1e-6
 #: A cluster without a sign change is a double root where the polynomial's
-#: extremum is within this many rounding units of sum |a_i| |x|^i; so is
-#: a quartic's critical point.
+#: extremum is within this many rounding units of sum |a_i| |x|^i.
 ROOT_DOUBLE_ULPS = 16.0
 
 
@@ -300,31 +299,16 @@ def _cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[tuple[float
     return [(x, 0.0)] + _quadratic_roots(q0, q1, a3)
 
 
-def _root_estimates(coeffs: list[float], lo: float, hi: float) -> list[tuple[float, float]]:
-    """Estimates (re, im) of the roots of a polynomial with a nonzero
-    constant term, in closed form up to degree 3.  A quartic's real roots
-    on [lo, hi] are those of its monotone pieces there, split at the real
-    roots of its cubic derivative, plus each critical point where it is
-    zero to rounding (a double root)."""
+def _root_estimates(coeffs: list[float]) -> list[tuple[float, float]]:
+    """Estimates (re, im) of the roots of a polynomial of degree at most 3
+    with a nonzero constant term, in closed form."""
     if len(coeffs) < 2:
         return []
     if len(coeffs) == 2:
         return [(-coeffs[0] / coeffs[1], 0.0)]
     if len(coeffs) == 3:
         return _quadratic_roots(*coeffs)
-    if len(coeffs) == 4:
-        return _cubic_roots(*coeffs)
-    poly = partial(_horner, coeffs)
-    critical = real_roots_in_interval([i * a for i, a in enumerate(coeffs)][1:], lo, hi)
-    ends = [lo] + critical + [hi]
-    values = [poly(x) for x in ends]
-    estimates = [
-        (_root_in_bracket(poly, u, v, fu, fv), 0.0)
-        for u, v, fu, fv in zip(ends, ends[1:], values, values[1:])
-        if _changes_sign(fu, fv)
-    ]
-    estimates += [(x, 0.0) for x, fx in zip(critical, values[1:-1]) if _zero_to_rounding(coeffs, x, fx)]
-    return estimates
+    return _cubic_roots(*coeffs)
 
 
 def _cluster_roots(coeffs: list[float], a: float, b: float) -> list[float]:
@@ -350,7 +334,7 @@ def _cluster_roots(coeffs: list[float], a: float, b: float) -> list[float]:
 
 
 def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, hi: float) -> list[float]:
-    """Real roots in [lo, hi] of a polynomial (ascending coefficients, degree <= 4).
+    """Real roots in [lo, hi] of a polynomial (ascending coefficients, degree <= 3).
 
     Trailing zero coefficients are dropped, and leading ones are factored
     out as a root at 0, reported once.  The rest is estimated in closed
@@ -362,8 +346,8 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
     estimates by ``_cluster_roots``, each root to the rounding floor.
     Roots within ``ROOT_END_REL_TOL`` outside an end are clamped onto it.
     """
-    if len(coeffs) > 5:
-        raise ValueError(f"degree at most 4 supported, got {len(coeffs) - 1}")
+    if len(coeffs) > 4:
+        raise ValueError(f"degree at most 3 supported, got {len(coeffs) - 1}")
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
@@ -376,7 +360,7 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
     coeffs = coeffs[order:]
     estimates = sorted(
         re
-        for re, im in _root_estimates(coeffs, lo - near, hi + near)
+        for re, im in _root_estimates(coeffs)
         if abs(im) <= near and lo - near <= re <= hi + near
     )
     groups: list[list[float]] = []  # [first, last, count] of each run of close estimates

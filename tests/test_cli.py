@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import optmech.linear
@@ -67,7 +69,7 @@ def test_phase_argument_validation(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_phase_csv_stdout_and_header(capsys):
+def test_phase_csv_stdout_and_header(capsys, monkeypatch):
     assert cli.main(["phase", "1", "1", "--grid", "10", "--max-ratio", "2"]) == 0
     default_out = capsys.readouterr().out
     assert cli.main(["phase", "1", "1", "--grid", "10", "--max-ratio", "2", "--out", "csv"]) == 0
@@ -79,6 +81,20 @@ def test_phase_csv_stdout_and_header(capsys):
     kinds = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert kinds <= set("ABCDEFGH")
     assert lines[1] == "0,0,A", "the zero-corner unit square leads the sweep"
+    # the corner ratios are numpy's linspace to the bit, over seeded grids
+    seen = []
+
+    def record(b1, b2, ratios):
+        seen.append(ratios)
+        return [["A"] * len(ratios)] * len(ratios)
+
+    monkeypatch.setattr(cli, "_phase_grid", record)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        n, top = rng.randint(10, 40), math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        assert cli.main(["phase", "1", "1", "--grid", str(n), "--max-ratio", repr(top)]) == 0
+        assert seen[-1] == np.linspace(0.0, top, n).tolist(), (n, top)
+    capsys.readouterr()
 
 
 def test_phase_csv_is_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Linear-density family: balance equations, solved branches, revenue."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -211,7 +212,7 @@ def test_interior_root_is_a_stationary_price():
     sol = solve_linear(0.0, root="interior")
     base = linear_revenue(sol, 0.0)
     for delta in (1e-3, -1e-3):
-        rev = linear_revenue((sol.p_a1, sol.a1, sol.P1, sol.p + delta), 0.0)
+        rev = linear_revenue(dataclasses.replace(sol, p=sol.p + delta), 0.0)
         assert rev < base, f"price shift {delta:+} should not gain (got {rev} vs {base})"
 
 
@@ -219,14 +220,8 @@ def test_positive_c_prices_are_stationary():
     sol = solve_linear(0.1)
     base = linear_revenue(sol, 0.1)
     for delta in (1e-3, -1e-3):
-        rev = linear_revenue((sol.p_a1, sol.a1, sol.P1, sol.p + delta), 0.1)
+        rev = linear_revenue(dataclasses.replace(sol, p=sol.p + delta), 0.1)
         assert rev < base, f"bundle price shift {delta:+} gained revenue"
-
-
-def test_revenue_accepts_tuple_params():
-    sol = solve_linear(0.1)
-    as_tuple = linear_revenue((sol.p_a1, sol.a1, sol.P1, sol.p), 0.1)
-    assert as_tuple == pytest.approx(linear_revenue(sol, 0.1), rel=1e-12)
 
 
 def test_revenue_increases_with_c():

@@ -49,7 +49,8 @@ def test_kind_d_bundle_price_continuity_across_vertical_cut():
 def test_kind_e_and_h_menus_are_deterministic():
     menu_e = menu_from_structure(StructureKind.E, None, Rectangle(0.5, 8.0, 1.0, 1.0))
     assert menu_e == (MenuItem(0.0, 1.0, 8.0), MenuItem(1.0, 1.0, 8.75))
-    mech_h = build_mechanism(StructureKind.H, None, Rectangle(8.0, 0.5, 1.0, 1.0))
+    mech_h = solve(Rectangle(0.5, 8.0, 1.0, 1.0)).swapped()
+    assert mech_h.kind is StructureKind.H
     assert mech_h.menu == (MenuItem(1.0, 0.0, 8.0), MenuItem(1.0, 1.0, 8.75))
 
 

@@ -1,7 +1,7 @@
 """Randomized invariants: measure balance, partitions, duality, solver laws."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -145,6 +145,8 @@ def test_utility_is_one_lipschitz(rect, x1, y1, x2, y2):
 
 @settings(max_examples=400, deadline=None)
 @given(threshold_rectangles())
+@example(Rectangle(0.0, 2.0, 2.3220394, 1.0))
+@example(Rectangle(0.0, 2.65625, 1.0, 1.328125))
 def test_solve_is_never_beaten_by_a_simple_menu(rect):
     mech = solve(rect)
     rival = rival_revenue(rect)
@@ -155,6 +157,7 @@ def test_solve_is_never_beaten_by_a_simple_menu(rect):
 
 @settings(max_examples=400, deadline=None)
 @given(rectangles(), st.floats(min_value=0.1, max_value=10.0))
+@example(Rectangle(0.0, 0.0, 0.3, 0.6), 0.296875)
 def test_scaling_the_support_scales_the_mechanism(rect, lam):
     base = solve(rect)
     scaled = solve(rect.scaled(lam))
@@ -190,6 +193,8 @@ def test_scaling_a_threshold_support_scales_the_menu(rect, lam):
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(rectangles(), threshold_rectangles()))
+@example(Rectangle(0.0, 2.0, 2.3220394, 1.0))
+@example(Rectangle(0.0, 2.65625, 1.0, 1.328125))
 def test_swapping_the_goods_mirrors_the_solution(rect):
     mech = solve(rect)
     mirrored = solve(rect.swapped())
