@@ -11,15 +11,9 @@ from .linear import (
     solve_linear,
 )
 from .measures import MuBar
-from .mechanism import build_mechanism, expected_revenue, menu_from_structure, utility
+from .mechanism import build_mechanism, expected_revenue, menu_from_structure
 from .oracle import CertificateReport, brute_force_menu_search, certificate_check
-from .solver import (
-    NoRoot,
-    PhaseRegion,
-    classify,
-    critical_constants,
-    solve,
-)
+from .solver import NoRoot, PhaseRegion, classify, solve
 from .types import (
     NULL_ITEM,
     Mechanism,
@@ -27,7 +21,6 @@ from .types import (
     Rectangle,
     SolveParams,
     StructureKind,
-    validate_rectangle,
 )
 
 __version__ = "0.1.0"
@@ -53,13 +46,10 @@ __all__ = [
     "build_mechanism",
     "certificate_check",
     "classify",
-    "critical_constants",
     "expected_revenue",
     "linear_revenue",
     "menu_from_structure",
     "solve",
     "solve_linear",
-    "utility",
-    "validate_rectangle",
     "__version__",
 ]

@@ -9,7 +9,7 @@ import sys
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
 from .solver import NoRoot, solve
-from .types import Rectangle, validate_rectangle
+from .types import Rectangle
 
 __all__ = ["main"]
 
@@ -33,7 +33,7 @@ def _fail(msg: str, code: int) -> int:
 
 def cmd_solve(ns: argparse.Namespace) -> int:
     try:
-        rect = validate_rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
+        rect = Rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
     except ValueError as exc:
         return _fail(str(exc), 2)
     try:
@@ -117,7 +117,7 @@ def cmd_phase(ns: argparse.Namespace) -> int:
     if not ns.max_ratio > 0.0:
         return _fail(f"--max-ratio must be positive, got {ns.max_ratio}", 2)
     try:
-        validate_rectangle(0.0, 0.0, ns.b1, ns.b2)
+        Rectangle(0.0, 0.0, ns.b1, ns.b2)
     except ValueError as exc:
         return _fail(str(exc), 2)
     out = ns.out
@@ -155,7 +155,7 @@ def cmd_phase(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     try:
-        rect = validate_rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
+        rect = Rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
         if ns.coarse < 8:
             raise ValueError(f"--coarse must be at least 8, got {ns.coarse}")
         if ns.rounds < 0:

@@ -22,16 +22,6 @@ from .geometry import Polygon, best_response_regions
 from .solver import NoRoot, _root_in_bracket
 from .types import NULL_ITEM, MenuItem, Rectangle
 
-__all__ = [
-    "C_MAX",
-    "LinearDensityInstance",
-    "LinearSolution",
-    "NoConvergence",
-    "OutOfRange",
-    "linear_revenue",
-    "solve_linear",
-]
-
 #: Largest lower endpoint for which the sloped-boundary structure holds;
 #: at this value the boundary slope a1 reaches 1 and the sloped segment
 #: becomes parallel to the bundle boundary.
@@ -68,20 +58,6 @@ class LinearDensityInstance:
         if self.c < 0.0 or self.c > C_MAX:
             raise OutOfRange(f"c={self.c!r} outside [0, {C_MAX}]")
 
-    @property
-    def z_min(self) -> float:
-        return self.c
-
-    @property
-    def z_max(self) -> float:
-        return self.c + 1.0
-
-    def density(self, z: float) -> float:
-        return 2.0 * z / (2.0 * self.c + 1.0)
-
-    def cdf(self, z: float) -> float:
-        return (z * z - self.c * self.c) / (2.0 * self.c + 1.0)
-
 
 @dataclass(frozen=True)
 class LinearSolution:
@@ -102,10 +78,6 @@ class LinearSolution:
     def t_a1(self) -> float:
         """Price of the partial item with allocation (a1, 1)."""
         return self.c * (1.0 + self.a1) + self.p_a1
-
-    @property
-    def t_bundle(self) -> float:
-        return self.p
 
     def menu(self) -> tuple[MenuItem, ...]:
         """Menu items; allocation components are clipped to [0, 1]."""
@@ -131,39 +103,6 @@ class LinearSolution:
 # ---------------------------------------------------------------------------
 # balance equations (all polynomial in their arguments, written in the
 # unnormalized scale where the density carries no 1/(2c+1)^2 factor)
-
-
-def _marginal(c: float, pa: float, a: float, P1: float) -> float:
-    """Transported mass: point term plus the boundary density integral."""
-    k = (c + 1.0) ** 2
-    u = c + pa
-    a0 = u + a * c
-    k2 = 3.0 * k - 5.0 * a0 * a0
-    k3 = 20.0 * a0 * a / 3.0
-    k4 = -2.5 * a * a
-    point = 2.0 * c * c * (k - u * u)
-    return (
-        point
-        + k2 * (P1 * P1 - c * c)
-        + k3 * (P1**3 - c**3)
-        + k4 * (P1**4 - c**4)
-    )
-
-
-def _expectation(c: float, pa: float, a: float, P1: float) -> float:
-    """First moment of the boundary density about z1 = c."""
-    k = (c + 1.0) ** 2
-    a0 = c + pa + a * c
-    c0 = 3.0 * k - 5.0 * a0 * a0
-    k1 = -2.0 * c * c0
-    k2 = 2.0 * c0 - 20.0 * c * a0 * a
-    k3 = 20.0 * a0 * a + 10.0 * c * a * a
-    k4 = -10.0 * a * a
-
-    def anti(z: float) -> float:
-        return k1 * z * z / 2.0 + k2 * z**3 / 3.0 + k3 * z**4 / 4.0 + k4 * z**5 / 5.0
-
-    return anti(P1) - anti(c)
 
 
 def _mu_w(c: float, pa: float, a: float, P1: float) -> float:
@@ -195,16 +134,17 @@ def _homogeneous(coeffs: tuple[float, ...], c: float, s: float) -> float:
 
 
 def _boundary_branch(c: float, P1: float) -> tuple[float, float]:
-    """(p_a1, a1) at which ``_marginal`` and ``_expectation`` both vanish
-    for a kink at P1 > c.
+    """(p_a1, a1) at which the first two balance equations, the boundary
+    segment's transported mass M and its first moment E about z1 = c, both
+    vanish for a kink at P1 > c.
 
-    With s = P1 - c and A0 = c + p_a1 + a1 c, ``_marginal`` is
-    m0 + m1 A0 - m2 A0^2 and ``_expectation`` is s^2 times another
-    quadratic in A0.  In both, the A0^2 coefficient is free of a1, the A0
-    coefficient is odd in a1 and the constant is even, so their resultant
-    in A0 is a quadratic q2 x^2 + q1 x + q0 in x = a1^2.  The solution
-    branch is its small root; A0 is then the larger root of the
-    ``_marginal`` quadratic, the one where ``_expectation`` vanishes too.
+    With s = P1 - c and A0 = c + p_a1 + a1 c, M is m0 + m1 A0 - m2 A0^2
+    and E is s^2 times another quadratic in A0.  In both, the A0^2
+    coefficient is free of a1, the A0 coefficient is odd in a1 and the
+    constant is even, so their resultant in A0 is a quadratic
+    q2 x^2 + q1 x + q0 in x = a1^2.  The solution branch is its small
+    root; A0 is then the larger root of M's quadratic, the one where E
+    vanishes too.
     Every coefficient is written in s, so nothing cancels as P1 nears c
     or a1 nears 0.
     """

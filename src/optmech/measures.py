@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Polygon, boundary_sections, clip, rect_polygon, HalfPlane
+from .geometry import HalfPlane, Polygon, boundary_sections, clip_many, rect_polygon
 from .types import Rectangle
 
 
@@ -41,29 +41,21 @@ class MuBar:
             (0, rect.z1_max, rect.z1_max * scale),
         )
         self._interior = -3.0 * scale
-        self._edge_tol = 1e-9 * max(
-            1.0, abs(rect.z1_max), abs(rect.z2_max)
+        # relative to the shorter side, so the verdict does not move with scale
+        self._edge_tol = 1e-9 * min(rect.b1, rect.b2)
+        self._box = (
+            HalfPlane(-1.0, 0.0, -rect.c1),
+            HalfPlane(1.0, 0.0, rect.z1_max),
+            HalfPlane(0.0, -1.0, -rect.c2),
+            HalfPlane(0.0, 1.0, rect.z2_max),
         )
-
-    def _clipped(self, poly: Polygon) -> Polygon:
-        r = self.rect
-        for hp in (
-            HalfPlane(-1.0, 0.0, -r.c1),
-            HalfPlane(1.0, 0.0, r.z1_max),
-            HalfPlane(0.0, -1.0, -r.c2),
-            HalfPlane(0.0, 1.0, r.z2_max),
-        ):
-            poly = clip(poly, hp)
-            if poly.is_empty:
-                break
-        return poly
 
     def mass(self, poly: Polygon) -> float:
         return self.moments(poly)[0]
 
     def moments(self, poly: Polygon) -> tuple[float, float, float]:
         """Return (mass, integral of z1, integral of z2) of the measure on poly."""
-        poly = self._clipped(poly)
+        poly = clip_many(poly, self._box)
         if poly.is_empty:
             return 0.0, 0.0, 0.0
         area, ix, iy = poly.moments()

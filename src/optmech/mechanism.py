@@ -91,23 +91,6 @@ def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: R
     )
 
 
-def utility(menu: Menu, z: tuple[float, float]) -> tuple[float, MenuItem]:
-    """Buyer's value at type z and the entry achieving it.
-
-    The outside option (0 at the null lottery) is always available; exact
-    ties are broken toward the higher price, matching the closed-region
-    convention used for the best-response polygons.
-    """
-    best_u = 0.0
-    best_item = NULL_ITEM
-    for item in menu:
-        u = item.utility(z[0], z[1])
-        if u > best_u or (u == best_u and item.t > best_item.t):
-            best_u = u
-            best_item = item
-    return best_u, best_item
-
-
 def expected_revenue(menu: Menu, rect: Rectangle) -> float:
     """Expected payment of any menu under the uniform density, from the
     areas of its clipped best-response polygons; the verifier's check on

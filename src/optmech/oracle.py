@@ -24,12 +24,13 @@ from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
 from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
 
-# Verification tolerances.  Region masses are judged relative to the support
-# area; the total measure relative to its terms' total variation
+# Verification tolerances.  Region masses and shuffle masses are
+# dimensionless (the corner atom is 1), and shuffle first moments are judged
+# over their edge's side, so these tolerances are absolute; the total
+# measure is judged relative to its terms' total variation
 # 6 + 2 (c1/b1 + c2/b2), at 1e-12 for zero offsets; the solver's closed-form
 # revenue against the menu's polygon revenue relative to the revenue, with
-# the same offset scaling; the rest are absolute on O(1) dimensionless
-# quantities.
+# the same offset scaling; the stationarity tolerances are absolute.
 MU_D_TOL = 1e-12
 REVENUE_TOL_REL = 1e-11
 REGION_TOL_REL = 1e-9
@@ -53,7 +54,8 @@ class CertificateReport:
     Masses are of the transformed boundary measure over the best-response
     regions (Z exclusion, A fractional good 1, B fractional good 2, W
     bundle); shuffle fields hold the largest deviation of any applicable
-    shuffle's mass/moment condition; revenue_gap is the solver's
+    shuffle's mass condition and of its first moment over the side of its
+    edge, both dimensionless; revenue_gap is the solver's
     closed-form revenue minus the polygon revenue of its menu; oracle_gap
     is solver revenue minus the best grid-search revenue when a search was
     run.
@@ -294,8 +296,9 @@ def _shuffle_deviations(mech: Mechanism, rect: Rectangle) -> tuple[float, float,
     the structure's shuffles.
 
     Kind A's good-2 lottery is certified on the swapped support, and kinds
-    F/G/H as their mirrors B/D/E.  The two-step first moment of kind E
-    certifies with any nonnegative value.
+    F/G/H as their mirrors B/D/E.  Each first moment is a length, so it is
+    judged over the side of the edge it lies on.  The two-step first
+    moment of kind E certifies with any nonnegative value.
     """
     kind = mech.kind
     if kind is StructureKind.C:
@@ -308,7 +311,7 @@ def _shuffle_deviations(mech: Mechanism, rect: Rectangle) -> tuple[float, float,
     moment = (lambda m: max(0.0, -m)) if kind is StructureKind.E else abs
     return (
         max(abs(sh.mass()) for sh in shuffles),
-        max(moment(sh.first_moment()) for sh in shuffles),
+        max(moment(sh.first_moment() / sh.rect.b1) for sh in shuffles),
         all(sh.sign_pattern_ok() for sh in shuffles),
     )
 
@@ -414,9 +417,8 @@ def certificate_check(
         failures.append("mu_D")
     if abs(revenue_gap) > REVENUE_TOL_REL * offsets * abs(mech.revenue):
         failures.append("revenue_form")
-    region_tol = REGION_TOL_REL * rect.area
     for key in ("Z", "A", "B", "W"):
-        if abs(masses[key]) > region_tol:
+        if abs(masses[key]) > REGION_TOL_REL:
             failures.append(f"mu_{key}")
     if shuffle_mass > SHUFFLE_TOL:
         failures.append("shuffle_mass")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -70,44 +69,13 @@ class PhaseRegion(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
-    """Bracket endpoints of the structure sweeps.
-
-    r_i is the edge price at which the two partial-lottery corner points
-    coincide; p_a_i_star is the edge price at which the lottery weight
-    a_i reaches 1; p_star is the bundle-only critical price.
-    """
-
-    r1: float
-    r2: float
-    p_a1_star: float
-    p_a2_star: float
-    p_star: float
-
-
 def _sweep_kinks(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
-    """Kinks m1 at p_a1_star (a1 = 1) and at r1 (coincident corner points),
-    the ends of the good-1 sweep; those of good 2 are the mirror's."""
+    """Kinks m1 where the lottery weight a1 reaches 1 and where the two
+    corner points coincide, the ends of the good-1 sweep; those of good 2
+    are the mirror's."""
     full = _positive_root(4.0 * c1 / 3.0, 2.0 * c1 * (b2 + c2) / 3.0)
     coincident = 2.0 * (2.0 * b1 + 3.0 * c1) * (b2 + c2) / (3.0 * (2.0 * b2 + 3.0 * c2)) - 4.0 * c1 / 3.0
     return full, coincident
-
-
-def critical_constants(rect: Rectangle) -> CriticalConstants:
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-
-    def edge_prices(c1: float, c2: float, b1: float, b2: float) -> tuple[float, float]:
-        # the edge offset D1 = c2 - 2 b2 + 3 p_a1 is 2 m1 where a1 = 1
-        d = 2.0 * c1 * (2.0 * b2 + 3.0 * c2) / (2.0 * b1 + 3.0 * c1)
-        full = _sweep_kinks(c1, c2, b1, b2)[0]
-        return (2.0 * b2 - c2 + d) / 3.0, (2.0 * b2 - c2 + 2.0 * full) / 3.0
-
-    r1, p_a1_star = edge_prices(c1, c2, b1, b2)
-    r2, p_a2_star = edge_prices(c2, c1, b2, b1)
-    s = c1 + c2
-    p_star = (math.sqrt(s * s + 6.0 * b1 * b2) - s) / 3.0
-    return CriticalConstants(r1, r2, p_a1_star, p_a2_star, p_star)
 
 
 def classify(rect: Rectangle) -> PhaseRegion:
@@ -528,10 +496,9 @@ def _kind_b_cubic(rect: Rectangle) -> tuple[float, float, float, float]:
 
 
 def _kind_b_params(rect: Rectangle, m1: float) -> SolveParams | None:
-    """Parameters of the one-lottery structure; None if geometry is invalid."""
+    """Parameters of the one-lottery structure with kink m1 > 0; None if
+    its geometry is invalid."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
-    if m1 <= 0.0:  # the image of D1 = inf
-        return None
     d1, a1 = _lottery(c1, b2 + c2, m1)
     if d1 >= b2 + c2:  # the edge price reaches b2
         return None
@@ -630,9 +597,11 @@ def solve_verylarge_small(rect: Rectangle) -> Mechanism:
 
 
 def solve_bundling(rect: Rectangle) -> Mechanism:
-    """Pure bundling at the critical diagonal offset."""
-    cc = critical_constants(rect)
-    return build_mechanism(StructureKind.C, SolveParams(p=cc.p_star), rect)
+    """Pure bundling at the critical diagonal offset
+    p* = (sqrt(s^2 + 6 b1 b2) - s)/3, with s = c1 + c2."""
+    s = rect.c1 + rect.c2
+    p_star = (math.sqrt(s * s + 6.0 * rect.b1 * rect.b2) - s) / 3.0
+    return build_mechanism(StructureKind.C, SolveParams(p=p_star), rect)
 
 
 _DISPATCH = {

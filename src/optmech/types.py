@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 class NonPositiveSide(ValueError):
@@ -77,11 +77,6 @@ class Rectangle:
     def scaled(self, lam: float) -> "Rectangle":
         """The support with all coordinates multiplied by lam > 0."""
         return Rectangle(lam * self.c1, lam * self.c2, lam * self.b1, lam * self.b2)
-
-
-def validate_rectangle(c1: float, c2: float, b1: float, b2: float) -> Rectangle:
-    """Build a Rectangle, raising NonPositiveSide / NegativeCorner on bad input."""
-    return Rectangle(float(c1), float(c2), float(b1), float(b2))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 the non-participation region, a shuffle report, the closed-form shuffle
 parameters of the lottery structures, the simple menus every
 optimum must match, finite-difference checks of a menu's revenue, the
-duality-side revenue pairing, a payment-monotonicity check, the
-linear family's boundary measure, and the companion-matrix root finder
-the closed-form one is checked against."""
+buyer's best entry at a type, the duality-side revenue pairing, a
+payment-monotonicity check, the linear family's boundary measure, and
+the companion-matrix root finder the closed-form one is checked
+against."""
 
 import math
 import sys
@@ -15,8 +16,7 @@ from numpy.polynomial import polynomial as npoly
 
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar, Shuffle
-from optmech.linear import _expectation, _marginal
-from optmech.mechanism import expected_revenue, utility
+from optmech.mechanism import expected_revenue
 from optmech.oracle import FD_STEP, _perturbed
 from optmech.solver import (
     ROOT_DOUBLE_ULPS,
@@ -183,6 +183,23 @@ def local_max_check(menu: tuple[MenuItem, ...], rect: Rectangle, eps: float) -> 
     return True
 
 
+def utility(menu: tuple[MenuItem, ...], z: tuple[float, float]) -> tuple[float, MenuItem]:
+    """Buyer's value at type z and the entry achieving it.
+
+    The outside option (0 at the null lottery) is always available; exact
+    ties are broken toward the higher price, matching the closed-region
+    convention used for the best-response polygons.
+    """
+    best_u = 0.0
+    best_item = NULL_ITEM
+    for item in menu:
+        u = item.utility(z[0], z[1])
+        if u > best_u or (u == best_u and item.t > best_item.t):
+            best_u = u
+            best_item = item
+    return best_u, best_item
+
+
 def primal_objective(menu: tuple[MenuItem, ...], rect: Rectangle) -> float:
     """Integral of the buyer's utility against the transformed measure.
 
@@ -233,6 +250,44 @@ def revenue_monotonicity_check(menu: tuple[MenuItem, ...], rect: Rectangle, n: i
             if j + 1 < n and pay[i][j + 1] < pay[i][j] - tol:
                 return False
     return True
+
+
+# The linear family's first two balance equations, in the unnormalized
+# scale where the density carries no 1/(2c+1)^2 factor.
+
+
+def _marginal(c: float, pa: float, a: float, P1: float) -> float:
+    """Transported mass: point term plus the boundary density integral."""
+    k = (c + 1.0) ** 2
+    u = c + pa
+    a0 = u + a * c
+    k2 = 3.0 * k - 5.0 * a0 * a0
+    k3 = 20.0 * a0 * a / 3.0
+    k4 = -2.5 * a * a
+    point = 2.0 * c * c * (k - u * u)
+    return (
+        point
+        + k2 * (P1 * P1 - c * c)
+        + k3 * (P1**3 - c**3)
+        + k4 * (P1**4 - c**4)
+    )
+
+
+def _expectation(c: float, pa: float, a: float, P1: float) -> float:
+    """First moment of the boundary density about z1 = c."""
+    k = (c + 1.0) ** 2
+    a0 = c + pa + a * c
+    c0 = 3.0 * k - 5.0 * a0 * a0
+    k1 = -2.0 * c * c0
+    k2 = 2.0 * c0 - 20.0 * c * a0 * a
+    k3 = 20.0 * a0 * a + 10.0 * c * a * a
+    k4 = -10.0 * a * a
+
+    def anti(z: float) -> float:
+        return k1 * z * z / 2.0 + k2 * z**3 / 3.0 + k3 * z**4 / 4.0 + k4 * z**5 / 5.0
+
+    return anti(P1) - anti(c)
+
 
 
 @dataclass(frozen=True)

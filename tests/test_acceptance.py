@@ -8,10 +8,10 @@ import time
 
 import numpy as np
 
-from helpers import local_max_check, revenue_monotonicity_check
+from helpers import local_max_check, revenue_monotonicity_check, utility
 from optmech import cli
 from optmech.measures import MuBar
-from optmech.mechanism import expected_revenue, utility
+from optmech.mechanism import expected_revenue
 from optmech.oracle import brute_force_menu_search, certificate_check
 from optmech.solver import PhaseRegion, classify, solve
 from optmech.types import Rectangle, StructureKind

@@ -37,12 +37,8 @@ def _grid_revenue(sol: LinearSolution, c: float, n: int) -> float:
     return float((best_t * weight).sum() / (n * n))
 
 
-def test_instance_validation_and_density():
-    inst = LinearDensityInstance(0.1)
-    assert inst.z_min == 0.1 and inst.z_max == 1.1
-    assert inst.cdf(inst.z_min) == 0.0
-    assert inst.cdf(inst.z_max) == pytest.approx(1.0, abs=1e-15)
-    assert inst.density(0.5) == pytest.approx(1.0 / 1.2)
+def test_instance_validation():
+    assert LinearDensityInstance(0.1).c == 0.1
     for bad in (-0.1, C_MAX + 1e-6, 0.3, math.nan):
         with pytest.raises(OutOfRange):
             LinearDensityInstance(bad)
@@ -92,7 +88,6 @@ def test_solution_internal_consistency():
         sol = solve_linear(c)
         assert sol.P2 == pytest.approx(c + sol.p_a1 - sol.a1 * (sol.P1 - c), abs=1e-12)
         assert sol.p == pytest.approx(sol.P1 + sol.P2, abs=1e-12)
-        assert sol.t_bundle == sol.p
         assert c < sol.P1 < sol.P2 <= c + 1.0
         assert 0.0 < sol.a1 <= 1.0 + 1e-5
 

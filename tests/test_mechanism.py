@@ -6,14 +6,13 @@ import pytest
 
 import optmech.geometry
 import optmech.mechanism
-from helpers import primal_objective, revenue_monotonicity_check
+from helpers import primal_objective, revenue_monotonicity_check, utility
 from optmech.mechanism import (
     IncompleteParams,
     build_mechanism,
     expected_revenue,
     menu_from_structure,
     region_areas,
-    utility,
 )
 from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, SolveParams, StructureKind
@@ -132,10 +131,19 @@ def test_the_solve_path_never_clips(monkeypatch):
     assert kinds == {**{k: k for k in INSTANCES}, "A0": StructureKind.A, "B2": StructureKind.B}
 
 
-@pytest.mark.parametrize("kind", [StructureKind(k) for k in "ABCDE"])
-def test_closed_form_areas_are_the_best_response_polygons(kind):
-    rect = INSTANCES[kind]
-    mech = solve(rect)
+@pytest.mark.parametrize(
+    "kind, rect, p",
+    [pytest.param(StructureKind(k), INSTANCES[StructureKind(k)], None, id=k) for k in "ABCDE"]
+    + [
+        # pure bundling with the diagonal past the shorter side (and on the
+        # longer one), and past both: bands no solved support reaches
+        pytest.param(StructureKind.C, Rectangle(0.3, 0.2, 0.8, 1.2), 1.0, id="C-past-shorter-side"),
+        pytest.param(StructureKind.C, Rectangle(0.3, 0.2, 0.8, 1.2), 1.2, id="C-at-longer-side"),
+        pytest.param(StructureKind.C, Rectangle(0.2, 0.3, 1.2, 0.8), 1.7, id="C-past-both-sides"),
+    ],
+)
+def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
+    mech = solve(rect) if p is None else build_mechanism(kind, SolveParams(p=p), rect)
     areas = region_areas(kind, mech.params, rect)
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)

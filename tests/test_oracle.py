@@ -253,6 +253,8 @@ def test_brute_force_validates_arguments():
         Rectangle(0.5, 8.0, 1.0, 1.0),
         Rectangle(0.0, 0.3, 1.0, 1.0),
         Rectangle(4.0, 4.0, 12.0, 3.0),
+        # a kind-D shuffle moment of 1.2e-10 in units of length, 1e-16 of b1
+        Rectangle(0.1961141333496032, 6.696083292540371, 1.3664011908020086, 2.4624536816601164).scaled(1e6),
     ],
 )
 def test_certificate_passes_on_solved_instances(rect):
@@ -260,9 +262,27 @@ def test_certificate_passes_on_solved_instances(rect):
     report = certificate_check(mech, rect)
     assert report.passed, f"{rect}: failures {report.failures}"
     assert abs(report.mu_D) <= 1e-12
-    assert abs(report.mu_W) <= 1e-9 * rect.area
+    assert abs(report.mu_W) <= 1e-9
     assert report.shuffle_mass <= 1e-10
     assert report.shuffle_moment <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-3, 1e3])
+def test_certificate_verdict_does_not_move_with_scale(lam):
+    # region masses are dimensionless, the corner atom's tolerance is a
+    # share of the shorter side, and each shuffle moment is judged over its
+    # side, so supports that certify at scale 1 certify at every scale
+    rng = random.Random(1606)
+    failed = []
+    for _ in range(40):
+        b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        c1 = b1 * 10.0 ** rng.uniform(-2.0, math.log10(4.0))
+        c2 = b2 * 10.0 ** rng.uniform(-2.0, math.log10(4.0))
+        rect = Rectangle(c1, c2, b1, b2).scaled(lam)
+        report = certificate_check(solve(rect), rect)
+        if not report.passed:
+            failed.append((rect, report.failures))
+    assert not failed, f"{len(failed)} of 40 fail, first {failed[0]}"
 
 
 def test_certificate_total_measure_tolerance_scales_with_offsets():

@@ -10,10 +10,11 @@ from helpers import (
     random_menu,
     revenue_monotonicity_check,
     rival_revenue,
+    utility,
 )
 from optmech.geometry import best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar
-from optmech.mechanism import expected_revenue, utility
+from optmech.mechanism import expected_revenue
 from optmech.solver import classify, solve
 from optmech.types import NULL_ITEM, Rectangle
 

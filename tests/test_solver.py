@@ -21,13 +21,15 @@ from optmech.solver import (
     ROOT_REL_TOL,
     NoRoot,
     _kind_b_params,
+    _lottery,
     _root_in_bracket,
+    _sweep_kinks,
     PhaseRegion,
     classify,
-    critical_constants,
     real_roots_in_interval,
     residual_W,
     solve,
+    solve_bundling,
     solve_pa2_given_pa1,
 )
 from optmech.types import MenuItem, Rectangle, SolveParams, StructureKind
@@ -86,21 +88,28 @@ def test_classify_is_swap_covariant():
 
 
 # ---------------------------------------------------------------------------
-# critical constants and root isolation
+# sweep ends and root isolation
 
 
-def test_critical_constants_frozen_point():
-    cc = critical_constants(Rectangle(0.1, 0.1, 1.0, 1.0))
-    assert cc.r1 == pytest.approx(0.7, abs=1e-12), "closed form (2*2.5 - 0.1*1.7)/(3*2.3)"
-    assert cc.r2 == pytest.approx(0.7, abs=1e-12)
-    assert cc.r1 < cc.p_a1_star < 1.0
+def test_sweep_kinks_frozen_point():
+    # the corner points coincide at the kink 0.6, where the edge offset is
+    # D1 = 0.44/2.2 and the edge price (2 b2 - c2 + D1)/3 is 0.7; the weight
+    # a1 reaches 1 at a smaller kink, whose edge price is below 1
+    rect = Rectangle(0.1, 0.1, 1.0, 1.0)
+    full, coincident = _sweep_kinks(rect.c1, rect.c2, rect.b1, rect.b2)
+    assert coincident == pytest.approx(0.6, abs=1e-15)
+    assert _sweep_kinks(rect.c2, rect.c1, rect.b2, rect.b1) == (full, coincident)
+    d1, a1 = _lottery(rect.c1, rect.b2 + rect.c2, coincident)
+    assert d1 == pytest.approx(0.2, abs=1e-15) and a1 < 1.0
+    d1, a1 = _lottery(rect.c1, rect.b2 + rect.c2, full)
+    assert 0.0 < full < coincident and a1 == pytest.approx(1.0, abs=1e-15)
+    assert (2.0 * rect.b2 - rect.c2 + d1) / 3.0 < 1.0
 
 
 def test_bundle_critical_price_closed_form():
-    cc = critical_constants(Rectangle(2.0, 2.0, 1.0, 1.0))
-    assert cc.p_star == pytest.approx((math.sqrt(22.0) - 4.0) / 3.0, abs=1e-14)
-    cc0 = critical_constants(UNIT)
-    assert cc0.p_star == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-14)
+    p_star = solve_bundling(Rectangle(2.0, 2.0, 1.0, 1.0)).params.p
+    assert p_star == pytest.approx((math.sqrt(22.0) - 4.0) / 3.0, abs=1e-14)
+    assert solve_bundling(UNIT).params.p == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +303,12 @@ def test_residual_w_matches_polygon_measure():
     # the polynomial residual equals -b1 b2 D1 D2 times the measure of the
     # bundle region, for any diagonal-matched pair of edge prices
     rect = Rectangle(0.1, 0.1, 1.0, 1.0)
-    cc = critical_constants(rect)
+    full, coincident = _sweep_kinks(rect.c1, rect.c2, rect.b1, rect.b2)
     mu = MuBar(rect)
     for p_a1 in (0.705, 0.71, 0.715):
-        assert cc.r1 < p_a1 < cc.p_a1_star
+        d1 = rect.c2 - 2.0 * rect.b2 + 3.0 * p_a1
+        # the edge price's kink lies inside the sweep
+        assert full < 4.0 * rect.c1 * (rect.b2 + rect.c2 - d1) / (3.0 * d1) < coincident
         p_a2 = solve_pa2_given_pa1(rect, p_a1)
         sh1 = alpha_params(rect, p_a1)
         sh2 = alpha_params(rect.swapped(), p_a2)
@@ -307,7 +318,6 @@ def test_residual_w_matches_polygon_measure():
         menu = menu_from_structure(StructureKind.A, params, rect)
         regions = best_response_regions(rect, menu)
         w_mass = mu.mass(regions[3])
-        d1 = rect.c2 - 2.0 * rect.b2 + 3.0 * p_a1
         d2 = rect.c1 - 2.0 * rect.b1 + 3.0 * p_a2
         lhs = residual_W(rect, p_a1, p_a2)
         rhs = -rect.b1 * rect.b2 * d1 * d2 * w_mass

@@ -13,7 +13,6 @@ from optmech.types import (
     Rectangle,
     SolveParams,
     StructureKind,
-    validate_rectangle,
 )
 
 
@@ -34,11 +33,6 @@ def test_rectangle_rejects_bad_sides(b1, b2):
 def test_rectangle_rejects_bad_corners(c1, c2):
     with pytest.raises(NegativeCorner):
         Rectangle(c1, c2, 1.0, 1.0)
-
-
-def test_validate_rectangle_coerces_to_float():
-    r = validate_rectangle(1, 2, 3, 4)
-    assert isinstance(r.c1, float) and r == Rectangle(1.0, 2.0, 3.0, 4.0)
 
 
 def test_rectangle_corners_are_counterclockwise():
