@@ -4,7 +4,8 @@ Each valuation is drawn independently with density f(z) = 2z/(2c+1) on
 [c, c+1].  The optimal menu keeps the four-item structure with one sloped
 boundary segment per side; three balance equations (transported mass of
 the boundary segment, its first moment, and the mass balance of the
-bundle region) pin down the parameters (p_a1, a1, P1).
+bundle region) pin down the parameters (p_a1, a1, P1).  The revenue's
+best-response regions follow from the menu's prices, with no clipping.
 
 The equations are polynomial.  At a fixed kink P1 the first two are
 quadratics in A0 = c + p_a1 + a1 c whose resultant is a quadratic in
@@ -18,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Polygon, best_response_regions
 from .solver import NoRoot, _root_in_bracket
-from .types import NULL_ITEM, MenuItem, Rectangle
+from .types import NULL_ITEM, MenuItem
 
-#: Largest lower endpoint for which the sloped-boundary structure holds;
-#: at this value the boundary slope a1 reaches 1 and the sloped segment
-#: becomes parallel to the bundle boundary.
+#: Largest lower endpoint for which the sloped-boundary structure holds.
+#: Here the solved slope a1 is 1.0000012, just past 1: menu() clips it to
+#: 1, so the sloped segment is parallel to the bundle boundary and
+#: linear_revenue prices the menu on its a = 1 (pure bundling) branch.
 C_MAX = 0.250116
 
 _SQRT06 = math.sqrt(0.6)
@@ -221,17 +222,11 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
     return LinearSolution(c=inst.c, p_a1=pa, a1=a, P1=x, P2=P2, p=x + P2)
 
 
-def _xy_moment(poly: Polygon) -> float:
-    """Exact integral of z1*z2 over a polygon, by the boundary formula."""
-    if poly.is_empty:
-        return 0.0
-    vs = poly.vertices
+def _xy_moment(vs: tuple[tuple[float, float], ...]) -> float:
+    """Exact integral of z1*z2 over the CCW polygon vs, by the boundary formula."""
     total = 0.0
-    for i in range(len(vs)):
-        x0, y0 = vs[i]
-        x1, y1 = vs[(i + 1) % len(vs)]
-        dx = x1 - x0
-        dy = y1 - y0
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        dx, dy = x1 - x0, y1 - y0
         inner = (
             x0 * x0 * y0
             + 0.5 * (x0 * x0 * dy + 2.0 * x0 * dx * y0)
@@ -243,29 +238,43 @@ def _xy_moment(poly: Polygon) -> float:
 
 
 def linear_revenue(sol: LinearSolution, c: float) -> float:
-    """Expected revenue of the solved menu under the linear density.
+    """Expected revenue of the menu under the linear density.
+
+    The best-response regions come from the menu's prices, with no
+    clipping.  In u = z - c, lottery (a, 1) sells on a*u1 + u2 >= pa,
+    pa = t_a1 - c(1 + a), and the bundle on u1 + u2 >= p - 2c; the two
+    lines cross at the kink P = (c + k, c + pa - a k), k = (p - 2c - pa)
+    / (1 - a), mirrored to Q = (P2, P1).  Lottery (a, 1) sells on the
+    quadrilateral (c, c + pa), P, (P1, c + 1), (c, c + 1), lottery (1, a)
+    on its mirror, and the bundle on the pentagon P, Q, (c + 1, P1),
+    (c + 1, c + 1), (P1, c + 1).  This holds while P lies in the support
+    above the diagonal, as on every solved menu and small moves of its
+    prices.  Where menu() clips a to 1 (at c = C_MAX), lotteries and
+    bundle share the allocation (1, 1): the menu is pure bundling at
+    min(t_a1, p).
 
     Parameters
     ----------
     sol : LinearSolution
-        Menu parameters.
+        Menu parameters; only its prices (p_a1, a1, p) are read.
     c : float
         Lower endpoint of the support, in [0, C_MAX].
 
     Returns
     -------
     float
-        Expected revenue, computed from exact polygon moments of the
-        bilinear density 4*z1*z2/(2c+1)^2 over the best-response regions.
+        Exact moments of the density 4*z1*z2/(2c+1)^2 over the regions.
     """
-    inst = LinearDensityInstance(c)
-    rect = Rectangle(inst.c, inst.c, 1.0, 1.0)
-    menu = sol.menu()
-    regions = best_response_regions(rect, menu)
-    scale = 4.0 / (2.0 * inst.c + 1.0) ** 2
-    total = 0.0
-    for item, region in zip(menu, regions):
-        if item.is_null:
-            continue
-        total += item.t * scale * _xy_moment(region)
-    return total
+    c = LinearDensityInstance(c).c
+    _, lottery, _, bundle = sol.menu()
+    a, t, p = lottery.q1, lottery.t, bundle.t
+    scale = 4.0 / (2.0 * c + 1.0) ** 2
+    if a == 1.0:
+        m = min(t, p)  # the square's moment is 1/scale; less the unsold triangle
+        return m * (1.0 - scale * _xy_moment(((c, c), (m - c, c), (c, m - c))))
+    pa = t - c * (1.0 + a)
+    k = (p - 2.0 * c - pa) / (1.0 - a)
+    P1, P2, top = c + k, c + pa - a * k, c + 1.0
+    quad = _xy_moment(((c, c + pa), (P1, P2), (P1, top), (c, top)))
+    pent = _xy_moment(((P1, P2), (P2, P1), (top, P1), (top, top), (P1, top)))
+    return scale * (2.0 * t * quad + p * pent)

@@ -3,8 +3,8 @@ the non-participation region, a shuffle report, the closed-form shuffle
 parameters of the lottery structures, the simple menus every
 optimum must match, finite-difference checks of a menu's revenue, the
 buyer's best entry at a type, the duality-side revenue pairing, a
-payment-monotonicity check, the linear family's boundary measure, and
-the companion-matrix root finder the closed-form one is checked
+payment-monotonicity check, the linear family's boundary measure and
+clipped-polygon revenue, and the companion-matrix root finder the closed-form one is checked
 against."""
 
 import math
@@ -14,6 +14,7 @@ from functools import partial
 
 from numpy.polynomial import polynomial as npoly
 
+from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import expected_revenue
@@ -331,6 +332,16 @@ class GenShuffleAlpha:
     def first_moment(self) -> float:
         scale = (2.0 * self.c + 1.0) ** 2
         return _expectation(self.c, self.p_a1, self.a1, self.P1) / scale
+
+
+def clipped_linear_revenue(sol: LinearSolution, c: float) -> float:
+    """``linear.linear_revenue`` by clipping the four best-response polygons
+    out of the support: the reference its closed form is checked against."""
+    inst = LinearDensityInstance(c)
+    menu = sol.menu()
+    regions = best_response_regions(Rectangle(inst.c, inst.c, 1.0, 1.0), menu)
+    scale = 4.0 / (2.0 * inst.c + 1.0) ** 2
+    return sum(item.t * scale * _xy_moment(region.vertices) for item, region in zip(menu, regions))
 
 
 def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:

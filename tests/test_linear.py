@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import optmech.linear
-from helpers import GenShuffleAlpha
+from helpers import GenShuffleAlpha, clipped_linear_revenue
 from optmech.linear import (
     C_MAX,
     LinearDensityInstance,
@@ -211,12 +211,34 @@ def test_interior_root_is_a_stationary_price():
         assert rev < base, f"price shift {delta:+} should not gain (got {rev} vs {base})"
 
 
+def _price_moves(sol: LinearSolution):
+    """The menu with p, p_a1 or a1 alone moved by +-1e-3 and +-1e-5."""
+    for field in ("p", "p_a1", "a1"):
+        for delta in (1e-3, -1e-3, 1e-5, -1e-5):
+            yield field, delta, dataclasses.replace(sol, **{field: getattr(sol, field) + delta})
+
+
 def test_positive_c_prices_are_stationary():
-    sol = solve_linear(0.1)
-    base = linear_revenue(sol, 0.1)
-    for delta in (1e-3, -1e-3):
-        rev = linear_revenue(dataclasses.replace(sol, p=sol.p + delta), 0.1)
-        assert rev < base, f"bundle price shift {delta:+} gained revenue"
+    # the revenue must read the moved prices, not the solved kink P1/P2
+    for c in (0.05, 0.1, 0.15, 0.2, 0.24):
+        sol = solve_linear(c)
+        base = linear_revenue(sol, c)
+        for field, delta, moved in _price_moves(sol):
+            rev = linear_revenue(moved, c)
+            assert rev < base, f"{field} shift {delta:+} gained revenue at c={c} ({rev} vs {base})"
+
+
+def test_closed_form_revenue_matches_clipped_polygons():
+    # 401 points across [0, C_MAX]; the last is C_MAX, where menu() clips
+    # a1 to 1 and the menu is pure bundling
+    sols = [solve_linear(C_MAX * i / 400) for i in range(401)]
+    sols.append(solve_linear(0.0, root="interior"))
+    for c in (0.05, 0.1, 0.2):
+        sols.extend(moved for _, _, moved in _price_moves(solve_linear(c)))
+    assert sols[400].c == C_MAX and sols[400].menu()[1].q1 == 1.0
+    for sol in sols:
+        ref = clipped_linear_revenue(sol, sol.c)
+        assert linear_revenue(sol, sol.c) == pytest.approx(ref, rel=1e-13, abs=0.0), sol
 
 
 def test_revenue_increases_with_c():
