@@ -4,8 +4,8 @@ parameters of the lottery structures, the simple menus every
 optimum must match, finite-difference checks of a menu's revenue, the
 buyer's best entry at a type, the duality-side revenue pairing, a
 payment-monotonicity check, the linear family's boundary measure and
-clipped-polygon revenue, and the companion-matrix root finder the closed-form one is checked
-against."""
+clipped-polygon revenue, and the companion-matrix root finder the
+closed-form one is checked against."""
 
 import math
 import sys
@@ -14,8 +14,8 @@ from functools import partial
 
 from numpy.polynomial import polynomial as npoly
 
-from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
+from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import expected_revenue
 from optmech.oracle import FD_STEP, _perturbed
