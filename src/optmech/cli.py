@@ -156,17 +156,13 @@ def cmd_phase(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     try:
         rect = Rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
-        if ns.coarse < 8:
-            raise ValueError(f"--coarse must be at least 8, got {ns.coarse}")
-        if ns.rounds < 0:
-            raise ValueError(f"--rounds must be nonnegative, got {ns.rounds}")
+        _, best = brute_force_menu_search(rect, coarse=ns.coarse, refine_rounds=ns.rounds)
     except ValueError as exc:
         return _fail(str(exc), 2)
     try:
         mech = solve(rect)
     except NoRoot as exc:
         return _fail(str(exc), 3)
-    _, best = brute_force_menu_search(rect, coarse=ns.coarse, refine_rounds=ns.rounds)
     gap = mech.revenue - best
     report = certificate_check(mech, rect, oracle_gap=gap)
     print(f"instance: c1={rect.c1:g} c2={rect.c2:g} b1={rect.b1:g} b2={rect.b2:g}")

@@ -1,21 +1,26 @@
-"""Convex polygon primitives on the value rectangle.
+"""Convex polygon primitives on the unit square.
 
-Polygons are convex, counterclockwise, possibly empty.  Every
-best-response region of a menu arises from clipping the support rectangle
-with half-planes, so Sutherland-Hodgman clipping plus shoelace moments is
-everything needed.  The verifier and the linear family clip; the solver
-takes its regions' areas in closed form instead.
+Polygons are convex, counterclockwise, possibly empty.  The verifier maps
+the support [c1, c1+b1] x [c2, c2+b2] to u = (z - c)/b in [0, 1]^2 before
+any clipping, so every best-response region of a menu is the fixed unit
+square clipped by half-planes, and no code here handles the support's
+scale.  Sutherland-Hodgman clipping plus shoelace moments is everything
+needed; the solver takes its regions' areas in closed form instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .types import MenuItem, Rectangle
+from .types import NULL_ITEM, MenuItem, Rectangle
 
 Point = tuple[float, float]
 
+# On the unit square, vertices closer than _DEDUP_TOL are one vertex, and a
+# point or an edge within _ON_LINE_TOL of a line lies on it: shares of each
+# side of the support.
 _DEDUP_TOL = 1e-12
+_ON_LINE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -93,22 +98,19 @@ class Polygon:
             my += (y0 + y1) * cross
         return a / 2.0, mx / 6.0, my / 6.0
 
-    def contains(self, pt: Point, tol: float = 1e-12) -> bool:
-        """True if pt lies in the closed polygon (within tol of the boundary)."""
+    def contains(self, pt: Point) -> bool:
+        """True if pt lies in the closed polygon (within _ON_LINE_TOL of the boundary)."""
         vs = self.vertices
         if not vs:
             return False
         for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < -tol:
+            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < -_ON_LINE_TOL:
                 return False
         return True
 
 
 EMPTY_POLYGON = Polygon(())
-
-
-def rect_polygon(rect: Rectangle) -> Polygon:
-    return Polygon(rect.corners())
+UNIT_SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 
 
 def clip(poly: Polygon, hp: HalfPlane) -> Polygon:
@@ -139,68 +141,61 @@ def clip_many(poly: Polygon, hps: list[HalfPlane] | tuple[HalfPlane, ...]) -> Po
 
 
 def best_response_regions(rect: Rectangle, menu: tuple[MenuItem, ...]) -> list[Polygon]:
-    """Partition of the support by the buyer's preferred menu item.
+    """Partition of the support by the buyer's preferred menu item, as
+    polygons in u = (z - c)/b on the unit square.
 
     Region k holds the types for which item k maximizes q1*z1 + q2*z2 - t
-    among all menu items and the outside option of buying nothing.  Each
-    region is the rectangle clipped by the pairwise-preference half-planes
-    plus the participation constraint; regions share boundaries, and when
-    two items coincide exactly the earlier one keeps the region.
+    among all menu items and the outside option of buying nothing; in u
+    item k is worth q1 b1 u1 + q2 b2 u2 - (t - q1 c1 - q2 c2).  Each region
+    is the unit square clipped by the half-planes where item k beats each
+    other item and the outside option, which is the null item last unless
+    the menu holds it already; regions share boundaries, and when two
+    items have the same allocation the cheaper one keeps the region, the
+    earlier one on a tie.
     """
-    base = rect_polygon(rect)
-    regions: list[Polygon] = []
-    for k, it in enumerate(menu):
-        poly = base
-        empty = False
-        for j, other in enumerate(menu):
-            if j == k:
-                continue
-            n1 = other.q1 - it.q1
-            n2 = other.q2 - it.q2
-            d = other.t - it.t
-            if n1 == 0.0 and n2 == 0.0:
-                # identical allocation: cheaper item wins, first index breaks ties
-                if d < 0.0 or (d == 0.0 and j < k):
-                    empty = True
-                    break
-                continue
-            poly = clip(poly, HalfPlane(n1, n2, d))
-            if poly.is_empty:
-                empty = True
-                break
-        if empty:
-            regions.append(EMPTY_POLYGON)
+    rivals = menu if NULL_ITEM in menu else (*menu, NULL_ITEM)
+    return [_region(k, rivals, rect) for k in range(len(menu))]
+
+
+def _region(k: int, rivals: tuple[MenuItem, ...], rect: Rectangle) -> Polygon:
+    it = rivals[k]
+    poly = UNIT_SQUARE
+    for j, other in enumerate(rivals):
+        if j == k:
             continue
-        if it.q1 != 0.0 or it.q2 != 0.0:
-            poly = clip(poly, HalfPlane(-it.q1, -it.q2, -it.t))
-        elif it.t > 0.0:
-            poly = EMPTY_POLYGON
-        regions.append(poly)
-    return regions
+        n1 = other.q1 - it.q1
+        n2 = other.q2 - it.q2
+        d = other.t - it.t
+        if n1 == 0.0 and n2 == 0.0:
+            if d < 0.0 or (d == 0.0 and j < k):
+                return EMPTY_POLYGON
+            continue
+        poly = clip(poly, HalfPlane(n1 * rect.b1, n2 * rect.b2, d - n1 * rect.c1 - n2 * rect.c2))
+        if poly.is_empty:
+            return poly
+    return poly
 
 
-def boundary_sections(
-    poly: Polygon, axis: int, value: float, tol: float = 1e-9
-) -> list[tuple[float, float]]:
-    """Edges of poly lying on the line z[axis] == value.
+def boundary_sections(poly: Polygon, axis: int, value: float) -> list[tuple[float, float]]:
+    """Edges of poly lying on the line u[axis] == value (within _ON_LINE_TOL).
 
     Returns sorted, merged (lo, hi) intervals of the other coordinate.
     Used by the boundary-measure evaluator for the line densities that sit
-    on the rectangle's four edges.
+    on the unit square's four edges.
     """
     vs = poly.vertices
     if not vs:
         return []
     spans: list[tuple[float, float]] = []
     for v0, v1 in zip(vs, vs[1:] + vs[:1]):
-        if abs(v0[axis] - value) <= tol and abs(v1[axis] - value) <= tol:
+        if abs(v0[axis] - value) <= _ON_LINE_TOL and abs(v1[axis] - value) <= _ON_LINE_TOL:
             lo, hi = sorted((v0[1 - axis], v1[1 - axis]))
             if hi - lo > 0.0:
                 spans.append((lo, hi))
     spans.sort()
     merged: list[tuple[float, float]] = []
     for lo, hi in spans:
-        if merged and lo <= merged[-1][1] + tol:
+        if merged and lo <= merged[-1][1] + _ON_LINE_TOL:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))

@@ -264,6 +264,12 @@ def linear_revenue(sol: LinearSolution, c: float) -> float:
     -------
     float
         Exact moments of the density 4*z1*z2/(2c+1)^2 over the regions.
+
+    Raises
+    ------
+    ValueError
+        If a < 1 and the menu leaves that layout: the kink outside
+        c <= P1 <= P2 <= c + 1, or the edge price pa outside [0, 1].
     """
     c = LinearDensityInstance(c).c
     _, lottery, _, bundle = sol.menu()
@@ -275,6 +281,8 @@ def linear_revenue(sol: LinearSolution, c: float) -> float:
     pa = t - c * (1.0 + a)
     k = (p - 2.0 * c - pa) / (1.0 - a)
     P1, P2, top = c + k, c + pa - a * k, c + 1.0
+    if not (c <= P1 <= P2 <= top and 0.0 <= pa <= 1.0):
+        raise ValueError(f"menu outside the solved layout at c={c!r}: kink ({P1!r}, {P2!r}), pa={pa!r}")
     quad = _xy_moment(((c, c + pa), (P1, P2), (P1, top), (c, top)))
     pent = _xy_moment(((P1, P2), (P2, P1), (top, P1), (top, top), (P1, top)))
     return scale * (2.0 * t * quad + p * pent)

@@ -1,10 +1,10 @@
 """The transformed boundary measure and the 1-D shuffling measures.
 
-For a uniform density on [c1, c1+b1] x [c2, c2+b2] the transformed measure
-consists of an interior density -3/(b1 b2), line densities on the four edges
-(-c2/(b1 b2) bottom, -c1/(b1 b2) left, +(c2+b2)/(b1 b2) top,
-+(c1+b1)/(b1 b2) right), and a unit point mass at the corner (c1, c2).
-Its total over the rectangle is exactly zero.
+For a uniform density on [c1, c1+b1] x [c2, c2+b2] the transformed measure,
+in u = (z - c)/b on the unit square, consists of an interior density -3,
+line densities on the four edges (-c2/b2 bottom, -c1/b1 left, 1 + c2/b2
+top, 1 + c1/b1 right), and a unit point mass at the origin, the support's
+corner (c1, c2).  Its total over the square is exactly zero.
 
 Shuffling measures are signed 1-D measures supported on a segment of the
 top edge plus a point mass at the segment's left end; each kind of solution
@@ -17,73 +17,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import HalfPlane, Polygon, boundary_sections, clip_many, rect_polygon
+from .geometry import UNIT_SQUARE, HalfPlane, Polygon, boundary_sections, clip_many
 from .types import Rectangle
+
+_SQUARE_SIDES = (
+    HalfPlane(-1.0, 0.0, 0.0),
+    HalfPlane(1.0, 0.0, 1.0),
+    HalfPlane(0.0, -1.0, 0.0),
+    HalfPlane(0.0, 1.0, 1.0),
+)
 
 
 class MuBar:
-    """Evaluate the transformed measure on convex sub-polygons of the support.
+    """Evaluate the transformed measure on convex polygons in u = (z - c)/b.
 
-    Polygons are clipped to the rectangle before evaluation, so callers may
-    pass any convex polygon.  Edge line densities are picked up by polygon
-    edges lying on the rectangle boundary; the corner point mass is counted
-    for polygons containing (c1, c2).
+    Polygons are clipped to the unit square before evaluation, so callers
+    may pass any convex polygon.  Edge line densities are picked up by
+    polygon edges lying on the square's boundary; the corner point mass is
+    counted for polygons containing the origin.
     """
 
     def __init__(self, rect: Rectangle) -> None:
-        self.rect = rect
-        scale = 1.0 / rect.area
+        r1, r2 = rect.c1 / rect.b1, rect.c2 / rect.b2
         # (axis, coordinate value, line density) for the four boundary edges
-        self._edges = (
-            (1, rect.c2, -rect.c2 * scale),
-            (1, rect.z2_max, rect.z2_max * scale),
-            (0, rect.c1, -rect.c1 * scale),
-            (0, rect.z1_max, rect.z1_max * scale),
-        )
-        self._interior = -3.0 * scale
-        # relative to the shorter side, so the verdict does not move with scale
-        self._edge_tol = 1e-9 * min(rect.b1, rect.b2)
-        self._box = (
-            HalfPlane(-1.0, 0.0, -rect.c1),
-            HalfPlane(1.0, 0.0, rect.z1_max),
-            HalfPlane(0.0, -1.0, -rect.c2),
-            HalfPlane(0.0, 1.0, rect.z2_max),
-        )
+        self._edges = ((1, 0.0, -r2), (1, 1.0, 1.0 + r2), (0, 0.0, -r1), (0, 1.0, 1.0 + r1))
 
     def mass(self, poly: Polygon) -> float:
         return self.moments(poly)[0]
 
     def moments(self, poly: Polygon) -> tuple[float, float, float]:
-        """Return (mass, integral of z1, integral of z2) of the measure on poly."""
-        poly = clip_many(poly, self._box)
+        """Return (mass, integral of u1, integral of u2) of the measure on poly."""
+        poly = clip_many(poly, _SQUARE_SIDES)
         if poly.is_empty:
             return 0.0, 0.0, 0.0
         area, ix, iy = poly.moments()
-        mass = self._interior * area
-        m1 = self._interior * ix
-        m2 = self._interior * iy
+        mass, m1, m2 = -3.0 * area, -3.0 * ix, -3.0 * iy
         for axis, value, dens in self._edges:
-            if dens == 0.0 and value == 0.0:
+            if dens == 0.0:
                 continue
-            for lo, hi in boundary_sections(poly, axis, value, self._edge_tol):
+            for lo, hi in boundary_sections(poly, axis, value):
                 length = hi - lo
                 second = 0.5 * (hi * hi - lo * lo)
                 mass += dens * length
-                if axis == 1:  # horizontal edge: varying coordinate is z1
+                if axis == 1:  # horizontal edge: varying coordinate is u1
                     m1 += dens * second
                     m2 += dens * value * length
                 else:
                     m1 += dens * value * length
                     m2 += dens * second
-        if poly.contains((self.rect.c1, self.rect.c2), tol=self._edge_tol):
+        if poly.contains((0.0, 0.0)):
             mass += 1.0
-            m1 += self.rect.c1
-            m2 += self.rect.c2
         return mass, m1, m2
 
     def total(self) -> float:
-        """Measure of the whole rectangle (identically zero up to rounding)."""
-        return self.mass(rect_polygon(self.rect))
+        """Measure of the whole support (identically zero up to rounding)."""
+        return self.mass(UNIT_SQUARE)
 
 
 @dataclass(frozen=True)

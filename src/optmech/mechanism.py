@@ -6,9 +6,9 @@ four polygons whose vertices are the structure's own parameters (the
 corner, the roof points P and Q, the kinks m_i, the edge prices p_a_i and
 the bundle offset p), so ``region_areas`` gives every area in closed form
 and ``build_mechanism`` prices the menu from them without clipping.
-``expected_revenue`` prices any menu from its best-response polygons; the
-verifier uses it to check the closed forms.  No quadrature is involved
-anywhere.
+``expected_revenue`` prices any menu from its best-response polygons on
+the unit square; the verifier uses it to check the closed forms.  No
+quadrature is involved anywhere.
 """
 
 from __future__ import annotations
@@ -92,15 +92,11 @@ def menu_from_structure(kind: StructureKind, params: SolveParams | None, rect: R
 
 
 def expected_revenue(menu: Menu, rect: Rectangle) -> float:
-    """Expected payment of any menu under the uniform density, from the
-    areas of its clipped best-response polygons; the verifier's check on
-    the closed forms of ``region_areas``."""
-    regions = best_response_regions(rect, menu)
-    total = 0.0
-    for item, region in zip(menu, regions):
-        if item.t != 0.0:
-            total += item.t * region.area()
-    return total / rect.area
+    """Expected payment of any menu under the uniform density: each price
+    times the area of its best-response polygon on the unit square, which
+    is the probability the buyer picks it.  The verifier's check on the
+    closed forms of ``region_areas``."""
+    return sum(item.t * region.area() for item, region in zip(menu, best_response_regions(rect, menu)))
 
 
 def _split_by_diagonal(p: float, b1: float, b2: float) -> tuple[float, float]:

@@ -30,7 +30,8 @@ from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, Struc
 # measure is judged relative to its terms' total variation
 # 6 + 2 (c1/b1 + c2/b2), at 1e-12 for zero offsets; the solver's closed-form
 # revenue against the menu's polygon revenue relative to the revenue, with
-# the same offset scaling; the stationarity tolerances are absolute.
+# the same offset scaling; stationarity runs on the support and prices over
+# b1 + b2, where its step and tolerances carry no units.
 MU_D_TOL = 1e-12
 REVENUE_TOL_REL = 1e-11
 REGION_TOL_REL = 1e-9
@@ -242,7 +243,7 @@ def brute_force_menu_search(
     menu = tuple(
         it
         for it, poly in zip(items, regions)
-        if it.is_null or poly.area() > 1e-12 * rect.area
+        if it.is_null or poly.area() > 1e-12
     )
     return menu, expected_revenue(menu, rect)
 
@@ -338,21 +339,20 @@ def _perturbed(menu: Menu, i: int, attr: str, value: float) -> Menu:
     return menu[:i] + (replace(menu[i], **{attr: value}),) + menu[i + 1 :]
 
 
-def _stationarity(
-    menu: Menu, rect: Rectangle, step: float, base: float
-) -> tuple[float, float]:
+def _stationarity(menu: Menu, rect: Rectangle, step: float) -> tuple[float, float]:
     """(ascent-rate norm, largest second difference) over free menu coordinates.
 
     One-sided slopes are judged separately: a coordinate contributes only
     the rate at which revenue rises in some direction, so a maximum at a
     kink (one-sided derivatives of opposite sign, as for the pinned
     lottery price of the two-item structures) certifies cleanly while any
-    strictly improving move is flagged.  base is the menu's own revenue.
+    strictly improving move is flagged.
     """
+    base = expected_revenue(menu, rect)
     grad_sq = 0.0
     max_hess = -math.inf
     for i, attr in _free_coordinates(menu, step):
-        v = getattr(menu[i], attr) if attr != "t" else menu[i].t
+        v = getattr(menu[i], attr)
         hi = expected_revenue(_perturbed(menu, i, attr, v + step), rect)
         up = (hi - base) / step
         if attr == "t" and v < step:
@@ -400,15 +400,19 @@ def certificate_check(
     and moment of the structure's shuffling measure, and stationarity
     differentiates the expected revenue numerically in every free menu
     coordinate (step ``FD_STEP``, one-sided slopes judged separately so
-    kink maxima certify).  The reported revenue must equal the polygon
-    revenue of the menu, so a wrong closed form fails ``revenue_form``.
+    kink maxima certify) on the support and prices divided by b1 + b2,
+    so that neither the step nor the verdict carries units.  The reported
+    revenue must equal the polygon revenue of the menu, so a wrong closed
+    form fails ``revenue_form``.
     """
     menu = mech.menu
     mu_total = MuBar(rect).total()
     masses = _region_masses(rect, menu)
     shuffle_mass, shuffle_moment, signs_ok = _shuffle_deviations(mech, rect)
     polygon_revenue = expected_revenue(menu, rect)
-    grad_norm, max_hess = _stationarity(menu, rect, FD_STEP, polygon_revenue)
+    length = rect.b1 + rect.b2
+    unit_menu = tuple(replace(item, t=item.t / length) for item in menu)
+    grad_norm, max_hess = _stationarity(unit_menu, rect.scaled(1.0 / length), FD_STEP)
     revenue_gap = mech.revenue - polygon_revenue
 
     failures: list[str] = []
@@ -428,7 +432,7 @@ def certificate_check(
         failures.append("shuffle_sign")
     if grad_norm >= GRAD_TOL:
         failures.append("foc_gradient")
-    if max_hess > HESS_TOL * max(1.0, abs(mech.revenue)):
+    if max_hess > HESS_TOL * max(1.0, abs(mech.revenue) / length):
         failures.append("foc_curvature")
     if oracle_gap is not None:
         scale = max(abs(mech.revenue), 1e-12)

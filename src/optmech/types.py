@@ -61,15 +61,6 @@ class Rectangle:
     def area(self) -> float:
         return self.b1 * self.b2
 
-    def corners(self) -> tuple[tuple[float, float], ...]:
-        """Vertices in counterclockwise order starting at the lower-left."""
-        return (
-            (self.c1, self.c2),
-            (self.z1_max, self.c2),
-            (self.z1_max, self.z2_max),
-            (self.c1, self.z2_max),
-        )
-
     def swapped(self) -> "Rectangle":
         """The same support with the two goods exchanged."""
         return Rectangle(self.c2, self.c1, self.b2, self.b1)
@@ -94,9 +85,6 @@ class MenuItem:
             raise ValueError(f"q2 must lie in [0, 1], got {self.q2!r}")
         if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
-
-    def utility(self, z1: float, z2: float) -> float:
-        return self.q1 * z1 + self.q2 * z2 - self.t
 
     @property
     def is_null(self) -> bool:
@@ -213,9 +201,6 @@ class Mechanism:
             raise ValueError("menu must contain the full bundle (q1 = q2 = 1)")
         if not null and self.kind not in KINDS_WITHOUT_NULL:
             raise ValueError(f"kind {self.kind.value} menu must contain the null item")
-
-    def bundle_item(self) -> MenuItem:
-        return next(item for item in self.menu if item.is_bundle)
 
     def swapped(self) -> "Mechanism":
         """The mechanism for the support with the two goods exchanged.

@@ -1,8 +1,10 @@
-"""Helpers that only the tests use: random menus, polygon intersection,
-the non-participation region, a shuffle report, the closed-form shuffle
-parameters of the lottery structures, the simple menus every
-optimum must match, finite-difference checks of a menu's revenue, the
-buyer's best entry at a type, the duality-side revenue pairing, a
+"""Helpers that only the tests use: a support's corners and polygon, maps
+between the value frame z and the verifier's unit frame u = (z - c)/b, a
+menu item's utility, the bundle entry of a mechanism, random menus,
+polygon intersection, the non-participation region, a shuffle report, the
+closed-form shuffle parameters of the lottery structures, the simple menus
+every optimum must match, finite-difference checks of a menu's revenue,
+the buyer's best entry at a type, the duality-side revenue pairing, a
 payment-monotonicity check, the linear family's boundary measure and
 clipped-polygon revenue, and the companion-matrix root finder the
 closed-form one is checked against."""
@@ -14,7 +16,7 @@ from functools import partial
 
 from numpy.polynomial import polynomial as npoly
 
-from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip, rect_polygon
+from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip
 from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import expected_revenue
@@ -26,7 +28,47 @@ from optmech.solver import (
     _horner,
     _root_in_bracket,
 )
-from optmech.types import NULL_ITEM, MenuItem, Rectangle
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle
+
+
+def corners(rect: Rectangle) -> tuple[tuple[float, float], ...]:
+    """Vertices of the support in counterclockwise order from the lower-left."""
+    return (
+        (rect.c1, rect.c2),
+        (rect.z1_max, rect.c2),
+        (rect.z1_max, rect.z2_max),
+        (rect.c1, rect.z2_max),
+    )
+
+
+def rect_polygon(rect: Rectangle) -> Polygon:
+    return Polygon(corners(rect))
+
+
+def to_unit(rect: Rectangle, poly: Polygon) -> Polygon:
+    """A polygon in the value frame z, mapped to u = (z - c)/b."""
+    return Polygon(tuple(((x - rect.c1) / rect.b1, (y - rect.c2) / rect.b2) for x, y in poly.vertices))
+
+
+def to_values(rect: Rectangle, poly: Polygon) -> Polygon:
+    """A polygon in the unit frame u, mapped back to z = c + b u."""
+    return Polygon(tuple((rect.c1 + rect.b1 * x, rect.c2 + rect.b2 * y) for x, y in poly.vertices))
+
+
+def value_moments(rect: Rectangle, poly: Polygon) -> tuple[float, float, float]:
+    """``MuBar.moments`` of a unit-frame polygon, as (mass, integral of z1,
+    integral of z2): each z-moment is b times the u-moment plus c times
+    the mass."""
+    mass, m1, m2 = MuBar(rect).moments(poly)
+    return mass, rect.b1 * m1 + rect.c1 * mass, rect.b2 * m2 + rect.c2 * mass
+
+
+def item_utility(item: MenuItem, z1: float, z2: float) -> float:
+    return item.q1 * z1 + item.q2 * z2 - item.t
+
+
+def bundle_item(mech: Mechanism) -> MenuItem:
+    return next(item for item in mech.menu if item.is_bundle)
 
 
 def random_menu(rng, rect: Rectangle, n_items: int | None = None) -> tuple[MenuItem, ...]:
@@ -77,8 +119,8 @@ def non_participation_region(rect: Rectangle, menu: tuple[MenuItem, ...]) -> Pol
 
 
 def mu_bar_of_polygon(rect: Rectangle, poly: Polygon) -> float:
-    """Total transformed measure of a convex polygon (clipped to the support)."""
-    return MuBar(rect).mass(poly)
+    """Total transformed measure of a convex polygon in z (clipped to the support)."""
+    return MuBar(rect).mass(to_unit(rect, poly))
 
 
 def check_interval_measure_cvx_zero(
@@ -194,7 +236,7 @@ def utility(menu: tuple[MenuItem, ...], z: tuple[float, float]) -> tuple[float, 
     best_u = 0.0
     best_item = NULL_ITEM
     for item in menu:
-        u = item.utility(z[0], z[1])
+        u = item_utility(item, z[0], z[1])
         if u > best_u or (u == best_u and item.t > best_item.t):
             best_u = u
             best_item = item
@@ -209,13 +251,12 @@ def primal_objective(menu: tuple[MenuItem, ...], rect: Rectangle) -> float:
     result equals the expected revenue for every menu, which the invariant
     tests verify independently.
     """
-    mu = MuBar(rect)
     regions = best_response_regions(rect, menu)
     total = 0.0
     for item, region in zip(menu, regions):
         if region.is_empty:
             continue
-        mass, m1, m2 = mu.moments(region)
+        mass, m1, m2 = value_moments(rect, region)
         total += item.q1 * m1 + item.q2 * m2 - item.t * mass
     corner_u, _ = utility(menu, (rect.c1, rect.c2))
     return total - corner_u
@@ -239,9 +280,9 @@ def revenue_monotonicity_check(menu: tuple[MenuItem, ...], rect: Rectangle, n: i
         for j in range(n):
             z2 = rect.c2 + rect.b2 * j / (n - 1)
             tie_eps = 1e-12 * (1.0 + abs(z1) + abs(z2))
-            best_u = max(0.0, max(item.utility(z1, z2) for item in menu))
+            best_u = max(0.0, max(item_utility(item, z1, z2) for item in menu))
             near_best = [
-                item.t for item in menu if item.utility(z1, z2) >= best_u - tie_eps
+                item.t for item in menu if item_utility(item, z1, z2) >= best_u - tie_eps
             ]
             pay[i][j] = max(near_best, default=0.0)
     for i in range(n):
@@ -339,9 +380,12 @@ def clipped_linear_revenue(sol: LinearSolution, c: float) -> float:
     out of the support: the reference its closed form is checked against."""
     inst = LinearDensityInstance(c)
     menu = sol.menu()
-    regions = best_response_regions(Rectangle(inst.c, inst.c, 1.0, 1.0), menu)
+    rect = Rectangle(inst.c, inst.c, 1.0, 1.0)
+    regions = best_response_regions(rect, menu)
     scale = 4.0 / (2.0 * inst.c + 1.0) ** 2
-    return sum(item.t * scale * _xy_moment(region.vertices) for item, region in zip(menu, regions))
+    return sum(
+        item.t * scale * _xy_moment(to_values(rect, region).vertices) for item, region in zip(menu, regions)
+    )
 
 
 def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:

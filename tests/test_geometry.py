@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import non_participation_region, polygon_intersection
+from helpers import non_participation_region, polygon_intersection, rect_polygon
 from optmech.geometry import (
     EMPTY_POLYGON,
     HalfPlane,
@@ -11,7 +11,6 @@ from optmech.geometry import (
     boundary_sections,
     clip,
     clip_many,
-    rect_polygon,
 )
 from optmech.types import NULL_ITEM, MenuItem, Rectangle
 

@@ -241,6 +241,16 @@ def test_closed_form_revenue_matches_clipped_polygons():
         assert linear_revenue(sol, sol.c) == pytest.approx(ref, rel=1e-13, abs=0.0), sol
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+def test_revenue_rejects_a_menu_outside_the_solved_layout(p):
+    # the kink falls below the diagonal at p = 1.5 and past c + 1 beyond;
+    # the closed form read 0.8313, 0.2763 and 0.1323 there, against 0.8313,
+    # 0.6669 and 0.6669 from the clipped polygons
+    sol = dataclasses.replace(solve_linear(0.1), p=p)
+    with pytest.raises(ValueError, match="outside the solved layout"):
+        linear_revenue(sol, 0.1)
+
+
 def test_revenue_increases_with_c():
     revs = [linear_revenue(solve_linear(c), c) for c in (0.0, 0.1, 0.2)]
     assert revs[0] < revs[1] < revs[2], "richer supports must earn more"

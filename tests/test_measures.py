@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from optmech.geometry import HalfPlane, best_response_regions, clip, rect_polygon
-from helpers import alpha_params, check_interval_measure_cvx_zero, mu_bar_of_polygon
+from optmech.geometry import HalfPlane, best_response_regions, clip
+from helpers import (
+    alpha_params,
+    check_interval_measure_cvx_zero,
+    mu_bar_of_polygon,
+    rect_polygon,
+    to_unit,
+    value_moments,
+)
 from optmech.measures import MuBar, Shuffle
 from optmech.oracle import _top_shuffle
 from optmech.solver import solve
@@ -39,10 +46,10 @@ def test_unit_square_component_breakdown():
 def test_corner_atom_counted_once():
     rect = Rectangle(0.5, 0.25, 1.0, 2.0)
     mu = MuBar(rect)
-    tiny = rect_polygon(Rectangle(rect.c1, rect.c2, 1e-3, 1e-3))
+    tiny = to_unit(rect, rect_polygon(Rectangle(rect.c1, rect.c2, 1e-3, 1e-3)))
     mass = mu.mass(tiny)
     assert mass == pytest.approx(1.0, abs=1e-2), "small corner neighborhood is dominated by the unit atom"
-    off = rect_polygon(Rectangle(rect.c1 + 0.3, rect.c2 + 0.3, 1e-3, 1e-3))
+    off = to_unit(rect, rect_polygon(Rectangle(rect.c1 + 0.3, rect.c2 + 0.3, 1e-3, 1e-3)))
     assert abs(mu.mass(off)) < 1e-5
 
 
@@ -55,7 +62,7 @@ def test_interior_patch_has_pure_density_mass():
 
 def test_polygon_clipped_to_support_before_evaluation():
     rect = Rectangle(0.5, 0.5, 1.0, 1.0)
-    big = rect_polygon(Rectangle(0.0, 0.0, 5.0, 5.0))
+    big = to_unit(rect, rect_polygon(Rectangle(0.0, 0.0, 5.0, 5.0)))
     assert MuBar(rect).mass(big) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -65,9 +72,7 @@ def test_measure_additivity_across_a_cut():
     whole = rect_polygon(rect)
     left = clip(whole, HalfPlane(1.0, 0.0, 0.9))
     right = clip(whole, HalfPlane(-1.0, 0.0, -0.9))
-    w = mu.moments(whole)
-    a = mu.moments(left)
-    b = mu.moments(right)
+    w, a, b = (mu.moments(to_unit(rect, poly)) for poly in (whole, left, right))
     for k, name in enumerate(("mass", "m1", "m2")):
         assert a[k] + b[k] == pytest.approx(w[k], abs=1e-12), f"{name} must add across the cut"
 
@@ -119,7 +124,7 @@ def test_shuffle_is_minus_the_lottery_region_measure():
     # measure of that lottery's best-response region, with the sign flipped
     for mech, rect in _lottery_cases():
         (i,) = [i for i, it in enumerate(mech.menu) if it.q2 == 1.0 and 0.0 < it.q1 < 1.0]
-        mass, m1, _ = MuBar(rect).moments(best_response_regions(rect, mech.menu)[i])
+        mass, m1, _ = value_moments(rect, best_response_regions(rect, mech.menu)[i])
         sh = _top_shuffle(mech.kind, mech.params, rect)
         assert sh.mass() == pytest.approx(-mass, abs=1e-12), f"{mech.kind} on {rect}"
         assert sh.first_moment() == pytest.approx(-(m1 - rect.c1 * mass), abs=1e-12), f"{mech.kind} on {rect}"
@@ -224,9 +229,8 @@ def test_check_interval_measure_report_keys():
 def test_edge_moments_of_top_strip():
     # a strip touching the top edge picks up the positive line density
     rect = Rectangle(0.0, 0.0, 2.0, 1.0)
-    mu = MuBar(rect)
     strip = rect_polygon(Rectangle(0.5, 0.75, 1.0, 0.25))
-    mass, m1, m2 = mu.moments(strip)
+    mass, m1, m2 = value_moments(rect, to_unit(rect, strip))
     area = 0.25
     expected_mass = -3.0 / 2.0 * area + (1.0 / 2.0) * 1.0
     assert mass == pytest.approx(expected_mass, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 import optmech.geometry
 import optmech.mechanism
-from helpers import primal_objective, revenue_monotonicity_check, utility
+from helpers import bundle_item, primal_objective, revenue_monotonicity_check, utility
 from optmech.mechanism import (
     IncompleteParams,
     build_mechanism,
@@ -113,7 +113,7 @@ def test_build_mechanism_assembles_consistent_record():
     mech = build_mechanism(StructureKind.C, SolveParams(p=0.23), rect)
     assert mech.kind is StructureKind.C
     assert mech.revenue == pytest.approx(expected_revenue(mech.menu, rect), rel=1e-14)
-    assert mech.bundle_item().t == pytest.approx(4.23)
+    assert bundle_item(mech).t == pytest.approx(4.23)
 
 
 def test_the_solve_path_never_clips(monkeypatch):
@@ -149,17 +149,26 @@ def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
     assert len(areas) == len(mech.menu)
     assert sum(areas) == pytest.approx(rect.area, rel=1e-15)
     for area, poly in zip(areas, polygons):
-        assert area == pytest.approx(poly.area(), rel=1e-12, abs=1e-15 * rect.area)
+        # the polygons lie on the unit square u = (z - c)/b
+        assert area == pytest.approx(rect.area * poly.area(), rel=1e-12, abs=1e-15 * rect.area)
 
 
 def _exact_revenue(menu, rect, monkeypatch):
     # the menu's revenue in rational arithmetic: every clip and area is
-    # exact once no vertex is merged
+    # exact once no vertex is merged and the unit square is rational
     monkeypatch.setattr(optmech.geometry, "_DEDUP_TOL", 0)
+    square = tuple(tuple(map(Fraction, v)) for v in optmech.geometry.UNIT_SQUARE.vertices)
+    monkeypatch.setattr(optmech.geometry, "UNIT_SQUARE", optmech.geometry.Polygon(square))
     exact = Rectangle(*(Fraction(v) for v in (rect.c1, rect.c2, rect.b1, rect.b2)))
     items = tuple(MenuItem(Fraction(i.q1), Fraction(i.q2), Fraction(i.t)) for i in menu)
     regions = optmech.geometry.best_response_regions(exact, items)
-    return sum((i.t * r.area() for i, r in zip(items, regions)), Fraction(0)) / exact.area
+    return sum((i.t * _exact_area(r) for i, r in zip(items, regions)), Fraction(0))
+
+
+def _exact_area(poly):
+    # Polygon.area sums into a float; sum the shoelace terms as rationals
+    vs = poly.vertices
+    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])), Fraction(0)) / 2
 
 
 def test_kind_g_revenue_is_exact_to_rounding(monkeypatch):

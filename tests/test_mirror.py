@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optmech.measures
+from helpers import bundle_item
 from optmech.mechanism import IncompleteParams, build_mechanism
 from optmech.solver import PhaseRegion, classify, solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
@@ -56,7 +57,7 @@ def test_solving_the_swapped_support_mirrors_the_solution(rect):
     # its closed-form revenue is symmetric in the sides
     assert mirrored.kind is K.C
     assert direct.params.p == pytest.approx(mirrored.params.p, rel=1e-12, abs=0.0)
-    assert direct.bundle_item().t == pytest.approx(mirrored.bundle_item().t, rel=1e-12, abs=0.0)
+    assert bundle_item(direct).t == pytest.approx(bundle_item(mirrored).t, rel=1e-12, abs=0.0)
     assert direct.revenue == pytest.approx(mirrored.revenue, rel=1e-12, abs=0.0)
 
 

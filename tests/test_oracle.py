@@ -150,12 +150,12 @@ def test_brute_force_tracks_the_solver():
 #: The search's result on each kind's support in test_mirror.INSTANCES;
 #: kind A's support is the first case of the frozen test.
 FROZEN_BY_KIND = {
-    K.B: (9.774900796616546, [(0.42857142857142855, 1.0, 7.5982142857142865), (1.0, 1.0, 12.116071428571429)]),
-    K.C: (4.118107120080174, [(1.0, 1.0, 4.232142857142857)]),
-    K.D: (3.161564625850339, [(0.10714285714285714, 1.0, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
+    K.B: (9.774900796616542, [(0.42857142857142855, 1.0, 7.5982142857142865), (1.0, 1.0, 12.116071428571429)]),
+    K.C: (4.118107120080175, [(1.0, 1.0, 4.232142857142857)]),
+    K.D: (3.16156462585034, [(0.10714285714285714, 1.0, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
     K.E: (8.5576171875, [(1.0, 1.0, 8.625)]),
     K.F: (1.5757699206062175, [(1.0, 0.02232142857142857, 0.6964285714285714), (1.0, 1.0, 2.8392857142857144)]),
-    K.G: (3.161564625850338, [(1.0, 0.10714285714285714, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
+    K.G: (3.16156462585034, [(1.0, 0.10714285714285714, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
     K.H: (8.5576171875, [(1.0, 1.0, 8.625)]),
 }
 
@@ -165,7 +165,7 @@ FROZEN_BY_KIND = {
     [
         (
             Rectangle(0.05, 0.05, 1.0, 1.0),
-            0.6122314496701805,
+            0.6122314496701804,
             [
                 (0.1607142857142857, 1.0, 0.7687499999999999),
                 (1.0, 0.1607142857142857, 0.7687499999999999),
@@ -174,12 +174,12 @@ FROZEN_BY_KIND = {
         ),
         (
             Rectangle(0.05068, 2.512, 1.267, 1.0),
-            2.848134766683273,
+            2.848134766683274,
             [(0.13392857142857142, 1.0, 2.587328571428571), (1.0, 1.0, 3.147916428571428)],
         ),
         (
             Rectangle(0.0, 1.999998, 2.3220394, 1.0),
-            2.5756298342869384,
+            2.5756298342869406,
             [(0.12499999999999999, 1.0, 2.1383185982142856), (1.0, 1.0, 3.136200610714285)],
         ),
         *[(INSTANCES[kind], revenue, menu) for kind, (revenue, menu) in FROZEN_BY_KIND.items()],
@@ -197,7 +197,7 @@ def test_brute_force_frozen_outputs(rect, revenue, menu):
 def test_brute_force_frozen_outputs_at_the_defaults():
     # At coarse 16 the sweep splits a1 into 16 blocks.
     found, rev = brute_force_menu_search(Rectangle(0.0, 1.999998, 2.3220394, 1.0))
-    assert rev == 2.5804364772223383
+    assert rev == 2.5804364772223396
     assert [(item.q1, item.q2, item.t) for item in found] == [
         (0.0, 0.0, 0.0),
         (0.014583333333333334, 1.0, 2.0165532335937493),
@@ -255,6 +255,19 @@ def test_brute_force_validates_arguments():
         Rectangle(4.0, 4.0, 12.0, 3.0),
         # a kind-D shuffle moment of 1.2e-10 in units of length, 1e-16 of b1
         Rectangle(0.1961141333496032, 6.696083292540371, 1.3664011908020086, 2.4624536816601164).scaled(1e6),
+        # kind C at offsets of about 1e3 times the side, and at scale 1e6:
+        # an absolute price step read foc_gradient 0.0104 and 0.0019 here
+        Rectangle(1409.1635042357966, 7733.1996084983975, 1.0258055948089735, 2.4644675094255306),
+        Rectangle(6463628.146326032, 11124341.077739464, 1618774.7786026897, 2847341.18636387),
+        # kind B on a side of 1e-12: a vertex merge within an absolute
+        # 1e-12 collapsed every region, and the polygon revenue read 0
+        Rectangle(0.19324648953535836, 3.1321223466675933e-15, 1.0, 1e-12),
+        Rectangle(0.0, 8.97219307266494e-15, 1.0, 1e-12),
+        # kind B within about 1e-9 of c2 = 2 b2 at c1 = 0: the null region
+        # is a strip about 1e-9 of b2 high, and the corner atom and bottom
+        # edge within 1e-9 of the shorter side were counted in the lottery
+        Rectangle(0.0, 7.779404729562186, 0.629243167580435, 3.889702366214491),
+        Rectangle(4.453189457008215e-13, 8.501788287888397, 0.12601903021855934, 4.2508941453673685),
     ],
 )
 def test_certificate_passes_on_solved_instances(rect):
@@ -267,11 +280,12 @@ def test_certificate_passes_on_solved_instances(rect):
     assert report.shuffle_moment <= 1e-10
 
 
-@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-3, 1e3])
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-3, 1e3, 1e6, 1e9])
 def test_certificate_verdict_does_not_move_with_scale(lam):
-    # region masses are dimensionless, the corner atom's tolerance is a
-    # share of the shorter side, and each shuffle moment is judged over its
-    # side, so supports that certify at scale 1 certify at every scale
+    # regions lie on the unit square, region masses are dimensionless, each
+    # shuffle moment is judged over its side, and stationarity runs on
+    # prices over b1 + b2, so supports that certify at scale 1 certify at
+    # every scale
     rng = random.Random(1606)
     failed = []
     for _ in range(40):
@@ -287,14 +301,21 @@ def test_certificate_verdict_does_not_move_with_scale(lam):
 
 def test_certificate_total_measure_tolerance_scales_with_offsets():
     # the whole-support measure is zero exactly; its terms add up to a
-    # total variation of 6 + 2 (c1/b1 + c2/b2), about 4e4 here, and the
-    # computed value is their rounding (-2.25e-12)
-    rect = Rectangle(0.2839449830311523, 4561.57733837128, 0.28687336841713984, 0.23766270878662552)
-    mech = solve(rect)
-    assert mech.kind is StructureKind.E
-    report = certificate_check(mech, rect)
-    assert abs(report.mu_D) > 1e-12
-    assert report.passed, f"{rect}: failures {report.failures}"
+    # total variation of 6 + 2 (c1/b1 + c2/b2), about 3e4 to 4e4 here, and
+    # the computed value is their rounding: 0 on the first support (it read
+    # -2.25e-12 while the measure was summed in z), 1.8e-12 on the second
+    mu_d = []
+    for rect in (
+        Rectangle(0.2839449830311523, 4561.57733837128, 0.28687336841713984, 0.23766270878662552),
+        Rectangle(0.3705064097153099, 2037.5521935294032, 1.6072798827393497, 0.12438187920998209),
+    ):
+        mech = solve(rect)
+        assert mech.kind is StructureKind.E
+        report = certificate_check(mech, rect)
+        assert report.passed, f"{rect}: failures {report.failures}"
+        mu_d.append(report.mu_D)
+    assert mu_d[0] == 0.0
+    assert abs(mu_d[1]) > 1e-12
 
 
 #: An own-axis offset of 1e-12 (kind B with a lottery weight of about

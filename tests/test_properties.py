@@ -8,11 +8,13 @@ from helpers import (
     polygon_intersection,
     primal_objective,
     random_menu,
+    rect_polygon,
     revenue_monotonicity_check,
     rival_revenue,
+    to_unit,
     utility,
 )
-from optmech.geometry import best_response_regions, clip, rect_polygon
+from optmech.geometry import best_response_regions, clip
 from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
 from optmech.solver import classify, solve
@@ -75,6 +77,7 @@ def test_measure_moments_are_additive_across_a_cut(rect, frac):
     whole = rect_polygon(rect)
     left = clip(whole, hp_z1_below(cut))
     right = clip(whole, hp_z1_above(cut))
+    left, right, whole = (to_unit(rect, poly) for poly in (left, right, whole))
     for part_sum, total in zip(
         (a + b for a, b in zip(mu.moments(left), mu.moments(right))),
         mu.moments(whole),
@@ -101,12 +104,13 @@ def test_best_response_regions_partition_the_support(rect, seed):
     menu = random_menu(rng, rect)
     regions = best_response_regions(rect, menu)
     assert len(regions) == len(menu)
+    # regions are polygons on the unit square u = (z - c)/b
     total = sum(r.area() for r in regions)
-    assert abs(total - rect.area) < 1e-9 * rect.area, "region areas must tile the support"
+    assert abs(total - 1.0) < 1e-9, "region areas must tile the support"
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
             overlap = polygon_intersection(regions[i], regions[j]).area()
-            assert overlap < 1e-9 * rect.area, f"items {i} and {j} overlap"
+            assert overlap < 1e-9, f"items {i} and {j} overlap"
 
 
 @settings(max_examples=50, deadline=None)

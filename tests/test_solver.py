@@ -12,7 +12,7 @@ import pytest
 import optmech.linear
 import optmech.mechanism
 import optmech.solver
-from helpers import alpha_params, beta_p_of, rival_revenue
+from helpers import alpha_params, beta_p_of, bundle_item, rival_revenue
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.mechanism import menu_from_structure
@@ -373,7 +373,7 @@ def test_zero_corner_ratio_two_is_continuous():
     low = solve(Rectangle(0.0, 0.0, 2.0 - 1e-12, 1.0))
     high = solve(Rectangle(0.0, 0.0, 2.0 + 1e-12, 1.0))
     assert abs(low.revenue - high.revenue) < 1e-9
-    assert abs(low.bundle_item().t - high.bundle_item().t) < 1e-9
+    assert abs(bundle_item(low).t - bundle_item(high).t) < 1e-9
 
 
 def test_zero_corner_at_ratio_two_is_one_kind_at_every_scale():
@@ -414,14 +414,14 @@ def test_two_lottery_region_boundary_near_threshold():
 def test_pure_bundling_frozen_point():
     mech = solve(Rectangle(2.0, 2.0, 1.0, 1.0))
     assert mech.kind is StructureKind.C
-    assert mech.bundle_item().t == pytest.approx(4.0 + (math.sqrt(22.0) - 4.0) / 3.0, abs=1e-12)
+    assert bundle_item(mech).t == pytest.approx(4.0 + (math.sqrt(22.0) - 4.0) / 3.0, abs=1e-12)
     assert mech.revenue == pytest.approx(4.118116545041313, abs=1e-12)
 
 
 def test_interior_small_small_falls_back_to_bundling():
     mech = solve(Rectangle(1.0, 1.0, 1.0, 1.0))
     assert mech.kind is StructureKind.C
-    assert mech.bundle_item().t == pytest.approx(2.0 + (math.sqrt(10.0) - 2.0) / 3.0, abs=1e-12)
+    assert bundle_item(mech).t == pytest.approx(2.0 + (math.sqrt(10.0) - 2.0) / 3.0, abs=1e-12)
 
 
 def test_ramp_lottery_structure_kind_d():
@@ -457,7 +457,7 @@ def test_one_lottery_kind_b_rational_instance():
     assert mech.kind is StructureKind.B
     assert mech.params.a1 == pytest.approx(0.5, abs=1e-10)
     assert mech.menu[1].t == pytest.approx(8.0, abs=1e-9)
-    assert mech.bundle_item().t == pytest.approx(12.0, abs=1e-9)
+    assert bundle_item(mech).t == pytest.approx(12.0, abs=1e-9)
     assert mech.revenue == pytest.approx(88.0 / 9.0, abs=1e-9)
 
 

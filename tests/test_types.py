@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from helpers import bundle_item, corners, item_utility
 from optmech.types import (
     NULL_ITEM,
     Mechanism,
@@ -37,7 +38,7 @@ def test_rectangle_rejects_bad_corners(c1, c2):
 
 def test_rectangle_corners_are_counterclockwise():
     r = Rectangle(1.0, 2.0, 3.0, 4.0)
-    vs = r.corners()
+    vs = corners(r)
     area2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
     assert area2 == pytest.approx(2.0 * r.area), f"corner loop area {area2/2} != {r.area}"
 
@@ -58,7 +59,7 @@ def test_menu_item_flags_and_utility():
     assert NULL_ITEM.is_null and not NULL_ITEM.is_bundle
     bundle = MenuItem(1.0, 1.0, 2.0)
     assert bundle.is_bundle and not bundle.is_null
-    assert bundle.utility(1.5, 1.0) == pytest.approx(0.5)
+    assert item_utility(bundle, 1.5, 1.0) == pytest.approx(0.5)
 
 
 def _kind_a_mechanism() -> Mechanism:
@@ -76,7 +77,7 @@ def test_mechanism_requires_null_except_no_exclusion_kinds():
     with pytest.raises(ValueError):
         Mechanism(StructureKind.C, SolveParams(p=0.5), (MenuItem(1.0, 1.0, 0.5),), 0.3)
     mech = Mechanism(StructureKind.E, SolveParams(p=0.25), (MenuItem(0.0, 1.0, 8.0), MenuItem(1.0, 1.0, 8.75)), 8.5625)
-    assert mech.bundle_item().t == 8.75
+    assert bundle_item(mech).t == 8.75
 
 
 def test_mechanism_rejects_oversized_menu():
