@@ -11,7 +11,7 @@ from .linear import (
     solve_linear,
 )
 from .measures import MuBar
-from .mechanism import build_mechanism, expected_revenue, menu_from_structure
+from .mechanism import build_mechanism, expected_revenue
 from .oracle import CertificateReport, brute_force_menu_search, certificate_check
 from .solver import NoRoot, PhaseRegion, classify, solve
 from .types import (
@@ -48,7 +48,6 @@ __all__ = [
     "classify",
     "expected_revenue",
     "linear_revenue",
-    "menu_from_structure",
     "solve",
     "solve_linear",
     "__version__",

@@ -321,7 +321,7 @@ def _shuffle_deviations(mech: Mechanism, rect: Rectangle) -> tuple[float, float,
 # First-order conditions
 # ---------------------------------------------------------------------------
 
-def _free_coordinates(menu: Menu, step: float) -> list[tuple[int, str]]:
+def _free_coordinates(menu: Menu) -> list[tuple[int, str]]:
     """Menu coordinates with two-sided room to differentiate."""
     coords: list[tuple[int, str]] = []
     for i, item in enumerate(menu):
@@ -330,7 +330,7 @@ def _free_coordinates(menu: Menu, step: float) -> list[tuple[int, str]]:
         coords.append((i, "t"))
         for attr in ("q1", "q2"):
             v = getattr(item, attr)
-            if step < v < 1.0 - step:
+            if FD_STEP < v < 1.0 - FD_STEP:
                 coords.append((i, attr))
     return coords
 
@@ -339,7 +339,7 @@ def _perturbed(menu: Menu, i: int, attr: str, value: float) -> Menu:
     return menu[:i] + (replace(menu[i], **{attr: value}),) + menu[i + 1 :]
 
 
-def _stationarity(menu: Menu, rect: Rectangle, step: float) -> tuple[float, float]:
+def _stationarity(menu: Menu, rect: Rectangle) -> tuple[float, float]:
     """(ascent-rate norm, largest second difference) over free menu coordinates.
 
     One-sided slopes are judged separately: a coordinate contributes only
@@ -351,17 +351,17 @@ def _stationarity(menu: Menu, rect: Rectangle, step: float) -> tuple[float, floa
     base = expected_revenue(menu, rect)
     grad_sq = 0.0
     max_hess = -math.inf
-    for i, attr in _free_coordinates(menu, step):
+    for i, attr in _free_coordinates(menu):
         v = getattr(menu[i], attr)
-        hi = expected_revenue(_perturbed(menu, i, attr, v + step), rect)
-        up = (hi - base) / step
-        if attr == "t" and v < step:
+        hi = expected_revenue(_perturbed(menu, i, attr, v + FD_STEP), rect)
+        up = (hi - base) / FD_STEP
+        if attr == "t" and v < FD_STEP:
             grad_sq += max(0.0, up) ** 2
             continue
-        lo = expected_revenue(_perturbed(menu, i, attr, v - step), rect)
-        down = (lo - base) / step
+        lo = expected_revenue(_perturbed(menu, i, attr, v - FD_STEP), rect)
+        down = (lo - base) / FD_STEP
         grad_sq += max(0.0, up, down) ** 2
-        max_hess = max(max_hess, (hi - 2.0 * base + lo) / (step * step))
+        max_hess = max(max_hess, (hi - 2.0 * base + lo) / (FD_STEP * FD_STEP))
     if max_hess == -math.inf:
         max_hess = 0.0
     return math.sqrt(grad_sq), max_hess
@@ -412,7 +412,7 @@ def certificate_check(
     polygon_revenue = expected_revenue(menu, rect)
     length = rect.b1 + rect.b2
     unit_menu = tuple(replace(item, t=item.t / length) for item in menu)
-    grad_norm, max_hess = _stationarity(unit_menu, rect.scaled(1.0 / length), FD_STEP)
+    grad_norm, max_hess = _stationarity(unit_menu, rect.scaled(1.0 / length))
     revenue_gap = mech.revenue - polygon_revenue
 
     failures: list[str] = []

@@ -188,6 +188,19 @@ def test_continuity_at_the_left_endpoint():
     assert abs(eps_sol.p - base.p) < 1e-2
 
 
+def test_interior_reading_is_the_limit_of_the_default_path():
+    # as c -> 0+ the default path tends to the interior reading at c = 0,
+    # which earns 3.4e-5 more than the published "above_flat" reading there
+    interior = solve_linear(0.0, root="interior")
+    revenue = linear_revenue(interior, 0.0)
+    for c in (1e-12, 1e-13, 1e-14):
+        sol = solve_linear(c)
+        assert abs(linear_revenue(sol, c) - revenue) < 1e-11, f"c={c}"
+        for field in ("p_a1", "a1", "P1", "P2", "p"):
+            assert abs(getattr(sol, field) - getattr(interior, field)) < 1e-11, f"c={c}: {field}"
+    assert revenue - linear_revenue(solve_linear(0.0), 0.0) > 3e-5
+
+
 def test_frozen_revenues():
     assert linear_revenue(solve_linear(0.0), 0.0) == pytest.approx(0.8473462806733976, abs=1e-12)
     assert linear_revenue(solve_linear(0.0, root="interior"), 0.0) == pytest.approx(0.8473798817022714, abs=1e-12)

@@ -7,13 +7,7 @@ import pytest
 import optmech.geometry
 import optmech.mechanism
 from helpers import bundle_item, primal_objective, revenue_monotonicity_check, utility
-from optmech.mechanism import (
-    IncompleteParams,
-    build_mechanism,
-    expected_revenue,
-    menu_from_structure,
-    region_areas,
-)
+from optmech.mechanism import IncompleteParams, build_mechanism, expected_revenue
 from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, SolveParams, StructureKind
 from test_mirror import INSTANCES
@@ -23,8 +17,8 @@ UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
 def test_kind_a_menu_prices_from_continuity():
     rect = Rectangle(0.1, 0.2, 1.0, 1.0)
-    params = SolveParams(p_a1=0.7, p_a2=0.65, a1=0.2, a2=0.3, p=0.8)
-    menu = menu_from_structure(StructureKind.A, params, rect)
+    params = SolveParams(p_a1=0.7, p_a2=0.65, a1=0.2, a2=0.3, p=0.8, P=(0.3, 0.9), Q=(0.75, 0.4))
+    menu = build_mechanism(StructureKind.A, params, rect).menu
     assert menu[0] is NULL_ITEM
     assert menu[1] == MenuItem(0.2, 1.0, 0.2 + 0.7 + 0.2 * 0.1)
     assert menu[2] == MenuItem(1.0, 0.3, 0.1 + 0.65 + 0.3 * 0.2)
@@ -32,21 +26,21 @@ def test_kind_a_menu_prices_from_continuity():
 
 
 def test_kind_c_menu_is_null_plus_bundle():
-    menu = menu_from_structure(StructureKind.C, SolveParams(p=0.5), Rectangle(2.0, 2.0, 1.0, 1.0))
+    menu = build_mechanism(StructureKind.C, SolveParams(p=0.5), Rectangle(2.0, 2.0, 1.0, 1.0)).menu
     assert menu == (NULL_ITEM, MenuItem(1.0, 1.0, 4.5))
 
 
 def test_kind_d_bundle_price_continuity_across_vertical_cut():
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    params = SolveParams(p_a1=0.1, a1=0.3, p=0.4)
-    menu = menu_from_structure(StructureKind.D, params, rect)
+    params = SolveParams(p_a1=0.1, a1=0.3, m1=0.1 / 0.3, p=0.4)
+    menu = build_mechanism(StructureKind.D, params, rect).menu
     t_a1 = 2.8 + 0.1 + 0.3 * 0.2
     assert menu[1].t == pytest.approx(t_a1)
     assert menu[2].t == pytest.approx(t_a1 + 0.7 * 0.6), "bundle upgrade priced at (1-a1)(c1+p)"
 
 
 def test_kind_e_and_h_menus_are_deterministic():
-    menu_e = menu_from_structure(StructureKind.E, None, Rectangle(0.5, 8.0, 1.0, 1.0))
+    menu_e = build_mechanism(StructureKind.E, None, Rectangle(0.5, 8.0, 1.0, 1.0)).menu
     assert menu_e == (MenuItem(0.0, 1.0, 8.0), MenuItem(1.0, 1.0, 8.75))
     mech_h = solve(Rectangle(0.5, 8.0, 1.0, 1.0)).swapped()
     assert mech_h.kind is StructureKind.H
@@ -55,11 +49,11 @@ def test_kind_e_and_h_menus_are_deterministic():
 
 def test_missing_parameters_raise():
     with pytest.raises(IncompleteParams):
-        menu_from_structure(StructureKind.C, SolveParams(), UNIT)
+        build_mechanism(StructureKind.C, SolveParams(), UNIT)
     with pytest.raises(IncompleteParams):
-        menu_from_structure(StructureKind.A, None, UNIT)
+        build_mechanism(StructureKind.A, None, UNIT)
     with pytest.raises(IncompleteParams):
-        menu_from_structure(StructureKind.B, SolveParams(p_a1=0.7, a1=0.1), UNIT)
+        build_mechanism(StructureKind.B, SolveParams(p_a1=0.7, a1=0.1, m1=7.0), UNIT)
 
 
 def test_utility_picks_best_item_and_breaks_ties_upward():
@@ -144,7 +138,7 @@ def test_the_solve_path_never_clips(monkeypatch):
 )
 def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
     mech = solve(rect) if p is None else build_mechanism(kind, SolveParams(p=p), rect)
-    areas = region_areas(kind, mech.params, rect)
+    areas = [area for _, area in optmech.mechanism._BUILDERS[kind](mech.params, rect)]
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)
     assert sum(areas) == pytest.approx(rect.area, rel=1e-15)

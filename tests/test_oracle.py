@@ -163,7 +163,7 @@ FROZEN_BY_KIND = {
 @pytest.mark.parametrize(
     "rect, revenue, menu",
     [
-        (
+        pytest.param(
             Rectangle(0.05, 0.05, 1.0, 1.0),
             0.6122314496701804,
             [
@@ -171,18 +171,24 @@ FROZEN_BY_KIND = {
                 (1.0, 0.1607142857142857, 0.7687499999999999),
                 (1.0, 1.0, 0.8999999999999999),
             ],
+            id="A",
         ),
-        (
+        pytest.param(
             Rectangle(0.05068, 2.512, 1.267, 1.0),
             2.848134766683274,
             [(0.13392857142857142, 1.0, 2.587328571428571), (1.0, 1.0, 3.147916428571428)],
+            id="E-verify-centre",
         ),
-        (
+        pytest.param(
             Rectangle(0.0, 1.999998, 2.3220394, 1.0),
             2.5756298342869406,
             [(0.12499999999999999, 1.0, 2.1383185982142856), (1.0, 1.0, 3.136200610714285)],
+            id="c2-threshold",
         ),
-        *[(INSTANCES[kind], revenue, menu) for kind, (revenue, menu) in FROZEN_BY_KIND.items()],
+        *[
+            pytest.param(INSTANCES[kind], revenue, menu, id=kind.value)
+            for kind, (revenue, menu) in FROZEN_BY_KIND.items()
+        ],
     ],
 )
 def test_brute_force_frozen_outputs(rect, revenue, menu):

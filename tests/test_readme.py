@@ -1,0 +1,30 @@
+"""The README's examples print what the README says they print."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+from optmech import cli
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_library_snippet_prints_what_its_comments_say():
+    code = re.search(r"## Library\n\n```python\n(.*?)```", README, re.S).group(1)
+    out = io.StringIO()
+    scope: dict = {}
+    with contextlib.redirect_stdout(out):
+        exec(code, scope)
+    commented = [line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")]
+    assert commented == ["E", "8.5625"]
+    assert out.getvalue().splitlines()[: len(commented)] == commented
+    assert scope["report"].passed
+
+
+def test_solve_example_is_the_cli_output():
+    block = re.search(r"```text\n\$ optmech solve 0 0 1 1\n(.*?)```", README, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", "0", "0", "1", "1"]) == 0
+    assert out.getvalue().splitlines() == block.splitlines()

@@ -15,7 +15,6 @@ import optmech.solver
 from helpers import alpha_params, beta_p_of, bundle_item, rival_revenue
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
-from optmech.mechanism import menu_from_structure
 from optmech.solver import (
     ROOT_MAX_ITER,
     ROOT_REL_TOL,
@@ -32,7 +31,7 @@ from optmech.solver import (
     solve_bundling,
     solve_pa2_given_pa1,
 )
-from optmech.types import MenuItem, Rectangle, SolveParams, StructureKind
+from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 SQRT2 = math.sqrt(2.0)
@@ -314,8 +313,12 @@ def test_residual_w_matches_polygon_measure():
         sh2 = alpha_params(rect.swapped(), p_a2)
         big_p = (rect.c1 + sh1.end, rect.c2 + 0.5 * (2.0 * rect.b2 - rect.c2 - p_a1))
         p = big_p[0] + big_p[1] - rect.c1 - rect.c2
-        params = SolveParams(p_a1=p_a1, p_a2=p_a2, a1=sh1.a, a2=sh2.a, p=p)
-        menu = menu_from_structure(StructureKind.A, params, rect)
+        menu = (
+            NULL_ITEM,
+            MenuItem(sh1.a, 1.0, rect.c2 + p_a1 + sh1.a * rect.c1),
+            MenuItem(1.0, sh2.a, rect.c1 + p_a2 + sh2.a * rect.c2),
+            MenuItem(1.0, 1.0, rect.c1 + rect.c2 + p),
+        )
         regions = best_response_regions(rect, menu)
         w_mass = mu.mass(regions[3])
         d2 = rect.c1 - 2.0 * rect.b1 + 3.0 * p_a2
