@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
@@ -114,8 +115,8 @@ def _phase_svg(grid: list[list[str]], max_ratio: float, b1: float, b2: float) ->
 def cmd_phase(ns: argparse.Namespace) -> int:
     if ns.grid < 10:
         return _fail(f"--grid must be at least 10, got {ns.grid}", 2)
-    if not ns.max_ratio > 0.0:
-        return _fail(f"--max-ratio must be positive, got {ns.max_ratio}", 2)
+    if not 0.0 < ns.max_ratio < math.inf:
+        return _fail(f"--max-ratio must be positive and finite, got {ns.max_ratio}", 2)
     try:
         Rectangle(0.0, 0.0, ns.b1, ns.b2)
     except ValueError as exc:

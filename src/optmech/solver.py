@@ -10,14 +10,14 @@ structures are written in the lottery kinks m_i, where each lottery ends
 on its top edge, with the edge offsets D_i and weights a_i derived from
 them; every quantity then has a finite limit as a corner offset tends to
 0, so zero offsets take the same path as positive ones.  The one-lottery
-and ramp residuals are cubics whose roots are found in closed form: one
-real root from the trigonometric or Cardano formula, the other two from
-the quadratic left by deflation, after Kahan and Blinn.  The
-two-lottery structure has one residual root in the good-1 kink, with the
-matching good-2 kink and the bracket's feasibility edge each the positive
-root of a quadratic.  Every bracketed root, including the polish of a
-closed-form root that rounding leaves unresolved, comes from one
-Brent-Dekker search (``_root_in_bracket``) resolved to the rounding floor.
+and ramp residuals are cubics, split at their critical and inflection
+points into monotone pieces of one convexity, each holding at most one
+root, which Newton's method finds from the end that Fourier's condition
+picks.  The two-lottery structure has one residual root in the good-1
+kink, with the matching good-2 kink and the bracket's feasibility edge
+each the positive root of a quadratic.  That root, and any Newton search
+that leaves its piece, come from one Brent-Dekker search
+(``_root_in_bracket``) resolved to the rounding floor.
 """
 
 from __future__ import annotations
@@ -40,12 +40,8 @@ ROOT_MAX_ITER = 200
 #: magnitude, lies on the end: where a structure puts its root exactly on
 #: the end, rounding moves it to either side.
 ROOT_END_REL_TOL = 1e-10
-#: Root estimates this close to the real axis and to each other, relative
-#: to the interval magnitude, form one cluster: rounding the coefficients
-#: splits a double root into a pair about 1e-8 apart, real or complex.
-ROOT_MERGE_REL_TOL = 1e-6
-#: A cluster without a sign change is a double root where the polynomial's
-#: extremum is within this many rounding units of sum |a_i| |x|^i.
+#: A critical point is a double root where the polynomial there is within
+#: this many rounding units of sum |a_i| |x|^i.
 ROOT_DOUBLE_ULPS = 16.0
 
 
@@ -174,25 +170,11 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _changes_sign(fa: float, fb: float) -> bool:
-    return fa <= 0.0 <= fb or fb <= 0.0 <= fa
-
-
 def _zero_to_rounding(coeffs: list[float], x: float, fx: float) -> bool:
     """Whether fx, the polynomial at x, is within ``ROOT_DOUBLE_ULPS``
     rounding units of its Horner scale sum |a_i| |x|^i."""
     scale = _horner([abs(c) for c in coeffs], abs(x))
     return abs(fx) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale
-
-
-def _cbrt(v: float) -> float:
-    """Real cube root of a finite v, to a few rounding units: the power
-    form, then one Newton step (``math.cbrt`` needs Python 3.11)."""
-    if v == 0.0:
-        return v
-    a = abs(v)
-    r = a ** (1.0 / 3.0)
-    return math.copysign(r - (r - a / (r * r)) / 3.0, v)
 
 
 def _quadratic_roots(a0: float, a1: float, a2: float) -> list[tuple[float, float]]:
@@ -210,109 +192,53 @@ def _quadratic_roots(a0: float, a1: float, a2: float) -> list[tuple[float, float
     return [(q / a2, 0.0), (a0 / q, 0.0)]
 
 
-def _cubic_roots(a0: float, a1: float, a2: float, a3: float) -> list[tuple[float, float]]:
-    """Roots (re, im) of a3 x^3 + a2 x^2 + a1 x + a0 for a0, a3 != 0.
+def _monotone_root(
+    a0: float, a1: float, a2: float, a3: float, lo: float, hi: float, flo: float, fhi: float
+) -> float:
+    """Root of a3 x^3 + a2 x^2 + a1 x + a0 on [lo, hi], where the cubic is
+    monotone and of one convexity, valued flo and fhi of opposite signs at
+    the ends.
 
-    One real root comes from the closed form of the cubic scaled to
-    coefficients in [-1, 1]: the largest of three by the trigonometric
-    form, or the only one by Cardano's.  It takes one Newton step on the
-    unscaled polynomial (Kahan 1986; Blinn 2006-07), and deflating by it
-    leaves a quadratic for the other two.  Dividing by a small leading
-    coefficient would cancel the small roots, so they come from the
-    quotient: backward deflation when the root is at least as large as the
-    other two, forward otherwise, each the stable order for that root.
+    Newton's method starts from the end where f has the sign of f''
+    (Fourier's condition), so each step lands between the last iterate and
+    the root.  It stops once a step no longer lowers |f|, so a root far
+    smaller than the bracket keeps its own relative accuracy.  A step that
+    leaves the bracket or meets f' = 0 hands the bracket to
+    ``_root_in_bracket``.
     """
-    r2, r1, r0 = a2 / a3, a1 / a3, a0 / a3
-    s = max(abs(r2), math.sqrt(abs(r1)), abs(r0) ** (1.0 / 3.0))
-    if s == math.inf:  # the large roots are past every float: drop a3
-        if a2 != 0.0:
-            return _quadratic_roots(a0, a1, a2)
-        return [(-a0 / a1, 0.0)] if a1 != 0.0 else []
-    if s == 0.0:  # every ratio underflows: the roots are all but 0
-        return [(0.0, 0.0)] * 3
-    # y^3 + b y^2 + c y + d with x = s y, then y = t - b/3: t^3 + p t + q
-    b, c, d = r2 / s, r1 / s / s, r0 / s / s / s
-    shift = b / 3.0
-    p = c - b * shift
-    q = b * (2.0 * b * b - 9.0 * c) / 27.0 + d
-    half_q, third_p = 0.5 * q, p / 3.0
-    disc = half_q * half_q + third_p * third_p * third_p
-    if disc >= 0.0:  # one real root, or a multiple one
-        u = _cbrt(-half_q - math.copysign(math.sqrt(disc), half_q))
-        y = (u - third_p / u if u != 0.0 else 0.0) - shift
-    else:  # three real roots: 2 m cos(phi - 2 pi k / 3)
-        m = math.sqrt(-third_p)
-        phi = math.acos(max(-1.0, min(1.0, -half_q / (m * m * m)))) / 3.0
-        cos, sin = math.cos(phi), math.sqrt(3.0) * math.sin(phi)
-        y = max((2.0 * m * cos - shift, m * (sin - cos) - shift, -m * (sin + cos) - shift), key=abs)
-    x = s * y
-    slope = (3.0 * a3 * x + 2.0 * a2) * x + a1
-    if slope != 0.0:
-        step = (((a3 * x + a2) * x + a1) * x + a0) / slope
-        # the closed form is accurate to rounding of the root scale s; a
-        # longer step means a near-multiple root, where Newton can jump off
-        if abs(step) <= ROOT_MERGE_REL_TOL * s:
-            x -= step
-    q1 = a2 + x * a3
-    q0 = a1 + x * q1
-    if abs(q0) > x * x * abs(a3) or x == 0.0:
-        # a real root smaller than the pair beside it (|q0 / a3| = |z|^2):
-        # forward deflation, and the root again from the product of all
-        # three, free of the cancellation that leaves it small
-        if q0 != 0.0:
-            x = -a0 / q0
-    else:
-        q0 = -a0 / x
-        q1 = (q0 - a1) / x
-    return [(x, 0.0)] + _quadratic_roots(q0, q1, a3)
-
-
-def _root_estimates(coeffs: list[float]) -> list[tuple[float, float]]:
-    """Estimates (re, im) of the roots of a polynomial of degree at most 3
-    with a nonzero constant term, in closed form."""
-    if len(coeffs) < 2:
-        return []
-    if len(coeffs) == 2:
-        return [(-coeffs[0] / coeffs[1], 0.0)]
-    if len(coeffs) == 3:
-        return _quadratic_roots(*coeffs)
-    return _cubic_roots(*coeffs)
-
-
-def _cluster_roots(coeffs: list[float], a: float, b: float) -> list[float]:
-    """Roots in the bracket [a, b] of a cluster of estimates: one where its
-    ends differ in sign.  Otherwise its extremum (the bracketed root of the
-    derivative) is a double root if zero to rounding, splits two roots if
-    of the opposite sign, and marks a complex pair if not."""
-    poly = partial(_horner, coeffs)
-    fa, fb = poly(a), poly(b)
-    if _changes_sign(fa, fb):
-        return [_root_in_bracket(poly, a, b, fa, fb)]
-    slope = partial(_horner, [i * c for i, c in enumerate(coeffs)][1:])
-    sa, sb = slope(a), slope(b)
-    if (sa > 0.0) == (sb > 0.0):
-        return []
-    x = _root_in_bracket(slope, a, b, sa, sb)
-    fx = poly(x)
-    if _zero_to_rounding(coeffs, x, fx):
-        return [x]
-    if (fx > 0.0) != (fa > 0.0):
-        return [_root_in_bracket(poly, a, x, fa, fx), _root_in_bracket(poly, x, b, fx, fb)]
-    return []
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    convex = 3.0 * a3 * (lo + hi) + 2.0 * a2 > 0.0
+    x, fx = (lo, flo) if (flo > 0.0) == convex else (hi, fhi)
+    for _ in range(ROOT_MAX_ITER):
+        slope = (3.0 * a3 * x + 2.0 * a2) * x + a1
+        if slope == 0.0:
+            break
+        y = x - fx / slope
+        if not lo <= y <= hi:
+            break
+        fy = ((a3 * y + a2) * y + a1) * y + a0
+        if abs(fy) >= abs(fx):
+            return x
+        x, fx = y, fy
+    return _root_in_bracket(partial(_horner, [a0, a1, a2, a3]), lo, hi, flo, fhi)
 
 
 def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, hi: float) -> list[float]:
     """Real roots in [lo, hi] of a polynomial (ascending coefficients, degree <= 3).
 
     Trailing zero coefficients are dropped, and leading ones are factored
-    out as a root at 0, reported once.  The rest is estimated in closed
-    form (``_root_estimates``), and the estimates are clustered by
-    ``ROOT_MERGE_REL_TOL``.  A lone estimate x where the polynomial changes
-    sign on x -+ ``ROOT_REL_TOL`` |x| is a root as it stands, so a root far
-    smaller than the interval keeps its own relative accuracy.  Any other
-    cluster is polished in a bracket ``ROOT_MERGE_REL_TOL`` wider than its
-    estimates by ``_cluster_roots``, each root to the rounding floor.
-    Roots within ``ROOT_END_REL_TOL`` outside an end are clamped onto it.
+    out as a root at 0, reported once.  The rest is split at its critical
+    points and its inflection point into pieces where it is monotone and of
+    one convexity, so each piece holds at most one root: one where its end
+    values differ in sign, found by ``_monotone_root``.  A critical point
+    where the polynomial is zero to rounding (``_zero_to_rounding``) is a
+    double root, and stands for the rounding twins on its two neighbouring
+    pieces; two such points are one triple root.  The search runs on
+    [lo, hi] widened by ``ROOT_END_REL_TOL`` of the interval magnitude, and
+    roots outside [lo, hi] are clamped onto it.
     """
     if len(coeffs) > 4:
         raise ValueError(f"degree at most 3 supported, got {len(coeffs) - 1}")
@@ -321,31 +247,25 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
         coeffs.pop()
     if hi < lo or len(coeffs) < 2:
         return []
-    mag = max(abs(lo), abs(hi))
-    near, end = ROOT_MERGE_REL_TOL * mag, ROOT_END_REL_TOL * mag
-    order = next(i for i, a in enumerate(coeffs) if a != 0.0)
-    roots = [min(max(0.0, lo), hi)] if order and lo - end <= 0.0 <= hi + end else []
+    end = ROOT_END_REL_TOL * max(abs(lo), abs(hi))
+    order = next(i for i, c in enumerate(coeffs) if c != 0.0)
+    roots = [0.0] if order and lo - end <= 0.0 <= hi + end else []
     coeffs = coeffs[order:]
-    estimates = sorted(
-        re
-        for re, im in _root_estimates(coeffs)
-        if abs(im) <= near and lo - near <= re <= hi + near
-    )
-    groups: list[list[float]] = []  # [first, last, count] of each run of close estimates
-    for x in estimates:
-        if groups and x - groups[-1][1] <= near:
-            groups[-1][1] = x
-            groups[-1][2] += 1
-        else:
-            groups.append([x, x, 1])
-    for first, last, count in groups:
-        tight = ROOT_REL_TOL * abs(first)
-        if count == 1 and _changes_sign(_horner(coeffs, first - tight), _horner(coeffs, first + tight)):
-            found = [first]
-        else:
-            found = _cluster_roots(coeffs, first - 0.5 * near, last + 0.5 * near)
-        roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
-    return sorted(roots)
+    a0, a1, a2, a3 = coeffs + [0.0] * (4 - len(coeffs))
+    if a3 != 0.0:
+        critical = [re for re, im in _quadratic_roots(a1, 2.0 * a2, 3.0 * a3) if im == 0.0]
+        bends = critical + [-a2 / (3.0 * a3)]
+    else:
+        critical = bends = [-0.5 * a1 / a2] if a2 != 0.0 else []
+    a, b = lo - end, hi + end
+    xs = [a] + sorted({x for x in bends if a < x < b}) + [b]
+    fs = [((a3 * x + a2) * x + a1) * x + a0 for x in xs]
+    double = [i for i, x in enumerate(xs) if x in critical and _zero_to_rounding(coeffs, x, fs[i])]
+    roots += [xs[i] for i in double[:1]]
+    for i in range(len(xs) - 1):
+        if (fs[i] > 0.0) != (fs[i + 1] > 0.0) and i not in double and i + 1 not in double:
+            roots.append(_monotone_root(a0, a1, a2, a3, xs[i], xs[i + 1], fs[i], fs[i + 1]))
+    return sorted(min(max(x, lo), hi) for x in roots)
 
 
 def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism | None:

@@ -2,8 +2,8 @@
 
 Everything here is an immutable record: a value rectangle, a menu entry,
 the structural kind of a solution, the solved geometric parameters, and
-the final mechanism bundle.  JSON (de)serialization round-trips floats
-exactly (shortest-repr encoding gives >= 15 significant digits).
+the final mechanism bundle.  JSON serialization writes each float in its
+shortest repr, which reads back exactly.
 """
 
 from __future__ import annotations
@@ -159,14 +159,6 @@ class SolveParams:
             out[f.name] = v
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolveParams":
-        kw = dict(d)
-        for key in ("P", "Q"):
-            if kw.get(key) is not None:
-                kw[key] = tuple(float(x) for x in kw[key])
-        return cls(**kw)
-
     def swapped(self) -> "SolveParams":
         """The parameters of the mirrored structure: indices 1 and 2 trade
         places, and the roof corners P and Q trade places and coordinates."""
@@ -225,20 +217,6 @@ class Mechanism:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mechanism":
-        params = d.get("params")
-        return cls(
-            kind=StructureKind(d["kind"]),
-            params=SolveParams.from_dict(params) if params is not None else None,
-            menu=tuple(MenuItem(i["q1"], i["q2"], i["t"]) for i in d["menu"]),
-            revenue=float(d["revenue"]),
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "Mechanism":
-        return cls.from_dict(json.loads(s))
 
     def pretty(self) -> str:
         """Human-readable summary, values rounded to 6 significant digits."""

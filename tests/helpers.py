@@ -1,14 +1,15 @@
 """Helpers that only the tests use: a support's corners and polygon, maps
 between the value frame z and the verifier's unit frame u = (z - c)/b, a
-menu item's utility, the bundle entry of a mechanism, random menus,
-polygon intersection, the non-participation region, a shuffle report, the
-closed-form shuffle parameters of the lottery structures, the simple menus
-every optimum must match, finite-difference checks of a menu's revenue,
-the buyer's best entry at a type, the duality-side revenue pairing, a
-payment-monotonicity check, the linear family's boundary measure and
-clipped-polygon revenue, and the companion-matrix root finder the
-closed-form one is checked against."""
+mechanism's JSON read back, a menu item's utility, the bundle entry of a
+mechanism, random menus, polygon intersection, the non-participation
+region, a shuffle report, the closed-form shuffle parameters of the
+lottery structures, the simple menus every optimum must match,
+finite-difference checks of a menu's revenue, the buyer's best entry at a
+type, the duality-side revenue pairing, a payment-monotonicity check, the
+linear family's boundary measure and clipped-polygon revenue, and the
+companion-matrix root finder the solver's is checked against."""
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -24,11 +25,16 @@ from optmech.oracle import FD_STEP, _perturbed
 from optmech.solver import (
     ROOT_DOUBLE_ULPS,
     ROOT_END_REL_TOL,
-    ROOT_MERGE_REL_TOL,
     _horner,
     _root_in_bracket,
 )
-from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
+
+#: Companion-matrix root estimates this close to the real axis and to each
+#: other, relative to the interval magnitude, form one cluster: rounding the
+#: coefficients splits a double root into a pair about 1e-8 apart, real or
+#: complex.
+ROOT_MERGE_REL_TOL = 1e-6
 
 
 def corners(rect: Rectangle) -> tuple[tuple[float, float], ...]:
@@ -61,6 +67,27 @@ def value_moments(rect: Rectangle, poly: Polygon) -> tuple[float, float, float]:
     the mass."""
     mass, m1, m2 = MuBar(rect).moments(poly)
     return mass, rect.b1 * m1 + rect.c1 * mass, rect.b2 * m2 + rect.c2 * mass
+
+
+def solve_params_from_dict(d: dict) -> SolveParams:
+    """``SolveParams.to_dict`` read back, with the roof points as tuples."""
+    kw = dict(d)
+    for key in ("P", "Q"):
+        if kw.get(key) is not None:
+            kw[key] = tuple(float(x) for x in kw[key])
+    return SolveParams(**kw)
+
+
+def mechanism_from_json(text: str) -> Mechanism:
+    """``Mechanism.to_json`` read back."""
+    d = json.loads(text)
+    params = d.get("params")
+    return Mechanism(
+        kind=StructureKind(d["kind"]),
+        params=solve_params_from_dict(params) if params is not None else None,
+        menu=tuple(MenuItem(i["q1"], i["q2"], i["t"]) for i in d["menu"]),
+        revenue=float(d["revenue"]),
+    )
 
 
 def item_utility(item: MenuItem, z1: float, z2: float) -> float:
@@ -389,10 +416,10 @@ def clipped_linear_revenue(sol: LinearSolution, c: float) -> float:
 
 
 def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:
-    """``solver.real_roots_in_interval`` with its root estimates taken from
-    numpy's companion-matrix eigenvalues (``polyroots``) instead of the
-    closed forms, and every estimate polished in its cluster bracket: the
-    reference the closed-form estimates are checked against."""
+    """Real roots in [lo, hi] from numpy's companion-matrix eigenvalues
+    (``polyroots``), each cluster of estimates polished in its bracket, with
+    the zero factoring and end clamp of ``solver.real_roots_in_interval``:
+    the reference that function is checked against."""
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()

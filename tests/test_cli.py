@@ -60,7 +60,8 @@ def test_solve_reports_divergence(monkeypatch, capsys):
 
 def test_phase_argument_validation(tmp_path, capsys):
     assert cli.main(["phase", "1", "1", "--grid", "9"]) == 2
-    assert cli.main(["phase", "1", "1", "--grid", "12", "--max-ratio", "0"]) == 2
+    for bad in ("0", "inf", "nan"):
+        assert cli.main(["phase", "1", "1", "--grid", "12", "--max-ratio", bad]) == 2
     assert cli.main(["phase", "0", "1", "--grid", "12"]) == 2
     assert cli.main(["phase", "1", "1", "--grid", "12", "--out", "table"]) == 2
     capsys.readouterr()

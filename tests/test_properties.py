@@ -1,6 +1,10 @@
 """Randomized invariants: measure balance, partitions, duality, solver laws."""
 
+import math
+import random
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -206,3 +210,31 @@ def test_swapping_the_goods_mirrors_the_solution(rect):
     assert mirrored.kind.value == MIRROR_KIND[mech.kind.value]
     scale = max(abs(mech.revenue), 1.0)
     assert abs(mirrored.revenue - mech.revenue) < 1e-9 * scale
+
+
+def test_revenue_is_continuous_across_every_kind_change():
+    # optimal revenue is continuous in the support, so a jump where the
+    # kind changes means a wrong branch.  Along seeded lines of c2/b2 over
+    # [0, 6], half of them at c1 = 0, each kind change is bisected to
+    # adjacent floats of c2 and the revenue compared across it
+    rng = random.Random("kind changes")
+    changes = 0
+    for line in range(120):
+        b1, b2 = (math.exp(rng.uniform(math.log(0.3), math.log(3.0))) for _ in range(2))
+        c1 = 0.0 if line % 2 else rng.uniform(0.0, 3.0) * b1
+
+        def at(c2, c1=c1, b1=b1, b2=b2):
+            return c2, solve(Rectangle(c1, c2, b1, b2))
+
+        left = at(0.0)
+        for k in range(1, 61):
+            right = at(6.0 * b2 * k / 60)
+            lo, hi = left, right
+            while lo[1].kind is not hi[1].kind and lo[0] < 0.5 * (lo[0] + hi[0]) < hi[0]:
+                mid = at(0.5 * (lo[0] + hi[0]))
+                lo, hi = (mid, hi) if mid[1].kind is lo[1].kind else (lo, mid)
+            if lo[1].kind is not hi[1].kind:
+                changes += 1
+                assert hi[1].revenue == pytest.approx(lo[1].revenue, rel=1e-12, abs=0.0), (c1, lo, hi)
+            left = right
+    assert changes >= 200

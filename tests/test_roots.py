@@ -1,8 +1,8 @@
-"""The closed-form root estimates against the companion-matrix reference.
+"""``real_roots_in_interval`` against the companion-matrix reference.
 
-``helpers.polyroots_real_roots_in_interval`` is ``real_roots_in_interval``
-with numpy's companion eigenvalues as its estimates.  Seeded polynomials
-check that the closed forms find the same roots, and seeded supports that
+``helpers.polyroots_real_roots_in_interval`` polishes numpy's companion
+eigenvalues in clusters.  Seeded polynomials check that Newton's method on
+the monotone pieces finds the same roots, and seeded supports that
 ``solve`` returns the same mechanism with either root finder.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 import optmech.solver
 from helpers import polyroots_real_roots_in_interval
-from optmech.solver import ROOT_DOUBLE_ULPS, ROOT_REL_TOL, _cbrt, real_roots_in_interval, solve
+from optmech.solver import ROOT_DOUBLE_ULPS, ROOT_REL_TOL, real_roots_in_interval, solve
 from optmech.types import Rectangle
 
 
@@ -115,15 +115,32 @@ def _assert_same_roots(coeffs, lo, hi, expected):
         assert abs(x - ref) <= tol, (coeffs, lo, hi, roots, expected)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_closed_form_roots_match_the_companion_roots(family):
+def _seeded(family):
+    """300 seeded (coefficients, lo, hi) of the family, scaled by 1e-6..1e6."""
     rng = random.Random(f"roots {family}")
     for _ in range(300):
         lam = _log_uniform(rng, 1e-6, 1e6)
         coeffs = [lam * a for a in _polynomial(rng, family)]
         lo = rng.choice((0.0, rng.uniform(-1.6, 0.5)))
-        hi = lo + rng.uniform(0.2, 2.5)
+        yield coeffs, lo, lo + rng.uniform(0.2, 2.5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_roots_match_the_companion_roots(family):
+    for coeffs, lo, hi in _seeded(family):
         _assert_same_roots(coeffs, lo, hi, polyroots_real_roots_in_interval(coeffs, lo, hi))
+
+
+def test_newton_never_falls_back_to_the_bracket_search(monkeypatch):
+    # Newton's method from the Fourier end stays on its monotone piece, so
+    # the slower bracket search is only a safety net
+    calls = []
+    search = optmech.solver._root_in_bracket
+    monkeypatch.setattr(optmech.solver, "_root_in_bracket", lambda *args: calls.append(args) or search(*args))
+    for family in FAMILIES:
+        for coeffs, lo, hi in _seeded(family):
+            real_roots_in_interval(coeffs, lo, hi)
+    assert not calls, calls[:3]
 
 
 def test_a_vanishing_leading_coefficient_keeps_the_quadratic_roots():
@@ -162,12 +179,32 @@ def test_a_small_root_keeps_its_relative_accuracy():
         assert min(values) <= 0 <= max(values), (coeffs, small)
 
 
-def test_the_cube_root_is_exact_to_a_few_rounding_units():
-    rng = random.Random(20261021)
-    for _ in range(2000):
-        v = rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-300, 1e300)
-        r = Fraction(_cbrt(v))
-        assert abs(r**3 - Fraction(v)) <= 12 * sys.float_info.epsilon * abs(Fraction(v)), v
+def test_a_double_root_on_a_bracket_end_counts_once():
+    # (x - 0.25)^2 (x - 3): the cubic rounds to 0 at the widened end
+    # 0.25 - 1e-10 as well as at its minimum, one double root
+    coeffs = _product([-0.25, 1.0], [-0.25, 1.0], [-3.0, 1.0])
+    assert real_roots_in_interval(coeffs, 0.25, 1.0) == [0.25]
+
+
+def test_a_triple_root_counts_once():
+    # rounding the coefficients of (x - r)^3 leaves two critical points
+    # zero to rounding or none; either way one root, within the cube root
+    # of the rounding of r
+    rng = random.Random("triple")
+    for _ in range(300):
+        r, lam = rng.uniform(0.05, 0.95), _log_uniform(rng, 1e-6, 1e6)
+        coeffs = [lam * a for a in _product([-r, 1.0], [-r, 1.0], [-r, 1.0])]
+        roots = real_roots_in_interval(coeffs, 0.0, 1.0)
+        assert len(roots) == 1 and abs(roots[0] - r) <= 3e-5, (coeffs, r, roots)
+
+
+def test_roots_closer_than_a_millionth_of_the_interval_are_each_found():
+    # 1e20 x^3 - x + 1e-20, with its roots from mpmath's polyroots at 60
+    # digits: each monotone piece holds one, however close they sit
+    coeffs = [1e-20, -1.0, 0.0, 1e20]
+    roots = [-1.00000000005e-10, 1e-20, 9.9999999995e-11]
+    assert real_roots_in_interval(coeffs, -1.0, 1.0) == pytest.approx(roots, rel=1e-15, abs=0.0)
+    assert real_roots_in_interval(coeffs, 0.0, 1.0) == pytest.approx(roots[1:], rel=1e-15, abs=0.0)
 
 
 def _threshold_supports(rng, n):

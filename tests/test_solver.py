@@ -608,7 +608,7 @@ def test_one_lottery_corner_below_the_support_is_rejected():
 def test_solver_is_plain_polynomial_algebra():
     # solver.py imports only the mechanism builder, the types and the
     # standard library, and does not reach for the measure, the clipper or
-    # numpy: every root comes from the closed forms and the bracket polish
+    # numpy: every root comes from Newton's method or the bracket search
     path = pathlib.Path(optmech.solver.__file__)
     tree = ast.parse(path.read_text())
     for node in ast.walk(tree):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from helpers import bundle_item, corners, item_utility
+from helpers import bundle_item, corners, item_utility, mechanism_from_json, solve_params_from_dict
 from optmech.types import (
     NULL_ITEM,
     Mechanism,
@@ -88,7 +88,7 @@ def test_mechanism_rejects_oversized_menu():
 
 def test_mechanism_json_round_trip_is_exact():
     mech = _kind_a_mechanism()
-    back = Mechanism.from_json(mech.to_json())
+    back = mechanism_from_json(mech.to_json())
     assert back == mech, "shortest-repr float encoding must round-trip exactly"
     assert back.params.p_a1 == mech.params.p_a1
 
@@ -110,7 +110,7 @@ def test_pretty_rounds_to_six_significant_digits():
 
 def test_solve_params_round_trip_with_points():
     params = SolveParams(p_a1=0.7, a1=1 / 6, m1=0.6, p=0.8, P=(0.7, 0.75), Q=(0.75, 0.7))
-    assert SolveParams.from_dict(params.to_dict()) == params
+    assert solve_params_from_dict(params.to_dict()) == params
 
 
 def test_structure_kind_values():
