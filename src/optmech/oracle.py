@@ -9,7 +9,10 @@ The grid search scores a batch of menus at once, with every region's area
 in closed form: in u = z - c each region is a strip of the support under
 at most two lines, and its area a sum of integrals of a clipped linear
 height.  The five menu parameters lie on five broadcast axes, and each
-intermediate spans only the axes it uses.
+intermediate spans only the axes it uses.  Where a region's area has
+cases, a case that no menu in the block takes is not computed, and each
+element of a mixed block comes from the same operations either way, so
+the scores are those of computing every case everywhere, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,17 +87,36 @@ def _clip(x, hi) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0), hi)
 
 
+def _pick(mask, yes, no):
+    """np.where(mask, yes(), no()), calling only a branch some element takes.
+
+    Each element comes from the same operations on the same inputs either
+    way, so the values are bit for bit those of the eager np.where; a
+    uniform mask returns its branch's own, possibly lower, shape."""
+    if np.all(mask):
+        return yes()
+    if not np.any(mask):
+        return no()
+    return np.where(mask, yes(), no())
+
+
 def _ramp(y0, y1, h, length, inv_slope) -> np.ndarray:
     """Integral of clip(y, 0, h) along a length over which y rises linearly
     from y0 to y1 at slope 1/inv_slope (any finite value where y0 == y1):
     the trapezoid with both ends inside (0, h), the full strip with both at
     or above it, and else the primitive's rise (hi^2 - lo^2)/2 + h (y1 - h)+
     over the slope, factored to cancel nowhere.  So an end at or below 0
-    adds exactly nothing, wherever it lies."""
-    lo, hi = _clip(y0, h), _clip(y1, h)
-    twice_rise = (hi - lo) * (hi + lo) + 2.0 * h * np.maximum(y1 - h, 0.0)
-    inside = (y0 > 0.0) & (y1 < h)
-    return np.where(y0 >= h, h * length, np.where(inside, (y0 + y1) * length, twice_rise * inv_slope) * 0.5)
+    adds exactly nothing, wherever it lies.  A case no element is in is not
+    computed."""
+
+    def rise():
+        lo, hi = _clip(y0, h), _clip(y1, h)
+        return ((hi - lo) * (hi + lo) + 2.0 * h * np.maximum(y1 - h, 0.0)) * inv_slope
+
+    def part():
+        return _pick((y0 > 0.0) & (y1 < h), lambda: (y0 + y1) * length, rise) * 0.5
+
+    return _pick(y0 >= h, lambda: h * length, part)
 
 
 def _cut(a, t, p, c: float, wins) -> np.ndarray:
@@ -122,52 +144,68 @@ def _lottery_area(rect: Rectangle, a, a_other, t, t_other, tb) -> np.ndarray:
     the top edge and above the null line (slope -a) left of the point x*
     where that meets the other lottery's line (slope (1 - a)/(1 - a_other)),
     above the latter right of x*.  If the other line cuts nothing the area
-    is the null ramp over the strip, which t_other does not move; if the
-    bundle cuts nothing the other ramp ends at or below 0, which tb does
-    not move.  At a_other = 1 the other lottery is an item (1, 1, t_other).
+    is the null ramp over the strip (idle), which t_other does not move; if
+    the bundle cuts nothing the other ramp ends at or below 0, which tb does
+    not move.  At a_other = 1 the other lottery is an item (1, 1, t_other)
+    (dup).  Of the idle, split and dup areas, one that no menu takes is not
+    computed.
     """
     c, b, c_other, b_other = rect.c1, rect.b1, rect.c2, rect.b2
     null0 = b_other + c_other - t + a * c  # top edge over the null line at u1 = 0
     inv_a = 1.0 / np.where(a > 0.0, a, 1.0)
-    end = _clip(_cut(a, t, tb, c, True), b)
-    null_end = null0 + a * end
-    dup_end = _clip(_cut(a, t, np.minimum(t_other, tb), c, True), b)
     apart = a_other < 1.0
-    gap = np.where(apart, 1.0 - a_other, 1.0)
-    den = 1.0 - a * a_other
-    cross = (t_other - a_other * t - den * c) / np.where(den > 0.0, den, 1.0)
-    mid = _clip(cross, b)
-    other0 = b_other + c_other - (t - t_other + (1.0 - a) * c) / gap
-    fall = (1.0 - a) / gap  # the top edge's height over the other line falls
-    other_end = other0 - fall * end
-    split = _ramp(null0, null0 + a * mid, b_other, mid, inv_a) + _ramp(
-        other_end, other0 - fall * mid, b_other, end - mid, 1.0 / np.where(fall > 0.0, fall, 1.0)
-    )
-    idle = (cross >= end) | (null_end <= 0.0) | (other_end >= b_other)
-    return np.where(
-        apart,
-        np.where(idle, _ramp(null0, null_end, b_other, end, inv_a), split),
-        _ramp(null0, null0 + a * dup_end, b_other, dup_end, inv_a),
-    )
+
+    def dup():
+        dup_end = _clip(_cut(a, t, np.minimum(t_other, tb), c, True), b)
+        return _ramp(null0, null0 + a * dup_end, b_other, dup_end, inv_a)
+
+    def distinct():
+        end = _clip(_cut(a, t, tb, c, True), b)
+        null_end = null0 + a * end
+        gap = np.where(apart, 1.0 - a_other, 1.0)
+        den = 1.0 - a * a_other
+        cross = (t_other - a_other * t - den * c) / np.where(den > 0.0, den, 1.0)
+        other0 = b_other + c_other - (t - t_other + (1.0 - a) * c) / gap
+        fall = (1.0 - a) / gap  # the top edge's height over the other line falls
+        other_end = other0 - fall * end
+
+        def split():
+            mid = _clip(cross, b)
+            return _ramp(null0, null0 + a * mid, b_other, mid, inv_a) + _ramp(
+                other_end, other0 - fall * mid, b_other, end - mid, 1.0 / np.where(fall > 0.0, fall, 1.0)
+            )
+
+        idle = (cross >= end) | (null_end <= 0.0) | (other_end >= b_other)
+        return _pick(idle, lambda: _ramp(null0, null_end, b_other, end, inv_a), split)
+
+    return _pick(apart, distinct, dup)
 
 
 def _family_revenue(rect: Rectangle, a1, a2, t1, t2, tb) -> np.ndarray:
     """Exact expected revenue of each menu {null,(a1,1,t1),(1,a2,t2),(1,1,tb)}.
 
-    The parameters broadcast.  The bundle's region is the box corner past
-    its cuts at the lotteries; item 2's is item 1's on the swapped support.
-    A lottery at a_i = 1 is an item (1, 1, t_i): the cheapest such wins, the
-    lowest index on a tie, with the bundle's region at its price.  So an
-    item no type chooses moves no other area, and menus that differ only in
-    it score exactly alike.
+    The parameters broadcast, and so does the result, to their full shape.
+    The bundle's region is the box corner past its cuts at the lotteries;
+    item 2's is item 1's on the swapped support.  A lottery at a_i = 1 is
+    an item (1, 1, t_i): the cheapest such wins, the lowest index on a tie,
+    with the bundle's region at its price.  So an item no type chooses
+    moves no other area, and menus that differ only in it score exactly
+    alike.  The item's and the lottery's areas are each computed only
+    where some menu takes them.
     """
     c1, c2 = rect.c1, rect.c2
-    full1 = np.where(t1 <= tb, _full_area(rect, t1, -np.inf, _cut(a2, t2, t1, c2, t2 < t1)), 0.0)
-    full2 = np.where(t2 <= tb, _full_area(rect, t2, _cut(a1, t1, t2, c1, t1 <= t2), -np.inf), 0.0)
-    area1 = np.where(a1 >= 1.0, full1, _lottery_area(rect, a1, a2, t1, t2, tb))
-    area2 = np.where(a2 >= 1.0, full2, _lottery_area(rect.swapped(), a2, a1, t2, t1, tb))
+
+    def full1():
+        return _pick(t1 <= tb, lambda: _full_area(rect, t1, -np.inf, _cut(a2, t2, t1, c2, t2 < t1)), lambda: 0.0)
+
+    def full2():
+        return _pick(t2 <= tb, lambda: _full_area(rect, t2, _cut(a1, t1, t2, c1, t1 <= t2), -np.inf), lambda: 0.0)
+
+    area1 = _pick(a1 >= 1.0, full1, lambda: _lottery_area(rect, a1, a2, t1, t2, tb))
+    area2 = _pick(a2 >= 1.0, full2, lambda: _lottery_area(rect.swapped(), a2, a1, t2, t1, tb))
     area_b = _full_area(rect, tb, _cut(a1, t1, tb, c1, t1 <= tb), _cut(a2, t2, tb, c2, t2 <= tb))
-    return (t1 * area1 + t2 * area2 + tb * area_b) / rect.area
+    rev = (t1 * area1 + t2 * area2 + tb * area_b) / rect.area
+    return np.broadcast_to(rev, np.broadcast_shapes(*map(np.shape, (a1, a2, t1, t2, tb))))
 
 
 def brute_force_menu_search(

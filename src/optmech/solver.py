@@ -518,9 +518,10 @@ def solve_verylarge_small(rect: Rectangle) -> Mechanism:
 
 def solve_bundling(rect: Rectangle) -> Mechanism:
     """Pure bundling at the critical diagonal offset
-    p* = (sqrt(s^2 + 6 b1 b2) - s)/3, with s = c1 + c2."""
+    p* = (sqrt(s^2 + 6 b1 b2) - s)/3, with s = c1 + c2: the positive root of
+    p^2 + (2 s/3) p - 2 b1 b2/3, taken free of cancellation when s >> b."""
     s = rect.c1 + rect.c2
-    p_star = (math.sqrt(s * s + 6.0 * rect.b1 * rect.b2) - s) / 3.0
+    p_star = _positive_root(2.0 * s / 3.0, 2.0 * rect.b1 * rect.b2 / 3.0)
     return build_mechanism(StructureKind.C, SolveParams(p=p_star), rect)
 
 

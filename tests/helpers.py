@@ -6,8 +6,9 @@ region, a shuffle report, the closed-form shuffle parameters of the
 lottery structures, the simple menus every optimum must match,
 finite-difference checks of a menu's revenue, the buyer's best entry at a
 type, the duality-side revenue pairing, a payment-monotonicity check, the
-linear family's boundary measure and clipped-polygon revenue, and the
-companion-matrix root finder the solver's is checked against."""
+linear family's boundary measure and clipped-polygon revenue, the
+companion-matrix root finder the solver's is checked against, and the
+eager grid-search kernel the oracle's lazy one is checked against."""
 
 import json
 import math
@@ -15,13 +16,14 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip
 from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import expected_revenue
-from optmech.oracle import FD_STEP, _perturbed
+from optmech.oracle import FD_STEP, _clip, _cut, _perturbed
 from optmech.solver import (
     ROOT_DOUBLE_ULPS,
     ROOT_END_REL_TOL,
@@ -459,3 +461,56 @@ def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float
                 found = [_root_in_bracket(poly, a, x, fa, fx), _root_in_bracket(poly, x, b, fx, fb)]
         roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
     return sorted(roots)
+
+
+def _eager_ramp(y0, y1, h, length, inv_slope):
+    lo, hi = _clip(y0, h), _clip(y1, h)
+    twice_rise = (hi - lo) * (hi + lo) + 2.0 * h * np.maximum(y1 - h, 0.0)
+    inside = (y0 > 0.0) & (y1 < h)
+    return np.where(y0 >= h, h * length, np.where(inside, (y0 + y1) * length, twice_rise * inv_slope) * 0.5)
+
+
+def _eager_full_area(rect: Rectangle, p, x, y):
+    x0 = _clip(x, rect.b1)
+    top = rect.b2 + rect.c1 + rect.c2 - p
+    return _eager_ramp(top + x0, top + rect.b1, rect.b2 - _clip(y, rect.b2), rect.b1 - x0, 1.0)
+
+
+def _eager_lottery_area(rect: Rectangle, a, a_other, t, t_other, tb):
+    c, b, c_other, b_other = rect.c1, rect.b1, rect.c2, rect.b2
+    null0 = b_other + c_other - t + a * c
+    inv_a = 1.0 / np.where(a > 0.0, a, 1.0)
+    end = _clip(_cut(a, t, tb, c, True), b)
+    null_end = null0 + a * end
+    dup_end = _clip(_cut(a, t, np.minimum(t_other, tb), c, True), b)
+    apart = a_other < 1.0
+    gap = np.where(apart, 1.0 - a_other, 1.0)
+    den = 1.0 - a * a_other
+    cross = (t_other - a_other * t - den * c) / np.where(den > 0.0, den, 1.0)
+    mid = _clip(cross, b)
+    other0 = b_other + c_other - (t - t_other + (1.0 - a) * c) / gap
+    fall = (1.0 - a) / gap
+    other_end = other0 - fall * end
+    split = _eager_ramp(null0, null0 + a * mid, b_other, mid, inv_a) + _eager_ramp(
+        other_end, other0 - fall * mid, b_other, end - mid, 1.0 / np.where(fall > 0.0, fall, 1.0)
+    )
+    idle = (cross >= end) | (null_end <= 0.0) | (other_end >= b_other)
+    return np.where(
+        apart,
+        np.where(idle, _eager_ramp(null0, null_end, b_other, end, inv_a), split),
+        _eager_ramp(null0, null0 + a * dup_end, b_other, dup_end, inv_a),
+    )
+
+
+def eager_family_revenue(rect: Rectangle, a1, a2, t1, t2, tb):
+    """``oracle._family_revenue`` with every branch computed over the whole
+    batch and chosen by ``np.where``: the reference the oracle's kernel,
+    which computes only the branches some menu takes, must equal bit for
+    bit."""
+    c1, c2 = rect.c1, rect.c2
+    full1 = np.where(t1 <= tb, _eager_full_area(rect, t1, -np.inf, _cut(a2, t2, t1, c2, t2 < t1)), 0.0)
+    full2 = np.where(t2 <= tb, _eager_full_area(rect, t2, _cut(a1, t1, t2, c1, t1 <= t2), -np.inf), 0.0)
+    area1 = np.where(a1 >= 1.0, full1, _eager_lottery_area(rect, a1, a2, t1, t2, tb))
+    area2 = np.where(a2 >= 1.0, full2, _eager_lottery_area(rect.swapped(), a2, a1, t2, t1, tb))
+    area_b = _eager_full_area(rect, tb, _cut(a1, t1, tb, c1, t1 <= tb), _cut(a2, t2, tb, c2, t2 <= tb))
+    return (t1 * area1 + t2 * area2 + tb * area_b) / rect.area

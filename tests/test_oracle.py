@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import local_max_check, price_gradient
+from helpers import eager_family_revenue, local_max_check, price_gradient
 from test_mirror import INSTANCES
 from optmech import oracle
 from optmech.geometry import best_response_regions
@@ -24,6 +24,7 @@ UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
 def _assert_family_matches(rect, a1, a2, t1, t2, tb):
     batched = _family_revenue(rect, a1, a2, t1, t2, tb)
+    assert np.array_equal(batched, eager_family_revenue(rect, a1, a2, t1, t2, tb)), rect
     for k in range(a1.size):
         menu = (
             NULL_ITEM,
@@ -191,10 +192,22 @@ FROZEN_BY_KIND = {
         ],
     ],
 )
-def test_brute_force_frozen_outputs(rect, revenue, menu):
+def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, menu):
     # A scoring rule that breaks ties differently moves the refinement
-    # window, and with it the menu the search ends on.
+    # window, and with it the menu the search ends on.  Every block of the
+    # coarse grid and of both windows scores bit for bit as the kernel that
+    # computes every branch everywhere.
+    blocks = []
+
+    def checked(*args):
+        rev = _family_revenue(*args)
+        assert np.array_equal(rev, eager_family_revenue(*args)), args[0]
+        blocks.append(rev.shape)
+        return rev
+
+    monkeypatch.setattr(oracle, "_family_revenue", checked)
     found, rev = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
+    assert len(blocks) == 2 + 5 + 5
     assert rev == revenue
     assert found[0] == NULL_ITEM
     assert [(item.q1, item.q2, item.t) for item in found[1:]] == menu
@@ -211,15 +224,31 @@ def test_brute_force_frozen_outputs_at_the_defaults():
     ]
 
 
-@pytest.mark.parametrize("chunk", [1, 2 * 9**4 + 1])
+@pytest.mark.parametrize("chunk", [1, 2 * 9**4 + 1, 9**5])
 def test_brute_force_blocks_keep_the_unsplit_result(monkeypatch, chunk):
-    # 9^5 menus fit one block at the default cap; a cap of 1 gives one a1
-    # value per block and 2 * 9^4 + 1 gives blocks of 2, 2, 2, 2, 1, so a
-    # maximum tied across blocks must still resolve to the earliest point.
+    # The default cap fits two a1 values of 9^4 menus in a block, so the
+    # default sweep, like a cap of 2 * 9^4 + 1, runs blocks of 2, 2, 2, 2,
+    # 1; a cap of 1 gives one a1 value per block and 9^5 one block of all
+    # nine.  Which branches a block computes depends on its own menus, and
+    # a maximum tied across blocks must still resolve to the earliest point.
     rect = Rectangle(0.05, 0.05, 1.0, 1.0)
-    whole = brute_force_menu_search(rect, coarse=9, refine_rounds=1)
+    split = brute_force_menu_search(rect, coarse=9, refine_rounds=1)
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    assert brute_force_menu_search(rect, coarse=9, refine_rounds=1) == whole
+    assert brute_force_menu_search(rect, coarse=9, refine_rounds=1) == split
+
+
+def test_brute_force_matches_the_eager_kernel_on_seeded_supports(monkeypatch):
+    # Sides in [0.3, 3] and offsets up to 2 sides, every fourth support
+    # with both offsets zero.
+    rng = random.Random(2121)
+    supports = []
+    for i in range(20):
+        b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        c1, c2 = (0.0, 0.0) if i % 4 == 0 else (rng.uniform(0.0, 2.0) * b1, rng.uniform(0.0, 2.0) * b2)
+        supports.append(Rectangle(c1, c2, b1, b2))
+    lazy = [brute_force_menu_search(rect, coarse=8, refine_rounds=1) for rect in supports]
+    monkeypatch.setattr(oracle, "_family_revenue", eager_family_revenue)
+    assert [brute_force_menu_search(rect, coarse=8, refine_rounds=1) for rect in supports] == lazy
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 
+import mpmath
 import pytest
 
 import optmech.linear
@@ -109,6 +110,22 @@ def test_bundle_critical_price_closed_form():
     p_star = solve_bundling(Rectangle(2.0, 2.0, 1.0, 1.0)).params.p
     assert p_star == pytest.approx((math.sqrt(22.0) - 4.0) / 3.0, abs=1e-14)
     assert solve_bundling(UNIT).params.p == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-14)
+
+
+def test_bundle_critical_price_matches_mpmath_at_large_offsets():
+    # p* at 50 digits on sides in [0.3, 3] and offsets up to 5, 100 and 1e4
+    # sides; the difference form (sqrt(s^2 + 6 b1 b2) - s)/3 cancels as s
+    # grows and read 2e-8 relative at 1e4 sides
+    rng = random.Random(2121)
+    for band in (5.0, 100.0, 1e4):
+        for _ in range(1000):
+            b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+            rect = Rectangle(rng.uniform(0.0, band) * b1, rng.uniform(0.0, band) * b2, b1, b2)
+            with mpmath.workdps(50):
+                s = mpmath.mpf(rect.c1) + mpmath.mpf(rect.c2)
+                exact = (mpmath.sqrt(s * s + 6 * mpmath.mpf(b1) * mpmath.mpf(b2)) - s) / 3
+            p_star = solve_bundling(rect).params.p
+            assert abs(p_star - exact) <= 5e-16 * exact, (rect, p_star, exact)
 
 
 # ---------------------------------------------------------------------------
