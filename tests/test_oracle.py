@@ -2,19 +2,25 @@
 
 import itertools
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import eager_family_revenue, local_max_check, price_gradient
 from test_mirror import INSTANCES
+import optmech
 from optmech import oracle
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
-from optmech.oracle import _family_revenue, brute_force_menu_search, certificate_check
+from optmech.oracle import _family_revenue, _pick, brute_force_menu_search, certificate_check
 from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 
@@ -101,6 +107,28 @@ def test_family_revenue_is_scale_invariant(ratio, tol):
             scaled = _family_revenue(rect.scaled(lam), a1, a2, lam * t1, lam * t2, lam * tb) / lam
             excess = np.abs(scaled - base) / (tol * np.maximum(np.abs(base), 1e-3 * t_hi))
             assert np.all(excess <= 1.0), (rect, lam, excess.max())
+
+
+def _never():
+    raise AssertionError("a branch no element takes was computed")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_pick_calls_only_the_branch_a_uniform_mask_takes(value):
+    taken = np.arange(3.0)
+    for mask in (np.full(5, value), np.full((2, 3), value), np.array(value), np.bool_(value)):
+        picked = _pick(mask, lambda: taken, _never) if value else _pick(mask, _never, lambda: taken)
+        assert picked is taken
+
+
+def test_pick_on_a_mixed_mask_is_the_eager_where():
+    rng = np.random.default_rng(22)
+    yes, no = rng.normal(size=(4, 1, 6)), rng.normal(size=(1, 5, 6))
+    for mask in (rng.random((4, 5, 6)) < 0.5, np.arange(6) % 2 == 0, np.eye(6, dtype=bool)[:5]):
+        picked = _pick(mask, lambda: yes, lambda: no)
+        expected = np.where(mask, yes, no)
+        assert picked.shape == expected.shape
+        assert np.array_equal(picked, expected)
 
 
 def _on_axes(rect, *grids):
@@ -272,6 +300,36 @@ def test_brute_force_is_deterministic():
     assert first == second
 
 
+_SECOND_SEARCH_FAULTS = """
+import resource, sys
+from optmech import Rectangle, brute_force_menu_search
+rect = Rectangle(0.05, 0.05, 1.0, 1.0)
+coarse, rounds = map(int, sys.argv[1:])
+brute_force_menu_search(rect, coarse=coarse, refine_rounds=rounds)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+brute_force_menu_search(rect, coarse=coarse, refine_rounds=rounds)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("coarse, rounds, limit", [(8, 2, 300), (16, 4, 3000)])
+def test_a_repeated_search_reuses_its_memory(coarse, rounds, limit):
+    # Without the search's raised malloc thresholds every block faults its
+    # temporaries in again: about 2,000 minor faults a search at coarse 8
+    # with 2 rounds and 36,000 at the defaults; with them, about none.  A
+    # fresh interpreter keeps other tests' allocations out of the count.
+    src = Path(optmech.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _SECOND_SEARCH_FAULTS, str(coarse), str(rounds)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(out.stdout) < limit
+
+
 def test_brute_force_validates_arguments():
     with pytest.raises(ValueError):
         brute_force_menu_search(UNIT, coarse=7)
@@ -392,6 +450,22 @@ def test_certificate_oracle_gap_logic():
     tiny = certificate_check(mech, UNIT, oracle_gap=1e-6)
     assert tiny.passed
     assert tiny.oracle_gap == 1e-6
+
+
+@pytest.mark.parametrize("lam", [1e-15, 1e-13, 1.0, 1e6])
+def test_certificate_oracle_gap_is_judged_relative_at_every_scale(lam):
+    # revenue scales with the support, so a gap of 1% of it fails either
+    # way at every scale, and the search's own gap (about 0.0011 of the
+    # revenue here) passes
+    rect = Rectangle(0.05, 0.05, 1.0, 1.0).scaled(lam)
+    mech = solve(rect)
+    shortfall = certificate_check(mech, rect, oracle_gap=0.01 * mech.revenue)
+    assert "oracle_gap_shortfall" in shortfall.failures
+    beaten = certificate_check(mech, rect, oracle_gap=-0.01 * mech.revenue)
+    assert "oracle_gap_beaten" in beaten.failures
+    _, best = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
+    report = certificate_check(mech, rect, oracle_gap=mech.revenue - best)
+    assert report.passed, report.failures
 
 
 def _revenue_form_supports(n):

@@ -126,7 +126,7 @@ def _seeded(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_closed_form_roots_match_the_companion_roots(family):
+def test_newton_roots_match_the_companion_roots(family):
     for coeffs, lo, hi in _seeded(family):
         _assert_same_roots(coeffs, lo, hi, polyroots_real_roots_in_interval(coeffs, lo, hi))
 
