@@ -117,8 +117,8 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         return _fail(f"--grid must be at least 10, got {ns.grid}", 2)
     if not 0.0 < ns.max_ratio < math.inf:
         return _fail(f"--max-ratio must be positive and finite, got {ns.max_ratio}", 2)
-    try:
-        Rectangle(0.0, 0.0, ns.b1, ns.b2)
+    try:  # the far corner, where the offsets are largest
+        Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
     except ValueError as exc:
         return _fail(str(exc), 2)
     out = ns.out

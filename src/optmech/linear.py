@@ -35,7 +35,7 @@ _SQRT06 = math.sqrt(0.6)
 # the bundle-region balance is rounding noise; at c = 0 the boundary stays
 # flat (a1 = 0) at every kink.  From here to c + 1 the balance changes sign
 # once, from negative to positive, on a 200-point grid of (0, C_MAX], at c
-# down to 1e-12, and at c = 0.
+# down to 1e-12, and at c = 0 (tests/test_linear.py checks 200 kinks each).
 _KINK_OFFSET = 1e-6
 
 
@@ -117,21 +117,14 @@ def _mu_w(c: float, pa: float, a: float, P1: float) -> float:
     onem = (k - P1 * P1) / s
     edge = 2.0 * (2.0 * k / s) * onem
     interior = -5.0 * onem * onem
-
-    def anti(z: float) -> float:
-        return ((p * p - P1 * P1) * z * z - (4.0 * p / 3.0) * z**3 + 0.5 * z**4) / (s * s)
-
-    return edge + interior + 5.0 * (anti(P2) - anti(P1))
-
-
-def _homogeneous(coeffs: tuple[float, ...], c: float, s: float) -> float:
-    """sum_i coeffs[i] * c^(n-i) * s^i, by Horner in c."""
-    acc = 0.0
-    s_pow = 1.0
-    for co in coeffs:
-        acc = acc * c + co * s_pow
-        s_pow *= s
-    return acc
+    # the antiderivative ((p^2 - P1^2) z^2 - (4p/3) z^3 + z^4/2) / s^2,
+    # taken between P1 and P2
+    w = p * p - P1 * P1
+    f = 4.0 * p / 3.0
+    ss = s * s
+    hi = (w * P2 * P2 - f * P2**3 + 0.5 * P2**4) / ss
+    lo = (w * P1 * P1 - f * P1**3 + 0.5 * P1**4) / ss
+    return edge + interior + 5.0 * (hi - lo)
 
 
 def _boundary_branch(c: float, P1: float) -> tuple[float, float]:
@@ -150,20 +143,31 @@ def _boundary_branch(c: float, P1: float) -> tuple[float, float]:
     or a1 nears 0.
     """
     s = P1 - c
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    s6 = s5 * s
     k = (c + 1.0) ** 2
     q0 = 16.0 * (c * c * k * (3.0 * c + 2.0 * s)) ** 2 / 9.0
     q1 = (
         -s * s * k
-        * _homogeneous((3720.0, 13416.0, 20304.0, 16160.0, 6960.0, 1500.0, 125.0), c, s)
+        * ((((((3720.0 * c + 13416.0 * s) * c + 20304.0 * s2) * c + 16160.0 * s3) * c
+            + 6960.0 * s4) * c + 1500.0 * s5) * c + 125.0 * s6)
         / 27.0
     )
-    q2 = s**4 * _homogeneous((1350.0, 4660.0, 6614.0, 4840.0, 1870.0, 350.0, 25.0), c, s) / 54.0
+    q2 = (
+        s**4
+        * ((((((1350.0 * c + 4660.0 * s) * c + 6614.0 * s2) * c + 4840.0 * s3) * c
+            + 1870.0 * s4) * c + 350.0 * s5) * c + 25.0 * s6)
+        / 54.0
+    )
     x = 2.0 * q0 / (-q1 + math.sqrt(q1 * q1 - 4.0 * q0 * q2))
     a = math.sqrt(x)
-    m2 = _homogeneous((2.0, 10.0, 5.0), c, s)
-    m1 = 4.0 * a * _homogeneous((3.0, 15.0, 15.0, 5.0), c, s) / 3.0
-    m0 = k * _homogeneous((2.0, 6.0, 3.0), c, s) - 0.5 * x * _homogeneous(
-        (4.0, 20.0, 30.0, 20.0, 5.0), c, s
+    m2 = (2.0 * c + 10.0 * s) * c + 5.0 * s2
+    m1 = 4.0 * a * (((3.0 * c + 15.0 * s) * c + 15.0 * s2) * c + 5.0 * s3) / 3.0
+    m0 = k * ((2.0 * c + 6.0 * s) * c + 3.0 * s2) - 0.5 * x * (
+        (((4.0 * c + 20.0 * s) * c + 30.0 * s2) * c + 20.0 * s3) * c + 5.0 * s4
     )
     a0 = (m1 + math.sqrt(m1 * m1 + 4.0 * m2 * m0)) / (2.0 * m2)
     return a0 - c - a * c, a

@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import best_response_regions
 from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
-from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
+from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind, unit_scale
 
 # Verification tolerances.  Region masses and shuffle masses are
 # dimensionless (the corner atom is 1), and shuffle first moments are judged
@@ -238,12 +238,18 @@ def brute_force_menu_search(
     Notes
     -----
     Fully deterministic: ties keep the earliest grid point scanned, and the
-    scan order is fixed, so repeated runs return identical menus.
+    scan order is fixed, so repeated runs return identical menus.  A
+    support with b1 + b2 outside [4^-20, 4^20] is searched at unit size
+    and the result scaled back exactly (``unit_scale``).
     """
     if coarse < 8:
         raise ValueError(f"coarse must be at least 8, got {coarse}")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be nonnegative, got {refine_rounds}")
+    lam = unit_scale(rect)
+    if lam != 1.0:
+        menu, revenue = brute_force_menu_search(rect.scaled(1.0 / lam), coarse, refine_rounds)
+        return tuple(replace(item, t=lam * item.t) for item in menu), lam * revenue
     # Each block allocates and frees 1 MB or more of 100-512 KiB temporaries.
     # By default glibc serves arrays of 128 KiB or more with fresh mmaps and
     # gives the heap back once 256 KiB lies free at its top, so every block
@@ -455,8 +461,15 @@ def certificate_check(
     kink maxima certify) on the support and prices divided by b1 + b2,
     so that neither the step nor the verdict carries units.  The reported
     revenue must equal the polygon revenue of the menu, so a wrong closed
-    form fails ``revenue_form``.
+    form fails ``revenue_form``.  A support with b1 + b2 outside
+    [4^-20, 4^20] is checked at unit size (``unit_scale``), with the
+    revenue gap scaled back.
     """
+    lam = unit_scale(rect)
+    if lam != 1.0:
+        gap = None if oracle_gap is None else oracle_gap / lam
+        report = certificate_check(mech.scaled(1.0 / lam), rect.scaled(1.0 / lam), oracle_gap=gap)
+        return replace(report, revenue_gap=lam * report.revenue_gap, oracle_gap=oracle_gap)
     menu = mech.menu
     mu_total = MuBar(rect).total()
     masses = _region_masses(rect, menu)

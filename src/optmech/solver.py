@@ -28,7 +28,7 @@ from enum import Enum
 from functools import partial
 
 from .mechanism import build_mechanism
-from .types import Mechanism, Rectangle, SolveParams, StructureKind
+from .types import Mechanism, Rectangle, SolveParams, StructureKind, unit_scale
 
 #: Relative bracket width at which the root finder stops.  Resolving roots
 #: to the rounding floor keeps the derived parameters accurate even where
@@ -536,5 +536,12 @@ _DISPATCH = {
 
 
 def solve(rect: Rectangle) -> Mechanism:
-    """Optimal mechanism for a uniform density on the given rectangle."""
+    """Optimal mechanism for a uniform density on the given rectangle.
+
+    A support with b1 + b2 outside [4^-20, 4^20] is solved at unit size
+    and scaled back exactly (``unit_scale``).
+    """
+    lam = unit_scale(rect)
+    if lam != 1.0:
+        return solve(rect.scaled(1.0 / lam)).scaled(lam)
     return _DISPATCH[classify(rect)](rect)

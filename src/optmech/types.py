@@ -2,8 +2,10 @@
 
 Everything here is an immutable record: a value rectangle, a menu entry,
 the structural kind of a solution, the solved geometric parameters, and
-the final mechanism bundle.  JSON serialization writes each float in its
-shortest repr, which reads back exactly.
+the final mechanism bundle; and ``unit_scale``, the exact power-of-4
+scale at which the solver and the verifier each run a support far from
+unit size.  JSON serialization writes each float in its shortest repr,
+which reads back exactly.
 """
 
 from __future__ import annotations
@@ -68,6 +70,26 @@ class Rectangle:
     def scaled(self, lam: float) -> "Rectangle":
         """The support with all coordinates multiplied by lam > 0."""
         return Rectangle(lam * self.c1, lam * self.c2, lam * self.b1, lam * self.b2)
+
+
+def unit_scale(rect: Rectangle) -> float:
+    """The power of 4 that brings b1 + b2 into [1, 4), or 1.0 while b1 + b2
+    lies in [4^-20, 4^20], where the solver and the verifier run on the
+    support as given.
+
+    Multiplying by a power of 4 is exact in floats, square roots included,
+    so a result computed on ``rect.scaled(1 / unit_scale(rect))`` and
+    scaled back is the unit-size one to the bit while it stays in the
+    normal range, free of the overflow and underflow of the support's
+    squares and products.  The power stays within 4^-511 and 4^511, so it
+    and its inverse are finite.
+    """
+    width = rect.b1 + rect.b2
+    if 4.0**-20 <= width <= 4.0**20:
+        return 1.0
+    # width in [2^(e-1), 2^e); an overflowed sum lies in [2^1024, 2^1025)
+    e = math.frexp(width)[1] if width < math.inf else 1025
+    return math.ldexp(1.0, 2 * min(max((e - 1) // 2, -511), 511))
 
 
 @dataclass(frozen=True)
@@ -150,6 +172,23 @@ class SolveParams:
     P: tuple[float, float] | None = None
     Q: tuple[float, float] | None = None
 
+    def scaled(self, lam: float) -> "SolveParams":
+        """The parameters on the support scaled by lam > 0: edge prices,
+        kinks, the bundle offset and the roof points scale; the lottery
+        weights a1 and a2 do not."""
+
+        def times(v: float | None) -> float | None:
+            return None if v is None else lam * v
+
+        P, Q = self.P, self.Q
+        # positional, in field order: p_a1, p_a2, a1, a2, m1, m2, p, P, Q
+        return SolveParams(
+            times(self.p_a1), times(self.p_a2), self.a1, self.a2, times(self.m1), times(self.m2),
+            times(self.p),
+            None if P is None else (lam * P[0], lam * P[1]),
+            None if Q is None else (lam * Q[0], lam * Q[1]),
+        )
+
     def to_dict(self) -> dict:
         out: dict = {}
         for f in fields(self):
@@ -206,6 +245,13 @@ class Mechanism:
             menu = (menu[0], menu[2], menu[1], menu[3])
         params = self.params.swapped() if self.params is not None else None
         return Mechanism(self.kind.swapped(), params, menu, self.revenue)
+
+    def scaled(self, lam: float) -> "Mechanism":
+        """The mechanism for the support scaled by lam > 0: prices, the
+        scaled parameters and revenue; allocations stay."""
+        menu = tuple(MenuItem(item.q1, item.q2, lam * item.t) for item in self.menu)
+        params = self.params.scaled(lam) if self.params is not None else None
+        return Mechanism(self.kind, params, menu, lam * self.revenue)
 
     def to_dict(self) -> dict:
         return {

@@ -5,10 +5,11 @@ mechanism, random menus, polygon intersection, the non-participation
 region, a shuffle report, the closed-form shuffle parameters of the
 lottery structures, the simple menus every optimum must match,
 finite-difference checks of a menu's revenue, the buyer's best entry at a
-type, the duality-side revenue pairing, a payment-monotonicity check, the
-linear family's boundary measure and clipped-polygon revenue, the
-companion-matrix root finder the solver's is checked against, and the
-eager grid-search kernel the oracle's lazy one is checked against."""
+type, the duality-side revenue pairing, a payment-monotonicity check, one
+support per kind, the linear family's boundary measure, clipped-polygon
+revenue and looped balance kernel, the companion-matrix root finder the
+solver's is checked against, and the eager grid-search kernel the
+oracle's lazy one is checked against."""
 
 import json
 import math
@@ -31,6 +32,22 @@ from optmech.solver import (
     _root_in_bracket,
 )
 from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
+
+#: One support deep in each kind's zone: b2 = 1, c1/b1 and c2/b2 as in the
+#: ``verify`` benchmark workload's centres.
+VERIFY_CENTRES = {
+    kind: Rectangle(r1 * b1, r2, b1, 1.0)
+    for kind, (r1, r2, b1) in {
+        "A": (0.05, 0.05, 1.0),
+        "B": (0.04, 1.2, 1.3),
+        "C": (2.9, 2.1, 0.9),
+        "D": (0.2, 2.275, 1.653),
+        "E": (0.04, 2.512, 1.267),
+        "F": (0.469, 0.127, 0.767),
+        "G": (1.9, 0.18, 0.314),
+        "H": (2.42, 0.03, 0.595),
+    }.items()
+}
 
 #: Companion-matrix root estimates this close to the real axis and to each
 #: other, relative to the interval magnitude, form one cluster: rounding the
@@ -415,6 +432,59 @@ def clipped_linear_revenue(sol: LinearSolution, c: float) -> float:
     return sum(
         item.t * scale * _xy_moment(to_values(rect, region).vertices) for item, region in zip(menu, regions)
     )
+
+
+# The linear family's balance kernel with each polynomial in (c, s) summed
+# by a Horner loop and the bundle region's antiderivative as a closure: the
+# reference the straight-line ``linear._boundary_branch`` and
+# ``linear._mu_w`` must equal bit for bit.
+
+
+def _homogeneous(coeffs: tuple[float, ...], c: float, s: float) -> float:
+    """sum_i coeffs[i] * c^(n-i) * s^i, by Horner in c."""
+    acc = 0.0
+    s_pow = 1.0
+    for co in coeffs:
+        acc = acc * c + co * s_pow
+        s_pow *= s
+    return acc
+
+
+def looped_boundary_branch(c: float, P1: float) -> tuple[float, float]:
+    s = P1 - c
+    k = (c + 1.0) ** 2
+    q0 = 16.0 * (c * c * k * (3.0 * c + 2.0 * s)) ** 2 / 9.0
+    q1 = (
+        -s * s * k
+        * _homogeneous((3720.0, 13416.0, 20304.0, 16160.0, 6960.0, 1500.0, 125.0), c, s)
+        / 27.0
+    )
+    q2 = s**4 * _homogeneous((1350.0, 4660.0, 6614.0, 4840.0, 1870.0, 350.0, 25.0), c, s) / 54.0
+    x = 2.0 * q0 / (-q1 + math.sqrt(q1 * q1 - 4.0 * q0 * q2))
+    a = math.sqrt(x)
+    m2 = _homogeneous((2.0, 10.0, 5.0), c, s)
+    m1 = 4.0 * a * _homogeneous((3.0, 15.0, 15.0, 5.0), c, s) / 3.0
+    m0 = k * _homogeneous((2.0, 6.0, 3.0), c, s) - 0.5 * x * _homogeneous(
+        (4.0, 20.0, 30.0, 20.0, 5.0), c, s
+    )
+    a0 = (m1 + math.sqrt(m1 * m1 + 4.0 * m2 * m0)) / (2.0 * m2)
+    return a0 - c - a * c, a
+
+
+def looped_mu_w(c: float, pa: float, a: float, P1: float) -> float:
+    k = (c + 1.0) ** 2
+    s = 2.0 * c + 1.0
+    a0 = c + pa + a * c
+    P2 = a0 - a * P1
+    p = P1 + P2
+    onem = (k - P1 * P1) / s
+    edge = 2.0 * (2.0 * k / s) * onem
+    interior = -5.0 * onem * onem
+
+    def anti(z: float) -> float:
+        return ((p * p - P1 * P1) * z * z - (4.0 * p / 3.0) * z**3 + 0.5 * z**4) / (s * s)
+
+    return edge + interior + 5.0 * (anti(P2) - anti(P1))
 
 
 def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import optmech.linear
+from helpers import VERIFY_CENTRES
 from optmech import cli
 from optmech.mechanism import expected_revenue
 from optmech.oracle import REVENUE_TOL_REL
@@ -47,6 +48,12 @@ def test_solve_rejects_bad_rectangle(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_at_a_tiny_scale(capsys):
+    # its products underflowed to zero and the solve divided by one
+    assert cli.main(["solve", "0.1", "0.1", "1e-200", "1e-200"]) == 0
+    assert "kind: C" in capsys.readouterr().out
+
+
 def test_solve_reports_divergence(monkeypatch, capsys):
     def boom(rect):
         raise NoRoot("no root bracketed")
@@ -68,6 +75,12 @@ def test_phase_argument_validation(tmp_path, capsys):
     missing = tmp_path / "no_such_dir" / "map.csv"
     assert cli.main(["phase", "1", "1", "--grid", "10", "--out", str(missing)]) == 4
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_phase_rejects_a_far_corner_that_overflows(capsys):
+    # 5 x 1e308 overflows: the sweep used to fail at that cell, exit 3
+    assert cli.main(["phase", "1e308", "1", "--grid", "10"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_phase_csv_stdout_and_header(capsys, monkeypatch):
@@ -216,3 +229,11 @@ def test_linear_reports_a_missing_kink_root(monkeypatch, capsys):
     assert cli.main(["linear", "0.1"]) == 3
     err = capsys.readouterr().err
     assert "no kink root at c=0.1" in err and "f = -0.5, -0.5" in err
+
+
+@pytest.mark.parametrize("j", [110, -110])
+def test_verify_passes_far_from_unit_size(j, capsys):
+    for kind, rect in VERIFY_CENTRES.items():
+        args = map(repr, (c * 4.0**j for c in (rect.c1, rect.c2, rect.b1, rect.b2)))
+        assert cli.main(["verify", *args, "--coarse", "8", "--rounds", "2"]) == 0, kind
+        assert "result: PASS" in capsys.readouterr().out

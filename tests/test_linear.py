@@ -2,18 +2,21 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 import optmech.linear
-from helpers import GenShuffleAlpha, clipped_linear_revenue
+from helpers import GenShuffleAlpha, clipped_linear_revenue, looped_boundary_branch, looped_mu_w
 from optmech.linear import (
+    _KINK_OFFSET,
     C_MAX,
     LinearDensityInstance,
     LinearSolution,
     NoConvergence,
     OutOfRange,
+    _boundary_branch,
     _mu_w,
     linear_revenue,
     solve_linear,
@@ -136,6 +139,43 @@ def test_solve_stays_within_its_balance_budget(monkeypatch):
         calls.clear()
         solve_linear(k * C_MAX / 61)
         assert 0 < len(calls) <= 16, (k, len(calls))
+
+
+def _hex(values) -> tuple[str, ...]:
+    return tuple(map(float.hex, values))
+
+
+def test_straight_line_kernel_matches_the_looped_reference(monkeypatch):
+    # the same operations in the same order: equal to the bit, not close
+    rng = random.Random(2301)
+    for _ in range(5000):
+        c = rng.choice((0.0, 1e-12, 1e-9, C_MAX - rng.uniform(0.0, C_MAX)))
+        P1 = c + rng.uniform(1e-6, 1.0)
+        branch = _boundary_branch(c, P1)
+        assert _hex(branch) == _hex(looped_boundary_branch(c, P1)), (c, P1)
+        assert _hex([_mu_w(c, *branch, P1)]) == _hex([looped_mu_w(c, *branch, P1)]), (c, P1)
+    cs = [C_MAX * (i + 1) / 400 for i in range(400)]
+    solved = [solve_linear(c).to_dict() for c in cs]
+    solved += [solve_linear(0.0).to_dict(), solve_linear(0.0, root="interior").to_dict()]
+    monkeypatch.setattr(optmech.linear, "_boundary_branch", looped_boundary_branch)
+    monkeypatch.setattr(optmech.linear, "_mu_w", looped_mu_w)
+    looped = [solve_linear(c).to_dict() for c in cs]
+    looped += [solve_linear(0.0).to_dict(), solve_linear(0.0, root="interior").to_dict()]
+    for got, want in zip(solved, looped, strict=True):
+        assert _hex(got.values()) == _hex(want.values()), got["c"]
+
+
+def test_kink_bracket_holds_one_sign_change_from_negative_to_positive():
+    # the single Brent search over [c + _KINK_OFFSET, c + 1] relies on it:
+    # 200 kinks per c, spaced linearly and log-spaced near c
+    for c in [0.0, 1e-12, 1e-9, 1e-6, 1e-3] + [C_MAX * (i + 1) / 200 for i in range(200)]:
+        kinks = np.unique(np.concatenate([
+            np.linspace(c + _KINK_OFFSET, c + 1.0, 150),
+            c + np.geomspace(_KINK_OFFSET, 0.1, 50),
+        ]))
+        signs = np.sign([_mu_w(c, *_boundary_branch(c, k), k) for k in map(float, kinks)])
+        assert signs[0] < 0.0 and signs[-1] > 0.0, c
+        assert np.count_nonzero(np.diff(signs)) == 1, c
 
 
 def test_no_sign_change_names_the_bracket_and_end_balances(monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import eager_family_revenue, local_max_check, price_gradient
+from helpers import VERIFY_CENTRES, eager_family_revenue, local_max_check, price_gradient
 from test_mirror import INSTANCES
 import optmech
 from optmech import oracle
@@ -390,6 +390,27 @@ def test_certificate_verdict_does_not_move_with_scale(lam):
         if not report.passed:
             failed.append((rect, report.failures))
     assert not failed, f"{len(failed)} of 40 fail, first {failed[0]}"
+
+
+@pytest.mark.parametrize("kind", ["D", "G"])
+def test_search_and_certificate_far_from_unit_size_are_the_unit_ones_scaled(kind):
+    # both run at unit size there; unscaled, the search overflowed at 4^200
+    # and its revenue moved off the scaled one at 4^-200, and the
+    # certificate raised OverflowError at 4^200
+    rect = VERIFY_CENTRES[kind]
+    menu, revenue = brute_force_menu_search(rect, coarse=8, refine_rounds=1)
+    report = certificate_check(solve(rect), rect, oracle_gap=solve(rect).revenue - revenue)
+    assert report.passed
+    for j in (200, -200):
+        lam = 4.0**j
+        big_menu, big_revenue = brute_force_menu_search(rect.scaled(lam), coarse=8, refine_rounds=1)
+        assert big_menu == tuple(replace(item, t=lam * item.t) for item in menu)
+        assert big_revenue == lam * revenue
+        mech = solve(rect).scaled(lam)
+        big_report = certificate_check(mech, rect.scaled(lam), oracle_gap=lam * report.oracle_gap)
+        assert big_report == replace(
+            report, revenue_gap=lam * report.revenue_gap, oracle_gap=lam * report.oracle_gap
+        )
 
 
 def test_certificate_total_measure_tolerance_scales_with_offsets():

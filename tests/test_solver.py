@@ -13,7 +13,7 @@ import pytest
 import optmech.linear
 import optmech.mechanism
 import optmech.solver
-from helpers import alpha_params, beta_p_of, bundle_item, rival_revenue
+from helpers import VERIFY_CENTRES, alpha_params, beta_p_of, bundle_item, rival_revenue
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.solver import (
@@ -569,6 +569,18 @@ def test_a_tiny_corner_offset_scales_to_rounding(rect, kind):
         assert scaled.kind is kind
         for item, ref in zip(scaled.menu, base.menu):
             assert item.t == pytest.approx(lam * ref.t, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_CENTRES))
+def test_a_support_far_from_unit_size_is_solved_at_unit_size(kind):
+    # scaling by a power of 4 is exact, square roots included, so the
+    # solve of a scaled support is the scaled solve, field for field; at
+    # 4^110 the unscaled solve returned kind C on the D and G centres
+    rect = VERIFY_CENTRES[kind]
+    base = solve(rect)
+    assert base.kind.value == kind
+    for j in (21, -21, 110, -110, 240, -240):
+        assert solve(rect.scaled(4.0**j)) == base.scaled(4.0**j), j
 
 
 def _zero_offset_supports(n):

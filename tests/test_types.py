@@ -14,6 +14,7 @@ from optmech.types import (
     Rectangle,
     SolveParams,
     StructureKind,
+    unit_scale,
 )
 
 
@@ -47,6 +48,33 @@ def test_rectangle_swap_and_scale():
     r = Rectangle(1.0, 2.0, 3.0, 4.0)
     assert r.swapped() == Rectangle(2.0, 1.0, 4.0, 3.0)
     assert r.scaled(2.0) == Rectangle(2.0, 4.0, 6.0, 8.0)
+
+
+def test_unit_scale_keeps_the_window_and_takes_other_widths_to_unit_size():
+    for width in (4.0**-20, 1e-9, 1.0, 3e5, 4.0**20):
+        assert unit_scale(Rectangle(7.0, 0.0, 0.5 * width, 0.5 * width)) == 1.0
+    for b1, b2 in ((1e-200, 3e-200), (1e160, 1.0), (4.0**20, 1e-3), (1.0, 1e-300), (2e-13, 1e-13)):
+        lam = unit_scale(Rectangle(0.0, 0.0, b1, b2))
+        mantissa, exponent = math.frexp(lam)
+        assert mantissa == 0.5 and (exponent - 1) % 2 == 0, lam  # a power of 4
+        assert 1.0 <= b1 / lam + b2 / lam < 4.0, (b1, b2)
+    # the power stays finite with its inverse, past an overflowing width
+    # and down to the smallest subnormal sides
+    assert unit_scale(Rectangle(0.0, 0.0, 1e308, 1e308)) == 4.0**511
+    assert unit_scale(Rectangle(0.0, 0.0, 5e-324, 5e-324)) == 4.0**-511
+
+
+def test_scaling_a_mechanism_scales_prices_and_lengths_not_weights():
+    params = SolveParams(p_a1=0.5, p_a2=0.25, a1=0.75, a2=0.5, m1=0.125, m2=1.5, p=1.25, P=(0.5, 2.0), Q=(3.0, 0.25))
+    menu = (NULL_ITEM, MenuItem(0.75, 1.0, 1.5), MenuItem(1.0, 0.5, 1.0), MenuItem(1.0, 1.0, 2.5))
+    scaled = Mechanism(StructureKind.A, params, menu, 1.75).scaled(4.0)
+    assert scaled.kind is StructureKind.A
+    assert scaled.params == SolveParams(2.0, 1.0, 0.75, 0.5, 0.5, 6.0, 5.0, (2.0, 8.0), (12.0, 1.0))
+    assert scaled.menu == (NULL_ITEM, MenuItem(0.75, 1.0, 6.0), MenuItem(1.0, 0.5, 4.0), MenuItem(1.0, 1.0, 10.0))
+    assert scaled.revenue == 7.0
+    assert SolveParams(p=0.5).scaled(0.25) == SolveParams(p=0.125)
+    bundle_only = Mechanism(StructureKind.C, None, (NULL_ITEM, MenuItem(1.0, 1.0, 2.0)), 0.5)
+    assert bundle_only.scaled(2.0) == Mechanism(StructureKind.C, None, (NULL_ITEM, MenuItem(1.0, 1.0, 4.0)), 1.0)
 
 
 @pytest.mark.parametrize("q1,q2,t", [(-0.1, 0.5, 1.0), (0.5, 1.2, 1.0), (0.5, 0.5, -1.0), (0.5, 0.5, math.inf)])
