@@ -9,8 +9,8 @@ import sys
 
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
-from .solver import NoRoot, solve
-from .types import Rectangle
+from .solver import NoRoot, fixed_kind, solve
+from .types import PriceOverflow, Rectangle
 
 __all__ = ["main"]
 
@@ -41,6 +41,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         mech = solve(rect)
     except NoRoot as exc:
         return _fail(str(exc), 3)
+    except PriceOverflow as exc:
+        return _fail(str(exc), 2)
     if ns.json:
         print(mech.to_json(indent=2))
     else:
@@ -48,19 +50,21 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _cell_kind(rect: Rectangle) -> str:
+    """``solve(rect).kind``, solved only where the region leaves it open."""
+    return (fixed_kind(rect) or solve(rect).kind).name
+
+
 def _phase_grid(b1: float, b2: float, ratios: list[float]) -> list[list[str]]:
     """Kinds on the grid of corner ratios, row-major in c1/b1."""
-    return [
-        [solve(Rectangle(r1 * b1, r2 * b2, b1, b2)).kind.name for r2 in ratios]
-        for r1 in ratios
-    ]
+    return [[_cell_kind(Rectangle(r1 * b1, r2 * b2, b1, b2)) for r2 in ratios] for r1 in ratios]
 
 
 def _phase_csv(grid: list[list[str]], ratios: list[float]) -> str:
+    labels = [f"{r:.10g}" for r in ratios]
     lines = ["c1_ratio,c2_ratio,kind"]
-    for r1, row in zip(ratios, grid):
-        for r2, kind in zip(ratios, row):
-            lines.append(f"{r1:.10g},{r2:.10g},{kind}")
+    for l1, row in zip(labels, grid):
+        lines.extend(f"{l1},{l2},{kind}" for l2, kind in zip(labels, row))
     return "\n".join(lines) + "\n"
 
 
@@ -117,10 +121,14 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         return _fail(f"--grid must be at least 10, got {ns.grid}", 2)
     if not 0.0 < ns.max_ratio < math.inf:
         return _fail(f"--max-ratio must be positive and finite, got {ns.max_ratio}", 2)
-    try:  # the far corner, where the offsets are largest
-        Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
-    except ValueError as exc:
+    try:  # the far corner, where the offsets and the prices are largest
+        far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
+        if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
+            solve(far)
+    except ValueError as exc:  # a bad side or corner, or PriceOverflow
         return _fail(str(exc), 2)
+    except NoRoot as exc:
+        return _fail(str(exc), 3)
     out = ns.out
     if out in (None, "csv", "svg"):
         fmt = out or "csv"
@@ -164,6 +172,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         mech = solve(rect)
     except NoRoot as exc:
         return _fail(str(exc), 3)
+    except PriceOverflow as exc:
+        return _fail(str(exc), 2)
     gap = mech.revenue - best
     report = certificate_check(mech, rect, oracle_gap=gap)
     print(f"instance: c1={rect.c1:g} c2={rect.c2:g} b1={rect.b1:g} b2={rect.b2:g}")

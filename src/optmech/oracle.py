@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import best_response_regions
 from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
-from .types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind, unit_scale
+from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, SolveParams, StructureKind, unit_scale
 
 # Verification tolerances.  Region masses and shuffle masses are
 # dimensionless (the corner atom is 1), and shuffle first moments are judged
@@ -250,6 +250,9 @@ def brute_force_menu_search(
     if lam != 1.0:
         menu, revenue = brute_force_menu_search(rect.scaled(1.0 / lam), coarse, refine_rounds)
         return tuple(replace(item, t=lam * item.t) for item in menu), lam * revenue
+    t_hi = rect.z1_max + rect.z2_max
+    if t_hi == math.inf:
+        raise PriceOverflow("the price range [0, z1_max + z2_max] overflows the float range")
     # Each block allocates and frees 1 MB or more of 100-512 KiB temporaries.
     # By default glibc serves arrays of 128 KiB or more with fresh mmaps and
     # gives the heap back once 256 KiB lies free at its top, so every block
@@ -260,7 +263,6 @@ def brute_force_menu_search(
     # none.  Other allocators just allocate and free it; the mapping is
     # never touched, so it costs no page.
     np.empty(16 << 20, np.uint8)
-    t_hi = rect.z1_max + rect.z2_max
     domains = ((0.0, 1.0), (0.0, 1.0), (0.0, t_hi), (0.0, t_hi), (0.0, t_hi))
 
     best_rev = -math.inf

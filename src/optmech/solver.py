@@ -534,6 +534,24 @@ _DISPATCH = {
     PhaseRegion.BOTH_LARGE: solve_bundling,
 }
 
+#: The kind each region's solver always returns where the region alone fixes
+#: the structure: pure bundling where both offsets are high, and the good
+#: with the very large offset sold alone where the other offset is low (E,
+#: and its mirror).  The other three regions take their kind from roots.
+FIXED_KIND = {
+    PhaseRegion.BOTH_LARGE: StructureKind.C,
+    PhaseRegion.SMALL_VERY_LARGE: StructureKind.E,
+    PhaseRegion.VERY_LARGE_SMALL: StructureKind.E.swapped(),
+}
+
+
+def fixed_kind(rect: Rectangle) -> StructureKind | None:
+    """``solve(rect).kind`` where the region ``solve`` dispatches on fixes
+    it (``FIXED_KIND``), found without solving; None elsewhere.  The region
+    is classified at the size ``solve`` runs the support at."""
+    lam = unit_scale(rect)
+    return FIXED_KIND.get(classify(rect if lam == 1.0 else rect.scaled(1.0 / lam)))
+
 
 def solve(rect: Rectangle) -> Mechanism:
     """Optimal mechanism for a uniform density on the given rectangle.

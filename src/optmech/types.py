@@ -24,6 +24,11 @@ class NegativeCorner(ValueError):
     """A rectangle corner coordinate c1 or c2 is negative."""
 
 
+class PriceOverflow(ValueError):
+    """A price overflows the float range: the support's values lie too near
+    its top for the menu to be written."""
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned value support [c1, c1+b1] x [c2, c2+b2].
@@ -105,6 +110,8 @@ class MenuItem:
             raise ValueError(f"q1 must lie in [0, 1], got {self.q1!r}")
         if not 0.0 <= self.q2 <= 1.0:
             raise ValueError(f"q2 must lie in [0, 1], got {self.q2!r}")
+        if self.t == math.inf:
+            raise PriceOverflow("a menu price overflows the float range")
         if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
 

@@ -13,8 +13,9 @@ from helpers import VERIFY_CENTRES
 from optmech import cli
 from optmech.mechanism import expected_revenue
 from optmech.oracle import REVENUE_TOL_REL
-from optmech.solver import NoRoot
+from optmech.solver import NoRoot, PhaseRegion, classify
 from optmech.solver import solve as real_solve
+from optmech.types import Rectangle
 
 BUNDLE_UNIT_SQUARE = (4.0 - math.sqrt(2.0)) / 3.0
 
@@ -81,6 +82,67 @@ def test_phase_rejects_a_far_corner_that_overflows(capsys):
     # 5 x 1e308 overflows: the sweep used to fail at that cell, exit 3
     assert cli.main(["phase", "1e308", "1", "--grid", "10"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "1e308", "1e308", "1", "1"],
+        ["phase", "1", "1", "--grid", "10", "--max-ratio", "1e308"],
+        ["verify", "1e308", "1e308", "1", "1", "--coarse", "8", "--rounds", "0"],
+    ],
+    ids=["solve", "phase", "verify"],
+)
+def test_a_support_whose_prices_overflow_exits_2(args, monkeypatch, capsys):
+    # every corner is finite but the bundle price c1 + c2 + p is not; phase
+    # finds it at its far corner, before it sweeps (a sweep would call None)
+    monkeypatch.setattr(cli, "_phase_grid", None)
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_solve_at_the_top_of_the_float_range_with_finite_prices(capsys):
+    assert cli.main(["solve", "0", "0", "1e308", "1e308"]) == 0
+    assert "(q1=1, q2=1) at t=8.61929e+307" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0), (2.75, 1.0)])
+def test_phase_solves_only_the_cells_whose_region_leaves_the_kind_open(sides, monkeypatch, capsys):
+    # BothLarge, SmallVeryLarge and VeryLargeSmall cells take their kind
+    # from the region; the parent solved all 100 cells
+    solved = []
+
+    def counted(rect):
+        solved.append(rect)
+        return real_solve(rect)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    b1, b2 = sides
+    assert cli.main(["phase", repr(b1), repr(b2), "--grid", "10", "--max-ratio", "5"]) == 0
+    capsys.readouterr()
+    open_regions = {PhaseRegion.SMALL_SMALL, PhaseRegion.SMALL_LARGE, PhaseRegion.LARGE_SMALL}
+    ratios = np.linspace(0.0, 5.0, 10).tolist()
+    cells = [Rectangle(r1 * b1, r2 * b2, b1, b2) for r1 in ratios for r2 in ratios]
+    assert solved == [rect for rect in cells if classify(rect) in open_regions]
+    assert len(solved) == 24
+
+
+def test_phase_csv_is_the_map_of_solved_kinds(capsys):
+    rng = random.Random(20261019)
+    for _ in range(30):
+        n, top = rng.randint(10, 40), math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        ratios = np.linspace(0.0, top, n).tolist()
+        expected = ["c1_ratio,c2_ratio,kind"] + [
+            f"{r1:.10g},{r2:.10g},{real_solve(Rectangle(r1 * b1, r2 * b2, b1, b2)).kind.name}"
+            for r1 in ratios
+            for r2 in ratios
+        ]
+        args = ["phase", repr(b1), repr(b2), "--grid", str(n), "--max-ratio", repr(top)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.splitlines() == expected, args
 
 
 def test_phase_csv_stdout_and_header(capsys, monkeypatch):

@@ -28,3 +28,26 @@ def test_solve_example_is_the_cli_output():
     with contextlib.redirect_stdout(out):
         assert cli.main(["solve", "0", "0", "1", "1"]) == 0
     assert out.getvalue().splitlines() == block.splitlines()
+
+
+def test_exit_code_commands_exit_as_stated(capsys):
+    # each sentence of the exit-code paragraph that names commands states
+    # one code for all of them
+    paragraph = re.search(r"\nExit codes: (.*?)\n\n", README, re.S).group(1)
+    ran = set()
+    for sentence in re.split(r"\.\s+", paragraph):
+        named = re.findall(r"`((?:solve|phase|verify|linear) [^`]+)`", sentence)
+        if not named:
+            continue
+        (code,) = {int(c) for c in re.findall(r"\bexits? (\d)\b", sentence)}
+        for command in named:
+            assert cli.main(command.split()) == code, command
+            ran.add(command)
+    capsys.readouterr()
+    assert ran >= {
+        "phase 1e308 1",
+        "phase 1 1 --grid 10 --max-ratio 1e308",
+        "solve 1e308 1e308 1 1",
+        "verify 1e308 1e308 1 1 --coarse 8 --rounds 0",
+        "solve 0 0 1e308 1e308",
+    }

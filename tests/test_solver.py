@@ -17,6 +17,7 @@ from helpers import VERIFY_CENTRES, alpha_params, beta_p_of, bundle_item, rival_
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.solver import (
+    FIXED_KIND,
     ROOT_MAX_ITER,
     ROOT_REL_TOL,
     NoRoot,
@@ -26,6 +27,7 @@ from optmech.solver import (
     _sweep_kinks,
     PhaseRegion,
     classify,
+    fixed_kind,
     real_roots_in_interval,
     residual_W,
     solve,
@@ -581,6 +583,53 @@ def test_a_support_far_from_unit_size_is_solved_at_unit_size(kind):
     assert base.kind.value == kind
     for j in (21, -21, 110, -110, 240, -240):
         assert solve(rect.scaled(4.0**j)) == base.scaled(4.0**j), j
+
+
+def _fixed_region_supports(region, rng):
+    """Seeded supports inside a region that fixes the kind and on and beside
+    its thresholds, each with whether ``classify`` puts it in the region.
+    VeryLargeSmall takes the mirrors of the SmallVeryLarge supports."""
+    out = []
+    for _ in range(40):
+        b1, b2 = (math.exp(rng.uniform(math.log(0.3), math.log(3.0))) for _ in range(2))
+        if region is PhaseRegion.BOTH_LARGE:
+            c1, c2 = (b * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0)) for b in (b1, b2))
+            out += [
+                (Rectangle(c1, c2, b1, b2), True),
+                (Rectangle(math.nextafter(b1, math.inf), math.nextafter(b2, math.inf), b1, b2), True),
+                (Rectangle(b1, c2, b1, b2), False),  # c1 = b1 is SmallLarge
+                (Rectangle(c1, b2, b1, b2), False),  # c2 = b2 is LargeSmall
+            ]
+            continue
+        c1 = rng.choice((0.0, rng.uniform(0.0, 1.0))) * b1
+        hi = 2.0 * b2 * (b1 / (b1 - c1)) ** 2  # the very-large threshold
+        out += [
+            (Rectangle(c1, hi * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0)), b1, b2), True),
+            # half-open: the threshold is SmallVeryLarge's, but at c1 = 0
+            # it is the SmallSmall curve's, which comes first
+            (Rectangle(c1, hi, b1, b2), c1 > 0.0),
+            (Rectangle(c1, math.nextafter(hi, 0.0), b1, b2), False),
+            (Rectangle(b1, hi, b1, b2), False),  # c1 = b1 is SmallLarge at every c2
+        ]
+    if region is PhaseRegion.VERY_LARGE_SMALL:
+        out = [(rect.swapped(), inside) for rect, inside in out]
+    return out
+
+
+@pytest.mark.parametrize("region", list(FIXED_KIND), ids=lambda region: region.value)
+def test_a_region_that_fixes_the_kind_gives_the_kind_solve_returns(region):
+    # the phase map takes these cells' kinds from the table without solving;
+    # at 4^-520 the coordinates are subnormal, scaling rounds them, and
+    # classify on them as given put a kind-D support in SmallVeryLarge
+    rng = random.Random(20261019)
+    for rect, inside in _fixed_region_supports(region, rng):
+        for j in (0, 30, -30, -520):
+            scaled = rect.scaled(4.0**j)
+            kind = fixed_kind(scaled)
+            if j != -520:
+                assert kind is (FIXED_KIND[region] if inside else None), (rect, j)
+            if kind is not None:
+                assert solve(scaled).kind is kind, (rect, j)
 
 
 def _zero_offset_supports(n):
