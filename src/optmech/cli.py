@@ -10,7 +10,7 @@ import sys
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
 from .solver import NoRoot, fixed_kind, solve
-from .types import PriceOverflow, Rectangle
+from .types import PriceOverflow, Rectangle, UnitSizeOverflow
 
 __all__ = ["main"]
 
@@ -41,7 +41,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         mech = solve(rect)
     except NoRoot as exc:
         return _fail(str(exc), 3)
-    except PriceOverflow as exc:
+    except (PriceOverflow, UnitSizeOverflow) as exc:
         return _fail(str(exc), 2)
     if ns.json:
         print(mech.to_json(indent=2))

@@ -1,9 +1,11 @@
 """From solved structure parameters to an explicit menu and its revenue.
 
 The menu is the mechanism: the buyer picks the utility-maximizing entry
-(or nothing).  One builder per kind A-E returns each menu item with the
-area of its best-response region, in menu order, and ``build_mechanism``
-prices the menu from those areas without clipping.  Lottery prices come
+(or nothing).  One builder per kind A-E returns each menu item as plain
+floats with the area of its best-response region, in menu order, and
+``build_mechanism`` prices the menu from those areas without clipping and
+makes the items and the record once; kinds F, G and H take their mirror
+kind's builder with the goods exchanged.  Lottery prices come
 from utility continuity across the exclusion boundary
 (t = c2 + p_a1 + a1 c1 and its mirror).  In u = z - c on [0, b1] x [0, b2]
 every region is a polygon whose vertices are the structure's own
@@ -17,6 +19,8 @@ uses it to check the closed forms.
 """
 from __future__ import annotations
 
+import math
+
 from .geometry import best_response_regions
 from .types import (
     NULL_ITEM,
@@ -28,7 +32,8 @@ from .types import (
 )
 
 Menu = tuple[MenuItem, ...]
-Priced = tuple[tuple[MenuItem, float], ...]
+#: One menu item as (q1, q2, t) and the area of its best-response region.
+Row = tuple[float, float, float, float]
 
 K = StructureKind
 
@@ -37,47 +42,34 @@ class IncompleteParams(ValueError):
     """The structure parameters lack a field the requested kind needs."""
 
 
-def _require(params: SolveParams | None, kind: StructureKind, *names: str) -> list:
-    values = [getattr(params, name, None) for name in names]
-    if None in values:
-        raise IncompleteParams(f"kind {kind.value} requires parameters {names}")
-    return values
-
-
-def _kind_a(params: SolveParams | None, rect: Rectangle) -> Priced:
+def _kind_a(c1, c2, b1, b2, p_a1, p_a2, a1, a2, p, P, Q) -> tuple[Row, ...]:
     # null pentagon (0, 0), (p_a2, 0), Q, P, (0, p_a1); the lotteries
     # left of P and below Q; the bundle the box northeast of (P1, Q2)
     # less the triangle under the diagonal from P to Q
-    p_a1, p_a2, a1, a2, p, P, Q = _require(params, K.A, "p_a1", "p_a2", "a1", "a2", "p", "P", "Q")
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     P1, P2 = P[0] - c1, P[1] - c2
     Q1, Q2 = Q[0] - c1, Q[1] - c2
     return (
-        (NULL_ITEM, 0.5 * (p_a2 * Q2 + Q1 * P2 - P1 * Q2 + P1 * p_a1)),
-        (MenuItem(a1, 1.0, c2 + p_a1 + a1 * c1), 0.5 * P1 * (2.0 * b2 - p_a1 - P2)),
-        (MenuItem(1.0, a2, c1 + p_a2 + a2 * c2), 0.5 * Q2 * (2.0 * b1 - p_a2 - Q1)),
-        (MenuItem(1.0, 1.0, c1 + c2 + p), (b1 - P1) * (b2 - Q2) - 0.5 * (Q1 - P1) * (P2 - Q2)),
+        (0.0, 0.0, 0.0, 0.5 * (p_a2 * Q2 + Q1 * P2 - P1 * Q2 + P1 * p_a1)),
+        (a1, 1.0, c2 + p_a1 + a1 * c1, 0.5 * P1 * (2.0 * b2 - p_a1 - P2)),
+        (1.0, a2, c1 + p_a2 + a2 * c2, 0.5 * Q2 * (2.0 * b1 - p_a2 - Q1)),
+        (1.0, 1.0, c1 + c2 + p, (b1 - P1) * (b2 - Q2) - 0.5 * (Q1 - P1) * (P2 - Q2)),
     )
 
 
-def _kind_b(params: SolveParams | None, rect: Rectangle) -> Priced:
+def _kind_b(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
     # the lottery above u2 = p_a1 - a1 u1 left of the kink m1, the bundle
     # right of it above u1 + u2 = p
-    p_a1, a1, m1, p = _require(params, K.B, "p_a1", "a1", "m1", "p")
-    c1, c2, b2 = rect.c1, rect.c2, rect.b2
     under = m1 * p_a1 - 0.5 * a1 * m1 * m1
     corner = 0.5 * (p - m1) ** 2
     return (
-        (NULL_ITEM, under + corner),
-        (MenuItem(a1, 1.0, c2 + p_a1 + a1 * c1), m1 * b2 - under),
-        (MenuItem(1.0, 1.0, c1 + c2 + p), (rect.b1 - m1) * b2 - corner),
+        (0.0, 0.0, 0.0, under + corner),
+        (a1, 1.0, c2 + p_a1 + a1 * c1, m1 * b2 - under),
+        (1.0, 1.0, c1 + c2 + p, (b1 - m1) * b2 - corner),
     )
 
 
-def _kind_c(params: SolveParams | None, rect: Rectangle) -> Priced:
+def _kind_c(c1, c2, b1, b2, p) -> tuple[Row, ...]:
     # the square split by the diagonal u1 + u2 = p, 0 <= p <= b1 + b2
-    (p,) = _require(params, K.C, "p")
-    b1, b2 = rect.b1, rect.b2
     lo, hi = min(b1, b2), max(b1, b2)
     if p <= lo:
         below = 0.5 * p * p
@@ -87,38 +79,87 @@ def _kind_c(params: SolveParams | None, rect: Rectangle) -> Priced:
     else:
         above = 0.5 * (b1 + b2 - p) ** 2
         below = b1 * b2 - above
-    return (NULL_ITEM, below), (MenuItem(1.0, 1.0, rect.c1 + rect.c2 + p), above)
+    return (0.0, 0.0, 0.0, below), (1.0, 1.0, c1 + c2 + p, above)
 
 
-def _kind_d(params: SolveParams | None, rect: Rectangle) -> Priced:
+def _kind_d(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
     # the lottery above u2 = p_a1 - a1 u1 left of the cut u1 = p, the
     # bundle right of it, priced by continuity across the cut
     # z1 = c1 + p: t_bundle = t_a1 + (1 - a1)(c1 + p); the lottery line
     # meets u2 = 0 at m1, which the solver admits up to a rounding
     # tolerance past the cut
-    p_a1, a1, m1, p = _require(params, K.D, "p_a1", "a1", "m1", "p")
-    c1, b2 = rect.c1, rect.b2
-    t_a1 = rect.c2 + p_a1 + a1 * c1
+    t_a1 = c2 + p_a1 + a1 * c1
     m = min(m1, p)
     under = m * p_a1 - 0.5 * a1 * m * m
     return (
-        (NULL_ITEM, under),
-        (MenuItem(a1, 1.0, t_a1), p * b2 - under),
-        (MenuItem(1.0, 1.0, t_a1 + (1.0 - a1) * (c1 + p)), (rect.b1 - p) * b2),
+        (0.0, 0.0, 0.0, under),
+        (a1, 1.0, t_a1, p * b2 - under),
+        (1.0, 1.0, t_a1 + (1.0 - a1) * (c1 + p), (b1 - p) * b2),
     )
 
 
-def _kind_e(params: SolveParams | None, rect: Rectangle) -> Priced:
+def _kind_e(c1, c2, b1, b2) -> tuple[Row, ...]:
     # good 2 to every type, and the bundle right of the cut u1 = (b1 - c1)/2
-    c1, c2, b1 = rect.c1, rect.c2, rect.b1
-    half = 0.5 * rect.b2
+    half = 0.5 * b2
     return (
-        (MenuItem(0.0, 1.0, c2), half * (b1 - c1)),
-        (MenuItem(1.0, 1.0, c2 + 0.5 * (c1 + b1)), half * (b1 + c1)),
+        (0.0, 1.0, c2, half * (b1 - c1)),
+        (1.0, 1.0, c2 + 0.5 * (c1 + b1), half * (b1 + c1)),
     )
 
 
-_BUILDERS = {K.A: _kind_a, K.B: _kind_b, K.C: _kind_c, K.D: _kind_d, K.E: _kind_e}
+#: Each kind's builder, the ``SolveParams`` fields it takes after the
+#: support's c1, c2, b1, b2, and whether it reads the support and the
+#: fields with the goods exchanged.
+_BUILDERS = {
+    kind: (builder, fields, False)
+    for kind, builder, fields in (
+        (K.A, _kind_a, ("p_a1", "p_a2", "a1", "a2", "p", "P", "Q")),
+        (K.B, _kind_b, ("p_a1", "a1", "m1", "p")),
+        (K.C, _kind_c, ("p",)),
+        (K.D, _kind_d, ("p_a1", "a1", "m1", "p")),
+        (K.E, _kind_e, ()),
+    )
+}
+# the mirrored kinds take their mirror kind's builder, reading indices 1
+# and 2 of the support and of the fields exchanged
+_EXCHANGE = str.maketrans("12", "21")
+_BUILDERS.update(
+    (kind.swapped(), (builder, tuple(name.translate(_EXCHANGE) for name in fields), True))
+    for kind, (builder, fields, _) in list(_BUILDERS.items())
+    if kind.swapped() is not kind
+)
+
+#: Where the revenue's sum overflows, the prices are summed in units of
+#: this power of 2: a support is solved with b1 + b2 below 4^20, so its
+#: region areas stay below 2^80.
+_PRICE_UNIT = 2.0**128
+
+
+def _rows(kind: StructureKind, fields: dict, rect: Rectangle) -> tuple[tuple[Row, ...], bool]:
+    """The builder's rows for the structure with these ``SolveParams``
+    fields, in the frame of its builder, and whether that frame has the
+    goods exchanged."""
+    builder, names, swap = _BUILDERS[kind]
+    values = list(map(fields.get, names))
+    if None in values:
+        raise IncompleteParams(f"kind {kind.value} requires parameters {names}")
+    if swap:
+        return builder(rect.c2, rect.c1, rect.b2, rect.b1, *values), True
+    return builder(rect.c1, rect.c2, rect.b1, rect.b2, *values), False
+
+
+def _revenue(rows: tuple[Row, ...], area: float) -> float:
+    total = sum([t * a for _, _, t, a in rows])
+    if total == math.inf:  # t * a overflows near the top of the float range
+        return sum([t / _PRICE_UNIT * a for _, _, t, a in rows]) / area * _PRICE_UNIT
+    return total / area
+
+
+def structure_revenue(kind: StructureKind, fields: dict, rect: Rectangle) -> float:
+    """Revenue of the structure with these ``SolveParams`` fields, from its
+    closed-form region areas, without making its record: how the solver
+    compares candidate structures."""
+    return _revenue(_rows(kind, fields, rect)[0], rect.area)
 
 
 def expected_revenue(menu: Menu, rect: Rectangle) -> float:
@@ -130,18 +171,15 @@ def expected_revenue(menu: Menu, rect: Rectangle) -> float:
 
 
 def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Mechanism:
-    """Assemble the full record for kinds A-E: the menu, and its revenue
-    from the closed-form region areas of the structure.  Kinds F, G and H
-    are B, D and E with the goods exchanged: build the mirror kind on the
-    swapped support and take ``Mechanism.swapped()``.
+    """Assemble the full record: the menu, and its revenue from the
+    closed-form region areas of the structure.  Kinds F, G and H are B, D
+    and E with the goods exchanged: each is built by its mirror kind's
+    builder on the support and parameters read with indices 1 and 2
+    exchanged, and its items take their allocations back exchanged.
     """
-    builder = _BUILDERS.get(kind)
-    if builder is None:
-        raise IncompleteParams(
-            f"kind {kind.value} is a mirrored structure; build its mirror kind on the "
-            "swapped support and take Mechanism.swapped()"
-        )
-    priced = builder(params, rect)
-    menu = tuple(item for item, _ in priced)
-    revenue = sum(item.t * area for item, area in priced) / rect.area
-    return Mechanism(kind=kind, params=params, menu=menu, revenue=revenue)
+    rows, swap = _rows(kind, vars(params) if params is not None else {}, rect)
+    menu = tuple([
+        NULL_ITEM if t == 0.0 and q1 == q2 == 0.0 else MenuItem(q2, q1, t) if swap else MenuItem(q1, q2, t)
+        for q1, q2, t, _ in rows
+    ])
+    return Mechanism(kind, params, menu, _revenue(rows, rect.area))

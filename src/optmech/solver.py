@@ -27,7 +27,7 @@ import sys
 from enum import Enum
 from functools import partial
 
-from .mechanism import build_mechanism
+from .mechanism import build_mechanism, structure_revenue
 from .types import Mechanism, Rectangle, SolveParams, StructureKind, unit_scale
 
 #: Relative bracket width at which the root finder stops.  Resolving roots
@@ -158,8 +158,10 @@ def _root_in_bracket(f, lo: float, hi: float, flo: float, fhi: float) -> float:
 
 
 def _positive_root(b: float, c: float) -> float:
-    """Positive root of x^2 + b x - c for c > 0, free of cancellation."""
-    disc = math.sqrt(b * b + 4.0 * c)
+    """Positive root of x^2 + b x - c for c > 0, free of cancellation and,
+    where b^2 overflows, of the overflow."""
+    bb = b * b
+    disc = math.sqrt(bb + 4.0 * c) if bb < math.inf else abs(b) * math.sqrt(1.0 + 4.0 * c / b / b)
     return 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
 
 
@@ -168,28 +170,6 @@ def _horner(coeffs: list[float], x: float) -> float:
     for a in reversed(coeffs):
         acc = acc * x + a
     return acc
-
-
-def _zero_to_rounding(coeffs: list[float], x: float, fx: float) -> bool:
-    """Whether fx, the polynomial at x, is within ``ROOT_DOUBLE_ULPS``
-    rounding units of its Horner scale sum |a_i| |x|^i."""
-    scale = _horner([abs(c) for c in coeffs], abs(x))
-    return abs(fx) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale
-
-
-def _quadratic_roots(a0: float, a1: float, a2: float) -> list[tuple[float, float]]:
-    """Roots (re, im) of a2 x^2 + a1 x + a0 for a2 != 0, free of
-    cancellation: the root of larger magnitude first, the other from the
-    product a0 / a2."""
-    h = -0.5 * a1
-    disc = h * h - a2 * a0
-    if disc < 0.0:
-        re, im = h / a2, math.sqrt(-disc) / abs(a2)
-        return [(re, im), (re, -im)]
-    q = h + math.copysign(math.sqrt(disc), h)
-    if q == 0.0:
-        return [(0.0, 0.0), (0.0, 0.0)]
-    return [(q / a2, 0.0), (a0 / q, 0.0)]
 
 
 def _monotone_root(
@@ -234,42 +214,88 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
     points and its inflection point into pieces where it is monotone and of
     one convexity, so each piece holds at most one root: one where its end
     values differ in sign, found by ``_monotone_root``.  A critical point
-    where the polynomial is zero to rounding (``_zero_to_rounding``) is a
-    double root, and stands for the rounding twins on its two neighbouring
-    pieces; two such points are one triple root.  The search runs on
-    [lo, hi] widened by ``ROOT_END_REL_TOL`` of the interval magnitude, and
-    roots outside [lo, hi] are clamped onto it.
+    where the polynomial is zero to rounding, within ``ROOT_DOUBLE_ULPS``
+    rounding units of sum |a_i| |x|^i, is a double root, and stands for the
+    rounding twins on its two neighbouring pieces; two such points are one
+    triple root.  The search runs on [lo, hi] widened by
+    ``ROOT_END_REL_TOL`` of the interval magnitude, and roots outside
+    [lo, hi] are clamped onto it.
     """
     if len(coeffs) > 4:
         raise ValueError(f"degree at most 3 supported, got {len(coeffs) - 1}")
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
-    if hi < lo or len(coeffs) < 2:
+    a0, a1, a2, a3 = (*coeffs, 0.0, 0.0, 0.0, 0.0)[:4]
+    if hi < lo or a1 == a2 == a3 == 0.0:
         return []
     end = ROOT_END_REL_TOL * max(abs(lo), abs(hi))
-    order = next(i for i, c in enumerate(coeffs) if c != 0.0)
-    roots = [0.0] if order and lo - end <= 0.0 <= hi + end else []
-    coeffs = coeffs[order:]
-    a0, a1, a2, a3 = coeffs + [0.0] * (4 - len(coeffs))
-    if a3 != 0.0:
-        critical = [re for re, im in _quadratic_roots(a1, 2.0 * a2, 3.0 * a3) if im == 0.0]
-        bends = critical + [-a2 / (3.0 * a3)]
-    else:
-        critical = bends = [-0.5 * a1 / a2] if a2 != 0.0 else []
     a, b = lo - end, hi + end
-    xs = [a] + sorted({x for x in bends if a < x < b}) + [b]
-    fs = [((a3 * x + a2) * x + a1) * x + a0 for x in xs]
-    double = [i for i, x in enumerate(xs) if x in critical and _zero_to_rounding(coeffs, x, fs[i])]
-    roots += [xs[i] for i in double[:1]]
-    for i in range(len(xs) - 1):
-        if (fs[i] > 0.0) != (fs[i + 1] > 0.0) and i not in double and i + 1 not in double:
-            roots.append(_monotone_root(a0, a1, a2, a3, xs[i], xs[i + 1], fs[i], fs[i + 1]))
-    return sorted(min(max(x, lo), hi) for x in roots)
+    roots = []
+    if a0 == 0.0:
+        if a <= 0.0 <= b:
+            roots.append(0.0)
+        if a1 != 0.0:
+            a0, a1, a2, a3 = a1, a2, a3, 0.0
+        elif a2 != 0.0:
+            a0, a1, a2, a3 = a2, a3, 0.0, 0.0
+        else:
+            a0, a1, a2, a3 = a3, 0.0, 0.0, 0.0
+    if a3 != 0.0:
+        # the derivative's roots, free of cancellation: the one of larger
+        # magnitude first, the other from their product; a complex pair
+        # counts where its imaginary part underflows to 0
+        k = 3.0 * a3
+        h = -0.5 * (2.0 * a2)
+        disc = h * h - k * a1
+        if disc < 0.0:
+            critical = (h / k,) * 2 if math.sqrt(-disc) / abs(k) == 0.0 else ()
+        else:
+            q = h + math.copysign(math.sqrt(disc), h)
+            critical = (q / k, a1 / q) if q != 0.0 else (0.0, 0.0)
+        bends = (*critical, -a2 / k)
+    else:
+        critical = bends = (-0.5 * a1 / a2,) if a2 != 0.0 else ()
+    xs = [a]
+    for x in sorted([x for x in bends if a < x < b]):
+        if x != xs[-1]:
+            xs.append(x)
+    xs.append(b)
+    # one pass over the piece ends; the first double root goes after the
+    # root at 0, ahead of the roots the pieces give
+    first, found = len(roots), False
+    x0 = f0 = None
+    double0 = False
+    for x1 in xs:
+        f1 = ((a3 * x1 + a2) * x1 + a1) * x1 + a0
+        double1 = False
+        if x1 in critical:
+            ax = abs(x1)
+            scale = ((abs(a3) * ax + abs(a2)) * ax + abs(a1)) * ax + abs(a0)
+            double1 = abs(f1) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale
+            if double1 and not found:
+                roots.insert(first, x1)
+                found = True
+        if x0 is not None and (f0 > 0.0) != (f1 > 0.0) and not (double0 or double1):
+            roots.append(_monotone_root(a0, a1, a2, a3, x0, x1, f0, f1))
+        x0, f0, double0 = x1, f1, double1
+    roots = [min(max(x, lo), hi) for x in roots]
+    roots.sort()
+    return roots
 
 
-def _best_by_revenue(candidates: list[Mechanism]) -> Mechanism | None:
-    return max(candidates, key=lambda m: m.revenue, default=None)
+def _best_by_revenue(kind: StructureKind, candidates: list[dict], rect: Rectangle) -> dict | None:
+    """The candidate structure of highest revenue, the first of equal ones,
+    compared by revenue alone; a lone candidate is not priced."""
+    if len(candidates) > 1:
+        return max(candidates, key=lambda fields: structure_revenue(kind, fields, rect))
+    return candidates[0] if candidates else None
+
+
+def _record(kind: StructureKind, fields: dict, rect: Rectangle, swap: bool) -> Mechanism:
+    """The mechanism of the structure of this kind with these ``SolveParams``
+    fields, solved on ``rect``, or with ``swap`` on ``rect`` with the goods
+    exchanged; the record is made once, in the frame of ``rect``."""
+    if swap:
+        return build_mechanism(kind.swapped(), SolveParams.mirrored(**fields), rect)
+    return build_mechanism(kind, SolveParams(**fields), rect)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +441,9 @@ def _kind_b_cubic(rect: Rectangle) -> tuple[float, float, float, float]:
     )
 
 
-def _kind_b_params(rect: Rectangle, m1: float) -> SolveParams | None:
-    """Parameters of the one-lottery structure with kink m1 > 0; None if
-    its geometry is invalid."""
+def _kind_b_params(rect: Rectangle, m1: float) -> dict | None:
+    """``SolveParams`` fields of the one-lottery structure with kink m1 > 0;
+    None if its geometry is invalid."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     d1, a1 = _lottery(c1, b2 + c2, m1)
     if d1 >= b2 + c2:  # the edge price reaches b2
@@ -431,48 +457,53 @@ def _kind_b_params(rect: Rectangle, m1: float) -> SolveParams | None:
     if not (0.0 <= p <= b1 + tol and floor <= big_p[1] <= rect.z2_max + tol):
         return None
     p_a1 = (2.0 * b2 - c2 + d1) / 3.0
-    return SolveParams(p_a1=p_a1, a1=a1, m1=m1, p=p, P=big_p, Q=(c1 + p, c2))
+    return {"p_a1": p_a1, "a1": a1, "m1": m1, "p": p, "P": big_p, "Q": (c1 + p, c2)}
 
 
-def _solve_ss_kind_b(rect: Rectangle) -> Mechanism | None:
-    lo, hi = _sweep_kinks(rect.c1, rect.c2, rect.b1, rect.b2)
+def _solve_ss_kind_b(rect: Rectangle, swap: bool = False) -> Mechanism | None:
+    """The one-lottery structure, or with ``swap`` its mirror: the same
+    structure solved with the goods exchanged."""
+    frame = rect.swapped() if swap else rect
+    lo, hi = _sweep_kinks(frame.c1, frame.c2, frame.b1, frame.b2)
     if lo > hi:
         return None
     # roots below lo have a1 > 1, and those within the search's resolution
     # ROOT_REL_TOL * hi of 0 are the root at 0; searching from 0 keeps the
     # end rule, relative to hi, from clamping them onto a far smaller lo
-    roots = real_roots_in_interval(_kind_b_cubic(rect), 0.0, hi)
+    roots = real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi)
     floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
     kinks = [max(m, lo) for m in roots if m > floor]
-    params = [sp for sp in (_kind_b_params(rect, m1) for m1 in kinks) if sp is not None]
-    return _best_by_revenue([build_mechanism(StructureKind.B, sp, rect) for sp in params])
+    candidates = [sp for sp in (_kind_b_params(frame, m1) for m1 in kinks) if sp is not None]
+    best = _best_by_revenue(StructureKind.B, candidates, frame)
+    return None if best is None else _record(StructureKind.B, best, rect, swap)
 
 
 def solve_small_small(rect: Rectangle) -> Mechanism:
     """Both offset-to-side ratios small: the two-lottery structure, the
     one-lottery structure, its mirror and pure bundling, in that order."""
-    mech = _solve_ss_kind_a(rect) or _solve_ss_kind_b(rect)
-    if mech is not None:
-        return mech
-    swapped = _solve_ss_kind_b(rect.swapped())
-    if swapped is not None:
-        return swapped.swapped()
-    return solve_bundling(rect)
+    return (
+        _solve_ss_kind_a(rect)
+        or _solve_ss_kind_b(rect)
+        or _solve_ss_kind_b(rect, swap=True)
+        or solve_bundling(rect)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Small/Large and Small/VeryLarge regions (and mirrors)
 # ---------------------------------------------------------------------------
 
-def solve_small_large(rect: Rectangle) -> Mechanism:
+def solve_small_large(rect: Rectangle, swap: bool = False) -> Mechanism:
     """Intermediate c2 band: ramp-lottery structure or pure bundling.
 
     The edge price solves a cubic on [(2 b2 - c2)+, b2]; a missing root or
     an implied lottery weight above 1 means the ramp structure does not
     exist there, leaving pure bundling (the ramp structure has bundle
-    boundary at z1 = c1 + (b1 - c1)/2).
+    boundary at z1 = c1 + (b1 - c1)/2).  With ``swap``, the LargeSmall
+    mirror: the same, solved with the goods exchanged.
     """
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    frame = rect.swapped() if swap else rect
+    c1, c2, b1, b2 = frame.c1, frame.c2, frame.b1, frame.b2
     k0 = 2.0 * b1 * b1 * b2 * b2 * c2 - c2 * c2 * b2 * (b1 - c1) ** 2
     k1 = (
         2.0 * b1 * b1 * b2 * b2
@@ -483,7 +514,7 @@ def solve_small_large(rect: Rectangle) -> Mechanism:
     k3 = 2.0 * c1 * c1
     roots = real_roots_in_interval((k0, k1, k2, k3), max(2.0 * b2 - c2, 0.0), b2)
     p = 0.5 * (b1 - c1)
-    candidates: list[Mechanism] = []
+    candidates: list[dict] = []
     for p_a1 in roots:
         denom = b1 * b2 - c1 * p_a1
         if denom <= 0.0:
@@ -497,23 +528,25 @@ def solve_small_large(rect: Rectangle) -> Mechanism:
                 continue
         else:
             m1 = b1 * b2 / c2 if c2 > 0.0 else 0.0
-        params = SolveParams(p_a1=p_a1, a1=a1, m1=m1, p=p)
-        candidates.append(build_mechanism(StructureKind.D, params, rect))
-    return _best_by_revenue(candidates) or solve_bundling(rect)
+        candidates.append({"p_a1": p_a1, "a1": a1, "m1": m1, "p": p})
+    best = _best_by_revenue(StructureKind.D, candidates, frame)
+    # pure bundling is its own mirror, solved in the frame it was sought in
+    return solve_bundling(frame) if best is None else _record(StructureKind.D, best, rect, swap)
 
 
-def solve_small_verylarge(rect: Rectangle) -> Mechanism:
-    """Very large c2: good 2 sold deterministically, good 1 only in the bundle."""
-    params = SolveParams(p=0.5 * (rect.b1 - rect.c1))
-    return build_mechanism(StructureKind.E, params, rect)
+def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Mechanism:
+    """Very large c2: good 2 sold deterministically, good 1 only in the
+    bundle; with ``swap``, the VeryLargeSmall mirror."""
+    b1, c1 = (rect.b2, rect.c2) if swap else (rect.b1, rect.c1)
+    return _record(StructureKind.E, {"p": 0.5 * (b1 - c1)}, rect, swap)
 
 
 def solve_large_small(rect: Rectangle) -> Mechanism:
-    return solve_small_large(rect.swapped()).swapped()
+    return solve_small_large(rect, swap=True)
 
 
 def solve_verylarge_small(rect: Rectangle) -> Mechanism:
-    return solve_small_verylarge(rect.swapped()).swapped()
+    return solve_small_verylarge(rect, swap=True)
 
 
 def solve_bundling(rect: Rectangle) -> Mechanism:

@@ -29,6 +29,12 @@ class PriceOverflow(ValueError):
     its top for the menu to be written."""
 
 
+class UnitSizeOverflow(ValueError):
+    """A corner offset overflows when a support with tiny sides is brought to
+    unit size (``unit_scale``): its offsets lie too far from its sides for
+    the solver and the verifier to run it."""
+
+
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned value support [c1, c1+b1] x [c2, c2+b2].
@@ -47,14 +53,15 @@ class Rectangle:
     b2: float
 
     def __post_init__(self) -> None:
-        for name in ("b1", "b2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise NonPositiveSide(f"{name} must be finite and > 0, got {v!r}")
-        for name in ("c1", "c2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise NegativeCorner(f"{name} must be finite and >= 0, got {v!r}")
+        # each comparison is False for NaN
+        if not 0.0 < self.b1 < math.inf:
+            raise NonPositiveSide(f"b1 must be finite and > 0, got {self.b1!r}")
+        if not 0.0 < self.b2 < math.inf:
+            raise NonPositiveSide(f"b2 must be finite and > 0, got {self.b2!r}")
+        if not 0.0 <= self.c1 < math.inf:
+            raise NegativeCorner(f"c1 must be finite and >= 0, got {self.c1!r}")
+        if not 0.0 <= self.c2 < math.inf:
+            raise NegativeCorner(f"c2 must be finite and >= 0, got {self.c2!r}")
 
     @property
     def z1_max(self) -> float:
@@ -87,14 +94,21 @@ def unit_scale(rect: Rectangle) -> float:
     scaled back is the unit-size one to the bit while it stays in the
     normal range, free of the overflow and underflow of the support's
     squares and products.  The power stays within 4^-511 and 4^511, so it
-    and its inverse are finite.
+    and its inverse are finite.  Raises ``UnitSizeOverflow`` where a corner
+    offset overflows at unit size.
     """
     width = rect.b1 + rect.b2
     if 4.0**-20 <= width <= 4.0**20:
         return 1.0
     # width in [2^(e-1), 2^e); an overflowed sum lies in [2^1024, 2^1025)
     e = math.frexp(width)[1] if width < math.inf else 1025
-    return math.ldexp(1.0, 2 * min(max((e - 1) // 2, -511), 511))
+    lam = math.ldexp(1.0, 2 * min(max((e - 1) // 2, -511), 511))
+    if max(rect.c1, rect.c2) / lam == math.inf:
+        raise UnitSizeOverflow(
+            f"the corner ({rect.c1!r}, {rect.c2!r}) overflows at unit size, "
+            f"scaled by {1.0 / lam!r} to bring the sides to about 1"
+        )
+    return lam
 
 
 @dataclass(frozen=True)
@@ -110,9 +124,9 @@ class MenuItem:
             raise ValueError(f"q1 must lie in [0, 1], got {self.q1!r}")
         if not 0.0 <= self.q2 <= 1.0:
             raise ValueError(f"q2 must lie in [0, 1], got {self.q2!r}")
-        if self.t == math.inf:
-            raise PriceOverflow("a menu price overflows the float range")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
+        if not 0.0 <= self.t < math.inf:
+            if self.t == math.inf:
+                raise PriceOverflow("a menu price overflows the float range")
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
 
     @property
@@ -206,14 +220,32 @@ class SolveParams:
         return out
 
     def swapped(self) -> "SolveParams":
-        """The parameters of the mirrored structure: indices 1 and 2 trade
-        places, and the roof corners P and Q trade places and coordinates."""
+        """The parameters of the mirrored structure (``mirrored``)."""
         P, Q = self.P, self.Q
         if P is Q is None and self.p_a1 == self.p_a2 and self.a1 == self.a2 and self.m1 == self.m2:
             return self  # its own mirror, such as a bundle price alone
+        return SolveParams.mirrored(self.p_a1, self.p_a2, self.a1, self.a2, self.m1, self.m2, self.p, P, Q)
+
+    @classmethod
+    def mirrored(
+        cls,
+        p_a1: float | None = None,
+        p_a2: float | None = None,
+        a1: float | None = None,
+        a2: float | None = None,
+        m1: float | None = None,
+        m2: float | None = None,
+        p: float | None = None,
+        P: tuple[float, float] | None = None,
+        Q: tuple[float, float] | None = None,
+    ) -> "SolveParams":
+        """``SolveParams(...).swapped()`` made in one step: the parameters of
+        the mirror of the structure with these parameters.  Indices 1 and 2
+        trade places, and the roof corners P and Q trade places and
+        coordinates."""
         # positional, in field order: p_a1, p_a2, a1, a2, m1, m2, p, P, Q
-        return SolveParams(
-            self.p_a2, self.p_a1, self.a2, self.a1, self.m2, self.m1, self.p,
+        return cls(
+            p_a2, p_a1, a2, a1, m2, m1, p,
             None if Q is None else (Q[1], Q[0]),
             None if P is None else (P[1], P[0]),
         )
@@ -233,8 +265,10 @@ class Mechanism:
             raise ValueError(f"menu has {len(self.menu)} items, at most 4 allowed")
         bundle = null = False
         for item in self.menu:
-            bundle = bundle or item.is_bundle
-            null = null or item.is_null
+            if item.q1 == 1.0 and item.q2 == 1.0:
+                bundle = True
+            elif item.q1 == 0.0 and item.q2 == 0.0 and item.t == 0.0:
+                null = True
         if not bundle:
             raise ValueError("menu must contain the full bundle (q1 = q2 = 1)")
         if not null and self.kind not in KINDS_WITHOUT_NULL:

@@ -108,6 +108,32 @@ def test_solve_at_the_top_of_the_float_range_with_finite_prices(capsys):
     assert "(q1=1, q2=1) at t=8.61929e+307" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "1e300", "0", "1e-300", "1e-300"], ["verify", "1e300", "0", "1e-300", "1e-300"]],
+    ids=["solve", "verify"],
+)
+def test_a_corner_that_overflows_at_unit_size_exits_2(args, capsys):
+    # the sides are brought to unit size by about 6.7e299, past which the
+    # corner offset 1e300 overflows; the support itself is valid
+    assert cli.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "overflows at unit size" in err
+
+
+def test_solve_prices_a_bundle_whose_revenue_sum_overflows(capsys):
+    # the bundle price 5.99e307 times its region's area overflows, and so
+    # does the square of 2 (c1 + c2)/3 in the bundle offset's quadratic
+    args = ["2.964164787888919e+307", "3.02824131118571e+307", "2.12409924432396", "6.715973230026775"]
+    assert cli.main(["solve", *args]) == 0
+    fields = _parse_kv(capsys.readouterr().out)
+    assert fields["kind"] == "C"
+    assert math.isfinite(float(fields["revenue"]))
+    assert fields["revenue"] == "5.99241e+307"
+
+
 @pytest.mark.parametrize("sides", [(1.0, 1.0), (2.75, 1.0)])
 def test_phase_solves_only_the_cells_whose_region_leaves_the_kind_open(sides, monkeypatch, capsys):
     # BothLarge, SmallVeryLarge and VeryLargeSmall cells take their kind

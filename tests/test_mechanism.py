@@ -128,6 +128,8 @@ def test_the_solve_path_never_clips(monkeypatch):
 @pytest.mark.parametrize(
     "kind, rect, p",
     [pytest.param(StructureKind(k), INSTANCES[StructureKind(k)], None, id=k) for k in "ABCDE"]
+    # the mirrored kinds, read by their mirror kind's builder
+    + [pytest.param(StructureKind(k), INSTANCES[StructureKind(k)], None, id=k) for k in "FGH"]
     + [
         # pure bundling with the diagonal past the shorter side (and on the
         # longer one), and past both: bands no solved support reaches
@@ -138,7 +140,8 @@ def test_the_solve_path_never_clips(monkeypatch):
 )
 def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
     mech = solve(rect) if p is None else build_mechanism(kind, SolveParams(p=p), rect)
-    areas = [area for _, area in optmech.mechanism._BUILDERS[kind](mech.params, rect)]
+    rows, _ = optmech.mechanism._rows(kind, vars(mech.params), rect)
+    areas = [area for _, _, _, area in rows]
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)
     assert sum(areas) == pytest.approx(rect.area, rel=1e-15)

@@ -1,5 +1,6 @@
 """The goods-swap mirror: kinds F/G/H are B/D/E with the goods exchanged."""
 
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 import optmech.measures
 from helpers import bundle_item
-from optmech.mechanism import IncompleteParams, build_mechanism
+from optmech.mechanism import build_mechanism
 from optmech.solver import PhaseRegion, classify, solve
-from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
 
 K = StructureKind
 SRC = pathlib.Path(optmech.measures.__file__).parent
@@ -84,9 +85,11 @@ def test_mirrored_kinds_are_built_on_the_swapped_support(kind):
     rect = INSTANCES[kind]
     base = solve(rect)
     params = base.params.swapped()
-    with pytest.raises(IncompleteParams, match=r"Mechanism\.swapped\(\)"):
-        build_mechanism(kind.swapped(), params, rect.swapped())
-    built = base.swapped()
+    built = build_mechanism(kind.swapped(), params, rect.swapped())
+    # field for field, to the bit, the mirror kind's record mirrored
+    mirrored = build_mechanism(kind, base.params, rect).swapped()
+    for field in dataclasses.fields(Mechanism):
+        assert repr(getattr(built, field.name)) == repr(getattr(mirrored, field.name)), field.name
     assert built.kind is kind.swapped()
     # the menu equals the direct closed-form prices of the mirrored kind
     c1, c2 = rect.swapped().c1, rect.swapped().c2
@@ -112,8 +115,8 @@ def test_mirrored_kinds_are_built_on_the_swapped_support(kind):
 
 
 def test_the_mirror_is_written_once():
-    # F/G/H are named nowhere on the solve or verify path: each is its
-    # mirror kind's record through Mechanism.swapped()
+    # F/G/H are named nowhere on the solve or verify path: each is built,
+    # solved and checked through its mirror kind (StructureKind.swapped)
     pattern = re.compile(r"\b(?:StructureKind|K)\.[FGH]\b")
     hits = []
     for name in ("solver.py", "mechanism.py", "oracle.py", "measures.py"):

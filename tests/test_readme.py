@@ -50,4 +50,6 @@ def test_exit_code_commands_exit_as_stated(capsys):
         "solve 1e308 1e308 1 1",
         "verify 1e308 1e308 1 1 --coarse 8 --rounds 0",
         "solve 0 0 1e308 1e308",
+        "solve 1e300 0 1e-300 1e-300",
+        "verify 1e300 0 1e-300 1e-300",
     }

@@ -34,7 +34,7 @@ from optmech.solver import (
     solve_bundling,
     solve_pa2_given_pa1,
 )
-from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 SQRT2 = math.sqrt(2.0)
@@ -671,6 +671,55 @@ def test_an_offset_far_below_the_root_resolution_solves_like_zero(c1):
     assert got.revenue == pytest.approx(ref.revenue, rel=1e-15)
 
 
+#: A SmallSmall support solved as pure bundling after both one-lottery
+#: searches, on the support and on its mirror, find no kink.
+SMALL_SMALL_C = Rectangle(0.05139164478185963, 0.6383455255767818, 0.8848183722526561, 1.4397147540733368)
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [*VERIFY_CENTRES.values(), *(rect.swapped() for rect in VERIFY_CENTRES.values()), SMALL_SMALL_C],
+    ids=[*VERIFY_CENTRES, *(f"{kind}-swapped" for kind in VERIFY_CENTRES), "C-small-small"],
+)
+def test_each_solve_makes_its_record_once(rect, monkeypatch):
+    # one Mechanism per solve: the mirrored kinds F, G and H are built in
+    # one step, not as B, D or E and then mirrored by Mechanism.swapped()
+    made = []
+    post_init = Mechanism.__post_init__
+
+    def counted(self):
+        made.append(self.kind)
+        post_init(self)
+
+    searched = []
+
+    def roots(*args):
+        searched.append(args)
+        return real_roots_in_interval(*args)
+
+    monkeypatch.setattr(Mechanism, "__post_init__", counted)
+    monkeypatch.setattr(optmech.solver, "real_roots_in_interval", roots)
+    mech = solve(rect)
+    assert made == [mech.kind]
+    if rect is SMALL_SMALL_C:
+        assert mech.kind is StructureKind.C and len(searched) == 2
+
+
+def test_a_bundle_whose_revenue_sum_overflows_is_priced():
+    # the bundle price 5.99e307 times its region's area overflows, and so
+    # does the square of 2 (c1 + c2)/3 in the bundle offset's quadratic
+    rect = Rectangle(2.964164787888919e307, 3.02824131118571e307, 2.12409924432396, 6.715973230026775)
+    mech = solve(rect)
+    assert mech.kind is StructureKind.C
+    s = rect.c1 + rect.c2
+    # p* = 2 b1 b2 / (3 (s + sqrt(s^2 + 6 b1 b2))), about b1 b2 / s here
+    assert mech.params.p == pytest.approx(rect.area / s, rel=1e-15)
+    # the bundle bound: the bundle at price s sells to every type, and no
+    # menu earns more than E[z1 + z2]
+    assert math.isfinite(mech.revenue)
+    assert s * (1.0 - 1e-15) <= mech.revenue <= (s + 0.5 * (rect.b1 + rect.b2)) * (1.0 + 1e-15)
+
+
 def test_one_lottery_corner_below_the_support_is_rejected():
     # on the SmallSmall curve the corner point P sits on z2 = c2, at the
     # edge offset D1 = 4 b2 - 2 c2; P[1] = c2 + (4 b2 - 2 c2 - D1) / 6, and
@@ -679,7 +728,7 @@ def test_one_lottery_corner_below_the_support_is_rejected():
     d1 = 4.0 * rect.b2 - 2.0 * rect.c2
     m1 = 4.0 * rect.c1 * (rect.b2 + rect.c2 - d1) / (3.0 * d1)
     below = _kind_b_params(rect, m1 * (1.0 - 8.0 * sys.float_info.epsilon))
-    assert below is not None and 0.0 < rect.c2 - below.P[1] < 1e-15
+    assert below is not None and 0.0 < rect.c2 - below["P"][1] < 1e-15
     assert _kind_b_params(rect, m1 * (1.0 - 1e-12)) is None
 
 

@@ -11,9 +11,11 @@ from optmech.types import (
     MenuItem,
     NegativeCorner,
     NonPositiveSide,
+    PriceOverflow,
     Rectangle,
     SolveParams,
     StructureKind,
+    UnitSizeOverflow,
     unit_scale,
 )
 
@@ -35,6 +37,56 @@ def test_rectangle_rejects_bad_sides(b1, b2):
 def test_rectangle_rejects_bad_corners(c1, c2):
     with pytest.raises(NegativeCorner):
         Rectangle(c1, c2, 1.0, 1.0)
+
+
+_BAD = [math.nan, math.inf, -math.inf, -1.5]
+
+
+@pytest.mark.parametrize("value", _BAD + [0.0], ids=repr)
+@pytest.mark.parametrize("name", ["b1", "b2"])
+def test_rectangle_names_the_bad_side(name, value):
+    args = {"c1": 0.5, "c2": 0.5, "b1": 1.0, "b2": 1.0, name: value}
+    with pytest.raises(NonPositiveSide) as exc:
+        Rectangle(**args)
+    assert type(exc.value) is NonPositiveSide
+    assert str(exc.value) == f"{name} must be finite and > 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", _BAD, ids=repr)
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_rectangle_names_the_bad_corner(name, value):
+    args = {"c1": 0.5, "c2": 0.5, "b1": 1.0, "b2": 1.0, name: value}
+    with pytest.raises(NegativeCorner) as exc:
+        Rectangle(**args)
+    assert type(exc.value) is NegativeCorner
+    assert str(exc.value) == f"{name} must be finite and >= 0, got {value!r}"
+
+
+def test_rectangle_checks_the_sides_before_the_corners():
+    with pytest.raises(NonPositiveSide, match="^b2 "):
+        Rectangle(-1.0, math.nan, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", _BAD + [1.5], ids=repr)
+@pytest.mark.parametrize("name", ["q1", "q2"])
+def test_menu_item_names_the_bad_allocation(name, value):
+    args = {"q1": 0.5, "q2": 0.5, "t": 1.0, name: value}
+    with pytest.raises(ValueError) as exc:
+        MenuItem(**args)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{name} must lie in [0, 1], got {value!r}"
+
+
+@pytest.mark.parametrize("value", _BAD, ids=repr)
+def test_menu_item_names_the_bad_price(value):
+    with pytest.raises(ValueError) as exc:
+        MenuItem(0.5, 0.5, value)
+    if value == math.inf:  # a price past the top of the float range
+        assert type(exc.value) is PriceOverflow
+        assert str(exc.value) == "a menu price overflows the float range"
+    else:
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"t must be finite and >= 0, got {value!r}"
 
 
 def test_rectangle_corners_are_counterclockwise():
@@ -62,6 +114,15 @@ def test_unit_scale_keeps_the_window_and_takes_other_widths_to_unit_size():
     # and down to the smallest subnormal sides
     assert unit_scale(Rectangle(0.0, 0.0, 1e308, 1e308)) == 4.0**511
     assert unit_scale(Rectangle(0.0, 0.0, 5e-324, 5e-324)) == 4.0**-511
+
+
+def test_unit_scale_names_a_corner_that_overflows_at_unit_size():
+    # 1e-300 sides are scaled up by 4^498 (6.7e299), past which a 1e300
+    # offset overflows
+    assert unit_scale(Rectangle(1e8, 0.0, 1e-300, 1e-300)) == 4.0**-498
+    for c1, c2 in ((1e300, 0.0), (0.0, 1e300)):
+        with pytest.raises(UnitSizeOverflow, match="overflows at unit size"):
+            unit_scale(Rectangle(c1, c2, 1e-300, 1e-300))
 
 
 def test_scaling_a_mechanism_scales_prices_and_lengths_not_weights():
