@@ -155,13 +155,6 @@ def _revenue(rows: tuple[Row, ...], area: float) -> float:
     return total / area
 
 
-def structure_revenue(kind: StructureKind, fields: dict, rect: Rectangle) -> float:
-    """Revenue of the structure with these ``SolveParams`` fields, from its
-    closed-form region areas, without making its record: how the solver
-    compares candidate structures."""
-    return _revenue(_rows(kind, fields, rect)[0], rect.area)
-
-
 def expected_revenue(menu: Menu, rect: Rectangle) -> float:
     """Expected payment of any menu under the uniform density: each price
     times the area of its best-response polygon on the unit square, which

@@ -1,23 +1,27 @@
 """Decision procedure for the revenue-optimal selling structure.
 
 Given a value rectangle, the solver classifies it into a phase region,
-then pins down the structure parameters.  Each candidate structure's
-defining residual is the transformed measure of the top-right bundle
-region, which must vanish at the optimum, written out in closed form;
-partial lotteries additionally require their edge shuffle to vanish,
-which the closed-form slopes and spans encode exactly.  The SmallSmall
-structures are written in the lottery kinks m_i, where each lottery ends
-on its top edge, with the edge offsets D_i and weights a_i derived from
-them; every quantity then has a finite limit as a corner offset tends to
-0, so zero offsets take the same path as positive ones.  The one-lottery
-and ramp residuals are cubics, split at their critical and inflection
-points into monotone pieces of one convexity, each holding at most one
-root, which Newton's method finds from the end that Fourier's condition
-picks.  The two-lottery structure has one residual root in the good-1
-kink, with the matching good-2 kink and the bracket's feasibility edge
-each the positive root of a quadratic.  That root, and any Newton search
-that leaves its piece, come from one Brent-Dekker search
-(``_root_in_bracket``) resolved to the rounding floor.
+then pins down the structure parameters.  Each structure's defining
+residual, written out in closed form, is a transformed measure of one of
+its regions that vanishes at the optimum: the bundle region's mass for
+the lottery structures, the lottery region's first moment for the ramp.
+Partial lotteries also need their edge shuffle to vanish, which the
+closed-form slopes and spans encode exactly.  The SmallSmall structures
+are written in the lottery kinks m_i, where each lottery ends on its top
+edge, with the edge offsets D_i and weights a_i derived from them; every
+quantity then has a finite limit as a corner offset tends to 0, so zero
+offsets take the same path as positive ones.  The one-lottery and ramp
+residuals are cubics, split at their critical and inflection points into
+monotone pieces of one convexity, each holding at most one root, which
+Newton's method finds from the end that Fourier's condition picks.  Each
+cubic's first admissible root is its only one, and is the structure; in
+SmallSmall the first structure that exists is the optimum, so the solver
+compares none and prices only the one it returns.  The two-lottery
+structure has one residual root in the good-1 kink, with the matching
+good-2 kink and the bracket's feasibility edge each the positive root of
+a quadratic.  That root, and any Newton search that leaves its piece,
+come from one Brent-Dekker search (``_root_in_bracket``) resolved to the
+rounding floor.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from enum import Enum
 from functools import partial
 
-from .mechanism import build_mechanism, structure_revenue
+from .mechanism import build_mechanism
 from .types import Mechanism, Rectangle, SolveParams, StructureKind, unit_scale
 
 #: Relative bracket width at which the root finder stops.  Resolving roots
@@ -281,14 +285,6 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
     return roots
 
 
-def _best_by_revenue(kind: StructureKind, candidates: list[dict], rect: Rectangle) -> dict | None:
-    """The candidate structure of highest revenue, the first of equal ones,
-    compared by revenue alone; a lone candidate is not priced."""
-    if len(candidates) > 1:
-        return max(candidates, key=lambda fields: structure_revenue(kind, fields, rect))
-    return candidates[0] if candidates else None
-
-
 def _record(kind: StructureKind, fields: dict, rect: Rectangle, swap: bool) -> Mechanism:
     """The mechanism of the structure of this kind with these ``SolveParams``
     fields, solved on ``rect``, or with ``swap`` on ``rect`` with the goods
@@ -470,12 +466,12 @@ def _solve_ss_kind_b(rect: Rectangle, swap: bool = False) -> Mechanism | None:
     # roots below lo have a1 > 1, and those within the search's resolution
     # ROOT_REL_TOL * hi of 0 are the root at 0; searching from 0 keeps the
     # end rule, relative to hi, from clamping them onto a far smaller lo
-    roots = real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi)
     floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
-    kinks = [max(m, lo) for m in roots if m > floor]
-    candidates = [sp for sp in (_kind_b_params(frame, m1) for m1 in kinks) if sp is not None]
-    best = _best_by_revenue(StructureKind.B, candidates, frame)
-    return None if best is None else _record(StructureKind.B, best, rect, swap)
+    for m1 in real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi):
+        fields = _kind_b_params(frame, max(m1, lo)) if m1 > floor else None
+        if fields is not None:
+            return _record(StructureKind.B, fields, rect, swap)
+    return None
 
 
 def solve_small_small(rect: Rectangle) -> Mechanism:
@@ -493,45 +489,59 @@ def solve_small_small(rect: Rectangle) -> Mechanism:
 # Small/Large and Small/VeryLarge regions (and mirrors)
 # ---------------------------------------------------------------------------
 
+def _kind_d_cubic(rect: Rectangle) -> tuple[float, float, float, float]:
+    """Ascending coefficients of the ramp structure's residual cubic in the
+    edge price p_a1: b1 b2 (3 p_a1 + 2 c2)^2 times the first u1-moment of
+    the transformed measure over the lottery region, at the weight a1 that
+    leaves the null region a zero measure."""
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    return (
+        2.0 * b1 * b1 * b2 * b2 * c2 - c2 * c2 * b2 * (b1 - c1) ** 2,
+        2.0 * b1 * b1 * b2 * b2 - 4.0 * b1 * b2 * c1 * c2 - 3.0 * c2 * b2 * (b1 - c1) ** 2,
+        2.0 * c1 * c1 * c2 - 4.0 * b1 * b2 * c1 - 2.25 * b2 * (b1 - c1) ** 2,
+        2.0 * c1 * c1,
+    )
+
+
+def _kind_d_params(rect: Rectangle, p_a1: float) -> dict | None:
+    """``SolveParams`` fields of the ramp structure with edge price p_a1;
+    None if its geometry is invalid."""
+    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    denom = b1 * b2 - c1 * p_a1
+    if denom <= 0.0:
+        return None
+    a1 = p_a1 * (1.5 * p_a1 + c2) / denom
+    if a1 > 1.0:
+        return None
+    p = 0.5 * (b1 - c1)
+    if a1 > 0.0:
+        m1 = p_a1 / a1
+        if m1 > p + 1e-9 * (b1 + b2):
+            return None
+    else:
+        # a root exists only where c2 >= b2 > 0
+        m1 = b1 * b2 / c2
+    return {"p_a1": p_a1, "a1": a1, "m1": m1, "p": p}
+
+
 def solve_small_large(rect: Rectangle, swap: bool = False) -> Mechanism:
     """Intermediate c2 band: ramp-lottery structure or pure bundling.
 
-    The edge price solves a cubic on [(2 b2 - c2)+, b2]; a missing root or
-    an implied lottery weight above 1 means the ramp structure does not
-    exist there, leaving pure bundling (the ramp structure has bundle
-    boundary at z1 = c1 + (b1 - c1)/2).  With ``swap``, the LargeSmall
+    The edge price is the first root of ``_kind_d_cubic`` on
+    [(2 b2 - c2)+, b2] that ``_kind_d_params`` admits.  Where it admits
+    none (b1 b2 <= c1 p_a1, a1 > 1, or the lottery line meets z2 = c2
+    past the bundle boundary z1 = c1 + (b1 - c1)/2), the ramp structure
+    does not exist, leaving pure bundling.  With ``swap``, the LargeSmall
     mirror: the same, solved with the goods exchanged.
     """
     frame = rect.swapped() if swap else rect
-    c1, c2, b1, b2 = frame.c1, frame.c2, frame.b1, frame.b2
-    k0 = 2.0 * b1 * b1 * b2 * b2 * c2 - c2 * c2 * b2 * (b1 - c1) ** 2
-    k1 = (
-        2.0 * b1 * b1 * b2 * b2
-        - 4.0 * b1 * b2 * c1 * c2
-        - 3.0 * c2 * b2 * (b1 - c1) ** 2
-    )
-    k2 = 2.0 * c1 * c1 * c2 - 4.0 * b1 * b2 * c1 - 2.25 * b2 * (b1 - c1) ** 2
-    k3 = 2.0 * c1 * c1
-    roots = real_roots_in_interval((k0, k1, k2, k3), max(2.0 * b2 - c2, 0.0), b2)
-    p = 0.5 * (b1 - c1)
-    candidates: list[dict] = []
-    for p_a1 in roots:
-        denom = b1 * b2 - c1 * p_a1
-        if denom <= 0.0:
-            continue
-        a1 = p_a1 * (1.5 * p_a1 + c2) / denom
-        if a1 > 1.0:
-            continue
-        if a1 > 0.0:
-            m1 = p_a1 / a1
-            if m1 > p + 1e-9 * (b1 + b2):
-                continue
-        else:
-            m1 = b1 * b2 / c2 if c2 > 0.0 else 0.0
-        candidates.append({"p_a1": p_a1, "a1": a1, "m1": m1, "p": p})
-    best = _best_by_revenue(StructureKind.D, candidates, frame)
+    lo = max(2.0 * frame.b2 - frame.c2, 0.0)
+    for p_a1 in real_roots_in_interval(_kind_d_cubic(frame), lo, frame.b2):
+        fields = _kind_d_params(frame, p_a1)
+        if fields is not None:
+            return _record(StructureKind.D, fields, rect, swap)
     # pure bundling is its own mirror, solved in the frame it was sought in
-    return solve_bundling(frame) if best is None else _record(StructureKind.D, best, rect, swap)
+    return solve_bundling(frame)
 
 
 def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Mechanism:
@@ -539,14 +549,6 @@ def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Mechanism:
     bundle; with ``swap``, the VeryLargeSmall mirror."""
     b1, c1 = (rect.b2, rect.c2) if swap else (rect.b1, rect.c1)
     return _record(StructureKind.E, {"p": 0.5 * (b1 - c1)}, rect, swap)
-
-
-def solve_large_small(rect: Rectangle) -> Mechanism:
-    return solve_small_large(rect, swap=True)
-
-
-def solve_verylarge_small(rect: Rectangle) -> Mechanism:
-    return solve_small_verylarge(rect, swap=True)
 
 
 def solve_bundling(rect: Rectangle) -> Mechanism:
@@ -562,8 +564,8 @@ _DISPATCH = {
     PhaseRegion.SMALL_SMALL: solve_small_small,
     PhaseRegion.SMALL_LARGE: solve_small_large,
     PhaseRegion.SMALL_VERY_LARGE: solve_small_verylarge,
-    PhaseRegion.LARGE_SMALL: solve_large_small,
-    PhaseRegion.VERY_LARGE_SMALL: solve_verylarge_small,
+    PhaseRegion.LARGE_SMALL: partial(solve_small_large, swap=True),
+    PhaseRegion.VERY_LARGE_SMALL: partial(solve_small_verylarge, swap=True),
     PhaseRegion.BOTH_LARGE: solve_bundling,
 }
 

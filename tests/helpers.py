@@ -7,12 +7,14 @@ lottery structures, the simple menus every optimum must match,
 finite-difference checks of a menu's revenue, the buyer's best entry at a
 type, the duality-side revenue pairing, a payment-monotonicity check, one
 support per kind, the linear family's boundary measure, clipped-polygon
-revenue and looped balance kernel, the companion-matrix root finder the
-solver's is checked against, and the eager grid-search kernel the
+revenue and looped balance kernel, a log-uniform draw, the
+companion-matrix root finder the solver's is checked against, every
+admissible structure of a support, and the eager grid-search kernel the
 oracle's lazy one is checked against."""
 
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -28,8 +30,19 @@ from optmech.oracle import FD_STEP, _clip, _cut, _perturbed
 from optmech.solver import (
     ROOT_DOUBLE_ULPS,
     ROOT_END_REL_TOL,
+    ROOT_REL_TOL,
+    PhaseRegion,
     _horner,
+    _kind_b_cubic,
+    _kind_b_params,
+    _kind_d_cubic,
+    _kind_d_params,
+    _record,
     _root_in_bracket,
+    _solve_ss_kind_a,
+    _sweep_kinks,
+    classify,
+    solve_bundling,
 )
 from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
 
@@ -487,6 +500,10 @@ def looped_mu_w(c: float, pa: float, a: float, P1: float) -> float:
     return edge + interior + 5.0 * (anti(P2) - anti(P1))
 
 
+def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
 def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:
     """Real roots in [lo, hi] from numpy's companion-matrix eigenvalues
     (``polyroots``), each cluster of estimates polished in its bracket, with
@@ -531,6 +548,43 @@ def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float
                 found = [_root_in_bracket(poly, a, x, fa, fx), _root_in_bracket(poly, x, b, fx, fb)]
         roots.extend(min(max(x, lo), hi) for x in found if lo - end <= x <= hi + end)
     return sorted(roots)
+
+
+def admissible_structures(rect: Rectangle) -> dict[StructureKind, list[Mechanism]]:
+    """Every structure that can exist in the phase region of ``rect``, a
+    support ``solve`` runs at its own size, with one mechanism for each of
+    its admissible roots, priced by ``build_mechanism``.
+
+    In SmallSmall: kind A, kinds B and F from every companion-matrix root
+    of ``_kind_b_cubic`` that clears the solver's kink floor and that
+    ``_kind_b_params`` admits, and pure bundling C.  In SmallLarge and
+    LargeSmall: kind D or G from every companion-matrix root of
+    ``_kind_d_cubic`` that ``_kind_d_params`` admits, and C.  Elsewhere C
+    alone.  Each structure has at most one admissible root, and ``solve``
+    earns at least the best of them: the evidence that it may take the
+    first structure that exists and each cubic's first admissible root.
+    """
+    K = StructureKind
+    region = classify(rect)
+    found = {K.C: [solve_bundling(rect)]}
+    if region is PhaseRegion.SMALL_SMALL:
+        mech = _solve_ss_kind_a(rect)
+        found[K.A] = [mech] if mech is not None else []
+        for swap in (False, True):
+            frame = rect.swapped() if swap else rect
+            lo, hi = _sweep_kinks(frame.c1, frame.c2, frame.b1, frame.b2)
+            roots = polyroots_real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi) if lo <= hi else []
+            floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
+            fields = [_kind_b_params(frame, max(m1, lo)) for m1 in roots if m1 > floor]
+            found[K.F if swap else K.B] = [_record(K.B, f, rect, swap) for f in fields if f is not None]
+    elif region in (PhaseRegion.SMALL_LARGE, PhaseRegion.LARGE_SMALL):
+        swap = region is PhaseRegion.LARGE_SMALL
+        frame = rect.swapped() if swap else rect
+        lo = max(2.0 * frame.b2 - frame.c2, 0.0)
+        roots = polyroots_real_roots_in_interval(_kind_d_cubic(frame), lo, frame.b2)
+        fields = [_kind_d_params(frame, p_a1) for p_a1 in roots]
+        found[K.G if swap else K.D] = [_record(K.D, f, rect, swap) for f in fields if f is not None]
+    return found
 
 
 def _eager_ramp(y0, y1, h, length, inv_slope):

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    admissible_structures,
+    log_uniform,
     polygon_intersection,
     primal_objective,
     random_menu,
@@ -65,6 +67,61 @@ def threshold_rectangles(draw):
         c2 *= shift
     rect = Rectangle(c1, c2, b1, b2)
     return rect.swapped() if draw(st.booleans()) else rect
+
+
+#: A corner offset of 0 or 1e-12..1e3 sides, as a power of 10.
+_offsets = st.just(0.0) | st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def lopsided_rectangles(draw):
+    """Rectangles with the side ratio b2/b1 in 1e-6..1e6 and each corner
+    offset 0 or 1e-12..1e3 of its side."""
+    b2 = 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+    return Rectangle(draw(_offsets), draw(_offsets) * b2, 1.0, b2)
+
+
+def _admissible_draw(rng: random.Random, n: int) -> list[Rectangle]:
+    """Half with sides 0.3..3 and offsets 0 or up to 4 sides, half
+    lopsided: side ratios 1e-6..1e6 and offsets 0 or 1e-12..1e3 sides,
+    mirrored every other time."""
+    rects = []
+    for i in range(n):
+        if i % 2:
+            b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+            c1, c2 = (0.0 if rng.random() < 0.1 else rng.uniform(0.0, 4.0) * b for b in (b1, b2))
+            rects.append(Rectangle(c1, c2, b1, b2))
+        else:
+            b2 = log_uniform(rng, 1e-6, 1e6)
+            c1, c2 = (0.0 if rng.random() < 0.2 else log_uniform(rng, 1e-12, 1e3) * b for b in (1.0, b2))
+            rect = Rectangle(c1, c2, 1.0, b2)
+            rects.append(rect.swapped() if i % 4 else rect)
+    return rects
+
+
+def _assert_solve_is_the_best_admissible_structure(rect: Rectangle) -> set[str]:
+    # the optimum is one of the structures, each with at most one
+    # admissible root, and the first that exists is the best; returns the
+    # kinds that exist
+    found = admissible_structures(rect)
+    for kind, mechs in found.items():
+        assert len(mechs) <= 1, f"{len(mechs)} admissible kind-{kind.value} roots on {rect}"
+    best = max(mech.revenue for mechs in found.values() for mech in mechs)
+    assert solve(rect).revenue >= best * (1.0 - 1e-12), rect
+    return {kind.value for kind, mechs in found.items() if mechs}
+
+
+def test_solve_earns_the_best_of_the_admissible_structures():
+    rects = _admissible_draw(random.Random("admissible structures"), 5000)
+    kinds = set().union(*map(_assert_solve_is_the_best_admissible_structure, rects))
+    # the draw reaches every structure found from a root
+    assert kinds == set("ABCDFG"), kinds
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rectangles(), lopsided_rectangles()))
+def test_solve_earns_the_best_of_the_admissible_structures_hypothesis(rect):
+    _assert_solve_is_the_best_admissible_structure(rect)
 
 
 @settings(max_examples=50, deadline=None)

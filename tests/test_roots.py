@@ -15,13 +15,9 @@ from fractions import Fraction
 import pytest
 
 import optmech.solver
-from helpers import polyroots_real_roots_in_interval
+from helpers import log_uniform, polyroots_real_roots_in_interval
 from optmech.solver import ROOT_DOUBLE_ULPS, ROOT_REL_TOL, real_roots_in_interval, solve
 from optmech.types import Rectangle
-
-
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
 def _spaced(rng, n, gap):
@@ -69,7 +65,7 @@ def _polynomial(rng, family):
     """Ascending coefficients of a seeded member of the family, each factor
     rounded before the product is."""
     if family == "small leading":
-        lead = rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-28, 1.0)
+        lead = rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-28, 1.0)
         return [rng.uniform(-1.0, 1.0) for _ in range(3)] + [lead]
     if family in ("three real", "two real"):
         return _product(*[[-r, 1.0] for r in _spaced(rng, 3 if family == "three real" else 2, 1e-2)])
@@ -77,14 +73,14 @@ def _polynomial(rng, family):
         a, q = _spaced(rng, 2, 0.05)
         return _product([-a, 1.0], [-a, 1.0], [-q, 1.0])
     if family == "small root and touching pair":
-        r = rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-9, 1e-3)
-        return _product([-r, 1.0], _pair(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.5), _log_uniform(rng, 1e-12, 1e-9)))
+        r = rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-9, 1e-3)
+        return _product([-r, 1.0], _pair(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.5), log_uniform(rng, 1e-12, 1e-9)))
     if family in ("near-real pair", "touching pair"):
         a, r = _spaced(rng, 2, 0.1)
-        d = _log_uniform(rng, 3e-7, 1e-6) if family == "near-real pair" else _log_uniform(rng, 1e-12, 1e-9)
+        d = log_uniform(rng, 3e-7, 1e-6) if family == "near-real pair" else log_uniform(rng, 1e-12, 1e-9)
         return _product(_pair(a, d), [-r, 1.0])
     a = rng.uniform(-1.5, 1.5)
-    return _pair(a, _log_uniform(rng, 3e-7, 1e-6)) if family == "quadratic pair" else _product([-a, 1.0], [-a, 1.0])
+    return _pair(a, log_uniform(rng, 3e-7, 1e-6)) if family == "quadratic pair" else _product([-a, 1.0], [-a, 1.0])
 
 
 def _rounding_band(coeffs, x):
@@ -119,7 +115,7 @@ def _seeded(family):
     """300 seeded (coefficients, lo, hi) of the family, scaled by 1e-6..1e6."""
     rng = random.Random(f"roots {family}")
     for _ in range(300):
-        lam = _log_uniform(rng, 1e-6, 1e6)
+        lam = log_uniform(rng, 1e-6, 1e6)
         coeffs = [lam * a for a in _polynomial(rng, family)]
         lo = rng.choice((0.0, rng.uniform(-1.6, 0.5)))
         yield coeffs, lo, lo + rng.uniform(0.2, 2.5)
@@ -149,7 +145,7 @@ def test_a_vanishing_leading_coefficient_keeps_the_quadratic_roots():
     rng = random.Random(20261018)
     for _ in range(300):
         quadratic = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-        coeffs = quadratic + [rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-34, 1e-28)]
+        coeffs = quadratic + [rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-34, 1e-28)]
         lo = rng.choice((0.0, rng.uniform(-1.6, 0.5)))
         hi = lo + rng.uniform(0.2, 2.5)
         _assert_same_roots(coeffs, lo, hi, polyroots_real_roots_in_interval(quadratic, lo, hi))
@@ -162,13 +158,13 @@ def test_a_small_root_keeps_its_relative_accuracy():
     # 1e-15 of the returned root
     rng = random.Random(20261020)
     for i in range(400):
-        r = _log_uniform(rng, 1e-200, 1e-3)
+        r = log_uniform(rng, 1e-200, 1e-3)
         a, b = (rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.5) for _ in range(2))
         if i % 4 == 0:
             quadratic = _product([-a, 1.0], [-b, 1.0])
         else:
-            quadratic = _pair(a, (rng.uniform(0.1, 1.0), _log_uniform(rng, 3e-7, 1e-6), _log_uniform(rng, 1e-12, 1e-9))[i % 4 - 1])
-        lam = _log_uniform(rng, 1e-6, 1e6)
+            quadratic = _pair(a, (rng.uniform(0.1, 1.0), log_uniform(rng, 3e-7, 1e-6), log_uniform(rng, 1e-12, 1e-9))[i % 4 - 1])
+        lam = log_uniform(rng, 1e-6, 1e6)
         coeffs = [lam * c for c in _product([-r, 1.0], quadratic)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -192,7 +188,7 @@ def test_a_triple_root_counts_once():
     # of the rounding of r
     rng = random.Random("triple")
     for _ in range(300):
-        r, lam = rng.uniform(0.05, 0.95), _log_uniform(rng, 1e-6, 1e6)
+        r, lam = rng.uniform(0.05, 0.95), log_uniform(rng, 1e-6, 1e6)
         coeffs = [lam * a for a in _product([-r, 1.0], [-r, 1.0], [-r, 1.0])]
         roots = real_roots_in_interval(coeffs, 0.0, 1.0)
         assert len(roots) == 1 and abs(roots[0] - r) <= 3e-5, (coeffs, r, roots)
@@ -213,13 +209,13 @@ def _threshold_supports(rng, n):
     offsets, half of them with the goods swapped."""
     out = []
     for i in range(n):
-        b1, b2 = _log_uniform(rng, 0.3, 3.0), _log_uniform(rng, 0.3, 3.0)
-        near = 1.0 + rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-14, 1e-2)
-        c1 = b1 * rng.choice((rng.uniform(0.0, 1.0), _log_uniform(rng, 1e-12, 1e-3)))
+        b1, b2 = log_uniform(rng, 0.3, 3.0), log_uniform(rng, 0.3, 3.0)
+        near = 1.0 + rng.choice((-1.0, 1.0)) * log_uniform(rng, 1e-14, 1e-2)
+        c1 = b1 * rng.choice((rng.uniform(0.0, 1.0), log_uniform(rng, 1e-12, 1e-3)))
         c2 = [
             2.0 * b2 * (b1 + c1) / (b1 + 3.0 * c1) * near,
             2.0 * b2 * (b1 / (b1 - c1)) ** 2 * near if c1 < 0.9 * b1 else b2,
-            b2 * _log_uniform(rng, 1e-3, 10.0),
+            b2 * log_uniform(rng, 1e-3, 10.0),
         ][i % 3]
         rect = [
             (c1, c2, b1, b2),
@@ -236,9 +232,9 @@ def _ramp_supports(rng, n):
     up to 1e+-12 and c1/b1 down to 1e-16."""
     out = []
     for i in range(n):
-        b1 = _log_uniform(rng, 1e-6, 1e6)
-        b2 = b1 * _log_uniform(rng, 1e-12, 1e12)
-        c1 = b1 * _log_uniform(rng, 1e-16, 1.0) * rng.uniform(0.5, 1.0)
+        b1 = log_uniform(rng, 1e-6, 1e6)
+        b2 = b1 * log_uniform(rng, 1e-12, 1e12)
+        c1 = b1 * log_uniform(rng, 1e-16, 1.0) * rng.uniform(0.5, 1.0)
         lo, hi = 2.0 * b2 * (b1 + c1) / (b1 + 3.0 * c1), 2.0 * b2 * (b1 / (b1 - c1)) ** 2
         rect = Rectangle(c1, lo + (hi - lo) * rng.uniform(0.0, 1.0) ** rng.choice((1, 3, 8)), b1, b2)
         out.append(rect if i % 2 else rect.swapped())

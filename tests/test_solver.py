@@ -697,10 +697,20 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
         searched.append(args)
         return real_roots_in_interval(*args)
 
+    priced = []
+    revenue = optmech.mechanism._revenue
+
+    def counted_revenue(rows, area):
+        priced.append(rows)
+        return revenue(rows, area)
+
     monkeypatch.setattr(Mechanism, "__post_init__", counted)
     monkeypatch.setattr(optmech.solver, "real_roots_in_interval", roots)
+    monkeypatch.setattr(optmech.mechanism, "_revenue", counted_revenue)
     mech = solve(rect)
     assert made == [mech.kind]
+    # and one priced menu: the solver compares no structures by revenue
+    assert len(priced) == 1
     if rect is SMALL_SMALL_C:
         assert mech.kind is StructureKind.C and len(searched) == 2
 
@@ -741,6 +751,9 @@ def test_solver_is_plain_polynomial_algebra():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             assert node.module in ("mechanism", "types"), f"solver imports .{node.module}"
+            if node.module == "mechanism":
+                names = [a.name for a in node.names]
+                assert names == ["build_mechanism"], f"solver imports {names} from .mechanism"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
             for name in names:
