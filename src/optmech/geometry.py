@@ -140,24 +140,34 @@ def clip_many(poly: Polygon, hps: list[HalfPlane] | tuple[HalfPlane, ...]) -> Po
     return poly
 
 
-def best_response_regions(rect: Rectangle, menu: tuple[MenuItem, ...]) -> list[Polygon]:
+def net_prices(rect: Rectangle, menu: tuple[MenuItem, ...]) -> tuple[float, ...]:
+    """Each item's net price t - q1 c1 - q2 c2, read off its price t."""
+    return tuple([item.t - (item.q1 * rect.c1 + item.q2 * rect.c2) for item in menu])
+
+
+def best_response_regions(
+    rect: Rectangle, menu: tuple[MenuItem, ...], nets: tuple[float, ...] | None = None
+) -> list[Polygon]:
     """Partition of the support by the buyer's preferred menu item, as
     polygons in u = (z - c)/b on the unit square.
 
     Region k holds the types for which item k maximizes q1*z1 + q2*z2 - t
     among all menu items and the outside option of buying nothing; in u
-    item k is worth q1 b1 u1 + q2 b2 u2 - (t - q1 c1 - q2 c2).  Each region
-    is the unit square clipped by the half-planes where item k beats each
-    other item and the outside option, which is the null item last unless
-    the menu holds it already; regions share boundaries, and when two
-    items have the same allocation the cheaper one keeps the region, the
-    earlier one on a tie.
+    item k is worth q1 b1 u1 + q2 b2 u2 less its net price
+    t - q1 c1 - q2 c2, which ``nets`` gives in menu order, or else is read
+    off t.  Each region is the unit square clipped by the half-planes where
+    item k beats each other item and the outside option, which is the null
+    item last unless the menu holds it already; regions share boundaries,
+    and when two items have the same allocation the cheaper one keeps the
+    region, the earlier one on a tie.
     """
-    rivals = menu if NULL_ITEM in menu else (*menu, NULL_ITEM)
-    return [_region(k, rivals, rect) for k in range(len(menu))]
+    if nets is None:
+        nets = net_prices(rect, menu)
+    rivals, rival_nets = (menu, nets) if NULL_ITEM in menu else ((*menu, NULL_ITEM), (*nets, 0.0))
+    return [_region(k, rivals, rival_nets, rect) for k in range(len(menu))]
 
 
-def _region(k: int, rivals: tuple[MenuItem, ...], rect: Rectangle) -> Polygon:
+def _region(k: int, rivals: tuple[MenuItem, ...], nets: tuple[float, ...], rect: Rectangle) -> Polygon:
     it = rivals[k]
     poly = UNIT_SQUARE
     for j, other in enumerate(rivals):
@@ -165,12 +175,12 @@ def _region(k: int, rivals: tuple[MenuItem, ...], rect: Rectangle) -> Polygon:
             continue
         n1 = other.q1 - it.q1
         n2 = other.q2 - it.q2
-        d = other.t - it.t
+        d = nets[j] - nets[k]
         if n1 == 0.0 and n2 == 0.0:
             if d < 0.0 or (d == 0.0 and j < k):
                 return EMPTY_POLYGON
             continue
-        poly = clip(poly, HalfPlane(n1 * rect.b1, n2 * rect.b2, d - n1 * rect.c1 - n2 * rect.c2))
+        poly = clip(poly, HalfPlane(n1 * rect.b1, n2 * rect.b2, d))
         if poly.is_empty:
             return poly
     return poly

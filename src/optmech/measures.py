@@ -7,10 +7,11 @@ top, 1 + c1/b1 right), and a unit point mass at the origin, the support's
 corner (c1, c2).  Its total over the square is exactly zero.
 
 Shuffling measures are signed 1-D measures supported on a segment of the
-top edge plus a point mass at the segment's left end; each kind of solution
-certifies optimality through the mass, first moment, and sign pattern of
-its shuffle.  A shuffle on the right edge is the top-edge shuffle of the
-swapped rectangle.
+top edge plus a point mass at the segment's left end; every lottery item
+of a menu has one, built from its weight, its net price and its
+best-response region, whatever the structure, and certifies optimality
+through its mass, first moment, and sign pattern.  A shuffle on the right
+edge is the top-edge shuffle of the swapped rectangle.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 The menu is the mechanism: the buyer picks the utility-maximizing entry
 (or nothing).  One builder per kind A-E returns each menu item as plain
-floats with the area of its best-response region, in menu order, and
-``build_mechanism`` prices the menu from those areas without clipping and
-makes the items and the record once; kinds F, G and H take their mirror
-kind's builder with the goods exchanged.  Lottery prices come
+floats with the area of its best-response region and its net price
+t - q1 c1 - q2 c2, in menu order, and ``build_mechanism`` prices the menu
+from those areas without clipping and makes the items and the record
+once; kinds F, G and H take their mirror kind's builder with the goods
+exchanged.  The nets come from the parameters, not from t, so they keep
+their digits where they are tiny against q.c.  Lottery prices come
 from utility continuity across the exclusion boundary
 (t = c2 + p_a1 + a1 c1 and its mirror).  In u = z - c on [0, b1] x [0, b2]
 every region is a polygon whose vertices are the structure's own
@@ -32,8 +34,9 @@ from .types import (
 )
 
 Menu = tuple[MenuItem, ...]
-#: One menu item as (q1, q2, t) and the area of its best-response region.
-Row = tuple[float, float, float, float]
+#: One menu item as (q1, q2, t), the area of its best-response region and
+#: its net price t - q1 c1 - q2 c2, formed from the structure's parameters.
+Row = tuple[float, float, float, float, float]
 
 K = StructureKind
 
@@ -49,10 +52,10 @@ def _kind_a(c1, c2, b1, b2, p_a1, p_a2, a1, a2, p, P, Q) -> tuple[Row, ...]:
     P1, P2 = P[0] - c1, P[1] - c2
     Q1, Q2 = Q[0] - c1, Q[1] - c2
     return (
-        (0.0, 0.0, 0.0, 0.5 * (p_a2 * Q2 + Q1 * P2 - P1 * Q2 + P1 * p_a1)),
-        (a1, 1.0, c2 + p_a1 + a1 * c1, 0.5 * P1 * (2.0 * b2 - p_a1 - P2)),
-        (1.0, a2, c1 + p_a2 + a2 * c2, 0.5 * Q2 * (2.0 * b1 - p_a2 - Q1)),
-        (1.0, 1.0, c1 + c2 + p, (b1 - P1) * (b2 - Q2) - 0.5 * (Q1 - P1) * (P2 - Q2)),
+        (0.0, 0.0, 0.0, 0.5 * (p_a2 * Q2 + Q1 * P2 - P1 * Q2 + P1 * p_a1), 0.0),
+        (a1, 1.0, c2 + p_a1 + a1 * c1, 0.5 * P1 * (2.0 * b2 - p_a1 - P2), p_a1),
+        (1.0, a2, c1 + p_a2 + a2 * c2, 0.5 * Q2 * (2.0 * b1 - p_a2 - Q1), p_a2),
+        (1.0, 1.0, c1 + c2 + p, (b1 - P1) * (b2 - Q2) - 0.5 * (Q1 - P1) * (P2 - Q2), p),
     )
 
 
@@ -62,9 +65,9 @@ def _kind_b(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
     under = m1 * p_a1 - 0.5 * a1 * m1 * m1
     corner = 0.5 * (p - m1) ** 2
     return (
-        (0.0, 0.0, 0.0, under + corner),
-        (a1, 1.0, c2 + p_a1 + a1 * c1, m1 * b2 - under),
-        (1.0, 1.0, c1 + c2 + p, (b1 - m1) * b2 - corner),
+        (0.0, 0.0, 0.0, under + corner, 0.0),
+        (a1, 1.0, c2 + p_a1 + a1 * c1, m1 * b2 - under, p_a1),
+        (1.0, 1.0, c1 + c2 + p, (b1 - m1) * b2 - corner, p),
     )
 
 
@@ -79,22 +82,22 @@ def _kind_c(c1, c2, b1, b2, p) -> tuple[Row, ...]:
     else:
         above = 0.5 * (b1 + b2 - p) ** 2
         below = b1 * b2 - above
-    return (0.0, 0.0, 0.0, below), (1.0, 1.0, c1 + c2 + p, above)
+    return (0.0, 0.0, 0.0, below, 0.0), (1.0, 1.0, c1 + c2 + p, above, p)
 
 
 def _kind_d(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
     # the lottery above u2 = p_a1 - a1 u1 left of the cut u1 = p, the
     # bundle right of it, priced by continuity across the cut
-    # z1 = c1 + p: t_bundle = t_a1 + (1 - a1)(c1 + p); the lottery line
-    # meets u2 = 0 at m1, which the solver admits up to a rounding
-    # tolerance past the cut
+    # z1 = c1 + p: t_bundle = t_a1 + (1 - a1)(c1 + p), net of the corner
+    # p_a1 + (1 - a1) p; the lottery line meets u2 = 0 at m1, which the
+    # solver admits up to a rounding tolerance past the cut
     t_a1 = c2 + p_a1 + a1 * c1
     m = min(m1, p)
     under = m * p_a1 - 0.5 * a1 * m * m
     return (
-        (0.0, 0.0, 0.0, under),
-        (a1, 1.0, t_a1, p * b2 - under),
-        (1.0, 1.0, t_a1 + (1.0 - a1) * (c1 + p), (b1 - p) * b2),
+        (0.0, 0.0, 0.0, under, 0.0),
+        (a1, 1.0, t_a1, p * b2 - under, p_a1),
+        (1.0, 1.0, t_a1 + (1.0 - a1) * (c1 + p), (b1 - p) * b2, p_a1 + (1.0 - a1) * p),
     )
 
 
@@ -102,8 +105,8 @@ def _kind_e(c1, c2, b1, b2) -> tuple[Row, ...]:
     # good 2 to every type, and the bundle right of the cut u1 = (b1 - c1)/2
     half = 0.5 * b2
     return (
-        (0.0, 1.0, c2, half * (b1 - c1)),
-        (1.0, 1.0, c2 + 0.5 * (c1 + b1), half * (b1 + c1)),
+        (0.0, 1.0, c2, half * (b1 - c1), 0.0),
+        (1.0, 1.0, c2 + 0.5 * (c1 + b1), half * (b1 + c1), 0.5 * (b1 - c1)),
     )
 
 
@@ -149,9 +152,9 @@ def _rows(kind: StructureKind, fields: dict, rect: Rectangle) -> tuple[tuple[Row
 
 
 def _revenue(rows: tuple[Row, ...], area: float) -> float:
-    total = sum([t * a for _, _, t, a in rows])
+    total = sum([t * a for _, _, t, a, _ in rows])
     if total == math.inf:  # t * a overflows near the top of the float range
-        return sum([t / _PRICE_UNIT * a for _, _, t, a in rows]) / area * _PRICE_UNIT
+        return sum([t / _PRICE_UNIT * a for _, _, t, a, _ in rows]) / area * _PRICE_UNIT
     return total / area
 
 
@@ -164,15 +167,15 @@ def expected_revenue(menu: Menu, rect: Rectangle) -> float:
 
 
 def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Mechanism:
-    """Assemble the full record: the menu, and its revenue from the
-    closed-form region areas of the structure.  Kinds F, G and H are B, D
-    and E with the goods exchanged: each is built by its mirror kind's
-    builder on the support and parameters read with indices 1 and 2
+    """Assemble the full record: the menu, its net prices, and its revenue
+    from the closed-form region areas of the structure.  Kinds F, G and H
+    are B, D and E with the goods exchanged: each is built by its mirror
+    kind's builder on the support and parameters read with indices 1 and 2
     exchanged, and its items take their allocations back exchanged.
     """
     rows, swap = _rows(kind, vars(params) if params is not None else {}, rect)
-    menu = tuple([
-        NULL_ITEM if t == 0.0 and q1 == q2 == 0.0 else MenuItem(q2, q1, t) if swap else MenuItem(q1, q2, t)
-        for q1, q2, t, _ in rows
-    ])
-    return Mechanism(kind, params, menu, _revenue(rows, rect.area))
+    menu, nets = [], []
+    for q1, q2, t, _, net in rows:
+        menu.append(NULL_ITEM if t == 0.0 and q1 == q2 == 0.0 else MenuItem(q2, q1, t) if swap else MenuItem(q1, q2, t))
+        nets.append(net)
+    return Mechanism(kind, params, tuple(menu), _revenue(rows, rect.area), tuple(nets))

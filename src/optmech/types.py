@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 
 class NonPositiveSide(ValueError):
@@ -219,13 +219,6 @@ class SolveParams:
             out[f.name] = v
         return out
 
-    def swapped(self) -> "SolveParams":
-        """The parameters of the mirrored structure (``mirrored``)."""
-        P, Q = self.P, self.Q
-        if P is Q is None and self.p_a1 == self.p_a2 and self.a1 == self.a2 and self.m1 == self.m2:
-            return self  # its own mirror, such as a bundle price alone
-        return SolveParams.mirrored(self.p_a1, self.p_a2, self.a1, self.a2, self.m1, self.m2, self.p, P, Q)
-
     @classmethod
     def mirrored(
         cls,
@@ -239,10 +232,10 @@ class SolveParams:
         P: tuple[float, float] | None = None,
         Q: tuple[float, float] | None = None,
     ) -> "SolveParams":
-        """``SolveParams(...).swapped()`` made in one step: the parameters of
-        the mirror of the structure with these parameters.  Indices 1 and 2
-        trade places, and the roof corners P and Q trade places and
-        coordinates."""
+        """The parameters of the mirror of the structure with these
+        parameters, made in one step from its fields (``mirrored(**vars(q))``
+        mirrors a ``SolveParams`` q).  Indices 1 and 2 trade places, and the
+        roof corners P and Q trade places and coordinates."""
         # positional, in field order: p_a1, p_a2, a1, a2, m1, m2, p, P, Q
         return cls(
             p_a2, p_a1, a2, a1, m2, m1, p,
@@ -253,12 +246,15 @@ class SolveParams:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """A solved selling mechanism: structural kind, parameters, menu, revenue."""
+    """A solved selling mechanism: structural kind, parameters, menu, revenue,
+    and each item's net price t - q1 c1 - q2 c2 in menu order as the solver
+    formed it (None where unknown; not in equality, JSON or ``pretty``)."""
 
     kind: StructureKind
     params: SolveParams | None
     menu: tuple[MenuItem, ...]
     revenue: float
+    net_prices: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.menu) > 4:
@@ -273,26 +269,30 @@ class Mechanism:
             raise ValueError("menu must contain the full bundle (q1 = q2 = 1)")
         if not null and self.kind not in KINDS_WITHOUT_NULL:
             raise ValueError(f"kind {self.kind.value} menu must contain the null item")
+        if self.net_prices is not None and len(self.net_prices) != len(self.menu):
+            raise ValueError(f"{len(self.net_prices)} net prices for {len(self.menu)} menu items")
 
     def swapped(self) -> "Mechanism":
         """The mechanism for the support with the two goods exchanged.
 
-        Each menu item trades its two allocations; prices and revenue stay.
-        A kind-A menu keeps its order null, (a1, 1), (1, a2), bundle, so its
-        two lotteries also trade places.
+        Each menu item trades its two allocations; prices, net prices and
+        revenue stay.  A kind-A menu keeps its order null, (a1, 1), (1, a2),
+        bundle, so its two lotteries also trade places, and their nets with
+        them.
         """
-        menu = tuple(map(MenuItem.swapped, self.menu))
-        if self.kind is StructureKind.A:
-            menu = (menu[0], menu[2], menu[1], menu[3])
-        params = self.params.swapped() if self.params is not None else None
-        return Mechanism(self.kind.swapped(), params, menu, self.revenue)
+        order = (0, 2, 1, 3) if self.kind is StructureKind.A else range(len(self.menu))
+        menu = tuple(self.menu[i].swapped() for i in order)
+        nets = None if self.net_prices is None else tuple(self.net_prices[i] for i in order)
+        params = SolveParams.mirrored(**vars(self.params)) if self.params is not None else None
+        return Mechanism(self.kind.swapped(), params, menu, self.revenue, nets)
 
     def scaled(self, lam: float) -> "Mechanism":
-        """The mechanism for the support scaled by lam > 0: prices, the
-        scaled parameters and revenue; allocations stay."""
+        """The mechanism for the support scaled by lam > 0: prices, net
+        prices, the scaled parameters and revenue; allocations stay."""
         menu = tuple(MenuItem(item.q1, item.q2, lam * item.t) for item in self.menu)
         params = self.params.scaled(lam) if self.params is not None else None
-        return Mechanism(self.kind, params, menu, lam * self.revenue)
+        nets = None if self.net_prices is None else tuple(lam * net for net in self.net_prices)
+        return Mechanism(self.kind, params, menu, lam * self.revenue, nets)
 
     def to_dict(self) -> dict:
         return {

@@ -15,11 +15,20 @@ from helpers import (
     value_moments,
 )
 from optmech.measures import MuBar, Shuffle
-from optmech.oracle import _top_shuffle
+from optmech.mechanism import build_mechanism
+from optmech.oracle import _lottery_shuffle
 from optmech.solver import solve
 from optmech.types import Rectangle, SolveParams, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
+
+
+def _menu_shuffle(mech, rect):
+    # the shuffle the certificate builds from the menu's (a, 1) lottery,
+    # its net price and its best-response region
+    (i,) = [i for i, it in enumerate(mech.menu) if it.q2 == 1.0 and it.q1 < 1.0]
+    region = best_response_regions(rect, mech.menu, mech.net_prices)[i]
+    return _lottery_shuffle(rect, mech.menu[i], mech.net_prices[i], region)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +134,7 @@ def test_shuffle_is_minus_the_lottery_region_measure():
     for mech, rect in _lottery_cases():
         (i,) = [i for i, it in enumerate(mech.menu) if it.q2 == 1.0 and 0.0 < it.q1 < 1.0]
         mass, m1, _ = value_moments(rect, best_response_regions(rect, mech.menu)[i])
-        sh = _top_shuffle(mech.kind, mech.params, rect)
+        sh = _menu_shuffle(mech, rect)
         assert sh.mass() == pytest.approx(-mass, abs=1e-12), f"{mech.kind} on {rect}"
         assert sh.first_moment() == pytest.approx(-(m1 - rect.c1 * mass), abs=1e-12), f"{mech.kind} on {rect}"
 
@@ -174,11 +183,15 @@ def test_alpha_params_out_of_bracket_raises():
 
 def test_beta_ramp_end_and_densities():
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    sh = _top_shuffle(StructureKind.D, SolveParams(p_a1=0.12, a1=0.3, p=0.4), rect)
+    # the kind-D menu of a lottery line meeting the bottom edge at the cut
+    # p = 0.4, and of a steeper one meeting it at 0.24
+    params = SolveParams(p_a1=0.12, a1=0.3, m1=0.4, p=0.4)
+    sh = _menu_shuffle(build_mechanism(StructureKind.D, params, rect), rect)
     assert sh.ramp_end == pytest.approx(0.4), "ramp longer than the segment is cut at p"
-    sh2 = _top_shuffle(StructureKind.D, SolveParams(p_a1=0.12, a1=0.5, p=0.4), rect)
+    params = SolveParams(p_a1=0.12, a1=0.5, m1=0.24, p=0.4)
+    sh2 = _menu_shuffle(build_mechanism(StructureKind.D, params, rect), rect)
     assert sh2.ramp_end == pytest.approx(0.24)
-    assert sh2.end == 0.4
+    assert sh2.end == pytest.approx(0.4, abs=1e-15)
     assert sh2.density(0.3) == pytest.approx(2.0 * rect.b2 / rect.area)
 
 
@@ -202,7 +215,7 @@ def test_beta_numeric_cross_check():
 
 def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
     rect = Rectangle(0.5, 8.0, 1.0, 1.0)
-    sh = _top_shuffle(StructureKind.E, SolveParams(p=0.25), rect)
+    sh = _menu_shuffle(build_mechanism(StructureKind.E, SolveParams(p=0.25), rect), rect)
     assert abs(sh.mass()) < 1e-15, "two-step shuffle mass at the structure-E instance"
     assert abs(sh.first_moment()) < 1e-15
     assert sh.sign_pattern_ok()
@@ -213,7 +226,7 @@ def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
 def test_beta_e_moment_is_nonnegative_above_threshold():
     # deeper inside the region the mass still cancels but the moment is positive
     rect = Rectangle(0.5, 9.0, 1.0, 1.0)
-    sh = _top_shuffle(StructureKind.E, SolveParams(p=0.25), rect)
+    sh = _menu_shuffle(build_mechanism(StructureKind.E, SolveParams(p=0.25), rect), rect)
     assert abs(sh.mass()) < 1e-15
     assert sh.first_moment() > 1e-4
 

@@ -141,7 +141,7 @@ def test_the_solve_path_never_clips(monkeypatch):
 def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
     mech = solve(rect) if p is None else build_mechanism(kind, SolveParams(p=p), rect)
     rows, _ = optmech.mechanism._rows(kind, vars(mech.params), rect)
-    areas = [area for _, _, _, area in rows]
+    areas = [row[3] for row in rows]
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)
     assert sum(areas) == pytest.approx(rect.area, rel=1e-15)

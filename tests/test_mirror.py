@@ -13,7 +13,7 @@ import optmech.measures
 from helpers import bundle_item
 from optmech.mechanism import build_mechanism
 from optmech.solver import PhaseRegion, classify, solve
-from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
 
 K = StructureKind
 SRC = pathlib.Path(optmech.measures.__file__).parent
@@ -84,7 +84,7 @@ def test_mirrored_kind_a_keeps_its_menu_order():
 def test_mirrored_kinds_are_built_on_the_swapped_support(kind):
     rect = INSTANCES[kind]
     base = solve(rect)
-    params = base.params.swapped()
+    params = SolveParams.mirrored(**vars(base.params))
     built = build_mechanism(kind.swapped(), params, rect.swapped())
     # field for field, to the bit, the mirror kind's record mirrored
     mirrored = build_mechanism(kind, base.params, rect).swapped()

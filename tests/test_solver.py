@@ -12,6 +12,7 @@ import pytest
 
 import optmech.linear
 import optmech.mechanism
+import optmech.oracle
 import optmech.solver
 from helpers import VERIFY_CENTRES, alpha_params, beta_p_of, bundle_item, rival_revenue
 from optmech.geometry import best_response_regions
@@ -792,3 +793,16 @@ def test_solve_path_shares_no_module_with_the_verifier():
                 parts = set(name.split("."))
                 assert not parts & banned, f"{module.__name__} imports {name}"
 
+
+
+def test_the_verifier_reads_only_the_menu():
+    # the certificate reads a mechanism's menu, net prices and revenue:
+    # oracle.py names neither the solver's parameters nor its kinds, and
+    # reads no kind or params attribute
+    tree = ast.parse(pathlib.Path(optmech.oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name.split(".")[-1] for a in node.names}
+            assert not names & {"SolveParams", "StructureKind"}, f"oracle.py imports {names} (line {node.lineno})"
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in ("kind", "params"), f"oracle.py reads .{node.attr} (line {node.lineno})"

@@ -1,6 +1,7 @@
 """Validation, serialization, and invariants of the core value types."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -173,6 +174,17 @@ def test_mechanism_rejects_oversized_menu():
     items = (NULL_ITEM,) + tuple(MenuItem(1.0, 1.0, float(k)) for k in range(1, 5))
     with pytest.raises(ValueError):
         Mechanism(StructureKind.A, None, items, 0.5)
+
+
+def test_net_prices_travel_with_the_menu_outside_equality_and_json():
+    mech = replace(_kind_a_mechanism(), net_prices=(0.0, 0.5, 0.25, 0.75))
+    assert mech == _kind_a_mechanism()
+    assert mech.to_json() == _kind_a_mechanism().to_json()
+    # kind A's lotteries trade places in the mirror, and their nets with them
+    assert mech.swapped().net_prices == (0.0, 0.25, 0.5, 0.75)
+    assert mech.scaled(4.0).net_prices == (0.0, 2.0, 1.0, 3.0)
+    with pytest.raises(ValueError, match="3 net prices for 4 menu items"):
+        replace(mech, net_prices=(0.0, 0.5, 0.75))
 
 
 def test_mechanism_json_round_trip_is_exact():
