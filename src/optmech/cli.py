@@ -9,7 +9,7 @@ import sys
 
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
-from .solver import NoRoot, fixed_kind, solve
+from .solver import NoRoot, solve, solve_kind
 from .types import PriceOverflow, Rectangle, UnitSizeOverflow
 
 __all__ = ["main"]
@@ -50,14 +50,10 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cell_kind(rect: Rectangle) -> str:
-    """``solve(rect).kind``, solved only where the region leaves it open."""
-    return (fixed_kind(rect) or solve(rect).kind).name
-
-
 def _phase_grid(b1: float, b2: float, ratios: list[float]) -> list[list[str]]:
-    """Kinds on the grid of corner ratios, row-major in c1/b1."""
-    return [[_cell_kind(Rectangle(r1 * b1, r2 * b2, b1, b2)) for r2 in ratios] for r1 in ratios]
+    """Kinds on the grid of corner ratios, row-major in c1/b1: ``solve``'s,
+    found with no record, whose price check the far corner stands in for."""
+    return [[solve_kind(Rectangle(r1 * b1, r2 * b2, b1, b2)).name for r2 in ratios] for r1 in ratios]
 
 
 def _phase_csv(grid: list[list[str]], ratios: list[float]) -> str:

@@ -17,7 +17,7 @@ forms hold on the geometry ``solve`` produces: a lottery line
 u2 = p_a1 - a1 u1 enters through the left edge below the top, and kind A's
 roof points satisfy P1 <= Q1 and Q2 <= P2.  ``expected_revenue`` prices
 any menu from its best-response polygons on the unit square; the verifier
-uses it to check the closed forms.
+uses it in its menu search and its stationarity check.
 """
 from __future__ import annotations
 
@@ -161,21 +161,24 @@ def _revenue(rows: tuple[Row, ...], area: float) -> float:
 def expected_revenue(menu: Menu, rect: Rectangle) -> float:
     """Expected payment of any menu under the uniform density: each price
     times the area of its best-response polygon on the unit square, which
-    is the probability the buyer picks it.  The verifier's check on the
-    closed-form region areas of ``build_mechanism``."""
+    is the probability the buyer picks it, with each region placed by the
+    nets read off the prices."""
     return sum(item.t * region.area() for item, region in zip(menu, best_response_regions(rect, menu)))
 
 
-def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle) -> Mechanism:
+def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle, lam: float = 1.0) -> Mechanism:
     """Assemble the full record: the menu, its net prices, and its revenue
     from the closed-form region areas of the structure.  Kinds F, G and H
     are B, D and E with the goods exchanged: each is built by its mirror
     kind's builder on the support and parameters read with indices 1 and 2
-    exchanged, and its items take their allocations back exchanged.
+    exchanged, and its items take their allocations back exchanged.  With
+    lam, it makes ``build_mechanism(kind, params, rect).scaled(lam)`` once.
     """
     rows, swap = _rows(kind, vars(params) if params is not None else {}, rect)
     menu, nets = [], []
     for q1, q2, t, _, net in rows:
+        t = lam * t
         menu.append(NULL_ITEM if t == 0.0 and q1 == q2 == 0.0 else MenuItem(q2, q1, t) if swap else MenuItem(q1, q2, t))
-        nets.append(net)
-    return Mechanism(kind, params, tuple(menu), _revenue(rows, rect.area), tuple(nets))
+        nets.append(lam * net)
+    params = params if lam == 1.0 else params.scaled(lam)
+    return Mechanism(kind, params, tuple(menu), lam * _revenue(rows, rect.area), tuple(nets))

@@ -68,8 +68,8 @@ class CertificateReport:
     regions (Z exclusion, A fractional good 1, B fractional good 2, W
     bundle); shuffle fields hold the largest deviation of any lottery
     item's shuffle mass condition and of its first moment over the side of
-    its edge, both dimensionless; revenue_gap is the solver's
-    closed-form revenue minus the polygon revenue of its menu; oracle_gap
+    its edge, both dimensionless; revenue_gap is the solver's closed-form
+    revenue minus the menu's over the polygons its nets place; oracle_gap
     is solver revenue minus the best grid-search revenue when a search was
     run.  ``failures`` names each violated check; ``price_form`` is a price
     t off its net price plus q1 c1 + q2 c2 by over ``PRICE_FORM_ULPS`` ulps.
@@ -342,17 +342,18 @@ def _lottery_shuffle(rect: Rectangle, item: MenuItem, net: float, region: Polygo
     return Shuffle(frame, net, a, ramp_end, end)
 
 
-def _measure_certificate(rect: Rectangle, menu: Menu, nets: tuple[float, ...]) -> tuple[dict, float, float, bool]:
+def _measure_certificate(rect: Rectangle, menu: Menu, nets: tuple[float, ...]) -> tuple[dict, float, float, bool, float]:
     """Transformed-measure masses of the Z, A, B and W regions placed by
-    the nets, and the largest |mass| and moment deviation and the
-    sign-pattern flag of the lotteries' shuffles.  Each first moment is a
-    length, judged over the side of its edge; the two-step one certifies
-    with any nonnegative value."""
+    the nets, the largest |mass| and moment deviation and the sign-pattern
+    flag of the lotteries' shuffles, and the menu's revenue over the same
+    regions.  Each first moment is a length, judged over the side of its
+    edge; the two-step one certifies with any nonnegative value."""
     mu = MuBar(rect)
     masses = dict.fromkeys("ZABW", 0.0)
     mass = moment = 0.0
     signs_ok = True
-    for item, net, region in zip(menu, nets, best_response_regions(rect, menu, nets)):
+    regions = best_response_regions(rect, menu, nets)
+    for item, net, region in zip(menu, nets, regions):
         key = "Z" if item.is_null else "W" if item.is_bundle else "A" if item.q2 == 1.0 else "B" if item.q1 == 1.0 else ""
         if key and not region.is_empty:
             masses[key] += mu.mass(region)
@@ -362,7 +363,7 @@ def _measure_certificate(rect: Rectangle, menu: Menu, nets: tuple[float, ...]) -
             mass = max(mass, abs(sh.mass()))
             moment = max(moment, max(0.0, -m) if sh.a == sh.p_a == 0.0 else abs(m))
             signs_ok = signs_ok and sh.sign_pattern_ok()
-    return masses, mass, moment, signs_ok
+    return masses, mass, moment, signs_ok, sum(item.t * region.area() for item, region in zip(menu, regions))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +455,8 @@ def certificate_check(
     ``FD_STEP``, one-sided slopes judged separately so kink maxima
     certify) on the support and prices divided by b1 + b2,
     so that neither the step nor the verdict carries units.  The reported
-    revenue must equal the polygon revenue of the menu, so a wrong closed
-    form fails ``revenue_form``.  A support with b1 + b2 outside
+    revenue must equal the menu's over the masses' polygons, so a wrong
+    closed form fails ``revenue_form``.  A support with b1 + b2 outside
     [4^-20, 4^20] is checked at unit size (``unit_scale``), with the
     revenue gap scaled back.
     """
@@ -467,11 +468,11 @@ def certificate_check(
     menu = mech.menu
     nets = net_prices(rect, menu) if mech.net_prices is None else mech.net_prices
     mu_total = MuBar(rect).total()
-    masses, shuffle_mass, shuffle_moment, signs_ok = _measure_certificate(rect, menu, nets)
+    masses, shuffle_mass, shuffle_moment, signs_ok, revenue = _measure_certificate(rect, menu, nets)
     length = rect.b1 + rect.b2
     unit_menu = tuple(replace(item, t=item.t / length) for item in menu)
     grad_norm, max_hess = _stationarity(unit_menu, rect.scaled(1.0 / length))
-    revenue_gap = mech.revenue - expected_revenue(menu, rect)
+    revenue_gap = mech.revenue - revenue
     offsets = 1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2
     checks = {
         "price_form": any(

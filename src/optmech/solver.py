@@ -21,7 +21,8 @@ structure has one residual root in the good-1 kink, with the matching
 good-2 kink and the bracket's feasibility edge each the positive root of
 a quadratic.  That root, and any Newton search that leaves its piece,
 come from one Brent-Dekker search (``_root_in_bracket``) resolved to the
-rounding floor.
+rounding floor.  Each region's solver returns the structure it finds and
+makes no record: ``solve`` makes the one record, and ``solve_kind`` none.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from functools import partial
 
 from .mechanism import build_mechanism
 from .types import Mechanism, Rectangle, SolveParams, StructureKind, unit_scale
+
+#: A structure as (kind, ``SolveParams`` fields, swap): with ``swap``, its
+#: mirror, the same structure solved with the goods exchanged.
+Structure = tuple[StructureKind, dict, bool]
 
 #: Relative bracket width at which the root finder stops.  Resolving roots
 #: to the rounding floor keeps the derived parameters accurate even where
@@ -285,13 +290,13 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
     return roots
 
 
-def _record(kind: StructureKind, fields: dict, rect: Rectangle, swap: bool) -> Mechanism:
-    """The mechanism of the structure of this kind with these ``SolveParams``
-    fields, solved on ``rect``, or with ``swap`` on ``rect`` with the goods
-    exchanged; the record is made once, in the frame of ``rect``."""
+def _record(rect: Rectangle, structure: Structure, lam: float = 1.0) -> Mechanism:
+    """The mechanism of ``structure``, solved on ``rect``, for ``rect``
+    scaled by lam: the one record, made in the frame of ``rect``."""
+    kind, fields, swap = structure
     if swap:
-        return build_mechanism(kind.swapped(), SolveParams.mirrored(**fields), rect)
-    return build_mechanism(kind, SolveParams(**fields), rect)
+        return build_mechanism(kind.swapped(), SolveParams.mirrored(**fields), rect, lam)
+    return build_mechanism(kind, SolveParams(**fields), rect, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +376,7 @@ def solve_pa2_given_pa1(rect: Rectangle, p_a1: float) -> float:
     return (2.0 * b1 - c1 + 4.0 * c2 * (b1 + c1) / (3.0 * m2 + 4.0 * c2)) / 3.0
 
 
-def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
+def _solve_ss_kind_a(rect: Rectangle) -> Structure | None:
     """Two-lottery structure: one bracketed root in the good-1 kink."""
     c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
     lo, hi = _sweep_kinks(c1, c2, b1, b2)
@@ -414,11 +419,11 @@ def _solve_ss_kind_a(rect: Rectangle) -> Mechanism | None:
         or big_q[1] > big_p[1] + tol
     ):
         return None
-    params = SolveParams(
+    fields = dict(
         p_a1=(2.0 * b2 - c2 + d1) / 3.0, p_a2=(2.0 * b1 - c1 + d2) / 3.0,
         a1=a1, a2=a2, m1=m1, m2=m2, p=big_p[0] + big_p[1] - c1 - c2, P=big_p, Q=big_q,
     )
-    return build_mechanism(StructureKind.A, params, rect)
+    return StructureKind.A, fields, False
 
 
 def _kind_b_cubic(rect: Rectangle) -> tuple[float, float, float, float]:
@@ -456,7 +461,7 @@ def _kind_b_params(rect: Rectangle, m1: float) -> dict | None:
     return {"p_a1": p_a1, "a1": a1, "m1": m1, "p": p, "P": big_p, "Q": (c1 + p, c2)}
 
 
-def _solve_ss_kind_b(rect: Rectangle, swap: bool = False) -> Mechanism | None:
+def _solve_ss_kind_b(rect: Rectangle, swap: bool = False) -> Structure | None:
     """The one-lottery structure, or with ``swap`` its mirror: the same
     structure solved with the goods exchanged."""
     frame = rect.swapped() if swap else rect
@@ -470,11 +475,11 @@ def _solve_ss_kind_b(rect: Rectangle, swap: bool = False) -> Mechanism | None:
     for m1 in real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi):
         fields = _kind_b_params(frame, max(m1, lo)) if m1 > floor else None
         if fields is not None:
-            return _record(StructureKind.B, fields, rect, swap)
+            return StructureKind.B, fields, swap
     return None
 
 
-def solve_small_small(rect: Rectangle) -> Mechanism:
+def solve_small_small(rect: Rectangle) -> Structure:
     """Both offset-to-side ratios small: the two-lottery structure, the
     one-lottery structure, its mirror and pure bundling, in that order."""
     return (
@@ -524,7 +529,7 @@ def _kind_d_params(rect: Rectangle, p_a1: float) -> dict | None:
     return {"p_a1": p_a1, "a1": a1, "m1": m1, "p": p}
 
 
-def solve_small_large(rect: Rectangle, swap: bool = False) -> Mechanism:
+def solve_small_large(rect: Rectangle, swap: bool = False) -> Structure:
     """Intermediate c2 band: ramp-lottery structure or pure bundling.
 
     The edge price is the first root of ``_kind_d_cubic`` on
@@ -539,25 +544,25 @@ def solve_small_large(rect: Rectangle, swap: bool = False) -> Mechanism:
     for p_a1 in real_roots_in_interval(_kind_d_cubic(frame), lo, frame.b2):
         fields = _kind_d_params(frame, p_a1)
         if fields is not None:
-            return _record(StructureKind.D, fields, rect, swap)
+            return StructureKind.D, fields, swap
     # pure bundling is its own mirror, solved in the frame it was sought in
     return solve_bundling(frame)
 
 
-def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Mechanism:
+def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Structure:
     """Very large c2: good 2 sold deterministically, good 1 only in the
     bundle; with ``swap``, the VeryLargeSmall mirror."""
     b1, c1 = (rect.b2, rect.c2) if swap else (rect.b1, rect.c1)
-    return _record(StructureKind.E, {"p": 0.5 * (b1 - c1)}, rect, swap)
+    return StructureKind.E, {"p": 0.5 * (b1 - c1)}, swap
 
 
-def solve_bundling(rect: Rectangle) -> Mechanism:
+def solve_bundling(rect: Rectangle) -> Structure:
     """Pure bundling at the critical diagonal offset
     p* = (sqrt(s^2 + 6 b1 b2) - s)/3, with s = c1 + c2: the positive root of
     p^2 + (2 s/3) p - 2 b1 b2/3, taken free of cancellation when s >> b."""
     s = rect.c1 + rect.c2
     p_star = _positive_root(2.0 * s / 3.0, 2.0 * rect.b1 * rect.b2 / 3.0)
-    return build_mechanism(StructureKind.C, SolveParams(p=p_star), rect)
+    return StructureKind.C, {"p": p_star}, False
 
 
 _DISPATCH = {
@@ -569,32 +574,26 @@ _DISPATCH = {
     PhaseRegion.BOTH_LARGE: solve_bundling,
 }
 
-#: The kind each region's solver always returns where the region alone fixes
-#: the structure: pure bundling where both offsets are high, and the good
-#: with the very large offset sold alone where the other offset is low (E,
-#: and its mirror).  The other three regions take their kind from roots.
-FIXED_KIND = {
-    PhaseRegion.BOTH_LARGE: StructureKind.C,
-    PhaseRegion.SMALL_VERY_LARGE: StructureKind.E,
-    PhaseRegion.VERY_LARGE_SMALL: StructureKind.E.swapped(),
-}
 
-
-def fixed_kind(rect: Rectangle) -> StructureKind | None:
-    """``solve(rect).kind`` where the region ``solve`` dispatches on fixes
-    it (``FIXED_KIND``), found without solving; None elsewhere.  The region
-    is classified at the size ``solve`` runs the support at."""
+def _structure(rect: Rectangle) -> tuple[Structure, Rectangle, float]:
+    """The structure ``solve`` finds, the support it solves, and the scale
+    that takes that support back to ``rect``."""
     lam = unit_scale(rect)
-    return FIXED_KIND.get(classify(rect if lam == 1.0 else rect.scaled(1.0 / lam)))
+    unit = rect if lam == 1.0 else rect.scaled(1.0 / lam)
+    return _DISPATCH[classify(unit)](unit), unit, lam
+
+
+def solve_kind(rect: Rectangle) -> StructureKind:
+    """``solve(rect).kind``, found without making the record."""
+    kind, _, swap = _structure(rect)[0]
+    return kind.swapped() if swap else kind
 
 
 def solve(rect: Rectangle) -> Mechanism:
     """Optimal mechanism for a uniform density on the given rectangle.
 
-    A support with b1 + b2 outside [4^-20, 4^20] is solved at unit size
-    and scaled back exactly (``unit_scale``).
+    A support with b1 + b2 outside [4^-20, 4^20] is solved at unit size,
+    and its record is made there and scaled back exactly (``unit_scale``).
     """
-    lam = unit_scale(rect)
-    if lam != 1.0:
-        return solve(rect.scaled(1.0 / lam)).scaled(lam)
-    return _DISPATCH[classify(rect)](rect)
+    structure, unit, lam = _structure(rect)
+    return _record(unit, structure, lam)

@@ -566,24 +566,24 @@ def admissible_structures(rect: Rectangle) -> dict[StructureKind, list[Mechanism
     """
     K = StructureKind
     region = classify(rect)
-    found = {K.C: [solve_bundling(rect)]}
+    found = {K.C: [_record(rect, solve_bundling(rect))]}
     if region is PhaseRegion.SMALL_SMALL:
-        mech = _solve_ss_kind_a(rect)
-        found[K.A] = [mech] if mech is not None else []
+        structure = _solve_ss_kind_a(rect)
+        found[K.A] = [_record(rect, structure)] if structure is not None else []
         for swap in (False, True):
             frame = rect.swapped() if swap else rect
             lo, hi = _sweep_kinks(frame.c1, frame.c2, frame.b1, frame.b2)
             roots = polyroots_real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi) if lo <= hi else []
             floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
             fields = [_kind_b_params(frame, max(m1, lo)) for m1 in roots if m1 > floor]
-            found[K.F if swap else K.B] = [_record(K.B, f, rect, swap) for f in fields if f is not None]
+            found[K.F if swap else K.B] = [_record(rect, (K.B, f, swap)) for f in fields if f is not None]
     elif region in (PhaseRegion.SMALL_LARGE, PhaseRegion.LARGE_SMALL):
         swap = region is PhaseRegion.LARGE_SMALL
         frame = rect.swapped() if swap else rect
         lo = max(2.0 * frame.b2 - frame.c2, 0.0)
         roots = polyroots_real_roots_in_interval(_kind_d_cubic(frame), lo, frame.b2)
         fields = [_kind_d_params(frame, p_a1) for p_a1 in roots]
-        found[K.G if swap else K.D] = [_record(K.D, f, rect, swap) for f in fields if f is not None]
+        found[K.G if swap else K.D] = [_record(rect, (K.D, f, swap)) for f in fields if f is not None]
     return found
 
 

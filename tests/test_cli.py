@@ -13,9 +13,9 @@ from helpers import VERIFY_CENTRES
 from optmech import cli
 from optmech.mechanism import expected_revenue
 from optmech.oracle import REVENUE_TOL_REL
-from optmech.solver import NoRoot, PhaseRegion, classify
+from optmech.solver import NoRoot
 from optmech.solver import solve as real_solve
-from optmech.types import Rectangle
+from optmech.types import Mechanism, Rectangle
 
 BUNDLE_UNIT_SQUARE = (4.0 - math.sqrt(2.0)) / 3.0
 
@@ -60,6 +60,7 @@ def test_solve_reports_divergence(monkeypatch, capsys):
         raise NoRoot("no root bracketed")
 
     monkeypatch.setattr(cli, "solve", boom)
+    monkeypatch.setattr(cli, "solve_kind", boom)  # phase's cells
     assert cli.main(["solve", "0", "0", "1", "1"]) == 3
     assert "no root bracketed" in capsys.readouterr().err
     assert cli.main(["phase", "1", "1", "--grid", "10"]) == 3
@@ -135,24 +136,22 @@ def test_solve_prices_a_bundle_whose_revenue_sum_overflows(capsys):
 
 
 @pytest.mark.parametrize("sides", [(1.0, 1.0), (2.75, 1.0)])
-def test_phase_solves_only_the_cells_whose_region_leaves_the_kind_open(sides, monkeypatch, capsys):
-    # BothLarge, SmallVeryLarge and VeryLargeSmall cells take their kind
-    # from the region; the parent solved all 100 cells
-    solved = []
+def test_phase_makes_no_mechanism(sides, monkeypatch, capsys):
+    # each cell's kind comes from the solver's structure stage, which makes
+    # no record; the parent solved the 24 cells whose region leaves the
+    # kind open, and made a Mechanism for each
+    made = []
+    post_init = Mechanism.__post_init__
 
-    def counted(rect):
-        solved.append(rect)
-        return real_solve(rect)
+    def counted(self):
+        made.append(self.kind)
+        post_init(self)
 
-    monkeypatch.setattr(cli, "solve", counted)
+    monkeypatch.setattr(Mechanism, "__post_init__", counted)
     b1, b2 = sides
     assert cli.main(["phase", repr(b1), repr(b2), "--grid", "10", "--max-ratio", "5"]) == 0
-    capsys.readouterr()
-    open_regions = {PhaseRegion.SMALL_SMALL, PhaseRegion.SMALL_LARGE, PhaseRegion.LARGE_SMALL}
-    ratios = np.linspace(0.0, 5.0, 10).tolist()
-    cells = [Rectangle(r1 * b1, r2 * b2, b1, b2) for r1 in ratios for r2 in ratios]
-    assert solved == [rect for rect in cells if classify(rect) in open_regions]
-    assert len(solved) == 24
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 10 * 10
+    assert made == []
 
 
 def test_phase_csv_is_the_map_of_solved_kinds(capsys):

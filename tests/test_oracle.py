@@ -17,7 +17,7 @@ from helpers import VERIFY_CENTRES, eager_family_revenue, local_max_check, price
 from test_mirror import INSTANCES
 import optmech
 from optmech import oracle
-from optmech.geometry import best_response_regions
+from optmech.geometry import best_response_regions, net_prices
 from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
 from optmech.oracle import _family_revenue, _pick, brute_force_menu_search, certificate_check
@@ -600,6 +600,12 @@ def _revenue_form_supports(n):
     ]
 
 
+def _net_placed_revenue(mech, rect):
+    """Each price times the area of the region the record's nets place."""
+    regions = best_response_regions(rect, mech.menu, mech.net_prices)
+    return sum(item.t * region.area() for item, region in zip(mech.menu, regions))
+
+
 def test_closed_form_revenue_matches_the_polygon_revenue_of_the_menu():
     kinds = set()
     for rect in _revenue_form_supports(300):
@@ -607,8 +613,23 @@ def test_closed_form_revenue_matches_the_polygon_revenue_of_the_menu():
         kinds.add(mech.kind)
         report = certificate_check(mech, rect)
         assert "revenue_form" not in report.failures, (rect, report.revenue_gap)
-        assert report.revenue_gap == mech.revenue - expected_revenue(mech.menu, rect)
+        assert report.revenue_gap == mech.revenue - _net_placed_revenue(mech, rect)
     assert kinds == set(StructureKind)
+
+
+def test_the_revenue_gap_prices_the_regions_the_record_nets_place():
+    # at a tiny c1 and a large c2 the bundle's net read off its price,
+    # t - c1 - c2, is 6e-13 off the record's (b1 - c1)/2, and the regions
+    # it places earn 1.8e-12 more than the menu does over the regions
+    # whose masses the certificate integrates
+    rect = Rectangle(3.920487680610407e-14, 12992.16411809329, 2.297726151797813, 2.7902774909966257)
+    mech = solve(rect)
+    assert mech.kind is StructureKind.E
+    assert net_prices(rect, mech.menu) != mech.net_prices
+    report = certificate_check(mech, rect)
+    assert report.revenue_gap == mech.revenue - _net_placed_revenue(mech, rect) == 0.0
+    assert mech.revenue - expected_revenue(mech.menu, rect) != 0.0
+    assert report.passed, report.failures
 
 
 def test_certificate_rejects_a_revenue_the_menu_does_not_earn():

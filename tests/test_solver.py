@@ -18,21 +18,21 @@ from helpers import VERIFY_CENTRES, alpha_params, beta_p_of, bundle_item, rival_
 from optmech.geometry import best_response_regions
 from optmech.measures import MuBar
 from optmech.solver import (
-    FIXED_KIND,
     ROOT_MAX_ITER,
     ROOT_REL_TOL,
     NoRoot,
     _kind_b_params,
     _lottery,
+    _record,
     _root_in_bracket,
     _sweep_kinks,
     PhaseRegion,
     classify,
-    fixed_kind,
     real_roots_in_interval,
     residual_W,
     solve,
     solve_bundling,
+    solve_kind,
     solve_pa2_given_pa1,
 )
 from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
@@ -109,10 +109,14 @@ def test_sweep_kinks_frozen_point():
     assert (2.0 * rect.b2 - rect.c2 + d1) / 3.0 < 1.0
 
 
+def _bundle_offset(rect):
+    return _record(rect, solve_bundling(rect)).params.p
+
+
 def test_bundle_critical_price_closed_form():
-    p_star = solve_bundling(Rectangle(2.0, 2.0, 1.0, 1.0)).params.p
+    p_star = _bundle_offset(Rectangle(2.0, 2.0, 1.0, 1.0))
     assert p_star == pytest.approx((math.sqrt(22.0) - 4.0) / 3.0, abs=1e-14)
-    assert solve_bundling(UNIT).params.p == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-14)
+    assert _bundle_offset(UNIT) == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-14)
 
 
 def test_bundle_critical_price_matches_mpmath_at_large_offsets():
@@ -127,7 +131,7 @@ def test_bundle_critical_price_matches_mpmath_at_large_offsets():
             with mpmath.workdps(50):
                 s = mpmath.mpf(rect.c1) + mpmath.mpf(rect.c2)
                 exact = (mpmath.sqrt(s * s + 6 * mpmath.mpf(b1) * mpmath.mpf(b2)) - s) / 3
-            p_star = solve_bundling(rect).params.p
+            p_star = _bundle_offset(rect)
             assert abs(p_star - exact) <= 5e-16 * exact, (rect, p_star, exact)
 
 
@@ -617,20 +621,53 @@ def _fixed_region_supports(region, rng):
     return out
 
 
-@pytest.mark.parametrize("region", list(FIXED_KIND), ids=lambda region: region.value)
-def test_a_region_that_fixes_the_kind_gives_the_kind_solve_returns(region):
-    # the phase map takes these cells' kinds from the table without solving;
-    # at 4^-520 the coordinates are subnormal, scaling rounds them, and
-    # classify on them as given put a kind-D support in SmallVeryLarge
+def _open_region_supports(region, rng):
+    """Seeded supports in a region whose kind comes from roots: inside it,
+    with zero offsets, and on and beside the SmallSmall curve.  LargeSmall
+    takes the mirrors of the SmallLarge supports."""
+    out = []
+    for _ in range(40):
+        b1, b2 = (math.exp(rng.uniform(math.log(0.3), math.log(3.0))) for _ in range(2))
+        c1 = rng.choice((0.0, rng.uniform(0.0, 1.0))) * b1
+        curve = 2.0 * b2 * ((b1 + c1) / (b1 + 3.0 * c1))  # the SmallSmall curve
+        if region is PhaseRegion.SMALL_SMALL:
+            c2s = [0.0, rng.uniform(0.0, 1.0) * curve, curve, math.nextafter(curve, 0.0)]
+        else:
+            hi = 2.0 * b2 * (b1 / (b1 - c1)) ** 2  # the very-large threshold
+            c2s = [rng.uniform(curve, hi), math.nextafter(curve, math.inf), math.nextafter(hi, 0.0)]
+        out += [Rectangle(c1, c2, b1, b2) for c2 in c2s]
+    if region is PhaseRegion.LARGE_SMALL:
+        out = [rect.swapped() for rect in out]
+    return out
+
+
+#: The kind that a region fixes: pure bundling where both offsets are high,
+#: and the good with the very large offset sold alone where the other is low.
+_REGION_KIND = {
+    PhaseRegion.BOTH_LARGE: StructureKind.C,
+    PhaseRegion.SMALL_VERY_LARGE: StructureKind.E,
+    PhaseRegion.VERY_LARGE_SMALL: StructureKind.H,
+}
+
+
+@pytest.mark.parametrize("region", list(PhaseRegion), ids=lambda region: region.value)
+def test_solve_kind_is_the_kind_solve_returns(region):
+    # the phase map takes each cell's kind from solve_kind, which stops
+    # before the record; at 4^-520 the coordinates are subnormal, scaling
+    # rounds them, and classify on them as given put a kind-D support in
+    # SmallVeryLarge
     rng = random.Random(20261019)
-    for rect, inside in _fixed_region_supports(region, rng):
+    if region in _REGION_KIND:
+        supports = _fixed_region_supports(region, rng)
+    else:
+        supports = [(rect, False) for rect in _open_region_supports(region, rng)]
+    for rect, inside in supports:
         for j in (0, 30, -30, -520):
             scaled = rect.scaled(4.0**j)
-            kind = fixed_kind(scaled)
-            if j != -520:
-                assert kind is (FIXED_KIND[region] if inside else None), (rect, j)
-            if kind is not None:
-                assert solve(scaled).kind is kind, (rect, j)
+            kind = solve_kind(scaled)
+            if inside and j != -520:
+                assert kind is _REGION_KIND[region], (rect, j)
+            assert solve(scaled).kind is kind, (rect, j)
 
 
 def _zero_offset_supports(n):
@@ -672,6 +709,19 @@ def test_an_offset_far_below_the_root_resolution_solves_like_zero(c1):
     assert got.revenue == pytest.approx(ref.revenue, rel=1e-15)
 
 
+def _bits(mech):
+    """The kind and every float a record holds, as hex, so that equal is
+    equal to the bit."""
+    params = [v for v in vars(mech.params).values() if v is not None]
+    return (
+        mech.kind,
+        [x.hex() for v in params for x in (v if isinstance(v, tuple) else (v,))],
+        [(i.q1.hex(), i.q2.hex(), i.t.hex()) for i in mech.menu],
+        mech.revenue.hex(),
+        [n.hex() for n in mech.net_prices],
+    )
+
+
 #: A SmallSmall support solved as pure bundling after both one-lottery
 #: searches, on the support and on its mirror, find no kink.
 SMALL_SMALL_C = Rectangle(0.05139164478185963, 0.6383455255767818, 0.8848183722526561, 1.4397147540733368)
@@ -684,7 +734,12 @@ SMALL_SMALL_C = Rectangle(0.05139164478185963, 0.6383455255767818, 0.88481837225
 )
 def test_each_solve_makes_its_record_once(rect, monkeypatch):
     # one Mechanism per solve: the mirrored kinds F, G and H are built in
-    # one step, not as B, D or E and then mirrored by Mechanism.swapped()
+    # one step, not as B, D or E and then mirrored by Mechanism.swapped(),
+    # and a support far from unit size is solved at unit size and its one
+    # record scaled as it is made, not made there and scaled by
+    # Mechanism.scaled()
+    base = solve(rect)
+    want = {j: _bits(base.scaled(4.0**j)) for j in (30, -30)}
     made = []
     post_init = Mechanism.__post_init__
 
@@ -708,12 +763,18 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
     monkeypatch.setattr(Mechanism, "__post_init__", counted)
     monkeypatch.setattr(optmech.solver, "real_roots_in_interval", roots)
     monkeypatch.setattr(optmech.mechanism, "_revenue", counted_revenue)
-    mech = solve(rect)
-    assert made == [mech.kind]
-    # and one priced menu: the solver compares no structures by revenue
-    assert len(priced) == 1
-    if rect is SMALL_SMALL_C:
-        assert mech.kind is StructureKind.C and len(searched) == 2
+    for j in (0, 30, -30):
+        for calls in (made, searched, priced):
+            calls.clear()
+        mech = solve(rect.scaled(4.0**j))
+        assert made == [mech.kind], j
+        # and one priced menu: the solver compares no structures by revenue
+        assert len(priced) == 1, j
+        if rect is SMALL_SMALL_C:
+            assert mech.kind is StructureKind.C and len(searched) == 2
+        if j:
+            assert _bits(mech) == want[j], j
+
 
 
 def test_a_bundle_whose_revenue_sum_overflows_is_priced():
