@@ -545,7 +545,7 @@ def solve_small_large(rect: Rectangle, swap: bool = False) -> Structure:
         fields = _kind_d_params(frame, p_a1)
         if fields is not None:
             return StructureKind.D, fields, swap
-    # pure bundling is its own mirror, solved in the frame it was sought in
+    # pure bundling is its own mirror: p* is the same in either frame
     return solve_bundling(frame)
 
 
