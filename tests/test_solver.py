@@ -776,7 +776,6 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
             assert _bits(mech) == want[j], j
 
 
-
 def test_a_bundle_whose_revenue_sum_overflows_is_priced():
     # the bundle price 5.99e307 times its region's area overflows, and so
     # does the square of 2 (c1 + c2)/3 in the bundle offset's quadratic
