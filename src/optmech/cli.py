@@ -10,7 +10,7 @@ import sys
 from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
 from .solver import NoRoot, solve, solve_kind
-from .types import PriceOverflow, Rectangle, UnitSizeOverflow
+from .types import PriceOverflow, Rectangle, UnitSizeOverflow, unit_scale
 
 __all__ = ["main"]
 
@@ -119,9 +119,10 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         return _fail(f"--max-ratio must be positive and finite, got {ns.max_ratio}", 2)
     try:  # the far corner, where the offsets and the prices are largest
         far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
+        unit_scale(far)  # an offset that overflows at unit size
         if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
             solve(far)
-    except ValueError as exc:  # a bad side or corner, or PriceOverflow
+    except ValueError as exc:  # a bad side or corner, UnitSizeOverflow or PriceOverflow
         return _fail(str(exc), 2)
     except NoRoot as exc:
         return _fail(str(exc), 3)

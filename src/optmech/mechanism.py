@@ -5,11 +5,13 @@ The menu is the mechanism: the buyer picks the utility-maximizing entry
 floats with the area of its best-response region and its net price
 t - q1 c1 - q2 c2, in menu order, and ``build_mechanism`` prices the menu
 from those areas without clipping and makes the items and the record
-once; kinds F, G and H take their mirror kind's builder with the goods
-exchanged.  The nets come from the parameters, not from t, so they keep
-their digits where they are tiny against q.c.  Lottery prices come
-from utility continuity across the exclusion boundary
-(t = c2 + p_a1 + a1 c1 and its mirror).  In u = z - c on [0, b1] x [0, b2]
+once.  It takes the structure as the solver returns it, a kind A-E with
+its fields in the frame it was solved in: one solved with the goods
+exchanged is built on the support read with the goods exchanged, and
+recorded as its mirror F, G or H.  The nets come from the parameters,
+not from t, so they keep their digits where they are tiny against q.c.
+Lottery prices come from utility continuity across the exclusion
+boundary (t = c2 + p_a1 + a1 c1).  In u = z - c on [0, b1] x [0, b2]
 every region is a polygon whose vertices are the structure's own
 parameters (the roof points P and Q, the kinks m_i, the edge prices p_a_i
 and the bundle offset p), so each area is a short polynomial in them.  The
@@ -30,6 +32,7 @@ from .types import (
     Mechanism,
     Rectangle,
     SolveParams,
+    Structure,
     StructureKind,
 )
 
@@ -110,27 +113,15 @@ def _kind_e(c1, c2, b1, b2) -> tuple[Row, ...]:
     )
 
 
-#: Each kind's builder, the ``SolveParams`` fields it takes after the
-#: support's c1, c2, b1, b2, and whether it reads the support and the
-#: fields with the goods exchanged.
+#: Each kind's builder and the ``SolveParams`` fields it takes after the
+#: support's c1, c2, b1, b2.
 _BUILDERS = {
-    kind: (builder, fields, False)
-    for kind, builder, fields in (
-        (K.A, _kind_a, ("p_a1", "p_a2", "a1", "a2", "p", "P", "Q")),
-        (K.B, _kind_b, ("p_a1", "a1", "m1", "p")),
-        (K.C, _kind_c, ("p",)),
-        (K.D, _kind_d, ("p_a1", "a1", "m1", "p")),
-        (K.E, _kind_e, ()),
-    )
+    K.A: (_kind_a, ("p_a1", "p_a2", "a1", "a2", "p", "P", "Q")),
+    K.B: (_kind_b, ("p_a1", "a1", "m1", "p")),
+    K.C: (_kind_c, ("p",)),
+    K.D: (_kind_d, ("p_a1", "a1", "m1", "p")),
+    K.E: (_kind_e, ()),
 }
-# the mirrored kinds take their mirror kind's builder, reading indices 1
-# and 2 of the support and of the fields exchanged
-_EXCHANGE = str.maketrans("12", "21")
-_BUILDERS.update(
-    (kind.swapped(), (builder, tuple(name.translate(_EXCHANGE) for name in fields), True))
-    for kind, (builder, fields, _) in list(_BUILDERS.items())
-    if kind.swapped() is not kind
-)
 
 #: Where the revenue's sum overflows, the prices are summed in units of
 #: this power of 2: a support is solved with b1 + b2 below 4^20, so its
@@ -138,17 +129,17 @@ _BUILDERS.update(
 _PRICE_UNIT = 2.0**128
 
 
-def _rows(kind: StructureKind, fields: dict, rect: Rectangle) -> tuple[tuple[Row, ...], bool]:
-    """The builder's rows for the structure with these ``SolveParams``
-    fields, in the frame of its builder, and whether that frame has the
-    goods exchanged."""
-    builder, names, swap = _BUILDERS[kind]
+def _rows(structure: Structure, rect: Rectangle) -> tuple[Row, ...]:
+    """The builder's rows for the structure, run on the support in the
+    frame the structure was solved in."""
+    kind, fields, swap = structure
+    builder, names = _BUILDERS[kind]
     values = list(map(fields.get, names))
     if None in values:
         raise IncompleteParams(f"kind {kind.value} requires parameters {names}")
     if swap:
-        return builder(rect.c2, rect.c1, rect.b2, rect.b1, *values), True
-    return builder(rect.c1, rect.c2, rect.b1, rect.b2, *values), False
+        return builder(rect.c2, rect.c1, rect.b2, rect.b1, *values)
+    return builder(rect.c1, rect.c2, rect.b1, rect.b2, *values)
 
 
 def _revenue(rows: tuple[Row, ...], area: float) -> float:
@@ -166,19 +157,23 @@ def expected_revenue(menu: Menu, rect: Rectangle) -> float:
     return sum(item.t * region.area() for item, region in zip(menu, best_response_regions(rect, menu)))
 
 
-def build_mechanism(kind: StructureKind, params: SolveParams | None, rect: Rectangle, lam: float = 1.0) -> Mechanism:
-    """Assemble the full record: the menu, its net prices, and its revenue
-    from the closed-form region areas of the structure.  Kinds F, G and H
-    are B, D and E with the goods exchanged: each is built by its mirror
-    kind's builder on the support and parameters read with indices 1 and 2
-    exchanged, and its items take their allocations back exchanged.  With
-    lam, it makes ``build_mechanism(kind, params, rect).scaled(lam)`` once.
+def build_mechanism(structure: Structure, rect: Rectangle, lam: float = 1.0) -> Mechanism:
+    """Assemble the full record of a structure as the solver returns it:
+    the menu, its net prices, and its revenue from the closed-form region
+    areas.  The kind's builder runs on the support in the frame the
+    structure was solved in.  With ``swap``, the items take their
+    allocations back exchanged, and the record takes the mirror kind and
+    the mirrored parameters.  With lam, it makes
+    ``build_mechanism(structure, rect).scaled(lam)`` once.
     """
-    rows, swap = _rows(kind, vars(params) if params is not None else {}, rect)
+    kind, fields, swap = structure
+    rows = _rows(structure, rect)
     menu, nets = [], []
     for q1, q2, t, _, net in rows:
         t = lam * t
         menu.append(NULL_ITEM if t == 0.0 and q1 == q2 == 0.0 else MenuItem(q2, q1, t) if swap else MenuItem(q1, q2, t))
         nets.append(lam * net)
+    params = SolveParams.mirrored(**fields) if swap else SolveParams(**fields)
     params = params if lam == 1.0 else params.scaled(lam)
+    kind = kind.swapped() if swap else kind
     return Mechanism(kind, params, tuple(menu), lam * _revenue(rows, rect.area), tuple(nets))

@@ -33,11 +33,7 @@ from enum import Enum
 from functools import partial
 
 from .mechanism import build_mechanism
-from .types import Mechanism, Rectangle, SolveParams, StructureKind, unit_scale
-
-#: A structure as (kind, ``SolveParams`` fields, swap): with ``swap``, its
-#: mirror, the same structure solved with the goods exchanged.
-Structure = tuple[StructureKind, dict, bool]
+from .types import Mechanism, Rectangle, Structure, StructureKind, unit_scale
 
 #: Relative bracket width at which the root finder stops.  Resolving roots
 #: to the rounding floor keeps the derived parameters accurate even where
@@ -288,15 +284,6 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
     roots = [min(max(x, lo), hi) for x in roots]
     roots.sort()
     return roots
-
-
-def _record(rect: Rectangle, structure: Structure, lam: float = 1.0) -> Mechanism:
-    """The mechanism of ``structure``, solved on ``rect``, for ``rect``
-    scaled by lam: the one record, made in the frame of ``rect``."""
-    kind, fields, swap = structure
-    if swap:
-        return build_mechanism(kind.swapped(), SolveParams.mirrored(**fields), rect, lam)
-    return build_mechanism(kind, SolveParams(**fields), rect, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -596,4 +583,4 @@ def solve(rect: Rectangle) -> Mechanism:
     and its record is made there and scaled back exactly (``unit_scale``).
     """
     structure, unit, lam = _structure(rect)
-    return _record(unit, structure, lam)
+    return build_mechanism(structure, unit, lam)

@@ -1,11 +1,11 @@
 """Core value types shared by every other module.
 
 Everything here is an immutable record: a value rectangle, a menu entry,
-the structural kind of a solution, the solved geometric parameters, and
-the final mechanism bundle; and ``unit_scale``, the exact power-of-4
-scale at which the solver and the verifier each run a support far from
-unit size.  JSON serialization writes each float in its shortest repr,
-which reads back exactly.
+the structural kind of a solution, a structure as the solver returns it,
+the solved geometric parameters, and the final mechanism bundle; and
+``unit_scale``, the exact power-of-4 scale at which the solver and the
+verifier each run a support far from unit size.  JSON serialization
+writes each float in its shortest repr, which reads back exactly.
 """
 
 from __future__ import annotations
@@ -137,10 +137,6 @@ class MenuItem:
     def is_bundle(self) -> bool:
         return self.q1 == 1.0 and self.q2 == 1.0
 
-    def swapped(self) -> "MenuItem":
-        """The same lottery with the two goods exchanged."""
-        return MenuItem(self.q2, self.q1, self.t)
-
 
 NULL_ITEM = MenuItem(0.0, 0.0, 0.0)
 
@@ -173,6 +169,12 @@ _MIRROR_KIND = {
 
 # Kinds whose menu has no free null option (every type buys something).
 KINDS_WITHOUT_NULL = frozenset({StructureKind.E, StructureKind.H})
+
+#: A structure as the solver returns it: (kind, ``SolveParams`` fields,
+#: swap), with kind one of A-E and the fields in the frame it was solved
+#: in; with ``swap``, the goods were exchanged, and the structure is its
+#: mirror, of kind ``kind.swapped()``.
+Structure = tuple[StructureKind, dict, bool]
 
 
 @dataclass(frozen=True)
@@ -271,20 +273,6 @@ class Mechanism:
             raise ValueError(f"kind {self.kind.value} menu must contain the null item")
         if self.net_prices is not None and len(self.net_prices) != len(self.menu):
             raise ValueError(f"{len(self.net_prices)} net prices for {len(self.menu)} menu items")
-
-    def swapped(self) -> "Mechanism":
-        """The mechanism for the support with the two goods exchanged.
-
-        Each menu item trades its two allocations; prices, net prices and
-        revenue stay.  A kind-A menu keeps its order null, (a1, 1), (1, a2),
-        bundle, so its two lotteries also trade places, and their nets with
-        them.
-        """
-        order = (0, 2, 1, 3) if self.kind is StructureKind.A else range(len(self.menu))
-        menu = tuple(self.menu[i].swapped() for i in order)
-        nets = None if self.net_prices is None else tuple(self.net_prices[i] for i in order)
-        params = SolveParams.mirrored(**vars(self.params)) if self.params is not None else None
-        return Mechanism(self.kind.swapped(), params, menu, self.revenue, nets)
 
     def scaled(self, lam: float) -> "Mechanism":
         """The mechanism for the support scaled by lam > 0: prices, net

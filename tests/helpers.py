@@ -1,16 +1,16 @@
 """Helpers that only the tests use: a support's corners and polygon, maps
 between the value frame z and the verifier's unit frame u = (z - c)/b, a
-mechanism's JSON read back, a menu item's utility, the bundle entry of a
-mechanism, random menus, polygon intersection, the non-participation
-region, a shuffle report, the closed-form shuffle parameters of the
-lottery structures, the simple menus every optimum must match,
-finite-difference checks of a menu's revenue, the buyer's best entry at a
-type, the duality-side revenue pairing, a payment-monotonicity check, one
-support per kind, the linear family's boundary measure, clipped-polygon
-revenue and looped balance kernel, a log-uniform draw, the
-companion-matrix root finder the solver's is checked against, every
-admissible structure of a support, and the eager grid-search kernel the
-oracle's lazy one is checked against."""
+mechanism's JSON read back, the goods-swap mirror of a menu item and of a
+mechanism, a menu item's utility, the bundle entry of a mechanism, random
+menus, polygon intersection, the non-participation region, a shuffle
+report, the closed-form shuffle parameters of the lottery structures, the
+simple menus every optimum must match, finite-difference checks of a
+menu's revenue, the buyer's best entry at a type, the duality-side revenue
+pairing, a payment-monotonicity check, one support per kind, the linear
+family's boundary measure, clipped-polygon revenue and looped balance
+kernel, a log-uniform draw, the companion-matrix root finder the solver's
+is checked against, every admissible structure of a support, and the
+eager grid-search kernel the oracle's lazy one is checked against."""
 
 import json
 import math
@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip
 from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
-from optmech.mechanism import expected_revenue
+from optmech.mechanism import build_mechanism, expected_revenue
 from optmech.oracle import FD_STEP, _clip, _cut, _perturbed
 from optmech.solver import (
     ROOT_DOUBLE_ULPS,
@@ -37,7 +37,6 @@ from optmech.solver import (
     _kind_b_params,
     _kind_d_cubic,
     _kind_d_params,
-    _record,
     _root_in_bracket,
     _solve_ss_kind_a,
     _sweep_kinks,
@@ -120,6 +119,28 @@ def mechanism_from_json(text: str) -> Mechanism:
         menu=tuple(MenuItem(i["q1"], i["q2"], i["t"]) for i in d["menu"]),
         revenue=float(d["revenue"]),
     )
+
+
+def mirror_item(item: MenuItem) -> MenuItem:
+    """The same lottery with the two goods exchanged."""
+    return MenuItem(item.q2, item.q1, item.t)
+
+
+def mirror(mech: Mechanism) -> Mechanism:
+    """The mechanism for the support with the two goods exchanged, made
+    from the record alone: the reference the solver's mirrored records are
+    compared against.
+
+    Each menu item trades its two allocations; prices, net prices and
+    revenue stay.  A kind-A menu keeps its order null, (a1, 1), (1, a2),
+    bundle, so its two lotteries also trade places, and their nets with
+    them.
+    """
+    order = (0, 2, 1, 3) if mech.kind is StructureKind.A else range(len(mech.menu))
+    menu = tuple(mirror_item(mech.menu[i]) for i in order)
+    nets = None if mech.net_prices is None else tuple(mech.net_prices[i] for i in order)
+    params = SolveParams.mirrored(**vars(mech.params)) if mech.params is not None else None
+    return Mechanism(mech.kind.swapped(), params, menu, mech.revenue, nets)
 
 
 def item_utility(item: MenuItem, z1: float, z2: float) -> float:
@@ -566,24 +587,24 @@ def admissible_structures(rect: Rectangle) -> dict[StructureKind, list[Mechanism
     """
     K = StructureKind
     region = classify(rect)
-    found = {K.C: [_record(rect, solve_bundling(rect))]}
+    found = {K.C: [build_mechanism(solve_bundling(rect), rect)]}
     if region is PhaseRegion.SMALL_SMALL:
         structure = _solve_ss_kind_a(rect)
-        found[K.A] = [_record(rect, structure)] if structure is not None else []
+        found[K.A] = [build_mechanism(structure, rect)] if structure is not None else []
         for swap in (False, True):
             frame = rect.swapped() if swap else rect
             lo, hi = _sweep_kinks(frame.c1, frame.c2, frame.b1, frame.b2)
             roots = polyroots_real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi) if lo <= hi else []
             floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
             fields = [_kind_b_params(frame, max(m1, lo)) for m1 in roots if m1 > floor]
-            found[K.F if swap else K.B] = [_record(rect, (K.B, f, swap)) for f in fields if f is not None]
+            found[K.F if swap else K.B] = [build_mechanism((K.B, f, swap), rect) for f in fields if f is not None]
     elif region in (PhaseRegion.SMALL_LARGE, PhaseRegion.LARGE_SMALL):
         swap = region is PhaseRegion.LARGE_SMALL
         frame = rect.swapped() if swap else rect
         lo = max(2.0 * frame.b2 - frame.c2, 0.0)
         roots = polyroots_real_roots_in_interval(_kind_d_cubic(frame), lo, frame.b2)
         fields = [_kind_d_params(frame, p_a1) for p_a1 in roots]
-        found[K.G if swap else K.D] = [_record(rect, (K.D, f, swap)) for f in fields if f is not None]
+        found[K.G if swap else K.D] = [build_mechanism((K.D, f, swap), rect) for f in fields if f is not None]
     return found
 
 

@@ -72,6 +72,9 @@ def test_phase_argument_validation(tmp_path, capsys):
     for bad in ("0", "inf", "nan"):
         assert cli.main(["phase", "1", "1", "--grid", "12", "--max-ratio", bad]) == 2
     assert cli.main(["phase", "0", "1", "--grid", "12"]) == 2
+    # the far corner's offsets overflow when its tiny sides are brought to
+    # unit size, though its prices do not
+    assert cli.main(["phase", "3e-300", "1e-300", "--grid", "10", "--max-ratio", "1.7e308"]) == 2
     assert cli.main(["phase", "1", "1", "--grid", "12", "--out", "table"]) == 2
     capsys.readouterr()
     missing = tmp_path / "no_such_dir" / "map.csv"

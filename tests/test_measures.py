@@ -9,6 +9,7 @@ from optmech.geometry import HalfPlane, best_response_regions, clip
 from helpers import (
     alpha_params,
     check_interval_measure_cvx_zero,
+    mirror,
     mu_bar_of_polygon,
     rect_polygon,
     to_unit,
@@ -18,7 +19,7 @@ from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import build_mechanism
 from optmech.oracle import _lottery_shuffle
 from optmech.solver import solve
-from optmech.types import Rectangle, SolveParams, StructureKind
+from optmech.types import Rectangle, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -116,10 +117,10 @@ def _lottery_cases(n_each: int = 12):
         rect = Rectangle(r1 * b1, r2 * b2, b1, b2)
         mech = solve(rect)
         if mech.kind in (StructureKind.F, StructureKind.G):
-            mech, rect = mech.swapped(), rect.swapped()
+            mech, rect = mirror(mech), rect.swapped()
         frames = [(mech, rect)]
         if mech.kind is StructureKind.A:
-            frames.append((mech.swapped(), rect.swapped()))
+            frames.append((mirror(mech), rect.swapped()))
         for m, r in frames:
             if m.kind in counts and 0.0 < m.params.a1 < 1.0:
                 counts[m.kind] += 1
@@ -185,11 +186,11 @@ def test_beta_ramp_end_and_densities():
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
     # the kind-D menu of a lottery line meeting the bottom edge at the cut
     # p = 0.4, and of a steeper one meeting it at 0.24
-    params = SolveParams(p_a1=0.12, a1=0.3, m1=0.4, p=0.4)
-    sh = _menu_shuffle(build_mechanism(StructureKind.D, params, rect), rect)
+    fields = dict(p_a1=0.12, a1=0.3, m1=0.4, p=0.4)
+    sh = _menu_shuffle(build_mechanism((StructureKind.D, fields, False), rect), rect)
     assert sh.ramp_end == pytest.approx(0.4), "ramp longer than the segment is cut at p"
-    params = SolveParams(p_a1=0.12, a1=0.5, m1=0.24, p=0.4)
-    sh2 = _menu_shuffle(build_mechanism(StructureKind.D, params, rect), rect)
+    fields = dict(p_a1=0.12, a1=0.5, m1=0.24, p=0.4)
+    sh2 = _menu_shuffle(build_mechanism((StructureKind.D, fields, False), rect), rect)
     assert sh2.ramp_end == pytest.approx(0.24)
     assert sh2.end == pytest.approx(0.4, abs=1e-15)
     assert sh2.density(0.3) == pytest.approx(2.0 * rect.b2 / rect.area)
@@ -215,7 +216,7 @@ def test_beta_numeric_cross_check():
 
 def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
     rect = Rectangle(0.5, 8.0, 1.0, 1.0)
-    sh = _menu_shuffle(build_mechanism(StructureKind.E, SolveParams(p=0.25), rect), rect)
+    sh = _menu_shuffle(build_mechanism((StructureKind.E, {"p": 0.25}, False), rect), rect)
     assert abs(sh.mass()) < 1e-15, "two-step shuffle mass at the structure-E instance"
     assert abs(sh.first_moment()) < 1e-15
     assert sh.sign_pattern_ok()
@@ -226,7 +227,7 @@ def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
 def test_beta_e_moment_is_nonnegative_above_threshold():
     # deeper inside the region the mass still cancels but the moment is positive
     rect = Rectangle(0.5, 9.0, 1.0, 1.0)
-    sh = _menu_shuffle(build_mechanism(StructureKind.E, SolveParams(p=0.25), rect), rect)
+    sh = _menu_shuffle(build_mechanism((StructureKind.E, {"p": 0.25}, False), rect), rect)
     assert abs(sh.mass()) < 1e-15
     assert sh.first_moment() > 1e-4
 

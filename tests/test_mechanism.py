@@ -6,10 +6,11 @@ import pytest
 
 import optmech.geometry
 import optmech.mechanism
+import optmech.solver
 from helpers import bundle_item, primal_objective, revenue_monotonicity_check, utility
 from optmech.mechanism import IncompleteParams, build_mechanism, expected_revenue
 from optmech.solver import solve
-from optmech.types import NULL_ITEM, MenuItem, Rectangle, SolveParams, StructureKind
+from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 from test_mirror import INSTANCES
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
@@ -17,8 +18,8 @@ UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
 def test_kind_a_menu_prices_from_continuity():
     rect = Rectangle(0.1, 0.2, 1.0, 1.0)
-    params = SolveParams(p_a1=0.7, p_a2=0.65, a1=0.2, a2=0.3, p=0.8, P=(0.3, 0.9), Q=(0.75, 0.4))
-    menu = build_mechanism(StructureKind.A, params, rect).menu
+    fields = dict(p_a1=0.7, p_a2=0.65, a1=0.2, a2=0.3, p=0.8, P=(0.3, 0.9), Q=(0.75, 0.4))
+    menu = build_mechanism((StructureKind.A, fields, False), rect).menu
     assert menu[0] is NULL_ITEM
     assert menu[1] == MenuItem(0.2, 1.0, 0.2 + 0.7 + 0.2 * 0.1)
     assert menu[2] == MenuItem(1.0, 0.3, 0.1 + 0.65 + 0.3 * 0.2)
@@ -26,34 +27,36 @@ def test_kind_a_menu_prices_from_continuity():
 
 
 def test_kind_c_menu_is_null_plus_bundle():
-    menu = build_mechanism(StructureKind.C, SolveParams(p=0.5), Rectangle(2.0, 2.0, 1.0, 1.0)).menu
+    menu = build_mechanism((StructureKind.C, {"p": 0.5}, False), Rectangle(2.0, 2.0, 1.0, 1.0)).menu
     assert menu == (NULL_ITEM, MenuItem(1.0, 1.0, 4.5))
 
 
 def test_kind_d_bundle_price_continuity_across_vertical_cut():
     rect = Rectangle(0.2, 2.8, 1.0, 1.0)
-    params = SolveParams(p_a1=0.1, a1=0.3, m1=0.1 / 0.3, p=0.4)
-    menu = build_mechanism(StructureKind.D, params, rect).menu
+    fields = dict(p_a1=0.1, a1=0.3, m1=0.1 / 0.3, p=0.4)
+    menu = build_mechanism((StructureKind.D, fields, False), rect).menu
     t_a1 = 2.8 + 0.1 + 0.3 * 0.2
     assert menu[1].t == pytest.approx(t_a1)
     assert menu[2].t == pytest.approx(t_a1 + 0.7 * 0.6), "bundle upgrade priced at (1-a1)(c1+p)"
 
 
 def test_kind_e_and_h_menus_are_deterministic():
-    menu_e = build_mechanism(StructureKind.E, None, Rectangle(0.5, 8.0, 1.0, 1.0)).menu
+    menu_e = build_mechanism((StructureKind.E, {}, False), Rectangle(0.5, 8.0, 1.0, 1.0)).menu
     assert menu_e == (MenuItem(0.0, 1.0, 8.0), MenuItem(1.0, 1.0, 8.75))
-    mech_h = solve(Rectangle(0.5, 8.0, 1.0, 1.0)).swapped()
+    # kind E's builder on the support read with the goods exchanged
+    mech_h = build_mechanism((StructureKind.E, {}, True), Rectangle(8.0, 0.5, 1.0, 1.0))
     assert mech_h.kind is StructureKind.H
     assert mech_h.menu == (MenuItem(1.0, 0.0, 8.0), MenuItem(1.0, 1.0, 8.75))
 
 
 def test_missing_parameters_raise():
     with pytest.raises(IncompleteParams):
-        build_mechanism(StructureKind.C, SolveParams(), UNIT)
+        build_mechanism((StructureKind.C, {}, False), UNIT)
     with pytest.raises(IncompleteParams):
-        build_mechanism(StructureKind.A, None, UNIT)
-    with pytest.raises(IncompleteParams):
-        build_mechanism(StructureKind.B, SolveParams(p_a1=0.7, a1=0.1, m1=7.0), UNIT)
+        build_mechanism((StructureKind.A, {}, False), UNIT)
+    for swap in (False, True):
+        with pytest.raises(IncompleteParams):
+            build_mechanism((StructureKind.B, dict(p_a1=0.7, a1=0.1, m1=7.0), swap), UNIT)
 
 
 def test_utility_picks_best_item_and_breaks_ties_upward():
@@ -104,7 +107,7 @@ def test_revenue_monotonicity_detects_violation():
 
 def test_build_mechanism_assembles_consistent_record():
     rect = Rectangle(2.0, 2.0, 1.0, 1.0)
-    mech = build_mechanism(StructureKind.C, SolveParams(p=0.23), rect)
+    mech = build_mechanism((StructureKind.C, {"p": 0.23}, False), rect)
     assert mech.kind is StructureKind.C
     assert mech.revenue == pytest.approx(expected_revenue(mech.menu, rect), rel=1e-14)
     assert bundle_item(mech).t == pytest.approx(4.23)
@@ -128,7 +131,7 @@ def test_the_solve_path_never_clips(monkeypatch):
 @pytest.mark.parametrize(
     "kind, rect, p",
     [pytest.param(StructureKind(k), INSTANCES[StructureKind(k)], None, id=k) for k in "ABCDE"]
-    # the mirrored kinds, read by their mirror kind's builder
+    # the mirrored kinds, built in the frame they were solved in
     + [pytest.param(StructureKind(k), INSTANCES[StructureKind(k)], None, id=k) for k in "FGH"]
     + [
         # pure bundling with the diagonal past the shorter side (and on the
@@ -139,8 +142,10 @@ def test_the_solve_path_never_clips(monkeypatch):
     ],
 )
 def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
-    mech = solve(rect) if p is None else build_mechanism(kind, SolveParams(p=p), rect)
-    rows, _ = optmech.mechanism._rows(kind, vars(mech.params), rect)
+    structure = optmech.solver._structure(rect)[0] if p is None else (kind, {"p": p}, False)
+    mech = build_mechanism(structure, rect)
+    assert mech.kind is kind
+    rows = optmech.mechanism._rows(structure, rect)
     areas = [row[3] for row in rows]
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optmech.measures
-from helpers import bundle_item
+import optmech.mechanism
+from helpers import VERIFY_CENTRES, mirror
 from optmech.mechanism import build_mechanism
-from optmech.solver import PhaseRegion, classify, solve
-from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
+from optmech.solver import PhaseRegion, _structure, classify, solve
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
 
 K = StructureKind
 SRC = pathlib.Path(optmech.measures.__file__).parent
@@ -44,54 +45,62 @@ def rectangles_outside_small_small(draw):
     return rect
 
 
+def _fields(mech):
+    # every field of the record, net prices included, each float by its
+    # repr: equal is equal to the bit
+    return [repr(getattr(mech, field.name)) for field in dataclasses.fields(Mechanism)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(rectangles_outside_small_small())
 def test_solving_the_swapped_support_mirrors_the_solution(rect):
     assert classify(rect) is not PhaseRegion.SMALL_SMALL
-    mirrored = solve(rect).swapped()
-    direct = solve(rect.swapped())
-    if direct.kind is not K.C:
-        assert direct == mirrored
-        return
-    # pure bundling is solved in each orientation on its own: its price
-    # takes 6 b1 b2 in the other order, so the two agree to rounding only;
-    # its closed-form revenue is symmetric in the sides
-    assert mirrored.kind is K.C
-    assert direct.params.p == pytest.approx(mirrored.params.p, rel=1e-12, abs=0.0)
-    assert bundle_item(direct).t == pytest.approx(bundle_item(mirrored).t, rel=1e-12, abs=0.0)
-    assert direct.revenue == pytest.approx(mirrored.revenue, rel=1e-12, abs=0.0)
+    # field for field, to the bit; pure bundling too, though it is solved
+    # in each orientation on its own: its price forms 2 b1 b2 / 3 with an
+    # exact doubling, and its areas and revenue are symmetric in the sides
+    assert _fields(solve(rect.swapped())) == _fields(mirror(solve(rect)))
 
 
 @pytest.mark.parametrize("kind", list(K))
 def test_mirroring_twice_is_the_identity(kind):
     mech = solve(INSTANCES[kind])
     assert mech.kind is kind
-    once = mech.swapped()
+    once = mirror(mech)
     assert once.kind is kind.swapped()
     assert once.revenue == mech.revenue
-    assert once.swapped() == mech
+    assert mirror(once) == mech
 
 
 def test_mirrored_kind_a_keeps_its_menu_order():
-    menu = solve(Rectangle(0.04, 0.06, 1.0, 1.1)).swapped().menu
+    menu = mirror(solve(Rectangle(0.04, 0.06, 1.0, 1.1))).menu
     assert menu[0] == NULL_ITEM
     assert menu[1].q2 == 1.0 and menu[1].q1 < 1.0, "good-1 lottery (a1, 1) comes first"
     assert menu[2].q1 == 1.0 and menu[2].q2 < 1.0, "good-2 lottery (1, a2) comes second"
     assert menu[3].is_bundle
 
 
+def test_only_the_five_shapes_have_builders():
+    assert sorted(kind.value for kind in optmech.mechanism._BUILDERS) == list("ABCDE")
+
+
 @pytest.mark.parametrize("kind", [K.B, K.D, K.E])
 def test_mirrored_kinds_are_built_on_the_swapped_support(kind):
     rect = INSTANCES[kind]
-    base = solve(rect)
-    params = SolveParams.mirrored(**vars(base.params))
-    built = build_mechanism(kind.swapped(), params, rect.swapped())
-    # field for field, to the bit, the mirror kind's record mirrored
-    mirrored = build_mechanism(kind, base.params, rect).swapped()
-    for field in dataclasses.fields(Mechanism):
-        assert repr(getattr(built, field.name)) == repr(getattr(mirrored, field.name)), field.name
+    structure = _structure(rect)[0]
+    assert structure[0] is kind and not structure[2]
+    # the structure solved with the goods exchanged and built so is, field
+    # for field and to the bit, the helpers' mirror of its record
+    built = build_mechanism((kind, structure[1], True), rect.swapped())
     assert built.kind is kind.swapped()
+    assert _fields(built) == _fields(mirror(build_mechanism(structure, rect)))
+    # and so is each solved mirror support, at unit size and far from it
+    centre = VERIFY_CENTRES[kind.swapped().value]
+    for lam in (1.0, 4.0**30, 4.0**-30):
+        mech = solve(centre.scaled(lam))
+        assert mech.kind is kind.swapped(), lam
+        assert _fields(mech) == _fields(mirror(solve(centre.swapped().scaled(lam)))), lam
     # the menu equals the direct closed-form prices of the mirrored kind
+    params = built.params
     c1, c2 = rect.swapped().c1, rect.swapped().c2
     if kind is K.B:
         expected = (

@@ -23,7 +23,6 @@ from optmech.solver import (
     NoRoot,
     _kind_b_params,
     _lottery,
-    _record,
     _root_in_bracket,
     _sweep_kinks,
     PhaseRegion,
@@ -110,7 +109,7 @@ def test_sweep_kinks_frozen_point():
 
 
 def _bundle_offset(rect):
-    return _record(rect, solve_bundling(rect)).params.p
+    return solve_bundling(rect)[1]["p"]
 
 
 def test_bundle_critical_price_closed_form():
@@ -734,10 +733,10 @@ SMALL_SMALL_C = Rectangle(0.05139164478185963, 0.6383455255767818, 0.88481837225
 )
 def test_each_solve_makes_its_record_once(rect, monkeypatch):
     # one Mechanism per solve: the mirrored kinds F, G and H are built in
-    # one step, not as B, D or E and then mirrored by Mechanism.swapped(),
-    # and a support far from unit size is solved at unit size and its one
-    # record scaled as it is made, not made there and scaled by
-    # Mechanism.scaled()
+    # one step from the structure solved with the goods exchanged, not as
+    # B, D or E and then mirrored, and a support far from unit size is
+    # solved at unit size and its one record scaled as it is made, not
+    # made there and scaled by Mechanism.scaled()
     base = solve(rect)
     want = {j: _bits(base.scaled(4.0**j)) for j in (30, -30)}
     made = []

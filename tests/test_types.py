@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import bundle_item, corners, item_utility, mechanism_from_json, solve_params_from_dict
+from helpers import bundle_item, corners, item_utility, mechanism_from_json, mirror, solve_params_from_dict
 from optmech.types import (
     NULL_ITEM,
     Mechanism,
@@ -181,7 +181,7 @@ def test_net_prices_travel_with_the_menu_outside_equality_and_json():
     assert mech == _kind_a_mechanism()
     assert mech.to_json() == _kind_a_mechanism().to_json()
     # kind A's lotteries trade places in the mirror, and their nets with them
-    assert mech.swapped().net_prices == (0.0, 0.25, 0.5, 0.75)
+    assert mirror(mech).net_prices == (0.0, 0.25, 0.5, 0.75)
     assert mech.scaled(4.0).net_prices == (0.0, 2.0, 1.0, 3.0)
     with pytest.raises(ValueError, match="3 net prices for 4 menu items"):
         replace(mech, net_prices=(0.0, 0.5, 0.75))
