@@ -6,6 +6,11 @@ any clipping, so every best-response region of a menu is the fixed unit
 square clipped by half-planes, and no code here handles the support's
 scale.  Sutherland-Hodgman clipping plus shoelace moments is everything
 needed; the solver takes its regions' areas in closed form instead.
+
+Nothing here has a tolerance.  A clip interpolates along each cut edge,
+which keeps the coordinate of an edge on a side of the square exactly and
+puts no vertex outside [0, 1]^2, so which edges of a region lie on a side
+and whether it holds the corner are read by exact comparisons.
 """
 
 from __future__ import annotations
@@ -15,12 +20,6 @@ from dataclasses import dataclass
 from .types import NULL_ITEM, MenuItem, Rectangle
 
 Point = tuple[float, float]
-
-# On the unit square, vertices closer than _DEDUP_TOL are one vertex, and a
-# point or an edge within _ON_LINE_TOL of a line lies on it: shares of each
-# side of the support.
-_DEDUP_TOL = 1e-12
-_ON_LINE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,9 @@ def _dedup(vs: tuple[Point, ...]) -> tuple[Point, ...]:
         return ()
     out: list[Point] = []
     for v in vs:
-        if not out or abs(v[0] - out[-1][0]) > _DEDUP_TOL or abs(v[1] - out[-1][1]) > _DEDUP_TOL:
+        if not out or v != out[-1]:
             out.append(v)
-    while len(out) > 1 and abs(out[0][0] - out[-1][0]) <= _DEDUP_TOL and abs(out[0][1] - out[-1][1]) <= _DEDUP_TOL:
+    while len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return tuple(out)
 
@@ -63,9 +62,9 @@ def _signed_area(vs: tuple[Point, ...]) -> float:
 class Polygon:
     """Convex polygon with CCW vertices; () means the empty polygon.
 
-    The constructor removes consecutive duplicate vertices (within 1e-12),
-    drops degenerate inputs with fewer than three distinct vertices, and
-    normalizes orientation to counterclockwise.
+    The constructor removes consecutive equal vertices, drops degenerate
+    inputs with fewer than three distinct vertices, and normalizes
+    orientation to counterclockwise.
     """
 
     vertices: tuple[Point, ...]
@@ -99,12 +98,12 @@ class Polygon:
         return a / 2.0, mx / 6.0, my / 6.0
 
     def contains(self, pt: Point) -> bool:
-        """True if pt lies in the closed polygon (within _ON_LINE_TOL of the boundary)."""
+        """True if pt lies in the closed polygon."""
         vs = self.vertices
         if not vs:
             return False
         for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < -_ON_LINE_TOL:
+            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < 0.0:
                 return False
         return True
 
@@ -130,14 +129,6 @@ def clip(poly: Polygon, hp: HalfPlane) -> Polygon:
             s = dc / (dc - dn)
             out.append((cur[0] + s * (nxt[0] - cur[0]), cur[1] + s * (nxt[1] - cur[1])))
     return Polygon(tuple(out))
-
-
-def clip_many(poly: Polygon, hps: list[HalfPlane] | tuple[HalfPlane, ...]) -> Polygon:
-    for hp in hps:
-        if poly.is_empty:
-            break
-        poly = clip(poly, hp)
-    return poly
 
 
 def net_prices(rect: Rectangle, menu: tuple[MenuItem, ...]) -> tuple[float, ...]:
@@ -187,7 +178,7 @@ def _region(k: int, rivals: tuple[MenuItem, ...], nets: tuple[float, ...], rect:
 
 
 def boundary_sections(poly: Polygon, axis: int, value: float) -> list[tuple[float, float]]:
-    """Edges of poly lying on the line u[axis] == value (within _ON_LINE_TOL).
+    """Edges of poly whose two endpoints have u[axis] == value exactly.
 
     Returns sorted, merged (lo, hi) intervals of the other coordinate.
     Used by the boundary-measure evaluator for the line densities that sit
@@ -198,14 +189,14 @@ def boundary_sections(poly: Polygon, axis: int, value: float) -> list[tuple[floa
         return []
     spans: list[tuple[float, float]] = []
     for v0, v1 in zip(vs, vs[1:] + vs[:1]):
-        if abs(v0[axis] - value) <= _ON_LINE_TOL and abs(v1[axis] - value) <= _ON_LINE_TOL:
+        if v0[axis] == value == v1[axis]:
             lo, hi = sorted((v0[1 - axis], v1[1 - axis]))
             if hi - lo > 0.0:
                 spans.append((lo, hi))
     spans.sort()
     merged: list[tuple[float, float]] = []
     for lo, hi in spans:
-        if merged and lo <= merged[-1][1] + _ON_LINE_TOL:
+        if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))

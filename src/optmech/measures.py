@@ -18,24 +18,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import UNIT_SQUARE, HalfPlane, Polygon, boundary_sections, clip_many
+from .geometry import UNIT_SQUARE, Polygon, boundary_sections
 from .types import Rectangle
-
-_SQUARE_SIDES = (
-    HalfPlane(-1.0, 0.0, 0.0),
-    HalfPlane(1.0, 0.0, 1.0),
-    HalfPlane(0.0, -1.0, 0.0),
-    HalfPlane(0.0, 1.0, 1.0),
-)
 
 
 class MuBar:
     """Evaluate the transformed measure on convex polygons in u = (z - c)/b.
 
-    Polygons are clipped to the unit square before evaluation, so callers
-    may pass any convex polygon.  Edge line densities are picked up by
-    polygon edges lying on the square's boundary; the corner point mass is
-    counted for polygons containing the origin.
+    A polygon must lie inside the unit square, and it is measured exactly
+    as given: an edge takes a side's line density only when both of its
+    endpoints lie exactly on that side, and the corner atom counts only
+    when the polygon contains (0, 0) exactly.  Regions clipped from
+    ``UNIT_SQUARE`` meet this contract, since clipping keeps each side's
+    coordinate exactly; a polygon with a vertex outside [0, 1]^2 raises
+    ValueError.
     """
 
     def __init__(self, rect: Rectangle) -> None:
@@ -48,9 +44,10 @@ class MuBar:
 
     def moments(self, poly: Polygon) -> tuple[float, float, float]:
         """Return (mass, integral of u1, integral of u2) of the measure on poly."""
-        poly = clip_many(poly, _SQUARE_SIDES)
         if poly.is_empty:
             return 0.0, 0.0, 0.0
+        if not all(0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 for x, y in poly.vertices):
+            raise ValueError(f"polygon leaves the unit square: {poly.vertices}")
         area, ix, iy = poly.moments()
         mass, m1, m2 = -3.0 * area, -3.0 * ix, -3.0 * iy
         for axis, value, dens in self._edges:

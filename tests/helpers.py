@@ -10,19 +10,32 @@ pairing, a payment-monotonicity check, one support per kind, the linear
 family's boundary measure, clipped-polygon revenue and looped balance
 kernel, a log-uniform draw, the companion-matrix root finder the solver's
 is checked against, every admissible structure of a support, and the
-eager grid-search kernel the oracle's lazy one is checked against."""
+eager grid-search kernel the oracle's lazy one is checked against, the
+supports whose null region is a sliver, and the exact-rational reference
+for the best-response regions and their transformed-measure masses."""
 
 import json
 import math
 import random
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from optmech.geometry import EMPTY_POLYGON, HalfPlane, Polygon, best_response_regions, clip
+import optmech.geometry
+from optmech.geometry import (
+    EMPTY_POLYGON,
+    UNIT_SQUARE,
+    HalfPlane,
+    Polygon,
+    best_response_regions,
+    boundary_sections,
+    clip,
+)
 from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import build_mechanism, expected_revenue
@@ -199,8 +212,104 @@ def non_participation_region(rect: Rectangle, menu: tuple[MenuItem, ...]) -> Pol
 
 
 def mu_bar_of_polygon(rect: Rectangle, poly: Polygon) -> float:
-    """Total transformed measure of a convex polygon in z (clipped to the support)."""
+    """Total transformed measure of a convex polygon in z inside the support."""
     return MuBar(rect).mass(to_unit(rect, poly))
+
+
+#: Solved kind-D and kind-G supports of the ``regions`` benchmark draw
+#: (seeds 0-19, near the SmallLarge/SmallVeryLarge threshold) whose null
+#: region is a sliver of area about 1e-12 at the corner: a reading of the
+#: sides or the corner within a tolerance gave the lottery region the unit
+#: atom too, and its mass read +1.
+SLIVER_SUPPORTS = (
+    Rectangle(3.2587186843516855, 0.14261683462368566, 0.5902046285859759, 0.35820449491332407),
+    Rectangle(1.6246616473736744, 0.26627594863268367, 0.5350519602751762, 1.4132067560454118),
+    Rectangle(6.1365143903197925, 0.21034875508429673, 0.8316509667210693, 0.43879753931915705),
+    Rectangle(0.7894249117278863, 15.54691094160599, 1.5228197184336933, 1.802987817876474),
+    Rectangle(2.4754618227292315, 0.1330775196335693, 0.5367014493704627, 0.3896809203691925),
+    Rectangle(0.0512806596070486, 1.3038490419943385, 0.45115563793066277, 0.5121450715132213),
+    Rectangle(2.0299831167084985, 0.4433850336193319, 0.37654961864747644, 1.1342317228243775),
+    Rectangle(0.6778249899596548, 5.200064322798354, 1.5536645479668474, 0.8262535172802529),
+    Rectangle(0.21558566796377976, 5.677617772484157, 0.49028440033663095, 0.8911551395786437),
+    Rectangle(7.237684758554767, 0.8433364092910801, 0.9430958195847634, 1.722841678247968),
+    Rectangle(13.724829251334892, 0.6848644476004745, 2.1325503588034986, 1.5475649707308599),
+    Rectangle(13.472420993267416, 1.0319141147342057, 1.1208720603375324, 1.7428493681835462),
+    Rectangle(4.276294536468861, 0.10141053134457818, 1.5903165998718831, 0.7371466380779892),
+    Rectangle(0.30388916589379505, 7.932872353809762, 0.5961510354699737, 0.9533056819285983),
+    Rectangle(0.16862339308744853, 11.983522279235517, 0.33402900881662845, 1.469219293999911),
+    Rectangle(10.153280546525304, 0.7096573713237234, 1.6347109000229494, 1.6406598343832266),
+    Rectangle(0.9752272401517715, 5.066791934412686, 2.7088464957129923, 1.0376281102383693),
+)
+
+#: Solved kind-C supports of a seeded draw of 600 with side ratios 1..1e12
+#: and offsets 0 or 1e-3..1e4 sides whose null region is a sliver at the
+#: corner: a tolerance on the corner gave the bundle region the atom too,
+#: and its mass read +1, here and on the copies scaled by 1e-6..1e6.
+RATIO_SUPPORTS = (
+    Rectangle(1.4570081520997662, 1693773182.0533347, 1.339047319290884, 2791055.6097893),
+    Rectangle(560898542.7885971, 91.98462297458063, 5456701.932621158, 0.512779696900333),
+    Rectangle(262.6317658624487, 34806470431.56031, 0.4571518548124851, 1953801177.2073128),
+    Rectangle(913856883224.1877, 1131.8010747473245, 106510017.18049113, 2.9517247921743572),
+    Rectangle(26924185933.515667, 43.78217403335753, 7413831.92668566, 1.3245507970276678),
+    Rectangle(199485665659.5497, 9139.26279990585, 264200004.18667194, 1.281791234980896),
+    Rectangle(11.130368858015585, 7245826580.618584, 0.404036351169981, 842772814.9189688),
+    Rectangle(15317191483.695162, 111.54807546664158, 46629670.69428883, 2.334837230037318),
+    Rectangle(296387303.5298031, 21.15401266266529, 68637.28302753175, 1.453279462822662),
+    Rectangle(20.251795335643553, 82264770797.89215, 2.3213931314307956, 66037789.79071696),
+    Rectangle(108937097.47979239, 477.4760860056872, 29286.659006163358, 1.293434809108254),
+    Rectangle(2154312588.434421, 209.92391968103829, 22558500.727099605, 1.3629521491224392),
+    Rectangle(5975674770.652943, 91.67522026325868, 4548526.267974694, 1.3496952933238837),
+    Rectangle(1233.4251814510649, 788964290.0138997, 1.9907020527883976, 664647.7062265106),
+    Rectangle(6.644512117797697, 133626046895.60509, 2.979087208514192, 652035786.0075366),
+    Rectangle(10548.332703554615, 17216652926.591225, 1.914365727510152, 251183485.89737555),
+    Rectangle(965918583.6825801, 3333.8439258816084, 1730158.595175442, 1.703084737150593),
+    Rectangle(28974924166.398495, 1304.7510959412673, 25397472929.363564, 0.3150211485485266),
+)
+
+_RATIONAL_SQUARE = Polygon(tuple(tuple(map(Fraction, v)) for v in UNIT_SQUARE.vertices))
+_RATIONAL_NULL = MenuItem(Fraction(0), Fraction(0), Fraction(0))
+
+
+def exact_regions(
+    rect: Rectangle, menu: tuple[MenuItem, ...], nets: tuple[float, ...] | None = None
+) -> tuple[Rectangle, tuple[MenuItem, ...], list[Polygon]]:
+    """``best_response_regions`` in rational arithmetic: the support, the
+    menu and its nets (or else the prices) as ``Fraction``s, clipped from a
+    ``Fraction`` unit square, so every vertex is exact.  Returns the
+    rational support, menu and regions; the outside option is a rational
+    rival that gets no region of its own."""
+    exact = Rectangle(*map(Fraction, (rect.c1, rect.c2, rect.b1, rect.b2)))
+    items = tuple(MenuItem(Fraction(i.q1), Fraction(i.q2), Fraction(i.t)) for i in menu)
+    rivals = items if NULL_ITEM in items else (*items, _RATIONAL_NULL)
+    if nets is not None:
+        nets = tuple(map(Fraction, nets)) + (() if NULL_ITEM in items else (Fraction(0),))
+    with mock.patch.object(optmech.geometry, "UNIT_SQUARE", _RATIONAL_SQUARE):
+        regions = best_response_regions(exact, rivals, nets)
+    return exact, items, regions[: len(items)]
+
+
+def exact_area(poly: Polygon) -> Fraction:
+    """``Polygon.area`` of a rational polygon, with the shoelace terms
+    summed as rationals."""
+    vs = poly.vertices
+    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])), Fraction(0)) / 2
+
+
+def exact_region_masses(rect: Rectangle, menu: tuple[MenuItem, ...], nets: tuple[float, ...]) -> dict[str, Fraction]:
+    """The certificate's Z, A, B and W region masses in rational
+    arithmetic: each region's interior, side and atom terms of the
+    transformed measure, summed as ``Fraction``s on the exact regions."""
+    exact, items, regions = exact_regions(rect, menu, nets)
+    r1, r2 = exact.c1 / exact.b1, exact.c2 / exact.b2
+    sides = ((1, 0, -r2), (1, 1, 1 + r2), (0, 0, -r1), (0, 1, 1 + r1))
+    masses = dict.fromkeys("ZABW", Fraction(0))
+    for item, region in zip(items, regions):
+        key = "Z" if item.is_null else "W" if item.is_bundle else "A" if item.q2 == 1 else "B" if item.q1 == 1 else ""
+        if key and not region.is_empty:
+            masses[key] += -3 * exact_area(region) + (1 if region.contains((0, 0)) else 0)
+            for axis, value, dens in sides:
+                masses[key] += sum((dens * (hi - lo) for lo, hi in boundary_sections(region, axis, value)), Fraction(0))
+    return masses
 
 
 def check_interval_measure_cvx_zero(

@@ -5,12 +5,12 @@ import pytest
 from helpers import non_participation_region, polygon_intersection, rect_polygon
 from optmech.geometry import (
     EMPTY_POLYGON,
+    UNIT_SQUARE,
     HalfPlane,
     Polygon,
     best_response_regions,
     boundary_sections,
     clip,
-    clip_many,
 )
 from optmech.types import NULL_ITEM, MenuItem, Rectangle
 
@@ -77,14 +77,6 @@ def test_clip_to_empty_and_noop():
     assert clip(EMPTY_POLYGON, HalfPlane(1.0, 0.0, 0.0)).is_empty
 
 
-def test_clip_many_applies_all_planes():
-    poly = clip_many(
-        rect_polygon(UNIT),
-        [HalfPlane(1.0, 0.0, 0.75), HalfPlane(-1.0, 0.0, -0.25), HalfPlane(0.0, 1.0, 0.5)],
-    )
-    assert poly.area() == pytest.approx(0.25, abs=1e-15)
-
-
 def test_diagonal_clip_gives_triangle():
     tri = clip(rect_polygon(UNIT), HalfPlane(1.0, 1.0, 0.8))
     assert tri.area() == pytest.approx(0.32, abs=1e-15), "area below z1+z2=0.8 in the unit square"
@@ -99,6 +91,19 @@ def test_boundary_sections_bottom_edge():
     lo, hi = spans[0]
     assert (lo, hi) == pytest.approx((0.0, 0.5))
     assert boundary_sections(half, 1, 0.25) == []
+
+
+def test_a_corner_sliver_and_its_neighbour_split_the_corner_and_the_sides():
+    # the cut u1 + u2 = 1e-12 leaves a sliver at the corner: only the
+    # sliver holds the corner, and its hypotenuse lies on no side
+    sliver = clip(UNIT_SQUARE, HalfPlane(1.0, 1.0, 1e-12))
+    rest = clip(UNIT_SQUARE, HalfPlane(-1.0, -1.0, -1e-12))
+    assert sliver.contains((0.0, 0.0)) and not rest.contains((0.0, 0.0))
+    for axis in (0, 1):
+        (low,) = boundary_sections(sliver, axis, 0.0)
+        (high,) = boundary_sections(rest, axis, 0.0)
+        assert low == pytest.approx((0.0, 1e-12), rel=1e-4, abs=0.0)
+        assert high == pytest.approx((1e-12, 1.0), rel=1e-4, abs=0.0)
 
 
 def test_best_response_regions_partition_the_square():

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from optmech.geometry import HalfPlane, best_response_regions, clip
+from optmech.geometry import UNIT_SQUARE, HalfPlane, best_response_regions, clip
 from helpers import (
+    SLIVER_SUPPORTS,
     alpha_params,
     check_interval_measure_cvx_zero,
+    log_uniform,
     mirror,
     mu_bar_of_polygon,
     rect_polygon,
@@ -19,7 +21,7 @@ from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import build_mechanism
 from optmech.oracle import _lottery_shuffle
 from optmech.solver import solve
-from optmech.types import Rectangle, StructureKind
+from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
@@ -70,21 +72,75 @@ def test_interior_patch_has_pure_density_mass():
     assert mu_bar_of_polygon(rect, patch) == pytest.approx(expected, rel=1e-12)
 
 
-def test_polygon_clipped_to_support_before_evaluation():
+def test_polygon_outside_the_unit_square_is_rejected():
+    # polygons are measured as given, so one reaching past the support
+    # is an error, not clipped
     rect = Rectangle(0.5, 0.5, 1.0, 1.0)
     big = to_unit(rect, rect_polygon(Rectangle(0.0, 0.0, 5.0, 5.0)))
-    assert MuBar(rect).mass(big) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(ValueError, match="unit square"):
+        MuBar(rect).mass(big)
 
 
 def test_measure_additivity_across_a_cut():
     rect = Rectangle(0.3, 0.1, 1.4, 0.9)
     mu = MuBar(rect)
-    whole = rect_polygon(rect)
-    left = clip(whole, HalfPlane(1.0, 0.0, 0.9))
-    right = clip(whole, HalfPlane(-1.0, 0.0, -0.9))
-    w, a, b = (mu.moments(to_unit(rect, poly)) for poly in (whole, left, right))
+    cut = (0.9 - rect.c1) / rect.b1  # z1 = 0.9
+    left = clip(UNIT_SQUARE, HalfPlane(1.0, 0.0, cut))
+    right = clip(UNIT_SQUARE, HalfPlane(-1.0, 0.0, -cut))
+    w, a, b = (mu.moments(poly) for poly in (UNIT_SQUARE, left, right))
+    assert w[0] == mu.total(), "the whole square takes every side and the atom"
     for k, name in enumerate(("mass", "m1", "m2")):
         assert a[k] + b[k] == pytest.approx(w[k], abs=1e-12), f"{name} must add across the cut"
+
+
+def _random_menus(n: int = 60):
+    """Seeded menus on seeded supports, as (rect, menu, nets), each with the
+    null item: every other menu prices each item at a net of 1e-13..1e-9
+    of its top value, so the null region is a sliver at the corner."""
+    rng = random.Random(5)
+    cases = []
+    for i in range(n):
+        b1, b2 = (log_uniform(rng, 0.3, 3.0) for _ in range(2))
+        rect = Rectangle(rng.uniform(0.0, 5.0) * b1, rng.uniform(0.0, 5.0) * b2, b1, b2)
+        menu, nets = [NULL_ITEM], [0.0]
+        for _ in range(rng.randint(1, 3)):
+            q1, q2 = rng.choice([(rng.random(), 1.0), (1.0, rng.random()), (1.0, 1.0), (rng.random(), rng.random())])
+            net = (q1 * b1 + q2 * b2) * (log_uniform(rng, 1e-13, 1e-9) if i % 2 else rng.random())
+            menu.append(MenuItem(q1, q2, net + q1 * rect.c1 + q2 * rect.c2))
+            nets.append(net)
+        cases.append((rect, tuple(menu), tuple(nets)))
+    return cases
+
+
+def _solved_menus(n: int = 60):
+    """The pinned sliver supports and seeded supports with sides 0.3..3 and
+    offsets 0..5 sides, as (rect, menu, nets) of the solved menu with the
+    null item."""
+    rng = random.Random(6)
+    rects = [*SLIVER_SUPPORTS]
+    for _ in range(n):
+        b1, b2 = (log_uniform(rng, 0.3, 3.0) for _ in range(2))
+        rects.append(Rectangle(rng.uniform(0.0, 5.0) * b1, rng.uniform(0.0, 5.0) * b2, b1, b2))
+    cases = []
+    for rect in rects:
+        mech = solve(rect)
+        menu, nets = mech.menu, mech.net_prices
+        if NULL_ITEM not in menu:
+            menu, nets = (*menu, NULL_ITEM), (*nets, 0.0)
+        cases.append((rect, menu, nets))
+    return cases
+
+
+def test_regions_lie_in_the_square_and_take_the_atom_and_each_side_once():
+    # MuBar reads the sides and the corner exactly, which is sound because
+    # every region vertex lies in the unit square and the regions' masses
+    # add up to the whole square's
+    for rect, menu, nets in [*_random_menus(), *_solved_menus()]:
+        mu = MuBar(rect)
+        regions = best_response_regions(rect, menu, nets)
+        assert all(0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 for r in regions for x, y in r.vertices), rect
+        total = sum(mu.mass(region) for region in regions)
+        assert abs(total - mu.total()) <= 1e-12, (rect, menu, total)
 
 
 # ---------------------------------------------------------------------------

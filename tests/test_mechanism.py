@@ -7,7 +7,7 @@ import pytest
 import optmech.geometry
 import optmech.mechanism
 import optmech.solver
-from helpers import bundle_item, primal_objective, revenue_monotonicity_check, utility
+from helpers import bundle_item, exact_area, exact_regions, primal_objective, revenue_monotonicity_check, utility
 from optmech.mechanism import IncompleteParams, build_mechanism, expected_revenue
 from optmech.solver import solve
 from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
@@ -155,30 +155,19 @@ def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
         assert area == pytest.approx(rect.area * poly.area(), rel=1e-12, abs=1e-15 * rect.area)
 
 
-def _exact_revenue(menu, rect, monkeypatch):
+def _exact_revenue(menu, rect):
     # the menu's revenue in rational arithmetic: every clip and area is
-    # exact once no vertex is merged and the unit square is rational
-    monkeypatch.setattr(optmech.geometry, "_DEDUP_TOL", 0)
-    square = tuple(tuple(map(Fraction, v)) for v in optmech.geometry.UNIT_SQUARE.vertices)
-    monkeypatch.setattr(optmech.geometry, "UNIT_SQUARE", optmech.geometry.Polygon(square))
-    exact = Rectangle(*(Fraction(v) for v in (rect.c1, rect.c2, rect.b1, rect.b2)))
-    items = tuple(MenuItem(Fraction(i.q1), Fraction(i.q2), Fraction(i.t)) for i in menu)
-    regions = optmech.geometry.best_response_regions(exact, items)
-    return sum((i.t * _exact_area(r) for i, r in zip(items, regions)), Fraction(0))
+    # exact on the rational unit square
+    _, items, regions = exact_regions(rect, menu)
+    return sum((i.t * exact_area(r) for i, r in zip(items, regions)), Fraction(0))
 
 
-def _exact_area(poly):
-    # Polygon.area sums into a float; sum the shoelace terms as rationals
-    vs = poly.vertices
-    return sum((x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])), Fraction(0)) / 2
-
-
-def test_kind_g_revenue_is_exact_to_rounding(monkeypatch):
+def test_kind_g_revenue_is_exact_to_rounding():
     # the good-2 lottery line meets the support's edge 7e-13 short of the
     # cut, and the polygon revenue of the mirrored kind-D menu is 6e-13
     # off the exact revenue there
     rect = Rectangle(0.4637221434032175, 0.0015094564449771076, 0.23332377944819968, 0.47703342290948475)
     mech = solve(rect)
     assert mech.kind is StructureKind.G
-    exact = _exact_revenue(mech.menu, rect, monkeypatch)
+    exact = _exact_revenue(mech.menu, rect)
     assert abs(Fraction(mech.revenue) - exact) <= Fraction(1, 10**15) * exact

@@ -8,12 +8,22 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import VERIFY_CENTRES, eager_family_revenue, local_max_check, price_gradient
+from helpers import (
+    RATIO_SUPPORTS,
+    SLIVER_SUPPORTS,
+    VERIFY_CENTRES,
+    eager_family_revenue,
+    exact_region_masses,
+    local_max_check,
+    log_uniform,
+    price_gradient,
+)
 from test_mirror import INSTANCES
 import optmech
 from optmech import oracle
@@ -456,16 +466,48 @@ def test_certificate_treats_snapped_offsets_as_zero(rect):
     assert report.shuffle_moment <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="the corner atom is counted in a sliver null region and its neighbour")
-def test_certificate_passes_where_the_null_region_is_a_sliver():
-    # kind D with p_a1 = 1.7e-11: the null region is a triangle 2e-11 of b2
-    # high, and the lottery region also contains the corner within
-    # _ON_LINE_TOL, so both take the unit atom and mu_A reads +1
-    rect = Rectangle(0.6778249899596548, 5.200064322798354, 1.5536645479668474, 0.8262535172802529)
+@pytest.mark.parametrize("rect", SLIVER_SUPPORTS)
+def test_certificate_passes_where_the_null_region_is_a_sliver(rect):
+    # the null region is a triangle about 1e-11 of a side high at the
+    # corner: it alone holds the corner and its hypotenuse lies on no
+    # side, so the lottery region beside it takes neither the atom nor
+    # the bottom or left side's density
     mech = solve(rect)
-    assert mech.kind is K.D
+    assert mech.kind in (K.D, K.G)
     report = certificate_check(mech, rect)
-    assert report.passed, f"failures {report.failures}, mu_A {report.mu_A}"
+    assert report.passed, f"failures {report.failures}, mu_A {report.mu_A}, mu_B {report.mu_B}"
+
+
+def _exact_reference_supports() -> list[Rectangle]:
+    # the pinned slivers, the pinned side-ratio supports at every scale,
+    # and 100 seeded supports with sides 0.3..3 and offsets 0 or
+    # 1e-3..1e4 sides
+    rng = random.Random(2)
+    seeded = []
+    for _ in range(100):
+        b1, b2 = (log_uniform(rng, 0.3, 3.0) for _ in range(2))
+        c1, c2 = (0.0 if rng.random() < 0.2 else log_uniform(rng, 1e-3, 1e4) * b for b in (b1, b2))
+        seeded.append(Rectangle(c1, c2, b1, b2))
+    ratios = [rect.scaled(lam) for rect in RATIO_SUPPORTS for lam in (1.0, 1e-6, 1e-3, 1e3, 1e6)]
+    return [*SLIVER_SUPPORTS, *ratios, *seeded]
+
+
+def test_region_masses_match_the_exact_reference():
+    # each float region mass lies within 1e-14 of the offsets factor of
+    # the same region's mass in rational arithmetic (5.2e-16 at worst; the
+    # side densities reach 1e4 here, and 1e-12 alone misses by 1.4e-12 on
+    # a seeded support with c2 = 6,900 b2), and the region checks read the
+    # same verdict
+    for rect in _exact_reference_supports():
+        mech = solve(rect)
+        report = certificate_check(mech, rect)
+        exact = exact_region_masses(rect, mech.menu, mech.net_prices)
+        offsets = 1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2
+        bound = min(oracle.REGION_TOL_REL, oracle.REGION_TOL_OFFSETS * offsets)
+        for key, mass in exact.items():
+            name = f"mu_{key}"
+            assert abs(Fraction(getattr(report, name)) - mass) <= 1e-14 * offsets, (rect, name, float(mass))
+            assert (name in report.failures) == (abs(mass) > bound), (rect, name, float(mass))
 
 
 CERTIFIED = [*VERIFY_CENTRES.values(), *(rect.swapped() for rect in VERIFY_CENTRES.values())]

@@ -9,20 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RATIO_SUPPORTS,
     admissible_structures,
     log_uniform,
     polygon_intersection,
     primal_objective,
     random_menu,
-    rect_polygon,
     revenue_monotonicity_check,
     rival_revenue,
-    to_unit,
     utility,
 )
-from optmech.geometry import best_response_regions, clip
+from optmech.geometry import UNIT_SQUARE, HalfPlane, best_response_regions, clip
 from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
+from optmech.oracle import certificate_check
 from optmech.solver import classify, solve
 from optmech.types import NULL_ITEM, Rectangle
 
@@ -111,6 +111,27 @@ def _assert_solve_is_the_best_admissible_structure(rect: Rectangle) -> set[str]:
     return {kind.value for kind, mechs in found.items() if mechs}
 
 
+@st.composite
+def far_rectangles(draw):
+    """Supports scaled by lam in 1e-6..1e6, with the side ratio in 1..1e12
+    either way round and each corner offset 0 or 1e-3..1e4 of its side,
+    log-uniform."""
+    power = lambda lo, hi: 10.0 ** draw(st.floats(min_value=lo, max_value=hi))
+    b1 = draw(sides)
+    b2 = b1 * power(0.0, 12.0)
+    c1, c2 = (0.0 if draw(st.booleans()) else power(-3.0, 4.0) * b for b in (b1, b2))
+    rect = Rectangle(c1, c2, b1, b2)
+    return (rect.swapped() if draw(st.booleans()) else rect).scaled(power(-6.0, 6.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(far_rectangles())
+@example(RATIO_SUPPORTS[0].scaled(1e-6))
+def test_the_certificate_passes_at_every_scale_side_ratio_and_offset(rect):
+    report = certificate_check(solve(rect), rect)
+    assert report.passed, f"{rect}: failures {report.failures}"
+
+
 def test_solve_earns_the_best_of_the_admissible_structures():
     rects = _admissible_draw(random.Random("admissible structures"), 5000)
     kinds = set().union(*map(_assert_solve_is_the_best_admissible_structure, rects))
@@ -134,28 +155,12 @@ def test_transformed_measure_has_zero_total(rect):
 @given(rectangles(), st.floats(min_value=0.05, max_value=0.95))
 def test_measure_moments_are_additive_across_a_cut(rect, frac):
     mu = MuBar(rect)
-    cut = rect.c1 + frac * rect.b1
-    whole = rect_polygon(rect)
-    left = clip(whole, hp_z1_below(cut))
-    right = clip(whole, hp_z1_above(cut))
-    left, right, whole = (to_unit(rect, poly) for poly in (left, right, whole))
-    for part_sum, total in zip(
-        (a + b for a, b in zip(mu.moments(left), mu.moments(right))),
-        mu.moments(whole),
-    ):
+    left = clip(UNIT_SQUARE, HalfPlane(1.0, 0.0, frac))
+    right = clip(UNIT_SQUARE, HalfPlane(-1.0, 0.0, -frac))
+    whole = mu.moments(UNIT_SQUARE)
+    assert whole[0] == mu.total(), "the whole square takes every side and the atom"
+    for part_sum, total in zip((a + b for a, b in zip(mu.moments(left), mu.moments(right))), whole):
         assert abs(part_sum - total) < 1e-9
-
-
-def hp_z1_below(value):
-    from optmech.geometry import HalfPlane
-
-    return HalfPlane(1.0, 0.0, value)
-
-
-def hp_z1_above(value):
-    from optmech.geometry import HalfPlane
-
-    return HalfPlane(-1.0, 0.0, -value)
 
 
 @settings(max_examples=50, deadline=None)
@@ -216,8 +221,8 @@ def test_utility_is_one_lipschitz(rect, x1, y1, x2, y2):
 def test_solve_is_never_beaten_by_a_simple_menu(rect):
     mech = solve(rect)
     rival = rival_revenue(rect)
-    # expected_revenue drops polygon slivers thinner than an absolute 1e-12,
-    # which moves a revenue by up to about 1e-12 relative on these supports
+    # the rival's revenue is summed over clipped polygons and the solver's
+    # in closed form, which round apart on these supports
     assert mech.revenue >= rival * (1.0 - 1e-10), f"{mech.kind.value} at {mech.revenue} < {rival} on {rect}"
 
 

