@@ -19,6 +19,9 @@ intermediate spans only the axes it uses.  Where a region's area has
 cases, a case that no menu in the block takes is not computed, and each
 element of a mixed block comes from the same operations either way, so
 the scores are those of computing every case everywhere, bit for bit.
+A sweep splits its a1 grid into the fewest blocks of at most ``_CHUNK``
+menus, of sizes that differ by at most one a1 value, and scans them in
+order, so the first maximum it keeps is the one of an unsplit sweep.
 The search raises glibc's malloc thresholds before it sweeps, so the
 blocks' temporaries stay in the heap instead of being handed back to the
 kernel and faulted in again on the next block.
@@ -61,9 +64,14 @@ HESS_TOL = 1e-4
 GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
 
-# Element cap on one block of a1 values in the grid search: blocks of two
-# to four a1 values measured fastest, and keep the temporaries small.
-_CHUNK = 16384
+# Menu cap on one block of a1 values in the grid search.  A kernel call
+# costs about 0.4 ms of small-array overhead besides 40 ns a menu, so each
+# sweep runs the fewest blocks under the cap: at coarse 8 one block, and
+# two (5 and 4 a1 values) for each 9^5 window, where the search's
+# tracemalloc peak is 2.4 MiB against 3.1 MiB for one block of 9^5.  A
+# block holds at least one a1 value, so at coarse 16 the cap bounds
+# nothing: each coarse block is 16^4 menus.
+_CHUNK = 40000
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
 
 
@@ -270,7 +278,7 @@ def brute_force_menu_search(
     # Each block allocates and frees 1 MB or more of 100-512 KiB temporaries.
     # By default glibc serves arrays of 128 KiB or more with fresh mmaps and
     # gives the heap back once 256 KiB lies free at its top, so every block
-    # faulted its working set in again: about 2,000 minor faults a search at
+    # faulted its working set in again: about 2,800 minor faults a search at
     # coarse 8 with 2 rounds, 36,000 at the defaults.  Freeing an mmapped
     # block raises the mmap threshold to its size and the trim threshold to
     # twice that (mallopt(3)), after which a repeated search faults about
@@ -284,9 +292,9 @@ def brute_force_menu_search(
 
     def sweep(grids: list[np.ndarray]) -> None:
         nonlocal best_rev, best
-        block = max(1, _CHUNK // math.prod(g.size for g in grids[1:]))
-        for start in range(0, grids[0].size, block):
-            part = [grids[0][start : start + block], *grids[1:]]
+        fits = max(1, _CHUNK // math.prod(g.size for g in grids[1:]))
+        for a1 in np.array_split(grids[0], -(-grids[0].size // fits)):
+            part = [a1, *grids[1:]]
             axes = [g.reshape([-1 if d == i else 1 for d in range(5)]) for i, g in enumerate(part)]
             rev = _family_revenue(rect, *axes)
             k = int(np.argmax(rev))

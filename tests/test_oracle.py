@@ -7,6 +7,7 @@ import platform
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -245,7 +246,7 @@ def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, menu):
 
     monkeypatch.setattr(oracle, "_family_revenue", checked)
     found, rev = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
-    assert len(blocks) == 2 + 5 + 5
+    assert len(blocks) == 1 + 2 + 2
     assert rev == revenue
     assert found[0] == NULL_ITEM
     assert [(item.q1, item.q2, item.t) for item in found[1:]] == menu
@@ -262,17 +263,65 @@ def test_brute_force_frozen_outputs_at_the_defaults():
     ]
 
 
-@pytest.mark.parametrize("chunk", [1, 2 * 9**4 + 1, 9**5])
+@pytest.mark.parametrize("chunk", [1, 2 * 9**4 + 1, 4 * 9**4, 6 * 9**4, 9**5])
 def test_brute_force_blocks_keep_the_unsplit_result(monkeypatch, chunk):
-    # The default cap fits two a1 values of 9^4 menus in a block, so the
-    # default sweep, like a cap of 2 * 9^4 + 1, runs blocks of 2, 2, 2, 2,
-    # 1; a cap of 1 gives one a1 value per block and 9^5 one block of all
-    # nine.  Which branches a block computes depends on its own menus, and
-    # a maximum tied across blocks must still resolve to the earliest point.
+    # At coarse 9 every sweep holds nine a1 values of 9^4 menus.  The
+    # default cap, like 6 * 9^4, splits each into blocks of 5 and 4; 4 * 9^4
+    # into three of 3, 2 * 9^4 + 1 into 2, 2, 2, 2 and 1, a cap of 1 into
+    # nine of one a1 value, and 9^5 runs one block of all nine.  Which branches a block computes depends on
+    # its own menus, and a maximum tied across blocks must still resolve
+    # to the earliest point.
     rect = Rectangle(0.05, 0.05, 1.0, 1.0)
     split = brute_force_menu_search(rect, coarse=9, refine_rounds=1)
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     assert brute_force_menu_search(rect, coarse=9, refine_rounds=1) == split
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3 * 8**4, 9**5])
+def test_brute_force_runs_the_fewest_even_blocks_under_the_cap(monkeypatch, chunk):
+    # The coarse grid holds eight a1 values of 8^4 menus, each window nine
+    # of 9^4.  A block may pass the cap only to hold one a1 value.
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    cap = oracle._CHUNK
+    blocks = []
+
+    def recorded(rect, a1, *rest):
+        rev = _family_revenue(rect, a1, *rest)
+        blocks.append((a1.size, rev.size))
+        return rev
+
+    monkeypatch.setattr(oracle, "_family_revenue", recorded)
+    brute_force_menu_search(Rectangle(0.05, 0.05, 1.0, 1.0), coarse=8, refine_rounds=2)
+    for values, points in [(8, 8), (9, 9), (9, 9)]:
+        sweep = []
+        while sum(n for n, _ in sweep) < values:
+            sweep.append(blocks.pop(0))
+        assert sum(n for n, _ in sweep) == values
+        per_value = points**4
+        assert all(menus == n * per_value <= max(cap, per_value) for n, menus in sweep), sweep
+        assert max(n for n, _ in sweep) - min(n for n, _ in sweep) <= 1, sweep
+        assert len(sweep) == -(-values // max(1, cap // per_value)), sweep
+    assert not blocks
+
+
+def test_a_search_at_the_bench_setting_peaks_under_3_mib(monkeypatch):
+    # Blocks of at most 5 * 9^4 menus peak near 2.4 MiB, one block of 9^5
+    # near 3.1 MiB.  Tracing starts at the first block: before it the
+    # search allocates and frees 16 MiB that it never touches, which moves
+    # glibc's thresholds and costs no page.
+    def traced_from_the_first_block(*args):
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return _family_revenue(*args)
+
+    monkeypatch.setattr(oracle, "_family_revenue", traced_from_the_first_block)
+    try:
+        brute_force_menu_search(Rectangle(0.05, 0.05, 1.0, 1.0), 8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_brute_force_matches_the_eager_kernel_on_seeded_supports(monkeypatch):
@@ -326,7 +375,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.parametrize("coarse, rounds, limit", [(8, 2, 300), (16, 4, 3000)])
 def test_a_repeated_search_reuses_its_memory(coarse, rounds, limit):
     # Without the search's raised malloc thresholds every block faults its
-    # temporaries in again: about 2,000 minor faults a search at coarse 8
+    # temporaries in again: about 2,800 minor faults a search at coarse 8
     # with 2 rounds and 36,000 at the defaults; with them, about none.  A
     # fresh interpreter keeps other tests' allocations out of the count.
     src = Path(optmech.__file__).resolve().parents[1]
