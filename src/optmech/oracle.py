@@ -22,6 +22,10 @@ the scores are those of computing every case everywhere, bit for bit.
 A sweep splits its a1 grid into the fewest blocks of at most ``_CHUNK``
 menus, of sizes that differ by at most one a1 value, and scans them in
 order, so the first maximum it keeps is the one of an unsplit sweep.
+A block lays its axes out as (tb, a1, t1, a2, t2) (``_AXES``), where
+numpy runs a full-size operation between two intermediates in fewer,
+longer inner loops than in the scan order (a1, a2, t1, t2, tb); its
+maximum is found on a view transposed back to scan order.
 The search raises glibc's malloc thresholds before it sweeps, so the
 blocks' temporaries stay in the heap instead of being handed back to the
 kernel and faulted in again on the next block.
@@ -65,13 +69,16 @@ GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
 
 # Menu cap on one block of a1 values in the grid search.  A kernel call
-# costs about 0.4 ms of small-array overhead besides 40 ns a menu, so each
+# costs about 0.3 ms of small-array overhead besides 40 ns a menu, so each
 # sweep runs the fewest blocks under the cap: at coarse 8 one block, and
 # two (5 and 4 a1 values) for each 9^5 window, where the search's
 # tracemalloc peak is 2.4 MiB against 3.1 MiB for one block of 9^5.  A
 # block holds at least one a1 value, so at coarse 16 the cap bounds
 # nothing: each coarse block is 16^4 menus.
 _CHUNK = 40000
+# The dimension of a1, a2, t1, t2 and tb in a block: the layout
+# (tb, a1, t1, a2, t2).
+_AXES = (1, 3, 2, 4, 0)
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
 
 
@@ -295,8 +302,8 @@ def brute_force_menu_search(
         fits = max(1, _CHUNK // math.prod(g.size for g in grids[1:]))
         for a1 in np.array_split(grids[0], -(-grids[0].size // fits)):
             part = [a1, *grids[1:]]
-            axes = [g.reshape([-1 if d == i else 1 for d in range(5)]) for i, g in enumerate(part)]
-            rev = _family_revenue(rect, *axes)
+            axes = [g.reshape([-1 if d == dim else 1 for d in range(5)]) for g, dim in zip(part, _AXES)]
+            rev = _family_revenue(rect, *axes).transpose(_AXES)
             k = int(np.argmax(rev))
             if rev.flat[k] > best_rev:
                 best_rev = float(rev.flat[k])
