@@ -22,6 +22,13 @@ the scores are those of computing every case everywhere, bit for bit.
 A sweep splits its a1 grid into the fewest blocks of at most ``_CHUNK``
 menus, of sizes that differ by at most one a1 value, and scans them in
 order, so the first maximum it keeps is the one of an unsplit sweep.
+The cap is one refinement window, so at coarse 8 the coarse grid and
+each window are one block.  For memory, ``_pick`` computes a mixed
+mask's no branch, which is the nested case at every call site, before
+its flat yes branch, and copies the yes values into the no array in
+place of allocating a third.  A search's tracemalloc peak is then
+2.7-3.3 MiB at coarse 8 with 2 rounds and 4.1 MiB at the defaults,
+against 3.1-4.2 and 5.1 MiB with np.where over both branches.
 A block lays its axes out as (tb, a1, t1, a2, t2) (``_AXES``), where
 numpy runs a full-size operation between two intermediates in fewer,
 longer inner loops than in the scan order (a1, a2, t1, t2, tb); its
@@ -68,18 +75,18 @@ HESS_TOL = 1e-4
 GAP_SHORTFALL_REL = 5e-3  # grid may trail the solver by this much
 GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
 
-# Menu cap on one block of a1 values in the grid search.  A kernel call
-# costs about 0.3 ms of small-array overhead besides 40 ns a menu, so each
-# sweep runs the fewest blocks under the cap: at coarse 8 one block, and
-# two (5 and 4 a1 values) for each 9^5 window, where the search's
-# tracemalloc peak is 2.4 MiB against 3.1 MiB for one block of 9^5.  A
+# Menu cap on one block of a1 values in the grid search: one refinement
+# window.  A kernel call costs about 0.6 ms of small-array overhead
+# besides 45-58 ns a menu, so a 9^5 window scores in 3.3-4.1 ms as one
+# block against 4.3-5.4 ms as blocks of 5 and 4 a1 values (medians of
+# the bench's windows, best of 9, one core of a 2-CPU x86-64 host).  A
 # block holds at least one a1 value, so at coarse 16 the cap bounds
 # nothing: each coarse block is 16^4 menus.
-_CHUNK = 40000
+_REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
+_CHUNK = _REFINE_POINTS**5
 # The dimension of a1, a2, t1, t2 and tb in a block: the layout
 # (tb, a1, t1, a2, t2).
 _AXES = (1, 3, 2, 4, 0)
-_REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
 
 
 @dataclass(frozen=True)
@@ -124,13 +131,26 @@ def _pick(mask, yes, no):
 
     Each element comes from the same operations on the same inputs either
     way, so the values are bit for bit those of the eager np.where; a
-    uniform mask returns its branch's own, possibly lower, shape."""
+    uniform mask returns its branch's own, possibly lower, shape.  A mixed
+    mask calls no() first, and where that returns a fresh, writeable array
+    of the full shape, copies yes() into it under the mask and returns it:
+    no() must hand over an array nothing else holds."""
     taken = np.count_nonzero(mask)
     if taken == np.size(mask):
         return yes()
     if not taken:
         return no()
-    return np.where(mask, yes(), no())
+    other = no()
+    value = yes()
+    if (
+        isinstance(other, np.ndarray)
+        and other.base is None
+        and other.flags.writeable
+        and other.shape == np.broadcast(mask, value, other).shape
+    ):
+        np.copyto(other, value, where=mask)
+        return other
+    return np.where(mask, value, other)
 
 
 def _ramp(y0, y1, h, length, inv_slope) -> np.ndarray:

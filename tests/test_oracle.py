@@ -142,6 +142,57 @@ def test_pick_on_a_mixed_mask_is_the_eager_where():
         assert np.array_equal(picked, expected)
 
 
+def _signed(rng, shape):
+    # Normal values with signed zeros and NaNs, so that equal bytes are
+    # a sharper test than equal values.
+    values = rng.normal(size=shape)
+    values.flat[::7] = -0.0
+    values.flat[3::11] = np.nan
+    return values
+
+
+def test_pick_merges_a_mixed_mask_into_the_fresh_array_no_returns():
+    rng = np.random.default_rng(23)
+    yes, no = _signed(rng, (4, 1, 6)), _signed(rng, (4, 5, 6))
+    for mask in (rng.random((4, 5, 6)) < 0.5, np.arange(6) % 2 == 0, np.eye(6, dtype=bool)[:5]):
+        fresh = no.copy()
+        picked = _pick(mask, lambda: yes, lambda: fresh)
+        assert picked is fresh
+        assert picked.tobytes() == np.where(mask, yes, no).tobytes()
+
+
+def test_pick_leaves_an_array_it_cannot_merge_into_untouched():
+    # A scalar, an array of lower shape than the result, views (read-only
+    # or not) and a fresh read-only array all go through np.where.
+    rng = np.random.default_rng(24)
+    mask = rng.random((4, 5, 6)) < 0.5
+    yes, full = _signed(rng, (4, 5, 6)), _signed(rng, (4, 5, 6))
+    frozen = full.copy()
+    frozen.flags.writeable = False
+    for no in (0.0, full[0].copy(), np.broadcast_to(full[0], full.shape), full[:], frozen):
+        before = np.array(no, copy=True)
+        picked = _pick(mask, lambda: yes, lambda: no)
+        assert picked is not no
+        assert picked.tobytes() == np.where(mask, yes, before).tobytes()
+        assert np.array(no).tobytes() == before.tobytes()
+
+
+def test_pick_calls_no_before_yes():
+    # The nested branch is the no branch at every call site, so the flat
+    # branch's result is not held while it runs.
+    calls = []
+
+    def branch(name, value):
+        def call():
+            calls.append(name)
+            return np.full(6, value)
+
+        return call
+
+    _pick(np.arange(6) % 2 == 0, branch("yes", 1.0), branch("no", 0.0))
+    assert calls == ["no", "yes"]
+
+
 def _on_axes(rect, *grids):
     axes = [np.reshape(g, [-1 if d == i else 1 for d in range(5)]) for i, g in enumerate(grids)]
     return _family_revenue(rect, *axes)
@@ -233,11 +284,11 @@ FROZEN_BY_KIND = {
 )
 def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, menu):
     # A scoring rule that breaks ties differently moves the refinement
-    # window, and with it the menu the search ends on.  Every block of the
-    # coarse grid and of both windows scores bit for bit as the kernel that
-    # computes every branch everywhere, in the layout (tb, a1, t1, a2, t2):
-    # in scan order (a1, a2, t1, t2, tb) the same blocks take about 15%
-    # longer.
+    # window, and with it the menu the search ends on.  The coarse grid and
+    # each window are one block, which scores bit for bit as the kernel
+    # that computes every branch everywhere, in the layout
+    # (tb, a1, t1, a2, t2): in scan order (a1, a2, t1, t2, tb) the same
+    # blocks take about 15% longer.
     blocks = []
 
     def checked(*args):
@@ -248,7 +299,7 @@ def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, menu):
 
     monkeypatch.setattr(oracle, "_family_revenue", checked)
     found, rev = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
-    assert blocks == [(8, 8, 8, 8, 8), *[(9, 5, 9, 9, 9), (9, 4, 9, 9, 9)] * 2]
+    assert blocks == [(8, 8, 8, 8, 8), (9, 9, 9, 9, 9), (9, 9, 9, 9, 9)]
     assert rev == revenue
     assert found[0] == NULL_ITEM
     assert [(item.q1, item.q2, item.t) for item in found[1:]] == menu
@@ -279,9 +330,9 @@ def test_brute_force_frozen_outputs_at_the_defaults():
 )
 def test_brute_force_blocks_keep_the_unsplit_result(monkeypatch, rect, name, value):
     # At coarse 9 every sweep holds nine a1 values of 9^4 menus.  The
-    # default cap, like 6 * 9^4, splits each into blocks of 5 and 4; 4 * 9^4
-    # into three of 3, 2 * 9^4 + 1 into 2, 2, 2, 2 and 1, a cap of 1 into
-    # nine of one a1 value, and 9^5 runs one block of all nine.  Which
+    # default cap, 9^5, runs one block of all nine; 6 * 9^4 splits each
+    # sweep into blocks of 5 and 4, 4 * 9^4 into three of 3, 2 * 9^4 + 1
+    # into 2, 2, 2, 2 and 1, and a cap of 1 into nine of one a1 value.  Which
     # branches a block computes depends on its own menus, and a maximum
     # tied across blocks must still resolve to the earliest point.  A block
     # laid out in any order of its axes must too.  The best score of a
@@ -344,11 +395,10 @@ def test_brute_force_runs_the_fewest_even_blocks_under_the_cap(monkeypatch, chun
     assert not blocks
 
 
-def test_a_search_at_the_bench_setting_peaks_under_3_mib(monkeypatch):
-    # Blocks of at most 5 * 9^4 menus peak near 2.4 MiB, one block of 9^5
-    # near 3.1 MiB.  Tracing starts at the first block: before it the
-    # search allocates and frees 16 MiB that it never touches, which moves
-    # glibc's thresholds and costs no page.
+def _search_peak(monkeypatch, *args):
+    # Tracing starts at the first block: before it the search allocates
+    # and frees 16 MiB that it never touches, which moves glibc's
+    # thresholds and costs no page.
     def traced_from_the_first_block(*args):
         if not tracemalloc.is_tracing():
             tracemalloc.start()
@@ -356,11 +406,23 @@ def test_a_search_at_the_bench_setting_peaks_under_3_mib(monkeypatch):
 
     monkeypatch.setattr(oracle, "_family_revenue", traced_from_the_first_block)
     try:
-        brute_force_menu_search(Rectangle(0.05, 0.05, 1.0, 1.0), 8, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        brute_force_menu_search(Rectangle(0.05, 0.05, 1.0, 1.0), *args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 << 20
+
+
+def test_a_search_at_the_bench_setting_peaks_under_3_mib(monkeypatch):
+    # Each window is one block of 9^5 menus, which peaks near 2.65 MiB
+    # with _pick merging into the nested branch's array, and near 3.1 MiB
+    # with np.where over both branches.
+    assert _search_peak(monkeypatch, 8, 2) < 3 << 20
+
+
+def test_a_search_at_the_defaults_peaks_under_4_5_mib(monkeypatch):
+    # Blocks of one a1 value of 16^4 menus and windows of 9^5 peak near
+    # 4.1 MiB with _pick merging in place, and near 5.1 MiB with np.where.
+    assert _search_peak(monkeypatch) < 4.5 * (1 << 20)
 
 
 def test_brute_force_matches_the_eager_kernel_on_seeded_supports(monkeypatch):
