@@ -26,13 +26,30 @@ The cap is one refinement window, so at coarse 8 the coarse grid and
 each window are one block.  For memory, ``_pick`` computes a mixed
 mask's no branch, which is the nested case at every call site, before
 its flat yes branch, and copies the yes values into the no array in
-place of allocating a third.  A search's tracemalloc peak is then
-2.7-3.3 MiB at coarse 8 with 2 rounds and 4.1 MiB at the defaults,
-against 3.1-4.2 and 5.1 MiB with np.where over both branches.
+place of allocating a third.  Scoring every grid point, a search's
+tracemalloc peak was then 2.7-3.3 MiB at coarse 8 with 2 rounds and
+4.1 MiB at the defaults, against 3.1-4.2 and 5.1 MiB with np.where over
+both branches.
 A block lays its axes out as (tb, a1, t1, a2, t2) (``_AXES``), where
 numpy runs a full-size operation between two intermediates in fewer,
 longer inner loops than in the scan order (a1, a2, t1, t2, tb); its
 maximum is found on a view transposed back to scan order.
+Every menu of the family earns at most its bundle price tb: an item
+dearer than the bundle is never bought, and its region's area is then
+exactly 0, while the areas sum to the support.  So a tb value with
+tb (1 + ``_BOUND_SLACK``) below a score some grid point already reached
+holds no maximum, and each sweep drops those values, a prefix of its
+rising tb grid, before it blocks.  The coarse sweep's floor is the best
+score of its pure-bundle line (a1 = a2 = 1, t1 = t2 = t_hi, every coarse
+tb), one kernel call on ``coarse`` menus; a window's is the best score so
+far.  The floor is kept apart from the best score, which only a scored
+point sets, so a coarse maximum on that line is still kept.  Each kept
+menu is scored by the same operations as without the floor, so the scores
+and the menu returned are the same bit for bit.  On the ``verify``
+benchmark's supports at coarse 8 with 2 rounds a search scores
+91,028-134,490 menus, floor included, not 150,866, and on three
+supports at the defaults 0.47-0.96 million, not 1.28 million; its
+tracemalloc peak falls to 2.4-3.3 MiB and 2.8-3.5 MiB.
 The search raises glibc's malloc thresholds before it sweeps, so the
 blocks' temporaries stay in the heap instead of being handed back to the
 kernel and faulted in again on the next block.
@@ -80,10 +97,18 @@ GAP_EXCESS_REL = 1e-3  # grid may beat the solver by at most this much
 # besides 45-58 ns a menu, so a 9^5 window scores in 3.3-4.1 ms as one
 # block against 4.3-5.4 ms as blocks of 5 and 4 a1 values (medians of
 # the bench's windows, best of 9, one core of a 2-CPU x86-64 host).  A
-# block holds at least one a1 value, so at coarse 16 the cap bounds
-# nothing: each coarse block is 16^4 menus.
+# block holds at least one a1 value, at coarse 16 one of 16^3 menus for
+# each tb value the coarse sweep keeps; that sweep kept at most 12 of 16
+# on 3,000 seeded supports (sides 0.01-100; zero offsets, offsets up to
+# 4 sides or one offset up to 1e8 sides), so the cap bounds every block
+# there too.
 _REFINE_POINTS = 9  # per-dimension points per refinement round (spacing /4)
 _CHUNK = _REFINE_POINTS**5
+# Relative slack on the bound that a menu earns at most its bundle price
+# tb.  On full coarse 8^5 grids of 1,000 seeded supports, a third each
+# with zero offsets, offsets up to 2 sides and one offset up to 1e8
+# sides, _family_revenue / tb peaked at 1 + 2.2e-16.
+_BOUND_SLACK = 1e-9
 # The dimension of a1, a2, t1, t2 and tb in a block: the layout
 # (tb, a1, t1, a2, t2).
 _AXES = (1, 3, 2, 4, 0)
@@ -287,7 +312,11 @@ def brute_force_menu_search(
     Notes
     -----
     Fully deterministic: ties keep the earliest grid point scanned, and the
-    scan order is fixed, so repeated runs return identical menus.  A
+    scan order is fixed, so repeated runs return identical menus.  A menu
+    earns at most its bundle price, so each sweep skips the bundle prices
+    that cannot reach the best score already found, on the coarse grid
+    that of its pure-bundle line; the menu returned is the one a search
+    scoring every grid point finds.  A
     support with b1 + b2 outside [4^-20, 4^20] is searched at unit size
     and the result scaled back exactly (``unit_scale``).
     """
@@ -317,8 +346,13 @@ def brute_force_menu_search(
     best_rev = -math.inf
     best: tuple[float, ...] | None = None
 
-    def sweep(grids: list[np.ndarray]) -> None:
+    def sweep(grids: list[np.ndarray], floor: float) -> None:
         nonlocal best_rev, best
+        # A menu earns at most its bundle price, so a tb value under the
+        # floor by more than the bound's slack holds no maximum; the grid
+        # rises, so those values are a prefix.
+        tb = grids[4]
+        grids = [*grids[:4], tb[np.count_nonzero(tb * (1.0 + _BOUND_SLACK) < floor) :]]
         fits = max(1, _CHUNK // math.prod(g.size for g in grids[1:]))
         for a1 in np.array_split(grids[0], -(-grids[0].size // fits)):
             part = [a1, *grids[1:]]
@@ -329,7 +363,8 @@ def brute_force_menu_search(
                 best_rev = float(rev.flat[k])
                 best = tuple(float(g[i]) for g, i in zip(part, np.unravel_index(k, rev.shape)))
 
-    sweep([np.linspace(lo, hi, coarse) for lo, hi in domains])
+    grids = [np.linspace(lo, hi, coarse) for lo, hi in domains]
+    sweep(grids, float(np.max(_family_revenue(rect, 1.0, 1.0, t_hi, t_hi, grids[4]))))
     spacing = [(hi - lo) / (coarse - 1) for lo, hi in domains]
     for _ in range(refine_rounds):
         assert best is not None
@@ -337,7 +372,7 @@ def brute_force_menu_search(
             (max(dlo, center - h), min(dhi, center + h))
             for (dlo, dhi), h, center in zip(domains, spacing, best)
         ]
-        sweep([np.linspace(lo, hi, _REFINE_POINTS) for lo, hi in windows])
+        sweep([np.linspace(lo, hi, _REFINE_POINTS) for lo, hi in windows], best_rev)
         spacing = [(hi - lo) / (_REFINE_POINTS - 1) for lo, hi in windows]
 
     assert best is not None

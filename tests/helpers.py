@@ -9,10 +9,11 @@ menu's revenue, the buyer's best entry at a type, the duality-side revenue
 pairing, a payment-monotonicity check, one support per kind, the linear
 family's boundary measure, clipped-polygon revenue and looped balance
 kernel, a log-uniform draw, the companion-matrix root finder the solver's
-is checked against, every admissible structure of a support, and the
-eager grid-search kernel the oracle's lazy one is checked against, the
-supports whose null region is a sliver, and the exact-rational reference
-for the best-response regions and their transformed-measure masses."""
+is checked against, every admissible structure of a support, the eager
+grid-search kernel the oracle's lazy one is checked against and a grid
+search that scores every point with it, the supports whose null region
+is a sliver, and the exact-rational reference for the best-response
+regions and their transformed-measure masses."""
 
 import json
 import math
@@ -39,7 +40,7 @@ from optmech.geometry import (
 from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import build_mechanism, expected_revenue
-from optmech.oracle import FD_STEP, _clip, _cut, _perturbed
+from optmech.oracle import _REFINE_POINTS, FD_STEP, _clip, _cut, _perturbed
 from optmech.solver import (
     ROOT_DOUBLE_ULPS,
     ROOT_END_REL_TOL,
@@ -768,3 +769,29 @@ def eager_family_revenue(rect: Rectangle, a1, a2, t1, t2, tb):
     area2 = np.where(a2 >= 1.0, full2, _eager_lottery_area(rect.swapped(), a2, a1, t2, t1, tb))
     area_b = _eager_full_area(rect, tb, _cut(a1, t1, tb, c1, t1 <= tb), _cut(a2, t2, tb, c2, t2 <= tb))
     return (t1 * area1 + t2 * area2 + tb * area_b) / rect.area
+
+
+def unpruned_menu_search(rect: Rectangle, coarse: int, refine_rounds: int) -> tuple[tuple[MenuItem, ...], float]:
+    """``oracle.brute_force_menu_search`` with no floor on the bundle price:
+    each sweep scores every point of its grid with ``eager_family_revenue``
+    in one call laid out in scan order (a1, a2, t1, t2, tb), over the same
+    windows, and keeps the first maximum."""
+    t_hi = rect.z1_max + rect.z2_max
+    domains = ((0.0, 1.0), (0.0, 1.0), (0.0, t_hi), (0.0, t_hi), (0.0, t_hi))
+    best_rev, best = -math.inf, None
+    windows, points = domains, coarse
+    for _ in range(refine_rounds + 1):
+        grids = [np.linspace(lo, hi, points) for lo, hi in windows]
+        rev = eager_family_revenue(rect, *np.ix_(*grids))
+        k = int(np.argmax(rev))
+        if rev.flat[k] > best_rev:
+            best_rev = float(rev.flat[k])
+            best = tuple(float(g[i]) for g, i in zip(grids, np.unravel_index(k, rev.shape)))
+        spacing = [(hi - lo) / (points - 1) for lo, hi in windows]
+        windows = [(max(dlo, c - h), min(dhi, c + h)) for (dlo, dhi), h, c in zip(domains, spacing, best)]
+        points = _REFINE_POINTS
+    a1, a2, t1, t2, tb = best
+    items = (NULL_ITEM, MenuItem(a1, 1.0, t1), MenuItem(1.0, a2, t2), MenuItem(1.0, 1.0, tb))
+    regions = best_response_regions(rect, items)
+    menu = tuple(it for it, poly in zip(items, regions) if it.is_null or poly.area() > 1e-12)
+    return menu, expected_revenue(menu, rect)

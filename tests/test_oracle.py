@@ -24,6 +24,7 @@ from helpers import (
     local_max_check,
     log_uniform,
     price_gradient,
+    unpruned_menu_search,
 )
 from test_mirror import INSTANCES
 import optmech
@@ -238,25 +239,27 @@ def test_brute_force_tracks_the_solver():
     assert rev == pytest.approx(expected_revenue(menu, UNIT), rel=1e-12)
 
 
-#: The search's result on each kind's support in test_mirror.INSTANCES;
-#: kind A's support is the first case of the frozen test.
+#: The search's result on each kind's support in test_mirror.INSTANCES,
+#: and the tb values its coarse sweep and two windows keep; kind A's
+#: support is the first case of the frozen test.
 FROZEN_BY_KIND = {
-    K.B: (9.774900796616542, [(0.42857142857142855, 1.0, 7.5982142857142865), (1.0, 1.0, 12.116071428571429)]),
-    K.C: (4.118107120080175, [(1.0, 1.0, 4.232142857142857)]),
-    K.D: (3.1615646258503403, [(0.10714285714285714, 1.0, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
-    K.E: (8.5576171875, [(1.0, 1.0, 8.625)]),
-    K.F: (1.5757699206062175, [(1.0, 0.02232142857142857, 0.6964285714285714), (1.0, 1.0, 2.8392857142857144)]),
-    K.G: (3.1615646258503403, [(1.0, 0.10714285714285714, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
-    K.H: (8.5576171875, [(1.0, 1.0, 8.625)]),
+    K.B: (9.774900796616542, (5, 9, 9), [(0.42857142857142855, 1.0, 7.5982142857142865), (1.0, 1.0, 12.116071428571429)]),
+    K.C: (4.118107120080175, (3, 5, 8), [(1.0, 1.0, 4.232142857142857)]),
+    K.D: (3.1615646258503403, (3, 7, 9), [(0.10714285714285714, 1.0, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
+    K.E: (8.5576171875, (2, 8, 5), [(1.0, 1.0, 8.625)]),
+    K.F: (1.5757699206062175, (6, 9, 9), [(1.0, 0.02232142857142857, 0.6964285714285714), (1.0, 1.0, 2.8392857142857144)]),
+    K.G: (3.1615646258503403, (3, 7, 9), [(1.0, 0.10714285714285714, 2.857142857142857), (1.0, 1.0, 3.392857142857143)]),
+    K.H: (8.5576171875, (2, 8, 5), [(1.0, 1.0, 8.625)]),
 }
 
 
 @pytest.mark.parametrize(
-    "rect, revenue, menu",
+    "rect, revenue, kept, menu",
     [
         pytest.param(
             Rectangle(0.05, 0.05, 1.0, 1.0),
             0.6122314496701804,
+            (5, 8, 9),
             [
                 (0.1607142857142857, 1.0, 0.7687499999999999),
                 (1.0, 0.1607142857142857, 0.7687499999999999),
@@ -267,26 +270,30 @@ FROZEN_BY_KIND = {
         pytest.param(
             Rectangle(0.05068, 2.512, 1.267, 1.0),
             2.8481347666832733,
+            (4, 9, 9),
             [(0.13392857142857142, 1.0, 2.587328571428571), (1.0, 1.0, 3.147916428571428)],
             id="E-verify-centre",
         ),
         pytest.param(
             Rectangle(0.0, 1.999998, 2.3220394, 1.0),
             2.5756298342869406,
+            (4, 7, 9),
             [(0.12499999999999999, 1.0, 2.1383185982142856), (1.0, 1.0, 3.136200610714285)],
             id="c2-threshold",
         ),
         *[
-            pytest.param(INSTANCES[kind], revenue, menu, id=kind.value)
-            for kind, (revenue, menu) in FROZEN_BY_KIND.items()
+            pytest.param(INSTANCES[kind], revenue, kept, menu, id=kind.value)
+            for kind, (revenue, kept, menu) in FROZEN_BY_KIND.items()
         ],
     ],
 )
-def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, menu):
+def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, kept, menu):
     # A scoring rule that breaks ties differently moves the refinement
-    # window, and with it the menu the search ends on.  The coarse grid and
-    # each window are one block, which scores bit for bit as the kernel
-    # that computes every branch everywhere, in the layout
+    # window, and with it the menu the search ends on.  The first call
+    # scores the coarse grid's pure-bundle line, eight menus, for the
+    # floor; the coarse grid and each window then keep the tb values that
+    # can reach their floor and are one block, which scores bit for bit as
+    # the kernel that computes every branch everywhere, in the layout
     # (tb, a1, t1, a2, t2): in scan order (a1, a2, t1, t2, tb) the same
     # blocks take about 15% longer.
     blocks = []
@@ -299,7 +306,7 @@ def test_brute_force_frozen_outputs(monkeypatch, rect, revenue, menu):
 
     monkeypatch.setattr(oracle, "_family_revenue", checked)
     found, rev = brute_force_menu_search(rect, coarse=8, refine_rounds=2)
-    assert blocks == [(8, 8, 8, 8, 8), (9, 9, 9, 9, 9), (9, 9, 9, 9, 9)]
+    assert blocks == [(8,), *((n, *(points,) * 4) for n, points in zip(kept, (8, 9, 9)))]
     assert rev == revenue
     assert found[0] == NULL_ITEM
     assert [(item.q1, item.q2, item.t) for item in found[1:]] == menu
@@ -322,23 +329,25 @@ def test_brute_force_frozen_outputs_at_the_defaults():
         pytest.param(rect, name, value, id=prefix + label)
         for prefix, rect in [("", Rectangle(0.05, 0.05, 1.0, 1.0)), ("fault-", Rectangle(0.0, 1.999998, 2.3220394, 1.0))]
         for name, value, label in [
-            *[("_CHUNK", chunk, str(chunk)) for chunk in (1, 2 * 9**4 + 1, 4 * 9**4, 6 * 9**4, 9**5)],
+            *[("_CHUNK", chunk, str(chunk)) for chunk in (1, 2 * 9**4 + 1, 4 * 9**4, 6 * 9**4)],
             ("_AXES", (0, 1, 2, 3, 4), "scan-order"),
             ("_AXES", oracle._AXES[::-1], "reversed-axes"),
         ]
     ],
 )
 def test_brute_force_blocks_keep_the_unsplit_result(monkeypatch, rect, name, value):
-    # At coarse 9 every sweep holds nine a1 values of 9^4 menus.  The
-    # default cap, 9^5, runs one block of all nine; 6 * 9^4 splits each
-    # sweep into blocks of 5 and 4, 4 * 9^4 into three of 3, 2 * 9^4 + 1
-    # into 2, 2, 2, 2 and 1, and a cap of 1 into nine of one a1 value.  Which
-    # branches a block computes depends on its own menus, and a maximum
-    # tied across blocks must still resolve to the earliest point.  A block
-    # laid out in any order of its axes must too.  The best score of a
-    # block ties 1,681 to 1,770 times in the first support's coarse sweep,
-    # and 43 to 49 times in every sweep on the fault support, whose grid
-    # holds equal allocations and coincident constraints.
+    # At coarse 9 every sweep holds nine a1 values, each of 9^3 menus for
+    # every tb value it keeps: 6 and then 7 of 9 on the first support, 5
+    # and then 9 on the fault support.  The default cap, 9^5, runs each
+    # sweep as one block; 6 * 9^4, 4 * 9^4 and 2 * 9^4 + 1 split one or
+    # both sweeps into two to five blocks, and a cap of 1 each into nine
+    # of one a1 value.  Which branches a block computes depends on its own
+    # menus, and a maximum tied across blocks must still resolve to the
+    # earliest point.  A block laid out in any order of its axes must too.
+    # The best score of a block ties 354 to 3,451 times in the first
+    # support's coarse sweep, and 43 to 1,101 times in every sweep on the
+    # fault support, whose grid holds equal allocations and coincident
+    # constraints.
     split = brute_force_menu_search(rect, coarse=9, refine_rounds=1)
     monkeypatch.setattr(oracle, name, value)
     assert brute_force_menu_search(rect, coarse=9, refine_rounds=1) == split
@@ -349,7 +358,9 @@ def test_brute_force_ties_keep_the_first_point_in_scan_order(monkeypatch, layout
     # A score that ties every coarse point with a1 + tb / t_hi = 1: in scan
     # order (a1, a2, t1, t2, tb) the first is a1 = 0, tb = t_hi, and in the
     # block layout (tb, a1, t1, a2, t2) it would be tb = 0, a1 = 1.  The
-    # first refinement window is centred on the point kept.
+    # floor, from the pure-bundle line a1 = 1, is the maximum 0, which
+    # drops no tb value.  The first refinement window, scored after the
+    # floor and the coarse grid, is centred on the point kept.
     if layout is not None:
         monkeypatch.setattr(oracle, "_AXES", layout)
     rect = Rectangle(0.05, 0.05, 1.0, 1.0)
@@ -363,36 +374,82 @@ def test_brute_force_ties_keep_the_first_point_in_scan_order(monkeypatch, layout
 
     monkeypatch.setattr(oracle, "_family_revenue", tied)
     brute_force_menu_search(rect, coarse=8, refine_rounds=1)
-    a1, tb = calls[1]
+    a1, tb = calls[2]
     assert (a1.min(), tb.max()) == (0.0, t_hi)
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3 * 8**4, 9**5])
+@pytest.mark.parametrize("chunk", [None, 1, 3 * 8**4])
 def test_brute_force_runs_the_fewest_even_blocks_under_the_cap(monkeypatch, chunk):
-    # The coarse grid holds eight a1 values of 8^4 menus, each window nine
-    # of 9^4.  A block may pass the cap only to hold one a1 value.
+    # After the floor's eight menus, the coarse grid holds eight a1 values,
+    # each of 8^3 menus for every tb value it keeps, and each window nine
+    # of 9^3 for every tb value it keeps.  A block may pass the cap only to
+    # hold one a1 value.
     if chunk is not None:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
     cap = oracle._CHUNK
     blocks = []
 
-    def recorded(rect, a1, *rest):
-        rev = _family_revenue(rect, a1, *rest)
-        blocks.append((a1.size, rev.size))
+    def recorded(rect, a1, a2, t1, t2, tb):
+        rev = _family_revenue(rect, a1, a2, t1, t2, tb)
+        blocks.append((np.size(a1), np.size(tb), rev.size))
         return rev
 
     monkeypatch.setattr(oracle, "_family_revenue", recorded)
     brute_force_menu_search(Rectangle(0.05, 0.05, 1.0, 1.0), coarse=8, refine_rounds=2)
+    assert blocks.pop(0) == (1, 8, 8)
     for values, points in [(8, 8), (9, 9), (9, 9)]:
         sweep = []
-        while sum(n for n, _ in sweep) < values:
+        while sum(n for n, _, _ in sweep) < values:
             sweep.append(blocks.pop(0))
-        assert sum(n for n, _ in sweep) == values
-        per_value = points**4
-        assert all(menus == n * per_value <= max(cap, per_value) for n, menus in sweep), sweep
-        assert max(n for n, _ in sweep) - min(n for n, _ in sweep) <= 1, sweep
+        assert sum(n for n, _, _ in sweep) == values
+        kept = sweep[0][1]
+        assert 1 <= kept <= points and all(t == kept for _, t, _ in sweep), sweep
+        per_value = kept * points**3
+        assert all(menus == n * per_value <= max(cap, per_value) for n, _, menus in sweep), sweep
+        assert max(n for n, _, _ in sweep) - min(n for n, _, _ in sweep) <= 1, sweep
         assert len(sweep) == -(-values // max(1, cap // per_value)), sweep
     assert not blocks
+
+
+def test_a_coarse_maximum_on_the_pure_bundle_line_is_kept(monkeypatch):
+    # A score of min(tb, t_hi / 2) on the pure-bundle line a1 = a2 = 1,
+    # t1 = t2 = t_hi and 0 off it, so no menu earns more than tb: the
+    # floor is the coarse maximum, first reached at tb = 4/7 t_hi, and the
+    # search must still keep that point.
+    rect = Rectangle(0.05, 0.05, 1.0, 1.0)
+    t_hi = rect.z1_max + rect.z2_max
+
+    def bundle_line(rect, a1, a2, t1, t2, tb):
+        on = (a1 == 1.0) & (a2 == 1.0) & (t1 == t_hi) & (t2 == t_hi)
+        score = np.where(on, np.minimum(tb, 0.5 * t_hi), 0.0)
+        return np.broadcast_to(score, np.broadcast_shapes(*map(np.shape, (a1, a2, t1, t2, tb))))
+
+    monkeypatch.setattr(oracle, "_family_revenue", bundle_line)
+    menu, _ = brute_force_menu_search(rect, coarse=8, refine_rounds=0)
+    assert menu == (NULL_ITEM, MenuItem(1.0, 1.0, float(np.linspace(0.0, t_hi, 8)[4])))
+
+
+def test_a_menu_earns_at_most_its_bundle_price():
+    # The bound the search's floor rests on, with the slack 1e-12 well
+    # inside the search's 1e-9: an item dearer than the bundle is never
+    # bought and its area is exactly 0, and the areas sum to the support.
+    # Full coarse grids, a third with zero offsets, a third with offsets
+    # up to 2 sides and a third with one offset up to 1e8 sides.
+    rng = random.Random(3434)
+    for i in range(90):
+        b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        if i % 3 == 0:
+            c1 = c2 = 0.0
+        elif i % 3 == 1:
+            c1, c2 = rng.uniform(0.0, 2.0) * b1, rng.uniform(0.0, 2.0) * b2
+        else:
+            far, near = log_uniform(rng, 1.0, 1e8), rng.uniform(0.0, 4.0)
+            c1, c2 = (far * b1, near * b2) if i % 2 else (near * b1, far * b2)
+        rect = Rectangle(c1, c2, b1, b2)
+        t_hi = rect.z1_max + rect.z2_max
+        grids = [np.linspace(0.0, 1.0, 8)] * 2 + [np.linspace(0.0, t_hi, 8)] * 3
+        axes = np.ix_(*grids)
+        assert np.all(_family_revenue(rect, *axes) <= axes[4] * (1.0 + 1e-12)), rect
 
 
 def _search_peak(monkeypatch, *args):
@@ -425,18 +482,45 @@ def test_a_search_at_the_defaults_peaks_under_4_5_mib(monkeypatch):
     assert _search_peak(monkeypatch) < 4.5 * (1 << 20)
 
 
-def test_brute_force_matches_the_eager_kernel_on_seeded_supports(monkeypatch):
+def _seeded_supports():
     # Sides in [0.3, 3] and offsets up to 2 sides, every fourth support
     # with both offsets zero.
     rng = random.Random(2121)
-    supports = []
     for i in range(20):
         b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
         c1, c2 = (0.0, 0.0) if i % 4 == 0 else (rng.uniform(0.0, 2.0) * b1, rng.uniform(0.0, 2.0) * b2)
-        supports.append(Rectangle(c1, c2, b1, b2))
-    lazy = [brute_force_menu_search(rect, coarse=8, refine_rounds=1) for rect in supports]
+        yield Rectangle(c1, c2, b1, b2)
+
+
+SEEDED_SUPPORTS = tuple(_seeded_supports())
+
+
+def test_brute_force_matches_the_eager_kernel_on_seeded_supports(monkeypatch):
+    lazy = [brute_force_menu_search(rect, coarse=8, refine_rounds=1) for rect in SEEDED_SUPPORTS]
     monkeypatch.setattr(oracle, "_family_revenue", eager_family_revenue)
-    assert [brute_force_menu_search(rect, coarse=8, refine_rounds=1) for rect in supports] == lazy
+    assert [brute_force_menu_search(rect, coarse=8, refine_rounds=1) for rect in SEEDED_SUPPORTS] == lazy
+
+
+@pytest.mark.parametrize("coarse, rounds", [(8, 2), (9, 1)])
+@pytest.mark.parametrize(
+    "rect",
+    [
+        *SEEDED_SUPPORTS,
+        *VERIFY_CENTRES.values(),
+        *(rect.swapped() for rect in VERIFY_CENTRES.values()),
+        Rectangle(0.0, 1.999998, 2.3220394, 1.0),
+    ],
+    ids=[
+        *(f"seeded-{i}" for i in range(len(SEEDED_SUPPORTS))),
+        *VERIFY_CENTRES,
+        *(f"{k}-swapped" for k in VERIFY_CENTRES),
+        "fault",
+    ],
+)
+def test_the_bundle_price_floor_changes_no_result(rect, coarse, rounds):
+    # A search that scores every grid point finds the same menu and
+    # revenue, bit for bit.
+    assert brute_force_menu_search(rect, coarse, rounds) == unpruned_menu_search(rect, coarse, rounds)
 
 
 @pytest.mark.parametrize(
