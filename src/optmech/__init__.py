@@ -3,7 +3,6 @@
 from .geometry import best_response_regions
 from .linear import (
     C_MAX,
-    LinearDensityInstance,
     LinearSolution,
     NoConvergence,
     OutOfRange,
@@ -29,7 +28,6 @@ __all__ = [
     "C_MAX",
     "NULL_ITEM",
     "CertificateReport",
-    "LinearDensityInstance",
     "LinearSolution",
     "Mechanism",
     "MenuItem",

@@ -22,23 +22,6 @@ from .types import NULL_ITEM, MenuItem, Rectangle
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """The closed half-plane n1*z1 + n2*z2 <= d."""
-
-    n1: float
-    n2: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if self.n1 == 0.0 and self.n2 == 0.0:
-            raise ValueError("half-plane normal must be nonzero")
-
-    def signed(self, pt: Point) -> float:
-        """Negative inside, positive outside, zero on the boundary line."""
-        return self.n1 * pt[0] + self.n2 * pt[1] - self.d
-
-
 def _dedup(vs: tuple[Point, ...]) -> tuple[Point, ...]:
     if not vs:
         return ()
@@ -112,13 +95,14 @@ EMPTY_POLYGON = Polygon(())
 UNIT_SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 
 
-def clip(poly: Polygon, hp: HalfPlane) -> Polygon:
-    """Sutherland-Hodgman clip of a convex polygon by one half-plane."""
+def clip(poly: Polygon, n1: float, n2: float, d: float) -> Polygon:
+    """Sutherland-Hodgman clip of a convex polygon to the closed half-plane
+    n1*z1 + n2*z2 <= d; a zero normal keeps all for d >= 0, else nothing."""
     vs = poly.vertices
     if not vs:
         return poly
     out: list[Point] = []
-    dists = [hp.signed(v) for v in vs]
+    dists = [n1 * x + n2 * y - d for x, y in vs]
     n = len(vs)
     for i in range(n):
         cur, nxt = vs[i], vs[(i + 1) % n]
@@ -171,7 +155,7 @@ def _region(k: int, rivals: tuple[MenuItem, ...], nets: tuple[float, ...], rect:
             if d < 0.0 or (d == 0.0 and j < k):
                 return EMPTY_POLYGON
             continue
-        poly = clip(poly, HalfPlane(n1 * rect.b1, n2 * rect.b2, d))
+        poly = clip(poly, n1 * rect.b1, n2 * rect.b2, d)
         if poly.is_empty:
             return poly
     return poly

@@ -47,17 +47,12 @@ class NoConvergence(RuntimeError):
     """The balance equations have no root in the kink bracket."""
 
 
-@dataclass(frozen=True)
-class LinearDensityInstance:
-    """One-parameter family member: density 2z/(2c+1) on [c, c+1]."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.c):
-            raise OutOfRange(f"c must be finite, got {self.c!r}")
-        if self.c < 0.0 or self.c > C_MAX:
-            raise OutOfRange(f"c={self.c!r} outside [0, {C_MAX}]")
+def _check_c(c: float) -> None:
+    """Refuse a lower endpoint outside [0, C_MAX], NaN and inf included."""
+    if not math.isfinite(c):
+        raise OutOfRange(f"c must be finite, got {c!r}")
+    if c < 0.0 or c > C_MAX:
+        raise OutOfRange(f"c={c!r} outside [0, {C_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ def _boundary_branch(c: float, P1: float) -> tuple[float, float]:
     return a0 - c - a * c, a
 
 
-def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
+def solve_linear(c: float) -> LinearSolution:
     """Solve the balance equations for the linear-density family.
 
     Parameters
@@ -183,14 +178,9 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
         root of the bundle-region balance between just above c and c + 1,
         found by a bracketed Brent-Dekker search (about 10 balance
         evaluations); at each P1 the other two balance equations give
-        (p_a1, a1) in closed form.
-    root : {"above_flat", "interior"}, optional
-        Only used at c=0, where the boundary is flat at height sqrt(0.6)
-        (a1=0) for every kink and the bundle-region balance has two
-        positive roots.  "above_flat" takes the root between sqrt(0.6)
-        and 1 + sqrt(0.6), by the same search, and reads it as the bundle
-        price.  "interior" takes the kink root above, which is the reading
-        that zeroes the bundle-region balance.  Ignored for c > 0.
+        (p_a1, a1) in closed form.  At c = 0, where the boundary is flat
+        (a1 = 0) and the balance has two positive roots, it takes the
+        published one on [sqrt(0.6), 1 + sqrt(0.6)] as the bundle price.
 
     Returns
     -------
@@ -206,24 +196,22 @@ def solve_linear(c: float, *, root: str = "above_flat") -> LinearSolution:
         If the bundle-region balance has no sign change over the bracket;
         the message names the bracket and both end balances.
     """
-    inst = LinearDensityInstance(c)
-    if root not in ("above_flat", "interior"):
-        raise ValueError(f"unknown root selection {root!r}")
+    _check_c(c)
 
     def balance(kink: float) -> float:
-        return _mu_w(inst.c, *_boundary_branch(inst.c, kink), kink)
+        return _mu_w(c, *_boundary_branch(c, kink), kink)
 
-    as_price = inst.c == 0.0 and root == "above_flat"
-    lo, hi = (_SQRT06, 1.0 + _SQRT06) if as_price else (inst.c + _KINK_OFFSET, inst.c + 1.0)
+    as_price = c == 0.0
+    lo, hi = (_SQRT06, 1.0 + _SQRT06) if as_price else (c + _KINK_OFFSET, c + 1.0)
     try:
         x = _root_in_bracket(balance, lo, hi, balance(lo), balance(hi))
     except NoRoot as exc:
         raise NoConvergence(f"no {'price' if as_price else 'kink'} root at c={c!r}: {exc}") from None
     if as_price:
         return LinearSolution(c=0.0, p_a1=_SQRT06, a1=0.0, P1=x - _SQRT06, P2=_SQRT06, p=x)
-    pa, a = _boundary_branch(inst.c, x)
-    P2 = inst.c + pa - a * (x - inst.c)
-    return LinearSolution(c=inst.c, p_a1=pa, a1=a, P1=x, P2=P2, p=x + P2)
+    pa, a = _boundary_branch(c, x)
+    P2 = c + pa - a * (x - c)
+    return LinearSolution(c=c, p_a1=pa, a1=a, P1=x, P2=P2, p=x + P2)
 
 
 def _xy_moment(vs: tuple[tuple[float, float], ...]) -> float:
@@ -275,7 +263,7 @@ def linear_revenue(sol: LinearSolution, c: float) -> float:
         If a < 1 and the menu leaves that layout: the kink outside
         c <= P1 <= P2 <= c + 1, or the edge price pa outside [0, 1].
     """
-    c = LinearDensityInstance(c).c
+    _check_c(c)
     _, lottery, _, bundle = sol.menu()
     a, t, p = lottery.q1, lottery.t, bundle.t
     scale = 4.0 / (2.0 * c + 1.0) ** 2

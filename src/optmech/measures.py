@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .geometry import UNIT_SQUARE, Polygon, boundary_sections
 from .types import Rectangle
 
+SIGN_TOL = 1e-9  # slack on each inequality of a shuffle's sign pattern
+
 
 class MuBar:
     """Evaluate the transformed measure on convex polygons in u = (z - c)/b.
@@ -115,14 +117,14 @@ class Shuffle:
         flat = self.rect.b2 * (self.end * self.end - xb * xb)
         return (ramp + flat) / self.rect.area
 
-    def sign_pattern_ok(self, tol: float = 1e-9) -> bool:
+    def sign_pattern_ok(self) -> bool:
         """Nonnegative atom, then a nondecreasing ramp from <= 0 that ends
         >= 0 if it ends the segment, else at most the flat value."""
         xb = self.ramp_end
         at_end = self.density(xb)
         return (
-            self.point_mass() >= -tol
-            and self.a >= -tol
-            and self.density(0.0) <= tol
-            and (at_end >= -tol if xb >= self.end else at_end <= self.density(self.end) + tol)
+            self.point_mass() >= -SIGN_TOL
+            and self.a >= -SIGN_TOL
+            and self.density(0.0) <= SIGN_TOL
+            and (at_end >= -SIGN_TOL if xb >= self.end else at_end <= self.density(self.end) + SIGN_TOL)
         )

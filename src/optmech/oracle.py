@@ -26,10 +26,7 @@ The cap is one refinement window, so at coarse 8 the coarse grid and
 each window are one block.  For memory, ``_pick`` computes a mixed
 mask's no branch, which is the nested case at every call site, before
 its flat yes branch, and copies the yes values into the no array in
-place of allocating a third.  Scoring every grid point, a search's
-tracemalloc peak was then 2.7-3.3 MiB at coarse 8 with 2 rounds and
-4.1 MiB at the defaults, against 3.1-4.2 and 5.1 MiB with np.where over
-both branches.
+place of allocating a third.
 A block lays its axes out as (tb, a1, t1, a2, t2) (``_AXES``), where
 numpy runs a full-size operation between two intermediates in fewer,
 longer inner loops than in the scan order (a1, a2, t1, t2, tb); its
@@ -45,11 +42,7 @@ tb), one kernel call on ``coarse`` menus; a window's is the best score so
 far.  The floor is kept apart from the best score, which only a scored
 point sets, so a coarse maximum on that line is still kept.  Each kept
 menu is scored by the same operations as without the floor, so the scores
-and the menu returned are the same bit for bit.  On the ``verify``
-benchmark's supports at coarse 8 with 2 rounds a search scores
-91,028-134,490 menus, floor included, not 150,866, and on three
-supports at the defaults 0.47-0.96 million, not 1.28 million; its
-tracemalloc peak falls to 2.4-3.3 MiB and 2.8-3.5 MiB.
+and the menu returned are the same bit for bit.
 The search raises glibc's malloc thresholds before it sweeps, so the
 blocks' temporaries stay in the heap instead of being handed back to the
 kernel and faulted in again on the next block.
@@ -112,6 +105,11 @@ _BOUND_SLACK = 1e-9
 # The dimension of a1, a2, t1, t2 and tb in a block: the layout
 # (tb, a1, t1, a2, t2).
 _AXES = (1, 3, 2, 4, 0)
+
+
+class UncertifiedItem(ValueError):
+    """A menu item whose allocation is none of (0, 0), (1, 1), (a, 1) and
+    (1, a): the certificate has no region mass or shuffle to judge it by."""
 
 
 @dataclass(frozen=True)
@@ -431,8 +429,10 @@ def _measure_certificate(rect: Rectangle, menu: Menu, nets: tuple[float, ...]) -
     signs_ok = True
     regions = best_response_regions(rect, menu, nets)
     for item, net, region in zip(menu, nets, regions):
-        key = "Z" if item.is_null else "W" if item.is_bundle else "A" if item.q2 == 1.0 else "B" if item.q1 == 1.0 else ""
-        if key and not region.is_empty:
+        key = "Z" if item.q1 == item.q2 == 0.0 else "W" if item.is_bundle else "A" if item.q2 == 1.0 else "B" if item.q1 == 1.0 else ""
+        if not key:
+            raise UncertifiedItem(f"no certificate judges the item {item}")
+        if not region.is_empty:
             masses[key] += mu.mass(region)
         sh = _lottery_shuffle(rect, item, net, region)
         if sh is not None:
@@ -527,10 +527,11 @@ def certificate_check(
     integrate the transformed measure, and each price must equal its net
     plus its value at the corner (``price_form``).  Each lottery item's
     shuffle is built from its weight, its net and its region, and its
-    closed-form mass and moment are checked; stationarity differentiates
-    the expected revenue numerically in every free menu coordinate (step
-    ``FD_STEP``, one-sided slopes judged separately so kink maxima
-    certify) on the support and prices divided by b1 + b2,
+    closed-form mass and moment are checked; an item with neither a region
+    mass nor a shuffle raises ``UncertifiedItem``.  Stationarity
+    differentiates the expected revenue numerically in every free menu
+    coordinate (step ``FD_STEP``, one-sided slopes judged separately so
+    kink maxima certify) on the support and prices divided by b1 + b2,
     so that neither the step nor the verdict carries units.  The reported
     revenue must equal the menu's over the masses' polygons, so a wrong
     closed form fails ``revenue_form``.  A support with b1 + b2 outside

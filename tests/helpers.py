@@ -28,16 +28,16 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 import optmech.geometry
+import optmech.linear
 from optmech.geometry import (
     EMPTY_POLYGON,
     UNIT_SQUARE,
-    HalfPlane,
     Polygon,
     best_response_regions,
     boundary_sections,
     clip,
 )
-from optmech.linear import LinearDensityInstance, LinearSolution, _xy_moment
+from optmech.linear import LinearSolution, _xy_moment
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import build_mechanism, expected_revenue
 from optmech.oracle import _REFINE_POINTS, FD_STEP, _clip, _cut, _perturbed
@@ -190,7 +190,7 @@ def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
     out = a
     for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
         # interior of a CCW polygon is to the left of each directed edge
-        out = clip(out, HalfPlane(y1 - y0, -(x1 - x0), (y1 - y0) * x0 - (x1 - x0) * y0))
+        out = clip(out, y1 - y0, -(x1 - x0), (y1 - y0) * x0 - (x1 - x0) * y0)
         if out.is_empty:
             break
     return out
@@ -200,13 +200,9 @@ def non_participation_region(rect: Rectangle, menu: tuple[MenuItem, ...]) -> Pol
     """Types preferring the outside option to every menu item."""
     poly = rect_polygon(rect)
     for it in menu:
-        if it.q1 == 0.0 and it.q2 == 0.0:
-            # a free null item ties the outside option; only a subsidized
-            # one (t < 0) strictly dominates it everywhere
-            if it.t < 0.0:
-                return EMPTY_POLYGON
-            continue
-        poly = clip(poly, HalfPlane(it.q1, it.q2, it.t))
+        # an item of allocation (0, 0) keeps every type at t >= 0 and none
+        # below: a free null item ties the outside option
+        poly = clip(poly, it.q1, it.q2, it.t)
         if poly.is_empty:
             break
     return poly
@@ -313,9 +309,7 @@ def exact_region_masses(rect: Rectangle, menu: tuple[MenuItem, ...], nets: tuple
     return masses
 
 
-def check_interval_measure_cvx_zero(
-    measure: Shuffle, tol: float = 1e-9
-) -> dict:
+def check_interval_measure_cvx_zero(measure: Shuffle) -> dict:
     """Mass, first moment, and sign-pattern flag of a shuffling measure.
 
     A shuffle certifies its structure when the mass vanishes, the first
@@ -325,7 +319,7 @@ def check_interval_measure_cvx_zero(
     return {
         "total_mass": measure.mass(),
         "first_moment": measure.first_moment(),
-        "sign_pattern_ok": measure.sign_pattern_ok(tol),
+        "sign_pattern_ok": measure.sign_pattern_ok(),
     }
 
 
@@ -568,14 +562,35 @@ class GenShuffleAlpha:
 def clipped_linear_revenue(sol: LinearSolution, c: float) -> float:
     """``linear.linear_revenue`` by clipping the four best-response polygons
     out of the support: the reference its closed form is checked against."""
-    inst = LinearDensityInstance(c)
     menu = sol.menu()
-    rect = Rectangle(inst.c, inst.c, 1.0, 1.0)
+    rect = Rectangle(c, c, 1.0, 1.0)
     regions = best_response_regions(rect, menu)
-    scale = 4.0 / (2.0 * inst.c + 1.0) ** 2
+    scale = 4.0 / (2.0 * c + 1.0) ** 2
     return sum(
         item.t * scale * _xy_moment(to_values(rect, region).vertices) for item, region in zip(menu, regions)
     )
+
+
+def zero_endpoint_interior_root() -> LinearSolution:
+    """The c = 0 member read at its interior root: the kink root of the
+    bundle-region balance, which zeroes that balance and is the limit of the
+    c > 0 solutions as c -> 0+.  ``solve_linear(0.0)`` keeps the published
+    reading, the root above the flat boundary, as the bundle price.
+
+    It searches the general kink bracket [c + _KINK_OFFSET, c + 1] with the
+    balance kernel looked up on ``optmech.linear`` at each call, so a
+    kernel patched there reaches it too.
+    """
+    linear, c = optmech.linear, 0.0
+
+    def balance(kink: float) -> float:
+        return linear._mu_w(c, *linear._boundary_branch(c, kink), kink)
+
+    lo, hi = c + linear._KINK_OFFSET, c + 1.0
+    x = _root_in_bracket(balance, lo, hi, balance(lo), balance(hi))
+    pa, a = linear._boundary_branch(c, x)
+    P2 = c + pa - a * (x - c)
+    return LinearSolution(c=c, p_a1=pa, a1=a, P1=x, P2=P2, p=x + P2)
 
 
 # The linear family's balance kernel with each polynomial in (c, s) summed

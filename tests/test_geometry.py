@@ -6,7 +6,6 @@ from helpers import non_participation_region, polygon_intersection, rect_polygon
 from optmech.geometry import (
     EMPTY_POLYGON,
     UNIT_SQUARE,
-    HalfPlane,
     Polygon,
     best_response_regions,
     boundary_sections,
@@ -17,15 +16,21 @@ from optmech.types import NULL_ITEM, MenuItem, Rectangle
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 
 
-def test_half_plane_rejects_zero_normal():
-    with pytest.raises(ValueError):
-        HalfPlane(0.0, 0.0, 1.0)
+def test_clip_by_a_zero_normal_keeps_all_or_nothing():
+    # 0 <= d holds everywhere for d >= 0 and nowhere for d < 0
+    assert clip(UNIT_SQUARE, 0.0, 0.0, 1.0) == UNIT_SQUARE
+    assert clip(UNIT_SQUARE, 0.0, 0.0, 0.0) == UNIT_SQUARE
+    assert clip(UNIT_SQUARE, 0.0, 0.0, -1e-300).is_empty
 
 
-def test_half_plane_signed_distance_orientation():
-    hp = HalfPlane(1.0, 0.0, 0.5)  # z1 <= 0.5
-    assert hp.signed((0.2, 0.9)) < 0.0 < hp.signed((0.9, 0.2))
-    assert hp.signed((0.5, 0.0)) == 0.0
+def test_clip_keeps_the_side_below_the_line():
+    # n1 z1 + n2 z2 <= d is kept, the boundary line included
+    left = clip(UNIT_SQUARE, 1.0, 0.0, 0.5)  # z1 <= 0.5
+    assert left.contains((0.2, 0.9)) and not left.contains((0.9, 0.2))
+    assert left.contains((0.5, 0.0)) and left.contains((0.5, 1.0))
+    right = clip(UNIT_SQUARE, -1.0, 0.0, -0.5)  # z1 >= 0.5
+    assert right.contains((0.9, 0.2)) and not right.contains((0.2, 0.9))
+    assert sorted(left.vertices + right.vertices) == sorted(UNIT_SQUARE.vertices + ((0.5, 0.0), (0.5, 1.0)) * 2)
 
 
 def test_polygon_normalizes_orientation_and_duplicates():
@@ -65,27 +70,27 @@ def test_contains_boundary_and_interior():
 
 
 def test_clip_halves_the_square():
-    half = clip(rect_polygon(UNIT), HalfPlane(1.0, 0.0, 0.5))
+    half = clip(rect_polygon(UNIT), 1.0, 0.0, 0.5)
     assert half.area() == pytest.approx(0.5, abs=1e-15)
     assert all(x <= 0.5 + 1e-12 for x, _ in half.vertices)
 
 
 def test_clip_to_empty_and_noop():
     sq = rect_polygon(UNIT)
-    assert clip(sq, HalfPlane(1.0, 0.0, -0.5)).is_empty
-    assert clip(sq, HalfPlane(1.0, 0.0, 2.0)).area() == pytest.approx(1.0)
-    assert clip(EMPTY_POLYGON, HalfPlane(1.0, 0.0, 0.0)).is_empty
+    assert clip(sq, 1.0, 0.0, -0.5).is_empty
+    assert clip(sq, 1.0, 0.0, 2.0).area() == pytest.approx(1.0)
+    assert clip(EMPTY_POLYGON, 1.0, 0.0, 0.0).is_empty
 
 
 def test_diagonal_clip_gives_triangle():
-    tri = clip(rect_polygon(UNIT), HalfPlane(1.0, 1.0, 0.8))
+    tri = clip(rect_polygon(UNIT), 1.0, 1.0, 0.8)
     assert tri.area() == pytest.approx(0.32, abs=1e-15), "area below z1+z2=0.8 in the unit square"
 
 
 def test_boundary_sections_bottom_edge():
     sq = rect_polygon(UNIT)
     assert boundary_sections(sq, 1, 0.0) == [(0.0, 1.0)]
-    half = clip(sq, HalfPlane(1.0, 0.0, 0.5))
+    half = clip(sq, 1.0, 0.0, 0.5)
     spans = boundary_sections(half, 1, 0.0)
     assert len(spans) == 1
     lo, hi = spans[0]
@@ -96,8 +101,8 @@ def test_boundary_sections_bottom_edge():
 def test_a_corner_sliver_and_its_neighbour_split_the_corner_and_the_sides():
     # the cut u1 + u2 = 1e-12 leaves a sliver at the corner: only the
     # sliver holds the corner, and its hypotenuse lies on no side
-    sliver = clip(UNIT_SQUARE, HalfPlane(1.0, 1.0, 1e-12))
-    rest = clip(UNIT_SQUARE, HalfPlane(-1.0, -1.0, -1e-12))
+    sliver = clip(UNIT_SQUARE, 1.0, 1.0, 1e-12)
+    rest = clip(UNIT_SQUARE, -1.0, -1.0, -1e-12)
     assert sliver.contains((0.0, 0.0)) and not rest.contains((0.0, 0.0))
     for axis in (0, 1):
         (low,) = boundary_sections(sliver, axis, 0.0)

@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 import optmech.linear
-from helpers import GenShuffleAlpha, clipped_linear_revenue, looped_boundary_branch, looped_mu_w
+from helpers import (
+    GenShuffleAlpha,
+    clipped_linear_revenue,
+    looped_boundary_branch,
+    looped_mu_w,
+    zero_endpoint_interior_root,
+)
 from optmech.linear import (
     _KINK_OFFSET,
     C_MAX,
-    LinearDensityInstance,
     LinearSolution,
     NoConvergence,
     OutOfRange,
@@ -41,10 +46,13 @@ def _grid_revenue(sol: LinearSolution, c: float, n: int) -> float:
 
 
 def test_instance_validation():
-    assert LinearDensityInstance(0.1).c == 0.1
-    for bad in (-0.1, C_MAX + 1e-6, 0.3, math.nan):
+    sol = solve_linear(0.1)
+    assert sol.c == 0.1 and linear_revenue(sol, 0.1) > 0.0
+    for bad in (-0.1, C_MAX + 1e-6, 0.3, math.nan, math.inf):
         with pytest.raises(OutOfRange):
-            LinearDensityInstance(bad)
+            solve_linear(bad)
+        with pytest.raises(OutOfRange):
+            linear_revenue(sol, bad)
 
 
 def test_zero_endpoint_published_root():
@@ -58,17 +66,12 @@ def test_zero_endpoint_published_root():
 
 
 def test_zero_endpoint_interior_root_balances_bundle_region():
-    sol = solve_linear(0.0, root="interior")
+    sol = zero_endpoint_interior_root()
     assert sol.P1 == pytest.approx(0.31626090103515964, abs=1e-12)
     assert sol.p == pytest.approx(1.090857570276643, abs=1e-12)
     # the interior reading is the one that zeroes the bundle-region balance
     sh = GenShuffleAlpha(0.0, sol.p_a1, 0.0, sol.P1)
     assert abs(sh.mass()) < 1e-12
-
-
-def test_zero_endpoint_root_selector_validation():
-    with pytest.raises(ValueError):
-        solve_linear(0.0, root="bogus")
 
 
 def test_published_digits_at_c_tenth():
@@ -156,11 +159,11 @@ def test_straight_line_kernel_matches_the_looped_reference(monkeypatch):
         assert _hex([_mu_w(c, *branch, P1)]) == _hex([looped_mu_w(c, *branch, P1)]), (c, P1)
     cs = [C_MAX * (i + 1) / 400 for i in range(400)]
     solved = [solve_linear(c).to_dict() for c in cs]
-    solved += [solve_linear(0.0).to_dict(), solve_linear(0.0, root="interior").to_dict()]
+    solved += [solve_linear(0.0).to_dict(), zero_endpoint_interior_root().to_dict()]
     monkeypatch.setattr(optmech.linear, "_boundary_branch", looped_boundary_branch)
     monkeypatch.setattr(optmech.linear, "_mu_w", looped_mu_w)
     looped = [solve_linear(c).to_dict() for c in cs]
-    looped += [solve_linear(0.0).to_dict(), solve_linear(0.0, root="interior").to_dict()]
+    looped += [solve_linear(0.0).to_dict(), zero_endpoint_interior_root().to_dict()]
     for got, want in zip(solved, looped, strict=True):
         assert _hex(got.values()) == _hex(want.values()), got["c"]
 
@@ -229,9 +232,9 @@ def test_continuity_at_the_left_endpoint():
 
 
 def test_interior_reading_is_the_limit_of_the_default_path():
-    # as c -> 0+ the default path tends to the interior reading at c = 0,
-    # which earns 3.4e-5 more than the published "above_flat" reading there
-    interior = solve_linear(0.0, root="interior")
+    # as c -> 0+ solve_linear tends to the interior reading at c = 0, which
+    # earns 3.4e-5 more than the published reading solve_linear keeps there
+    interior = zero_endpoint_interior_root()
     revenue = linear_revenue(interior, 0.0)
     for c in (1e-12, 1e-13, 1e-14):
         sol = solve_linear(c)
@@ -243,13 +246,13 @@ def test_interior_reading_is_the_limit_of_the_default_path():
 
 def test_frozen_revenues():
     assert linear_revenue(solve_linear(0.0), 0.0) == pytest.approx(0.8473462806733976, abs=1e-12)
-    assert linear_revenue(solve_linear(0.0, root="interior"), 0.0) == pytest.approx(0.8473798817022714, abs=1e-12)
+    assert linear_revenue(zero_endpoint_interior_root(), 0.0) == pytest.approx(0.8473798817022714, abs=1e-12)
     assert linear_revenue(solve_linear(0.1), 0.1) == pytest.approx(0.942295210071868, abs=1e-12)
 
 
 def test_revenue_grid_cross_check():
     for c in (0.0, 0.1):
-        sol = solve_linear(c, root="interior") if c == 0.0 else solve_linear(c)
+        sol = zero_endpoint_interior_root() if c == 0.0 else solve_linear(c)
         exact = linear_revenue(sol, c)
         grid = _grid_revenue(sol, c, 2000)
         assert abs(grid - exact) < 5e-4, f"c={c}: grid {grid} vs exact {exact}"
@@ -257,7 +260,7 @@ def test_revenue_grid_cross_check():
 
 def test_interior_root_is_a_stationary_price():
     # nudging the bundle price either way lowers revenue at the interior root
-    sol = solve_linear(0.0, root="interior")
+    sol = zero_endpoint_interior_root()
     base = linear_revenue(sol, 0.0)
     for delta in (1e-3, -1e-3):
         rev = linear_revenue(dataclasses.replace(sol, p=sol.p + delta), 0.0)
@@ -285,7 +288,7 @@ def test_closed_form_revenue_matches_clipped_polygons():
     # 401 points across [0, C_MAX]; the last is C_MAX, where menu() clips
     # a1 to 1 and the menu is pure bundling
     sols = [solve_linear(C_MAX * i / 400) for i in range(401)]
-    sols.append(solve_linear(0.0, root="interior"))
+    sols.append(zero_endpoint_interior_root())
     for c in (0.05, 0.1, 0.2):
         sols.extend(moved for _, _, moved in _price_moves(solve_linear(c)))
     assert sols[400].c == C_MAX and sols[400].menu()[1].q1 == 1.0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from optmech.geometry import UNIT_SQUARE, HalfPlane, best_response_regions, clip
+from optmech.geometry import UNIT_SQUARE, best_response_regions, clip
 from helpers import (
     SLIVER_SUPPORTS,
     alpha_params,
@@ -85,8 +85,8 @@ def test_measure_additivity_across_a_cut():
     rect = Rectangle(0.3, 0.1, 1.4, 0.9)
     mu = MuBar(rect)
     cut = (0.9 - rect.c1) / rect.b1  # z1 = 0.9
-    left = clip(UNIT_SQUARE, HalfPlane(1.0, 0.0, cut))
-    right = clip(UNIT_SQUARE, HalfPlane(-1.0, 0.0, -cut))
+    left = clip(UNIT_SQUARE, 1.0, 0.0, cut)
+    right = clip(UNIT_SQUARE, -1.0, 0.0, -cut)
     w, a, b = (mu.moments(poly) for poly in (UNIT_SQUARE, left, right))
     assert w[0] == mu.total(), "the whole square takes every side and the atom"
     for k, name in enumerate(("mass", "m1", "m2")):

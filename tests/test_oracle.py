@@ -796,6 +796,27 @@ def test_shuffles_move_with_the_menu_not_the_parameters(kind):
         assert certificate_check(replace(mech, params=params), rect) == report
 
 
+@pytest.mark.parametrize("kind", ["B", "F"])
+def test_certificate_refuses_an_item_it_cannot_judge(kind):
+    # an item off (0, 0), (1, 1), (a, 1) and (1, a) has neither a region
+    # mass nor a shuffle, so the certificate would pass over it unseen:
+    # here the lottery (a, 1), or (1, a) on the swapped support, with its
+    # 1 moved to 0.999999
+    rect = VERIFY_CENTRES[kind]
+    mech = solve(rect)
+    (i,) = [i for i, it in enumerate(mech.menu) if not it.is_null and not it.is_bundle]
+    lottery = mech.menu[i]
+    item = MenuItem(min(lottery.q1, 0.999999), min(lottery.q2, 0.999999), lottery.t)
+    menu = (*mech.menu[:i], item, *mech.menu[i + 1 :])
+    assert best_response_regions(rect, menu)[i].area() > 0.1, "buyers take the item"
+    with pytest.raises(oracle.UncertifiedItem, match="no certificate judges"):
+        certificate_check(replace(mech, menu=menu, net_prices=None), rect)
+    assert issubclass(oracle.UncertifiedItem, ValueError)
+    # an item with the null allocation is judged with the exclusion region
+    priced_null = replace(mech, menu=(*mech.menu, MenuItem(0.0, 0.0, 0.5)), net_prices=None)
+    assert certificate_check(priced_null, rect).mu_Z == certificate_check(replace(mech, net_prices=None), rect).mu_Z
+
+
 def test_certificate_rejects_perturbed_price():
     mech = solve(UNIT)
     bundle_idx = next(i for i, it in enumerate(mech.menu) if it.is_bundle)

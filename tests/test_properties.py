@@ -19,7 +19,7 @@ from helpers import (
     rival_revenue,
     utility,
 )
-from optmech.geometry import UNIT_SQUARE, HalfPlane, best_response_regions, clip
+from optmech.geometry import UNIT_SQUARE, best_response_regions, clip
 from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
 from optmech.oracle import certificate_check
@@ -155,8 +155,8 @@ def test_transformed_measure_has_zero_total(rect):
 @given(rectangles(), st.floats(min_value=0.05, max_value=0.95))
 def test_measure_moments_are_additive_across_a_cut(rect, frac):
     mu = MuBar(rect)
-    left = clip(UNIT_SQUARE, HalfPlane(1.0, 0.0, frac))
-    right = clip(UNIT_SQUARE, HalfPlane(-1.0, 0.0, -frac))
+    left = clip(UNIT_SQUARE, 1.0, 0.0, frac)
+    right = clip(UNIT_SQUARE, -1.0, 0.0, -frac)
     whole = mu.moments(UNIT_SQUARE)
     assert whole[0] == mu.total(), "the whole square takes every side and the atom"
     for part_sum, total in zip((a + b for a, b in zip(mu.moments(left), mu.moments(right))), whole):

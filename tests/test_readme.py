@@ -5,6 +5,7 @@ import io
 import pathlib
 import re
 
+import optmech
 from optmech import cli
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -20,6 +21,13 @@ def test_library_snippet_prints_what_its_comments_say():
     assert commented == ["E", "8.5625"]
     assert out.getvalue().splitlines()[: len(commented)] == commented
     assert scope["report"].passed
+
+
+def test_every_public_name_is_documented():
+    # each name of the public surface appears in code quotes, bare or
+    # under its module path
+    names = [name for name in optmech.__all__ if name != "__version__"]
+    assert [name for name in names if not re.search(rf"`(?:[\w.]+\.)?{name}\b", README)] == []
 
 
 def test_solve_example_is_the_cli_output():
