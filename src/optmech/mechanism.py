@@ -1,12 +1,13 @@
 """From solved structure parameters to an explicit menu and its revenue.
 
 The menu is the mechanism: the buyer picks the utility-maximizing entry
-(or nothing).  One builder per kind A-E returns each menu item as plain
-floats with the area of its best-response region and its net price
-t - q1 c1 - q2 c2, in menu order, and ``build_mechanism`` prices the menu
-from those areas without clipping and makes the items and the record
-once.  It takes the structure as the solver returns it, a kind A-E with
-its fields in the frame it was solved in: one solved with the goods
+(or nothing).  One builder per kind A-E reads its parameters from the
+structure's field dict and returns each menu item as plain floats with
+the area of its best-response region and its net price t - q1 c1 - q2 c2,
+in menu order, and ``build_mechanism`` calls it, prices the menu from
+those areas without clipping and makes the items and the record once.
+It takes the structure as the solver returns it, a kind A-E with its
+fields in the frame it was solved in: one solved with the goods
 exchanged is built on the support read with the goods exchanged, and
 recorded as its mirror F, G or H.  The nets come from the parameters,
 not from t, so they keep their digits where they are tiny against q.c.
@@ -48,7 +49,8 @@ class IncompleteParams(ValueError):
     """The structure parameters lack a field the requested kind needs."""
 
 
-def _kind_a(c1, c2, b1, b2, p_a1, p_a2, a1, a2, p, P, Q) -> tuple[Row, ...]:
+def _kind_a(c1, c2, b1, b2, f) -> tuple[Row, ...]:
+    p_a1, p_a2, a1, a2, p, P, Q = f["p_a1"], f["p_a2"], f["a1"], f["a2"], f["p"], f["P"], f["Q"]
     # null pentagon (0, 0), (p_a2, 0), Q, P, (0, p_a1); the lotteries
     # left of P and below Q; the bundle the box northeast of (P1, Q2)
     # less the triangle under the diagonal from P to Q
@@ -62,7 +64,8 @@ def _kind_a(c1, c2, b1, b2, p_a1, p_a2, a1, a2, p, P, Q) -> tuple[Row, ...]:
     )
 
 
-def _kind_b(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
+def _kind_b(c1, c2, b1, b2, f) -> tuple[Row, ...]:
+    p_a1, a1, m1, p = f["p_a1"], f["a1"], f["m1"], f["p"]
     # the lottery above u2 = p_a1 - a1 u1 left of the kink m1, the bundle
     # right of it above u1 + u2 = p
     under = m1 * p_a1 - 0.5 * a1 * m1 * m1
@@ -74,7 +77,8 @@ def _kind_b(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
     )
 
 
-def _kind_c(c1, c2, b1, b2, p) -> tuple[Row, ...]:
+def _kind_c(c1, c2, b1, b2, f) -> tuple[Row, ...]:
+    p = f["p"]
     # the square split by the diagonal u1 + u2 = p, 0 <= p <= b1 + b2
     lo, hi = min(b1, b2), max(b1, b2)
     if p <= lo:
@@ -88,7 +92,8 @@ def _kind_c(c1, c2, b1, b2, p) -> tuple[Row, ...]:
     return (0.0, 0.0, 0.0, below, 0.0), (1.0, 1.0, c1 + c2 + p, above, p)
 
 
-def _kind_d(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
+def _kind_d(c1, c2, b1, b2, f) -> tuple[Row, ...]:
+    p_a1, a1, m1, p = f["p_a1"], f["a1"], f["m1"], f["p"]
     # the lottery above u2 = p_a1 - a1 u1 left of the cut u1 = p, the
     # bundle right of it, priced by continuity across the cut
     # z1 = c1 + p: t_bundle = t_a1 + (1 - a1)(c1 + p), net of the corner
@@ -104,7 +109,7 @@ def _kind_d(c1, c2, b1, b2, p_a1, a1, m1, p) -> tuple[Row, ...]:
     )
 
 
-def _kind_e(c1, c2, b1, b2) -> tuple[Row, ...]:
+def _kind_e(c1, c2, b1, b2, f) -> tuple[Row, ...]:
     # good 2 to every type, and the bundle right of the cut u1 = (b1 - c1)/2
     half = 0.5 * b2
     return (
@@ -113,8 +118,8 @@ def _kind_e(c1, c2, b1, b2) -> tuple[Row, ...]:
     )
 
 
-#: Each kind's builder and the ``SolveParams`` fields it takes after the
-#: support's c1, c2, b1, b2.
+#: Each kind's builder and the ``SolveParams`` fields it reads from the
+#: structure's field dict, after the support's c1, c2, b1, b2.
 _BUILDERS = {
     K.A: (_kind_a, ("p_a1", "p_a2", "a1", "a2", "p", "P", "Q")),
     K.B: (_kind_b, ("p_a1", "a1", "m1", "p")),
@@ -127,19 +132,6 @@ _BUILDERS = {
 #: this power of 2: a support is solved with b1 + b2 below 4^20, so its
 #: region areas stay below 2^80.
 _PRICE_UNIT = 2.0**128
-
-
-def _rows(structure: Structure, rect: Rectangle) -> tuple[Row, ...]:
-    """The builder's rows for the structure, run on the support in the
-    frame the structure was solved in."""
-    kind, fields, swap = structure
-    builder, names = _BUILDERS[kind]
-    values = list(map(fields.get, names))
-    if None in values:
-        raise IncompleteParams(f"kind {kind.value} requires parameters {names}")
-    if swap:
-        return builder(rect.c2, rect.c1, rect.b2, rect.b1, *values)
-    return builder(rect.c1, rect.c2, rect.b1, rect.b2, *values)
 
 
 def _revenue(rows: tuple[Row, ...], area: float) -> float:
@@ -167,7 +159,14 @@ def build_mechanism(structure: Structure, rect: Rectangle, lam: float = 1.0) -> 
     ``build_mechanism(structure, rect).scaled(lam)`` once.
     """
     kind, fields, swap = structure
-    rows = _rows(structure, rect)
+    builder, names = _BUILDERS[kind]
+    try:
+        if swap:
+            rows = builder(rect.c2, rect.c1, rect.b2, rect.b1, fields)
+        else:
+            rows = builder(rect.c1, rect.c2, rect.b1, rect.b2, fields)
+    except (KeyError, TypeError):  # a field missing, None or not a number
+        raise IncompleteParams(f"kind {kind.value} requires parameters {names}") from None
     menu, nets = [], []
     for q1, q2, t, _, net in rows:
         t = lam * t

@@ -6,6 +6,16 @@ the solved geometric parameters, and the final mechanism bundle; and
 ``unit_scale``, the exact power-of-4 scale at which the solver and the
 verifier each run a support far from unit size.  JSON serialization
 writes each float in its shortest repr, which reads back exactly.
+
+Each record is a frozen dataclass with its own ``__init__``: it checks
+the arguments, then sets the instance ``__dict__`` to a new dict of the
+fields in declaration order, in one ``object.__setattr__`` call where
+the generated one makes a call per field.  (Filling the dict the
+instance already has would be cheaper still, but on CPython 3.11 it
+leaves every later attribute read about four times slower.)  The
+dataclass still gives the equality, hash, repr, ``fields`` and
+``replace`` (which re-runs the checks); pickling and copying restore
+``__dict__`` as before.
 """
 
 from __future__ import annotations
@@ -14,6 +24,10 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, fields
+
+
+#: Writes a record's whole ``__dict__`` past the frozen ``__setattr__``.
+_set = object.__setattr__
 
 
 class NonPositiveSide(ValueError):
@@ -35,7 +49,7 @@ class UnitSizeOverflow(ValueError):
     the solver and the verifier to run it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rectangle:
     """Axis-aligned value support [c1, c1+b1] x [c2, c2+b2].
 
@@ -52,16 +66,17 @@ class Rectangle:
     b1: float
     b2: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, c1: float, c2: float, b1: float, b2: float) -> None:
         # each comparison is False for NaN
-        if not 0.0 < self.b1 < math.inf:
-            raise NonPositiveSide(f"b1 must be finite and > 0, got {self.b1!r}")
-        if not 0.0 < self.b2 < math.inf:
-            raise NonPositiveSide(f"b2 must be finite and > 0, got {self.b2!r}")
-        if not 0.0 <= self.c1 < math.inf:
-            raise NegativeCorner(f"c1 must be finite and >= 0, got {self.c1!r}")
-        if not 0.0 <= self.c2 < math.inf:
-            raise NegativeCorner(f"c2 must be finite and >= 0, got {self.c2!r}")
+        if not 0.0 < b1 < math.inf:
+            raise NonPositiveSide(f"b1 must be finite and > 0, got {b1!r}")
+        if not 0.0 < b2 < math.inf:
+            raise NonPositiveSide(f"b2 must be finite and > 0, got {b2!r}")
+        if not 0.0 <= c1 < math.inf:
+            raise NegativeCorner(f"c1 must be finite and >= 0, got {c1!r}")
+        if not 0.0 <= c2 < math.inf:
+            raise NegativeCorner(f"c2 must be finite and >= 0, got {c2!r}")
+        _set(self, "__dict__", {"c1": c1, "c2": c2, "b1": b1, "b2": b2})
 
     @property
     def z1_max(self) -> float:
@@ -111,7 +126,7 @@ def unit_scale(rect: Rectangle) -> float:
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MenuItem:
     """One lottery on the menu: win good i with probability q_i, pay t."""
 
@@ -119,15 +134,16 @@ class MenuItem:
     q2: float
     t: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.q1 <= 1.0:
-            raise ValueError(f"q1 must lie in [0, 1], got {self.q1!r}")
-        if not 0.0 <= self.q2 <= 1.0:
-            raise ValueError(f"q2 must lie in [0, 1], got {self.q2!r}")
-        if not 0.0 <= self.t < math.inf:
-            if self.t == math.inf:
+    def __init__(self, q1: float, q2: float, t: float) -> None:
+        if not 0.0 <= q1 <= 1.0:
+            raise ValueError(f"q1 must lie in [0, 1], got {q1!r}")
+        if not 0.0 <= q2 <= 1.0:
+            raise ValueError(f"q2 must lie in [0, 1], got {q2!r}")
+        if not 0.0 <= t < math.inf:
+            if t == math.inf:
                 raise PriceOverflow("a menu price overflows the float range")
-            raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
+            raise ValueError(f"t must be finite and >= 0, got {t!r}")
+        _set(self, "__dict__", {"q1": q1, "q2": q2, "t": t})
 
     @property
     def is_null(self) -> bool:
@@ -177,7 +193,7 @@ KINDS_WITHOUT_NULL = frozenset({StructureKind.E, StructureKind.H})
 Structure = tuple[StructureKind, dict, bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolveParams:
     """Geometric parameters of a solved structure.
 
@@ -194,6 +210,22 @@ class SolveParams:
     p: float | None = None
     P: tuple[float, float] | None = None
     Q: tuple[float, float] | None = None
+
+    def __init__(
+        self,
+        p_a1: float | None = None,
+        p_a2: float | None = None,
+        a1: float | None = None,
+        a2: float | None = None,
+        m1: float | None = None,
+        m2: float | None = None,
+        p: float | None = None,
+        P: tuple[float, float] | None = None,
+        Q: tuple[float, float] | None = None,
+    ) -> None:
+        _set(self, "__dict__", {
+            "p_a1": p_a1, "p_a2": p_a2, "a1": a1, "a2": a2, "m1": m1, "m2": m2, "p": p, "P": P, "Q": Q,
+        })
 
     def scaled(self, lam: float) -> "SolveParams":
         """The parameters on the support scaled by lam > 0: edge prices,
@@ -246,7 +278,7 @@ class SolveParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mechanism:
     """A solved selling mechanism: structural kind, parameters, menu, revenue,
     and each item's net price t - q1 c1 - q2 c2 in menu order as the solver
@@ -258,21 +290,31 @@ class Mechanism:
     revenue: float
     net_prices: tuple[float, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.menu) > 4:
-            raise ValueError(f"menu has {len(self.menu)} items, at most 4 allowed")
+    def __init__(
+        self,
+        kind: StructureKind,
+        params: SolveParams | None,
+        menu: tuple[MenuItem, ...],
+        revenue: float,
+        net_prices: tuple[float, ...] | None = None,
+    ) -> None:
+        if len(menu) > 4:
+            raise ValueError(f"menu has {len(menu)} items, at most 4 allowed")
         bundle = null = False
-        for item in self.menu:
+        for item in menu:
             if item.q1 == 1.0 and item.q2 == 1.0:
                 bundle = True
             elif item.q1 == 0.0 and item.q2 == 0.0 and item.t == 0.0:
                 null = True
         if not bundle:
             raise ValueError("menu must contain the full bundle (q1 = q2 = 1)")
-        if not null and self.kind not in KINDS_WITHOUT_NULL:
-            raise ValueError(f"kind {self.kind.value} menu must contain the null item")
-        if self.net_prices is not None and len(self.net_prices) != len(self.menu):
-            raise ValueError(f"{len(self.net_prices)} net prices for {len(self.menu)} menu items")
+        if not null and kind not in KINDS_WITHOUT_NULL:
+            raise ValueError(f"kind {kind.value} menu must contain the null item")
+        if net_prices is not None and len(net_prices) != len(menu):
+            raise ValueError(f"{len(net_prices)} net prices for {len(menu)} menu items")
+        _set(self, "__dict__", {
+            "kind": kind, "params": params, "menu": menu, "revenue": revenue, "net_prices": net_prices,
+        })
 
     def scaled(self, lam: float) -> "Mechanism":
         """The mechanism for the support scaled by lam > 0: prices, net

@@ -144,13 +144,13 @@ def test_phase_makes_no_mechanism(sides, monkeypatch, capsys):
     # no record; the parent solved the 24 cells whose region leaves the
     # kind open, and made a Mechanism for each
     made = []
-    post_init = Mechanism.__post_init__
+    init = Mechanism.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         made.append(self.kind)
-        post_init(self)
 
-    monkeypatch.setattr(Mechanism, "__post_init__", counted)
+    monkeypatch.setattr(Mechanism, "__init__", counted)
     b1, b2 = sides
     assert cli.main(["phase", repr(b1), repr(b2), "--grid", "10", "--max-ratio", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 10 * 10

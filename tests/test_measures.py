@@ -270,6 +270,20 @@ def test_beta_numeric_cross_check():
     assert moment == pytest.approx(sh.first_moment(), abs=1e-6)
 
 
+def test_a_ramp_that_ends_the_segment_must_end_nonnegative():
+    # base density 2 b2 - c2 - 3 p_a = -0.6 (per b1 b2), a nonnegative atom
+    # c1 (b2 - p_a) = 0.02, and a ramp that runs to the segment's end: the
+    # end density, not the flat one, decides the last sign
+    rect = Rectangle(0.1, 0.2, 1.0, 1.0)
+    short = Shuffle(rect, 0.8, 0.1, 0.5, 0.5)
+    assert short.point_mass() > 0.0 and short.density(0.0) < 0.0
+    assert short.density(short.end) == pytest.approx(-0.45)
+    assert not short.sign_pattern_ok()
+    steep = Shuffle(rect, 0.8, 0.5, 0.5, 0.5)
+    assert steep.density(steep.end) == pytest.approx(0.15)
+    assert steep.sign_pattern_ok()
+
+
 def test_beta_e_zero_mass_and_moment_at_no_exclusion_instance():
     rect = Rectangle(0.5, 8.0, 1.0, 1.0)
     sh = _menu_shuffle(build_mechanism((StructureKind.E, {"p": 0.25}, False), rect), rect)

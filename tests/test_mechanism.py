@@ -145,7 +145,10 @@ def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
     structure = optmech.solver._structure(rect)[0] if p is None else (kind, {"p": p}, False)
     mech = build_mechanism(structure, rect)
     assert mech.kind is kind
-    rows = optmech.mechanism._rows(structure, rect)
+    # the builder's rows, run on the support in the frame it was solved in
+    shape, fields, swap = structure
+    frame = rect.swapped() if swap else rect
+    rows = optmech.mechanism._BUILDERS[shape][0](frame.c1, frame.c2, frame.b1, frame.b2, fields)
     areas = [row[3] for row in rows]
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)

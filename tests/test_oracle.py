@@ -837,6 +837,24 @@ def test_certificate_rejects_perturbed_price():
     assert "mu_W" in report.failures
 
 
+@pytest.mark.parametrize("name", list(VERIFY_CENTRES))
+def test_certificate_names_mu_d_when_the_measure_total_is_off(monkeypatch, name):
+    # mu_D reads no menu: only the transformed measure's total, which is
+    # zero up to rounding; a total off by 1e-9 fails it and nothing else
+    rect = VERIFY_CENTRES[name]
+    mech = solve(rect)
+    assert certificate_check(mech, rect).passed
+
+    class OffTotal(MuBar):
+        def total(self):
+            return super().total() + 1e-9
+
+    monkeypatch.setattr(oracle, "MuBar", OffTotal)
+    report = certificate_check(mech, rect)
+    assert report.failures == ("mu_D",)
+    assert report.mu_D == pytest.approx(1e-9, abs=1e-15)
+
+
 def test_certificate_oracle_gap_logic():
     mech = solve(UNIT)
     shortfall = certificate_check(mech, UNIT, oracle_gap=0.1)

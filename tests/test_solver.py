@@ -34,7 +34,7 @@ from optmech.solver import (
     solve_kind,
     solve_pa2_given_pa1,
 )
-from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, StructureKind
+from optmech.types import NULL_ITEM, Mechanism, MenuItem, Rectangle, SolveParams, StructureKind
 
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
 SQRT2 = math.sqrt(2.0)
@@ -740,11 +740,11 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
     base = solve(rect)
     want = {j: _bits(base.scaled(4.0**j)) for j in (30, -30)}
     made = []
-    post_init = Mechanism.__post_init__
+    init = Mechanism.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         made.append(self.kind)
-        post_init(self)
 
     searched = []
 
@@ -759,7 +759,7 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
         priced.append(rows)
         return revenue(rows, area)
 
-    monkeypatch.setattr(Mechanism, "__post_init__", counted)
+    monkeypatch.setattr(Mechanism, "__init__", counted)
     monkeypatch.setattr(optmech.solver, "real_roots_in_interval", roots)
     monkeypatch.setattr(optmech.mechanism, "_revenue", counted_revenue)
     for j in (0, 30, -30):
@@ -773,6 +773,77 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
             assert mech.kind is StructureKind.C and len(searched) == 2
         if j:
             assert _bits(mech) == want[j], j
+
+
+def _rebuilt(mech):
+    """The record made again field by field through the public
+    constructors."""
+    q = mech.params
+    params = SolveParams(
+        p_a1=q.p_a1, p_a2=q.p_a2, a1=q.a1, a2=q.a2, m1=q.m1, m2=q.m2, p=q.p, P=q.P, Q=q.Q
+    )
+    menu = tuple(MenuItem(item.q1, item.q2, item.t) for item in mech.menu)
+    return Mechanism(mech.kind, params, menu, mech.revenue, tuple(mech.net_prices))
+
+
+def _mirrored_by_hand(mech):
+    """The record of the support with the goods exchanged, written out:
+    indices 1 and 2 trade places, P and Q trade places and coordinates,
+    and kind A's two lotteries trade places in the menu."""
+    q = mech.params
+
+    def flip(point):
+        return None if point is None else (point[1], point[0])
+
+    params = SolveParams(
+        p_a1=q.p_a2, p_a2=q.p_a1, a1=q.a2, a2=q.a1, m1=q.m2, m2=q.m1, p=q.p, P=flip(q.Q), Q=flip(q.P)
+    )
+    order = (0, 2, 1, 3) if mech.kind is StructureKind.A else range(len(mech.menu))
+    menu = tuple(MenuItem(mech.menu[i].q2, mech.menu[i].q1, mech.menu[i].t) for i in order)
+    nets = tuple(mech.net_prices[i] for i in order)
+    return Mechanism(mech.kind.swapped(), params, menu, mech.revenue, nets)
+
+
+def _scaled_by_hand(mech, lam):
+    """The record of the support scaled by lam, written out: every length
+    and price scales, the lottery weights do not."""
+    q = mech.params
+
+    def times(v):
+        return None if v is None else lam * v
+
+    def point(pt):
+        return None if pt is None else (lam * pt[0], lam * pt[1])
+
+    params = SolveParams(
+        p_a1=times(q.p_a1), p_a2=times(q.p_a2), a1=q.a1, a2=q.a2, m1=times(q.m1), m2=times(q.m2),
+        p=times(q.p), P=point(q.P), Q=point(q.Q),
+    )
+    menu = tuple(MenuItem(item.q1, item.q2, lam * item.t) for item in mech.menu)
+    return Mechanism(mech.kind, params, menu, lam * mech.revenue, tuple(lam * n for n in mech.net_prices))
+
+
+@pytest.mark.parametrize("name", list(VERIFY_CENTRES))
+def test_each_solved_record_is_the_one_its_fields_make(name):
+    # build_mechanism writes each record in one step; the public
+    # constructors, run field by field on the centre's record, on its
+    # mirror written out by hand and on both scaled by 4^30, make the same
+    # records to the bit, net prices and every None parameter included
+    centre = VERIFY_CENTRES[name]
+    mech = solve(centre)
+    lam = 4.0**30
+    mirrored = _mirrored_by_hand(mech)
+    cases = {
+        "centre": (centre, _rebuilt(mech)),
+        "swapped": (centre.swapped(), mirrored),
+        "scaled": (centre.scaled(lam), _scaled_by_hand(mech, lam)),
+        "swapped-scaled": (centre.swapped().scaled(lam), _scaled_by_hand(mirrored, lam)),
+    }
+    for case, (rect, want) in cases.items():
+        got = solve(rect)
+        assert got == want and hash(got) == hash(want), case
+        assert vars(got.params) == vars(want.params), case
+        assert _bits(got) == _bits(want), case
 
 
 def test_a_bundle_whose_revenue_sum_overflows_is_priced():

@@ -1,7 +1,9 @@
 """Validation, serialization, and invariants of the core value types."""
 
+import copy
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -216,3 +218,87 @@ def test_solve_params_round_trip_with_points():
 
 def test_structure_kind_values():
     assert {k.value for k in StructureKind} == set("ABCDEFGH")
+
+
+#: A fresh record of each type, made twice to give two equal values; the
+#: kind-A record sets all nine parameters.
+_RECORDS = {
+    "Rectangle": lambda: Rectangle(0.1, 0.2, 1.0, 2.0),
+    "MenuItem": lambda: MenuItem(0.3, 1.0, 1.25),
+    "SolveParams": lambda: _kind_a_mechanism_with_points().params,
+    "Mechanism": lambda: _kind_a_mechanism_with_points(),
+}
+
+
+def _kind_a_mechanism_with_points() -> Mechanism:
+    params = SolveParams(0.5, 0.25, 0.75, 0.5, 0.125, 1.5, 1.25, (0.5, 2.0), (3.0, 0.25))
+    menu = (NULL_ITEM, MenuItem(0.75, 1.0, 1.5), MenuItem(1.0, 0.5, 1.0), MenuItem(1.0, 1.0, 2.5))
+    return Mechanism(StructureKind.A, params, menu, 1.75, (0.0, 0.5, 0.25, 0.75))
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_are_frozen(name):
+    record = _RECORDS[name]()
+    first = fields(record)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, first, getattr(record, first))
+    with pytest.raises(FrozenInstanceError):
+        delattr(record, first)
+    with pytest.raises(FrozenInstanceError):
+        record.extra = 1.0
+    assert record == _RECORDS[name]()
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_equal_records_hash_equal(name):
+    a, b = _RECORDS[name](), _RECORDS[name]()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_survive_copy_and_pickle(name):
+    record = _RECORDS[name]()
+    for back in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(back) is type(record) and back == record and hash(back) == hash(record)
+        # every field, net prices included, which equality leaves out
+        assert vars(back) == vars(record)
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_records_list_their_fields_in_declaration_order(name):
+    record = _RECORDS[name]()
+    assert list(vars(record)) == [f.name for f in fields(record)]
+    assert repr(record).startswith(f"{name}({fields(record)[0].name}=")
+    assert replace(record) == record and replace(record) is not record
+
+
+def test_solve_params_vars_lists_the_nine_fields():
+    names = ["p_a1", "p_a2", "a1", "a2", "m1", "m2", "p", "P", "Q"]
+    assert list(vars(SolveParams())) == names
+    assert vars(SolveParams()) == dict.fromkeys(names)
+    assert list(vars(SolveParams(p=0.5, a1=0.25))) == names
+    assert list(vars(SolveParams.mirrored(p_a1=0.5, P=(1.0, 2.0)))) == names
+    with pytest.raises(TypeError):
+        SolveParams(x=1.0)
+
+
+def test_replace_runs_the_checks_again():
+    item, rect = MenuItem(0.3, 1.0, 1.25), Rectangle(0.1, 0.2, 1.0, 2.0)
+    with pytest.raises(PriceOverflow, match="^a menu price overflows the float range$"):
+        replace(item, t=math.inf)
+    with pytest.raises(ValueError, match=r"^q1 must lie in \[0, 1\], got 1\.5$"):
+        replace(item, q1=1.5)
+    with pytest.raises(NonPositiveSide, match="^b1 must be finite and > 0, got 0.0$"):
+        replace(rect, b1=0.0)
+    with pytest.raises(NegativeCorner, match="^c2 must be finite and >= 0, got -1.0$"):
+        replace(rect, c2=-1.0)
+    mech = _kind_a_mechanism_with_points()
+    with pytest.raises(ValueError, match="^menu must contain the full bundle"):
+        replace(mech, menu=mech.menu[:3], net_prices=None)
+    with pytest.raises(ValueError, match="^1 net prices for 4 menu items$"):
+        replace(mech, net_prices=(0.0,))
+    with pytest.raises(TypeError):
+        replace(mech.params, x=1.0)
+    assert replace(item, t=2.0) == MenuItem(0.3, 1.0, 2.0)
+    assert replace(rect, c1=0.0) == Rectangle(0.0, 0.2, 1.0, 2.0)
