@@ -7,10 +7,10 @@ import functools
 import math
 import sys
 
-from .linear import NoConvergence, OutOfRange, linear_revenue, solve_linear
+from .linear import NoConvergence, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
 from .solver import NoRoot, solve, solve_kind
-from .types import PriceOverflow, Rectangle, UnitSizeOverflow, unit_scale
+from .types import Rectangle, unit_scale
 
 __all__ = ["main"]
 
@@ -33,16 +33,7 @@ def _fail(msg: str, code: int) -> int:
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
-    try:
-        rect = Rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        mech = solve(rect)
-    except NoRoot as exc:
-        return _fail(str(exc), 3)
-    except (PriceOverflow, UnitSizeOverflow) as exc:
-        return _fail(str(exc), 2)
+    mech = solve(Rectangle(ns.c1, ns.c2, ns.b1, ns.b2))
     if ns.json:
         print(mech.to_json(indent=2))
     else:
@@ -114,18 +105,14 @@ def _phase_svg(grid: list[list[str]], max_ratio: float, b1: float, b2: float) ->
 
 def cmd_phase(ns: argparse.Namespace) -> int:
     if ns.grid < 10:
-        return _fail(f"--grid must be at least 10, got {ns.grid}", 2)
+        raise ValueError(f"--grid must be at least 10, got {ns.grid}")
     if not 0.0 < ns.max_ratio < math.inf:
-        return _fail(f"--max-ratio must be positive and finite, got {ns.max_ratio}", 2)
-    try:  # the far corner, where the offsets and the prices are largest
-        far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
-        unit_scale(far)  # an offset that overflows at unit size
-        if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
-            solve(far)
-    except ValueError as exc:  # a bad side or corner, UnitSizeOverflow or PriceOverflow
-        return _fail(str(exc), 2)
-    except NoRoot as exc:
-        return _fail(str(exc), 3)
+        raise ValueError(f"--max-ratio must be positive and finite, got {ns.max_ratio}")
+    # the far corner, where the offsets and the prices are largest
+    far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
+    unit_scale(far)  # an offset that overflows, or an area that is 0, at unit size
+    if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
+        solve(far)
     out = ns.out
     if out in (None, "csv", "svg"):
         fmt = out or "csv"
@@ -135,15 +122,12 @@ def cmd_phase(ns: argparse.Namespace) -> int:
     elif out.endswith(".svg"):
         fmt, path = "svg", out
     else:
-        return _fail(f"--out must be csv, svg, or a path ending in .csv/.svg, got {out!r}", 2)
+        raise ValueError(f"--out must be csv, svg, or a path ending in .csv/.svg, got {out!r}")
 
     # numpy's linspace, to the bit: i * step, with the last ratio exact
     step = ns.max_ratio / (ns.grid - 1)
     ratios = [i * step for i in range(ns.grid - 1)] + [ns.max_ratio]
-    try:
-        grid = _phase_grid(ns.b1, ns.b2, ratios)
-    except NoRoot as exc:
-        return _fail(str(exc), 3)
+    grid = _phase_grid(ns.b1, ns.b2, ratios)
     if fmt == "csv":
         text = _phase_csv(grid, ratios)
     else:
@@ -160,17 +144,9 @@ def cmd_phase(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    try:
-        rect = Rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
-        _, best = brute_force_menu_search(rect, coarse=ns.coarse, refine_rounds=ns.rounds)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        mech = solve(rect)
-    except NoRoot as exc:
-        return _fail(str(exc), 3)
-    except PriceOverflow as exc:
-        return _fail(str(exc), 2)
+    rect = Rectangle(ns.c1, ns.c2, ns.b1, ns.b2)
+    _, best = brute_force_menu_search(rect, coarse=ns.coarse, refine_rounds=ns.rounds)
+    mech = solve(rect)
     gap = mech.revenue - best
     report = certificate_check(mech, rect, oracle_gap=gap)
     print(f"instance: c1={rect.c1:g} c2={rect.c2:g} b1={rect.b1:g} b2={rect.b2:g}")
@@ -190,12 +166,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_linear(ns: argparse.Namespace) -> int:
-    try:
-        sol = solve_linear(ns.c)
-    except OutOfRange as exc:
-        return _fail(str(exc), 2)
-    except NoConvergence as exc:
-        return _fail(str(exc), 3)
+    sol = solve_linear(ns.c)
     rev = linear_revenue(sol, sol.c)
     print(f"c: {sol.c:g}")
     print(f"p_a1: {sol.p_a1:.9f}")
@@ -251,8 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  Every input error the
+    program types is a ``ValueError`` and exits 2, ``NoRoot`` and
+    ``NoConvergence`` exit 3, and each prints one ``error:`` line."""
     ns = build_parser().parse_args(argv)
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    except (NoRoot, NoConvergence) as exc:
+        return _fail(str(exc), 3)
 
 
 if __name__ == "__main__":

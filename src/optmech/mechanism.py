@@ -35,6 +35,7 @@ from .types import (
     SolveParams,
     Structure,
     StructureKind,
+    no_area,
 )
 
 Menu = tuple[MenuItem, ...]
@@ -134,7 +135,10 @@ _BUILDERS = {
 _PRICE_UNIT = 2.0**128
 
 
-def _revenue(rows: tuple[Row, ...], area: float) -> float:
+def _revenue(rows: tuple[Row, ...], rect: Rectangle) -> float:
+    area = rect.area
+    if area == 0.0:  # b1 b2 underflows
+        raise no_area(rect)
     total = sum([t * a for _, _, t, a, _ in rows])
     if total == math.inf:  # t * a overflows near the top of the float range
         return sum([t / _PRICE_UNIT * a for _, _, t, a, _ in rows]) / area * _PRICE_UNIT
@@ -175,4 +179,4 @@ def build_mechanism(structure: Structure, rect: Rectangle, lam: float = 1.0) -> 
     params = SolveParams.mirrored(**fields) if swap else SolveParams(**fields)
     params = params if lam == 1.0 else params.scaled(lam)
     kind = kind.swapped() if swap else kind
-    return Mechanism(kind, params, tuple(menu), lam * _revenue(rows, rect.area), tuple(nets))
+    return Mechanism(kind, params, tuple(menu), lam * _revenue(rows, rect), tuple(nets))

@@ -36,16 +36,21 @@ dearer than the bundle is never bought, and its region's area is then
 exactly 0, while the areas sum to the support.  So a tb value with
 tb (1 + ``_BOUND_SLACK``) below a score some grid point already reached
 holds no maximum, and each sweep drops those values, a prefix of its
-rising tb grid, before it blocks.  The coarse sweep's floor is the best
-score of its pure-bundle line (a1 = a2 = 1, t1 = t2 = t_hi, every coarse
-tb), one kernel call on ``coarse`` menus; a window's is the best score so
-far.  The floor is kept apart from the best score, which only a scored
+rising tb grid, before it blocks.  It keeps the top one, which rounding
+can put under the floor at offsets of about 2e15 sides or more or on a
+subnormal area, where scores break the bound.  The coarse sweep's floor
+is the best score of its pure-bundle line (a1 = a2 = 1, t1 = t2 = t_hi,
+every coarse tb), one kernel call on ``coarse`` menus; a window's is the
+best score so far.  The floor is kept apart from the best score, which only a scored
 point sets, so a coarse maximum on that line is still kept.  Each kept
 menu is scored by the same operations as without the floor, so the scores
 and the menu returned are the same bit for bit.
 The search raises glibc's malloc thresholds before it sweeps, so the
 blocks' temporaries stay in the heap instead of being handed back to the
-kernel and faulted in again on the next block.
+kernel and faulted in again on the next block.  It sweeps with numpy's
+overflow and invalid flags calling ``_overflow``, which raises
+``PriceOverflow``: near the top of the float range a price over a lottery
+weight, or times the area, overflows, and the scores there mean nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 from .geometry import Polygon, best_response_regions, boundary_sections, net_prices
 from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
-from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, unit_scale
+from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, no_area, unit_scale
 
 # Verification tolerances.  Region masses and shuffle masses are
 # dimensionless (the corner atom is 1), and shuffle first moments are judged
@@ -284,6 +289,12 @@ def _family_revenue(rect: Rectangle, a1, a2, t1, t2, tb) -> np.ndarray:
     return np.broadcast_to(rev, np.broadcast_shapes(*map(np.shape, (a1, a2, t1, t2, tb))))
 
 
+def _overflow(error: str, flag: int) -> None:
+    """numpy's error callback in the grid search: its prices, over their
+    lottery weights or times the area, overflow the float range."""
+    raise PriceOverflow(f"the grid search's prices overflow the float range ({error} in its arithmetic)")
+
+
 def brute_force_menu_search(
     rect: Rectangle, coarse: int = 16, refine_rounds: int = 4
 ) -> tuple[Menu, float]:
@@ -316,7 +327,9 @@ def brute_force_menu_search(
     that of its pure-bundle line; the menu returned is the one a search
     scoring every grid point finds.  A
     support with b1 + b2 outside [4^-20, 4^20] is searched at unit size
-    and the result scaled back exactly (``unit_scale``).
+    and the result scaled back exactly (``unit_scale``).  Raises
+    ``UnitSizeOverflow`` where the area is 0 there, and ``PriceOverflow``
+    where the search's arithmetic overflows.
     """
     if coarse < 8:
         raise ValueError(f"coarse must be at least 8, got {coarse}")
@@ -326,6 +339,8 @@ def brute_force_menu_search(
     if lam != 1.0:
         menu, revenue = brute_force_menu_search(rect.scaled(1.0 / lam), coarse, refine_rounds)
         return tuple(replace(item, t=lam * item.t) for item in menu), lam * revenue
+    if rect.area == 0.0:  # b1 b2 underflows
+        raise no_area(rect)
     t_hi = rect.z1_max + rect.z2_max
     if t_hi == math.inf:
         raise PriceOverflow("the price range [0, z1_max + z2_max] overflows the float range")
@@ -348,9 +363,10 @@ def brute_force_menu_search(
         nonlocal best_rev, best
         # A menu earns at most its bundle price, so a tb value under the
         # floor by more than the bound's slack holds no maximum; the grid
-        # rises, so those values are a prefix.
+        # rises, so those values are a prefix.  Where rounding breaks the
+        # bound, the prefix could be the whole grid, so the top is kept.
         tb = grids[4]
-        grids = [*grids[:4], tb[np.count_nonzero(tb * (1.0 + _BOUND_SLACK) < floor) :]]
+        grids = [*grids[:4], tb[min(np.count_nonzero(tb * (1.0 + _BOUND_SLACK) < floor), tb.size - 1) :]]
         fits = max(1, _CHUNK // math.prod(g.size for g in grids[1:]))
         for a1 in np.array_split(grids[0], -(-grids[0].size // fits)):
             part = [a1, *grids[1:]]
@@ -361,17 +377,18 @@ def brute_force_menu_search(
                 best_rev = float(rev.flat[k])
                 best = tuple(float(g[i]) for g, i in zip(part, np.unravel_index(k, rev.shape)))
 
-    grids = [np.linspace(lo, hi, coarse) for lo, hi in domains]
-    sweep(grids, float(np.max(_family_revenue(rect, 1.0, 1.0, t_hi, t_hi, grids[4]))))
-    spacing = [(hi - lo) / (coarse - 1) for lo, hi in domains]
-    for _ in range(refine_rounds):
-        assert best is not None
-        windows = [
-            (max(dlo, center - h), min(dhi, center + h))
-            for (dlo, dhi), h, center in zip(domains, spacing, best)
-        ]
-        sweep([np.linspace(lo, hi, _REFINE_POINTS) for lo, hi in windows], best_rev)
-        spacing = [(hi - lo) / (_REFINE_POINTS - 1) for lo, hi in windows]
+    with np.errstate(over="call", invalid="call", call=_overflow):
+        grids = [np.linspace(lo, hi, coarse) for lo, hi in domains]
+        sweep(grids, float(np.max(_family_revenue(rect, 1.0, 1.0, t_hi, t_hi, grids[4]))))
+        spacing = [(hi - lo) / (coarse - 1) for lo, hi in domains]
+        for _ in range(refine_rounds):
+            assert best is not None
+            windows = [
+                (max(dlo, center - h), min(dhi, center + h))
+                for (dlo, dhi), h, center in zip(domains, spacing, best)
+            ]
+            sweep([np.linspace(lo, hi, _REFINE_POINTS) for lo, hi in windows], best_rev)
+            spacing = [(hi - lo) / (_REFINE_POINTS - 1) for lo, hi in windows]
 
     assert best is not None
     a1, a2, t1, t2, tb = best

@@ -45,8 +45,9 @@ class PriceOverflow(ValueError):
 
 class UnitSizeOverflow(ValueError):
     """A corner offset overflows when a support with tiny sides is brought to
-    unit size (``unit_scale``): its offsets lie too far from its sides for
-    the solver and the verifier to run it."""
+    unit size (``unit_scale``), or the area b1 b2 is 0 at the size the
+    support is solved at: its offsets, or one side, lie too far from the
+    other side for the solver and the verifier to run it."""
 
 
 @dataclass(frozen=True, init=False)
@@ -110,7 +111,9 @@ def unit_scale(rect: Rectangle) -> float:
     normal range, free of the overflow and underflow of the support's
     squares and products.  The power stays within 4^-511 and 4^511, so it
     and its inverse are finite.  Raises ``UnitSizeOverflow`` where a corner
-    offset overflows at unit size.
+    offset overflows at unit size, or where the area is 0 there
+    (``no_area``).  The area of a support in the window is checked where
+    it is divided by.
     """
     width = rect.b1 + rect.b2
     if 4.0**-20 <= width <= 4.0**20:
@@ -123,7 +126,17 @@ def unit_scale(rect: Rectangle) -> float:
             f"the corner ({rect.c1!r}, {rect.c2!r}) overflows at unit size, "
             f"scaled by {1.0 / lam!r} to bring the sides to about 1"
         )
+    if rect.b1 / lam * (rect.b2 / lam) == 0.0:
+        raise no_area(rect)
     return lam
+
+
+def no_area(rect: Rectangle) -> UnitSizeOverflow:
+    """The error for a support whose area b1 b2 is 0 at the size it is
+    solved at: one side underflows there, or their product does."""
+    return UnitSizeOverflow(
+        f"the sides ({rect.b1!r}, {rect.b2!r}) leave no area at the size the support is solved at"
+    )
 
 
 @dataclass(frozen=True, init=False)

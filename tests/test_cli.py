@@ -127,6 +127,60 @@ def test_a_corner_that_overflows_at_unit_size_exits_2(args, capsys):
     assert "overflows at unit size" in err
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        # a side underflows to 0 where the sides are brought to unit size
+        ("solve 6.9790745385297335 0.22840716114454754 2.8912976813182687e+279 1.510086571594266e-277", 2),
+        ("phase 2.323982635771136e-231 4.342142079687406e+141 --grid 10 --max-ratio 216.72143261369322", 2),
+        # b1 b2 underflows to 0 on a support solved as given
+        ("solve 8.329559564690836 2.030421339897083 0.033916860774850385 5e-324", 2),
+        ("verify 1.4473489521325638e+141 39.92868952274346 5e-324 0.0047706976682450625 --coarse 8 --rounds 2", 2),
+        # the search's top price times the area overflows, though solve's prices do not
+        ("verify 0.01844544792661458 1.7e+308 0.02712023207648371 228.0278322398297 --coarse 8 --rounds 2", 2),
+        # offsets of 1e50 sides: the search's scores break its bundle-price
+        # bound, and the certificate fails mu_W
+        ("verify 1e50 1e50 1 1 --coarse 8 --rounds 2", 5),
+        # an area that is subnormal but not 0 is solved
+        ("solve 0 0 1 1e-310", 0),
+    ],
+)
+def test_a_support_at_the_edge_of_the_float_range_exits_as_documented(command, code, capsys):
+    assert cli.main(command.split()) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:") and err.count("error:") == 1, err
+    else:
+        assert err == ""
+
+
+def test_every_command_exits_with_a_documented_code(capsys):
+    # a seeded fuzz over values from 0 to the top of the float range
+    rng = random.Random(38)
+
+    def value():
+        draw = rng.random()
+        if draw < 0.2:
+            return rng.choice(["0", "5e-324", "1.7e308"])
+        return repr(10.0 ** rng.uniform(-300, 300) if draw < 0.6 else rng.uniform(0.0, 10.0))
+
+    for _ in range(600):
+        command = rng.choice(["solve", "phase", "verify", "linear"])
+        if command == "solve":
+            args = ["solve", *(value() for _ in range(4))]
+        elif command == "verify":
+            args = ["verify", *(value() for _ in range(4)), "--coarse", "8", "--rounds", "0"]
+        elif command == "phase":
+            args = ["phase", value(), value(), "--grid", "10", "--max-ratio", value()]
+        else:
+            args = ["linear", repr(rng.uniform(-0.05, 0.3))]
+        code = cli.main(args)
+        assert code in (0, 2, 3, 5), args
+        err = capsys.readouterr().err
+        assert err.count("error:") == (code in (2, 3)), (args, err)
+
+
 def test_solve_prices_a_bundle_whose_revenue_sum_overflows(capsys):
     # the bundle price 5.99e307 times its region's area overflows, and so
     # does the square of 2 (c1 + c2)/3 in the bundle offset's quadratic

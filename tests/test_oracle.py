@@ -855,6 +855,26 @@ def test_certificate_names_mu_d_when_the_measure_total_is_off(monkeypatch, name)
     assert report.mu_D == pytest.approx(1e-9, abs=1e-15)
 
 
+def test_certificate_names_shuffle_sign_for_a_negative_atom():
+    # the kind-B lottery (a, 1) at c1 > 0 priced to a net of 1.1 b2: its
+    # shuffle's atom c1 (b2 - net) / (b1 b2) is negative
+    rect = VERIFY_CENTRES["B"]
+    assert rect.c1 > 0.0
+    report = certificate_check(_moved_lottery(solve(rect), rect, net=1.1 * rect.b2), rect)
+    assert "shuffle_sign" in report.failures
+
+
+def test_certificate_names_foc_curvature_for_a_price_off_a_kink():
+    # kind E sells good 2 at its lowest value c2; priced 1e-3 above it, the
+    # revenue falls in that price and is convex there, as at no maximum
+    rect = Rectangle(0.0, 3.75, 0.06, 1.0)
+    mech = solve(rect)
+    assert mech.kind is K.E and mech.menu[0] == MenuItem(0.0, 1.0, 3.75)
+    menu = (replace(mech.menu[0], t=3.75 * (1.0 + 1e-3)), *mech.menu[1:])
+    report = certificate_check(replace(mech, menu=menu, revenue=expected_revenue(menu, rect), net_prices=None), rect)
+    assert "foc_curvature" in report.failures
+
+
 def test_certificate_oracle_gap_logic():
     mech = solve(UNIT)
     shortfall = certificate_check(mech, UNIT, oracle_gap=0.1)

@@ -60,4 +60,11 @@ def test_exit_code_commands_exit_as_stated(capsys):
         "solve 0 0 1e308 1e308",
         "solve 1e300 0 1e-300 1e-300",
         "verify 1e300 0 1e-300 1e-300",
+        "solve 6.9790745385297335 0.22840716114454754 2.8912976813182687e+279 1.510086571594266e-277",
+        "phase 2.323982635771136e-231 4.342142079687406e+141 --grid 10 --max-ratio 216.72143261369322",
+        "solve 8.329559564690836 2.030421339897083 0.033916860774850385 5e-324",
+        "verify 1.4473489521325638e+141 39.92868952274346 5e-324 0.0047706976682450625 --coarse 8 --rounds 2",
+        "solve 0 0 1 1e-310",
+        "verify 0.01844544792661458 1.7e+308 0.02712023207648371 228.0278322398297 --coarse 8 --rounds 2",
+        "verify 1e50 1e50 1 1 --coarse 8 --rounds 2",
     }

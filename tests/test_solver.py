@@ -755,9 +755,9 @@ def test_each_solve_makes_its_record_once(rect, monkeypatch):
     priced = []
     revenue = optmech.mechanism._revenue
 
-    def counted_revenue(rows, area):
+    def counted_revenue(rows, rect):
         priced.append(rows)
-        return revenue(rows, area)
+        return revenue(rows, rect)
 
     monkeypatch.setattr(Mechanism, "__init__", counted)
     monkeypatch.setattr(optmech.solver, "real_roots_in_interval", roots)
