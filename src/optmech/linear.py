@@ -86,14 +86,7 @@ class LinearSolution:
         )
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "c": self.c,
-            "p_a1": self.p_a1,
-            "a1": self.a1,
-            "P1": self.P1,
-            "P2": self.P2,
-            "p": self.p,
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,9 @@ from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, no_
 # 6 + 2 (c1/b1 + c2/b2), at 1e-12 for zero offsets; a region's mass
 # relative to the same offsets factor, capped at 1e-9; the solver's
 # closed-form revenue against the menu's polygon revenue relative to the
-# revenue, with the same offset scaling; stationarity runs on the support
-# and prices over b1 + b2, where its step and tolerances carry no units.
+# revenue, with the same offset scaling; stationarity moves prices by
+# FD_STEP (b1 + b2) and reads revenues over b1 + b2, so its step and
+# tolerances carry no units.
 # Solved menus price each item within 2 ulps of its net price plus q.c on
 # 32,000 seeded supports with zero, tiny, huge and lopsided offsets and
 # sides, and their regions read masses within 3e-15 of the offsets factor
@@ -411,6 +412,12 @@ def brute_force_menu_search(
 # Measure certificates
 # ---------------------------------------------------------------------------
 
+def _worst(a: float, b: float) -> float:
+    """max(a, b), a on a tie, and NaN where either is NaN: a deviation that
+    is NaN stays the largest, so the check that reads it fails."""
+    return b if b > a or b != b else a
+
+
 def _lottery_shuffle(rect: Rectangle, item: MenuItem, net: float, region: Polygon) -> Shuffle | None:
     """Shuffle of a lottery item (a, 1), a < 1, at net price ``net`` over its
     region's section of the top edge; of an item (1, a) on the swapped
@@ -439,7 +446,8 @@ def _measure_certificate(rect: Rectangle, menu: Menu, nets: tuple[float, ...]) -
     the nets, the largest |mass| and moment deviation and the sign-pattern
     flag of the lotteries' shuffles, and the menu's revenue over the same
     regions.  Each first moment is a length, judged over the side of its
-    edge; the two-step one certifies with any nonnegative value."""
+    edge; the two-step one certifies with any nonnegative value.  An item
+    no type buys (an empty region) has neither mass nor shuffle."""
     mu = MuBar(rect)
     masses = dict.fromkeys("ZABW", 0.0)
     mass = moment = 0.0
@@ -449,13 +457,14 @@ def _measure_certificate(rect: Rectangle, menu: Menu, nets: tuple[float, ...]) -
         key = "Z" if item.q1 == item.q2 == 0.0 else "W" if item.is_bundle else "A" if item.q2 == 1.0 else "B" if item.q1 == 1.0 else ""
         if not key:
             raise UncertifiedItem(f"no certificate judges the item {item}")
-        if not region.is_empty:
-            masses[key] += mu.mass(region)
+        if region.is_empty:  # no type buys the item
+            continue
+        masses[key] += mu.mass(region)
         sh = _lottery_shuffle(rect, item, net, region)
         if sh is not None:
             m = sh.first_moment() / sh.rect.b1
-            mass = max(mass, abs(sh.mass()))
-            moment = max(moment, max(0.0, -m) if sh.a == sh.p_a == 0.0 else abs(m))
+            mass = _worst(mass, abs(sh.mass()))
+            moment = _worst(moment, _worst(0.0, -m) if sh.a == sh.p_a == 0.0 else abs(m))
             signs_ok = signs_ok and sh.sign_pattern_ok()
     return masses, mass, moment, signs_ok, sum(item.t * region.area() for item, region in zip(menu, regions))
 
@@ -485,26 +494,29 @@ def _perturbed(menu: Menu, i: int, attr: str, value: float) -> Menu:
 def _stationarity(menu: Menu, rect: Rectangle) -> tuple[float, float]:
     """(ascent-rate norm, largest second difference) over free menu coordinates.
 
-    One-sided slopes are judged separately: a coordinate contributes only
-    the rate at which revenue rises in some direction, so a maximum at a
-    kink (one-sided derivatives of opposite sign, as for the pinned
-    lottery price of the two-item structures) certifies cleanly while any
-    strictly improving move is flagged.
+    A price moves by ``FD_STEP`` (b1 + b2), a weight by ``FD_STEP``, and a
+    revenue is read over b1 + b2.  One-sided slopes are judged separately:
+    a coordinate contributes only the rate at which revenue rises in some
+    direction, so a maximum at a kink (one-sided derivatives of opposite
+    sign, as for the pinned lottery price of the two-item structures)
+    certifies cleanly while any strictly improving move is flagged.
     """
-    base = expected_revenue(menu, rect)
+    length = rect.b1 + rect.b2
+    base = expected_revenue(menu, rect) / length
     grad_sq = 0.0
     max_hess = -math.inf
     for i, attr in _free_coordinates(menu):
         v = getattr(menu[i], attr)
-        hi = expected_revenue(_perturbed(menu, i, attr, v + FD_STEP), rect)
+        step = FD_STEP * length if attr == "t" else FD_STEP
+        hi = expected_revenue(_perturbed(menu, i, attr, v + step), rect) / length
         up = (hi - base) / FD_STEP
-        if attr == "t" and v < FD_STEP:
-            grad_sq += max(0.0, up) ** 2
+        if attr == "t" and v < step:
+            grad_sq += _worst(0.0, up) ** 2
             continue
-        lo = expected_revenue(_perturbed(menu, i, attr, v - FD_STEP), rect)
+        lo = expected_revenue(_perturbed(menu, i, attr, v - step), rect) / length
         down = (lo - base) / FD_STEP
-        grad_sq += max(0.0, up, down) ** 2
-        max_hess = max(max_hess, (hi - 2.0 * base + lo) / (FD_STEP * FD_STEP))
+        grad_sq += _worst(_worst(0.0, up), down) ** 2
+        max_hess = _worst(max_hess, (hi - 2.0 * base + lo) / (FD_STEP * FD_STEP))
     if max_hess == -math.inf:
         max_hess = 0.0
     return math.sqrt(grad_sq), max_hess
@@ -545,13 +557,15 @@ def certificate_check(
     plus its value at the corner (``price_form``).  Each lottery item's
     shuffle is built from its weight, its net and its region, and its
     closed-form mass and moment are checked; an item with neither a region
-    mass nor a shuffle raises ``UncertifiedItem``.  Stationarity
-    differentiates the expected revenue numerically in every free menu
-    coordinate (step ``FD_STEP``, one-sided slopes judged separately so
-    kink maxima certify) on the support and prices divided by b1 + b2,
-    so that neither the step nor the verdict carries units.  The reported
-    revenue must equal the menu's over the masses' polygons, so a wrong
-    closed form fails ``revenue_form``.  A support with b1 + b2 outside
+    mass nor a shuffle raises ``UncertifiedItem``; an item no type buys is
+    not judged.  Stationarity differentiates the expected revenue
+    numerically in every free menu coordinate (one-sided slopes judged
+    separately so kink maxima certify), with prices moved by ``FD_STEP``
+    (b1 + b2) and revenues read over b1 + b2, so that neither the step nor
+    the verdict carries units.  The reported revenue must equal the menu's
+    over the masses' polygons, so a wrong closed form fails
+    ``revenue_form``.  A check fails where its value is NaN.  The checks
+    run on the menu and support as given; one with b1 + b2 outside
     [4^-20, 4^20] is checked at unit size (``unit_scale``), with the
     revenue gap scaled back.
     """
@@ -564,26 +578,24 @@ def certificate_check(
     nets = net_prices(rect, menu) if mech.net_prices is None else mech.net_prices
     mu_total = MuBar(rect).total()
     masses, shuffle_mass, shuffle_moment, signs_ok, revenue = _measure_certificate(rect, menu, nets)
-    length = rect.b1 + rect.b2
-    unit_menu = tuple(replace(item, t=item.t / length) for item in menu)
-    grad_norm, max_hess = _stationarity(unit_menu, rect.scaled(1.0 / length))
+    grad_norm, max_hess = _stationarity(menu, rect)
     revenue_gap = mech.revenue - revenue
     offsets = 1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2
     checks = {
         "price_form": any(
-            abs(item.t - (net + (item.q1 * rect.c1 + item.q2 * rect.c2))) > PRICE_FORM_ULPS * math.ulp(item.t)
+            not abs(item.t - (net + (item.q1 * rect.c1 + item.q2 * rect.c2))) <= PRICE_FORM_ULPS * math.ulp(item.t)
             for item, net in zip(menu, nets)
         ),
-        "mu_D": abs(mu_total) > MU_D_TOL * offsets,
-        "revenue_form": abs(revenue_gap) > REVENUE_TOL_REL * offsets * abs(mech.revenue),
-        **{f"mu_{key}": abs(masses[key]) > min(REGION_TOL_REL, REGION_TOL_OFFSETS * offsets) for key in "ZABW"},
-        "shuffle_mass": shuffle_mass > SHUFFLE_TOL,
-        "shuffle_moment": shuffle_moment > SHUFFLE_TOL,
+        "mu_D": not abs(mu_total) <= MU_D_TOL * offsets,
+        "revenue_form": not abs(revenue_gap) <= REVENUE_TOL_REL * offsets * abs(mech.revenue),
+        **{f"mu_{key}": not abs(masses[key]) <= min(REGION_TOL_REL, REGION_TOL_OFFSETS * offsets) for key in "ZABW"},
+        "shuffle_mass": not shuffle_mass <= SHUFFLE_TOL,
+        "shuffle_moment": not shuffle_moment <= SHUFFLE_TOL,
         "shuffle_sign": not signs_ok,
-        "foc_gradient": grad_norm >= GRAD_TOL,
-        "foc_curvature": max_hess > HESS_TOL * max(1.0, abs(mech.revenue) / length),
-        "oracle_gap_shortfall": oracle_gap is not None and oracle_gap > GAP_SHORTFALL_REL * abs(mech.revenue),
-        "oracle_gap_beaten": oracle_gap is not None and oracle_gap < -GAP_EXCESS_REL * abs(mech.revenue),
+        "foc_gradient": not grad_norm < GRAD_TOL,
+        "foc_curvature": not max_hess <= HESS_TOL * max(1.0, abs(mech.revenue) / (rect.b1 + rect.b2)),
+        "oracle_gap_shortfall": oracle_gap is not None and not oracle_gap <= GAP_SHORTFALL_REL * abs(mech.revenue),
+        "oracle_gap_beaten": oracle_gap is not None and not oracle_gap >= -GAP_EXCESS_REL * abs(mech.revenue),
     }
     failures = tuple(name for name, failed in checks.items() if failed)
 

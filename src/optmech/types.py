@@ -196,9 +196,6 @@ _MIRROR_KIND = {
     for kind, mirror in ("AA", "BF", "CC", "DG", "EH", "FB", "GD", "HE")
 }
 
-# Kinds whose menu has no free null option (every type buys something).
-KINDS_WITHOUT_NULL = frozenset({StructureKind.E, StructureKind.H})
-
 #: A structure as the solver returns it: (kind, ``SolveParams`` fields,
 #: swap), with kind one of A-E and the fields in the frame it was solved
 #: in; with ``swap``, the goods were exchanged, and the structure is its
@@ -293,9 +290,11 @@ class SolveParams:
 
 @dataclass(frozen=True, init=False)
 class Mechanism:
-    """A solved selling mechanism: structural kind, parameters, menu, revenue,
-    and each item's net price t - q1 c1 - q2 c2 in menu order as the solver
-    formed it (None where unknown; not in equality, JSON or ``pretty``)."""
+    """A selling mechanism: structural kind, parameters, menu, revenue, and
+    each item's net price t - q1 c1 - q2 c2 in menu order as the solver
+    formed it (None where unknown; not in equality, JSON or ``pretty``).
+    It holds any menu; the shape of ``solve``'s menus is tested, not
+    checked here."""
 
     kind: StructureKind
     params: SolveParams | None
@@ -311,18 +310,6 @@ class Mechanism:
         revenue: float,
         net_prices: tuple[float, ...] | None = None,
     ) -> None:
-        if len(menu) > 4:
-            raise ValueError(f"menu has {len(menu)} items, at most 4 allowed")
-        bundle = null = False
-        for item in menu:
-            if item.q1 == 1.0 and item.q2 == 1.0:
-                bundle = True
-            elif item.q1 == 0.0 and item.q2 == 0.0 and item.t == 0.0:
-                null = True
-        if not bundle:
-            raise ValueError("menu must contain the full bundle (q1 = q2 = 1)")
-        if not null and kind not in KINDS_WITHOUT_NULL:
-            raise ValueError(f"kind {kind.value} menu must contain the null item")
         if net_prices is not None and len(net_prices) != len(menu):
             raise ValueError(f"{len(net_prices)} net prices for {len(menu)} menu items")
         _set(self, "__dict__", {

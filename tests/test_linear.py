@@ -220,6 +220,8 @@ def test_out_of_range_and_menu_shape():
     assert menu[0].is_null and menu[3].is_bundle
     assert menu[1].t == menu[2].t == pytest.approx(sol.t_a1)
     assert sol.to_dict()["P1"] == sol.P1
+    # the six fields in declaration order, as the dataclass lists them
+    assert list(sol.to_dict().items()) == list(dataclasses.asdict(sol).items())
 
 
 def test_continuity_at_the_left_endpoint():

@@ -760,9 +760,42 @@ def test_certificate_reads_only_the_menu(rect):
     report = certificate_check(mech, rect)
     assert report.passed, report.failures
     assert certificate_check(replace(mech, params=None), rect) == report
-    without_null = mech.kind in (K.E, K.H)
-    other = next(k for k in K if k is not mech.kind and (k in (K.E, K.H)) == without_null)
+    other = next(k for k in K if k is not mech.kind)
     assert certificate_check(replace(mech, kind=other), rect) == report
+
+
+@pytest.mark.parametrize("rect", CERTIFIED, ids=[*VERIFY_CENTRES, *(f"{k}-swapped" for k in VERIFY_CENTRES)])
+def test_certificate_judges_an_in_window_support_as_given(monkeypatch, rect):
+    # only unit_scale's branch makes a support or a menu in another frame
+    def refuse(self, lam):
+        raise AssertionError(f"{type(self).__name__}.scaled({lam!r}) on a support in the window")
+
+    mech = solve(rect)
+    monkeypatch.setattr(Rectangle, "scaled", refuse)
+    monkeypatch.setattr(optmech.Mechanism, "scaled", refuse)
+    assert certificate_check(mech, rect).passed
+
+
+@pytest.mark.parametrize("rect", [Rectangle(0.5, 1e300, 1.0, 1e-10), Rectangle(1e300, 0.5, 1e-10, 1.0)])
+def test_certificate_fails_a_value_that_is_nan(rect):
+    # c2/b2 overflows in the transformed measure, whose total and masses
+    # read NaN: a comparison with NaN is false, so each check is written
+    # to fail on it
+    report = certificate_check(solve(rect), rect)
+    assert math.isnan(report.mu_D) and math.isnan(report.mu_W)
+    assert {"mu_D", "mu_W"} <= set(report.failures)
+    assert not report.passed
+
+
+def test_certificate_fails_a_nan_shuffle_deviation(monkeypatch):
+    # a NaN shuffle mass or moment stays the largest deviation
+    rect = VERIFY_CENTRES["A"]
+    mech = solve(rect)
+    monkeypatch.setattr(oracle.Shuffle, "mass", lambda self: math.nan)
+    monkeypatch.setattr(oracle.Shuffle, "first_moment", lambda self: math.nan)
+    report = certificate_check(mech, rect)
+    assert math.isnan(report.shuffle_mass) and math.isnan(report.shuffle_moment)
+    assert {"shuffle_mass", "shuffle_moment"} <= set(report.failures)
 
 
 def _moved_lottery(mech, rect, a=None, net=None):
@@ -857,11 +890,70 @@ def test_certificate_names_mu_d_when_the_measure_total_is_off(monkeypatch, name)
 
 def test_certificate_names_shuffle_sign_for_a_negative_atom():
     # the kind-B lottery (a, 1) at c1 > 0 priced to a net of 1.1 b2: its
-    # shuffle's atom c1 (b2 - net) / (b1 b2) is negative
+    # shuffle's atom c1 (b2 - net) / (b1 b2) is negative; the bundle's net
+    # is raised to 1.5 b2, under which some types still buy the lottery
     rect = VERIFY_CENTRES["B"]
     assert rect.c1 > 0.0
-    report = certificate_check(_moved_lottery(solve(rect), rect, net=1.1 * rect.b2), rect)
+    moved = _moved_lottery(solve(rect), rect, net=1.1 * rect.b2)
+    menu = (*moved.menu[:-1], MenuItem(1.0, 1.0, 1.5 * rect.b2 + rect.c1 + rect.c2))
+    assert menu[-2].q2 == 1.0 and best_response_regions(rect, menu)[-2].area() > 0.0
+    report = certificate_check(replace(moved, menu=menu, net_prices=None), rect)
     assert "shuffle_sign" in report.failures
+
+
+@pytest.mark.parametrize("kind", ["E", "H"])
+def test_certificate_names_shuffle_sign_for_a_single_good_priced_above_its_floor(kind):
+    # kind E sells good 2 at its lowest value c2, a net of 0, whose shuffle
+    # is the two-step one; at a net above 0 it is a flat ramp of density
+    # (2 b2 - c2 - 3 net) / (b1 b2) < 0 that ends the segment, where the
+    # sign pattern asks for a density of at least 0 (kind H: the mirror)
+    rect = VERIFY_CENTRES["E"] if kind == "E" else VERIFY_CENTRES["E"].swapped()
+    mech = solve(rect)
+    assert mech.kind is K(kind) and not mech.menu[0].is_bundle
+    menu = (replace(mech.menu[0], t=mech.menu[0].t * (1.0 + 1e-9)), *mech.menu[1:])
+    report = certificate_check(replace(mech, menu=menu, net_prices=None), rect)
+    assert "shuffle_sign" in report.failures
+
+
+@pytest.mark.parametrize("i, names", [(1, {"mu_Z", "mu_A", "mu_W", "shuffle_mass", "shuffle_moment"}), (2, {"mu_B"})])
+def test_certificate_names_the_region_and_shuffle_checks_for_a_raised_price(i, names):
+    # the kind-A lottery i priced 1e-7 above its optimum gives types to the
+    # exclusion and bundle regions, and its shuffle no longer balances
+    rect = VERIFY_CENTRES["A"]
+    mech = solve(rect)
+    item = mech.menu[i]
+    menu = (*mech.menu[:i], replace(item, t=item.t * (1.0 + 1e-7)), *mech.menu[i + 1 :])
+    report = certificate_check(replace(mech, menu=menu, revenue=expected_revenue(menu, rect), net_prices=None), rect)
+    assert names <= set(report.failures), report.failures
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_certificate_does_not_judge_an_item_no_type_buys(kind):
+    # a lottery dearer than the bundle is bought by no type: it adds no
+    # mass and no shuffle, and the menu is the same mechanism
+    rect = VERIFY_CENTRES[kind]
+    mech = replace(solve(rect), net_prices=None)
+    longer = replace(mech, menu=(*mech.menu, MenuItem(1.0, 0.3, 50.0)))
+    assert best_response_regions(rect, longer.menu)[-1].is_empty
+    report = certificate_check(longer, rect)
+    assert report.passed, report.failures
+    assert report == certificate_check(mech, rect)
+
+
+def test_certificate_fails_separate_selling_on_a_kind_a_support():
+    # each good at its monopoly price (c + b)/2 and both at the sum: the
+    # bundle sells at a discount in the optimum, so every region and
+    # shuffle check and the gradient fail
+    rect = VERIFY_CENTRES["A"]
+    price = 0.5 * (rect.c1 + rect.b1)
+    assert rect.c1 == rect.c2 and rect.b1 == rect.b2
+    menu = (NULL_ITEM, MenuItem(1.0, 0.0, price), MenuItem(0.0, 1.0, price), MenuItem(1.0, 1.0, 2.0 * price))
+    mech = replace(solve(rect), menu=menu, revenue=expected_revenue(menu, rect), net_prices=None)
+    report = certificate_check(mech, rect)
+    assert report.failures == (
+        "mu_Z", "mu_A", "mu_B", "mu_W", "shuffle_mass", "shuffle_moment", "shuffle_sign", "foc_gradient",
+    )
+    assert mech.revenue < solve(rect).revenue
 
 
 def test_certificate_names_foc_curvature_for_a_price_off_a_kink():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     RATIO_SUPPORTS,
+    VERIFY_CENTRES,
     admissible_structures,
     log_uniform,
     polygon_intersection,
@@ -190,15 +191,34 @@ def test_primal_objective_equals_revenue(rect, seed):
     assert abs(lhs - rhs) < 1e-9 * scale, f"duality gap {lhs - rhs} on {rect}"
 
 
+def _assert_solved_shape(mech):
+    # at most four items, the full bundle, and the buyer's outside option
+    # except where every type buys (kinds E and H): a record holds any
+    # menu, so these are laws of solve
+    assert 1 <= len(mech.menu) <= 4
+    assert any(item.is_bundle for item in mech.menu), mech.menu
+    assert mech.kind.value in "EH" or any(item.is_null for item in mech.menu), mech.menu
+
+
 @settings(max_examples=40, deadline=None)
 @given(rectangles())
 def test_solved_menus_obey_the_structural_laws(rect):
     mech = solve(rect)
-    assert 1 <= len(mech.menu) <= 4
+    _assert_solved_shape(mech)
     assert revenue_monotonicity_check(mech.menu, rect, 11)
     assert mech.revenue == expected_revenue(mech.menu, rect) or (
         abs(mech.revenue - expected_revenue(mech.menu, rect)) < 1e-9 * max(mech.revenue, 1.0)
     )
+
+
+@pytest.mark.parametrize("scale", [4.0**-30, 1.0, 4.0**30])
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("kind", sorted(VERIFY_CENTRES))
+def test_solved_menus_keep_their_shape_at_every_centre_mirror_and_scale(kind, mirrored, scale):
+    rect = VERIFY_CENTRES[kind].scaled(scale)
+    mech = solve(rect.swapped() if mirrored else rect)
+    assert mech.kind.value == (MIRROR_KIND[kind] if mirrored else kind)
+    _assert_solved_shape(mech)
 
 
 @settings(max_examples=40, deadline=None)

@@ -160,22 +160,16 @@ def _kind_a_mechanism() -> Mechanism:
     return Mechanism(kind=StructureKind.A, params=params, menu=menu, revenue=0.55)
 
 
-def test_mechanism_requires_bundle_item():
-    with pytest.raises(ValueError):
-        Mechanism(StructureKind.C, SolveParams(p=0.5), (NULL_ITEM, MenuItem(0.0, 1.0, 0.5)), 0.3)
-
-
-def test_mechanism_requires_null_except_no_exclusion_kinds():
-    with pytest.raises(ValueError):
-        Mechanism(StructureKind.C, SolveParams(p=0.5), (MenuItem(1.0, 1.0, 0.5),), 0.3)
+def test_mechanism_records_any_menu():
+    # the shape of solve's menus is a property of solve, asserted on its
+    # records in test_properties; a record holds any menu
+    five = (NULL_ITEM,) + tuple(MenuItem(1.0, 1.0, float(k)) for k in range(1, 5))
+    assert Mechanism(StructureKind.A, None, five, 0.5).menu == five
+    no_bundle = (NULL_ITEM, MenuItem(0.0, 1.0, 0.5), MenuItem(1.0, 0.0, 0.5))
+    assert Mechanism(StructureKind.C, SolveParams(p=0.5), no_bundle, 0.3, (0.0, 0.5, 0.5)).menu == no_bundle
+    assert Mechanism(StructureKind.C, SolveParams(p=0.5), (MenuItem(1.0, 1.0, 0.5),), 0.3).menu[0].is_bundle
     mech = Mechanism(StructureKind.E, SolveParams(p=0.25), (MenuItem(0.0, 1.0, 8.0), MenuItem(1.0, 1.0, 8.75)), 8.5625)
     assert bundle_item(mech).t == 8.75
-
-
-def test_mechanism_rejects_oversized_menu():
-    items = (NULL_ITEM,) + tuple(MenuItem(1.0, 1.0, float(k)) for k in range(1, 5))
-    with pytest.raises(ValueError):
-        Mechanism(StructureKind.A, None, items, 0.5)
 
 
 def test_net_prices_travel_with_the_menu_outside_equality_and_json():
@@ -294,8 +288,6 @@ def test_replace_runs_the_checks_again():
     with pytest.raises(NegativeCorner, match="^c2 must be finite and >= 0, got -1.0$"):
         replace(rect, c2=-1.0)
     mech = _kind_a_mechanism_with_points()
-    with pytest.raises(ValueError, match="^menu must contain the full bundle"):
-        replace(mech, menu=mech.menu[:3], net_prices=None)
     with pytest.raises(ValueError, match="^1 net prices for 4 menu items$"):
         replace(mech, net_prices=(0.0,))
     with pytest.raises(TypeError):
