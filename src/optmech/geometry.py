@@ -162,26 +162,15 @@ def _region(k: int, rivals: tuple[MenuItem, ...], nets: tuple[float, ...], rect:
 
 
 def boundary_sections(poly: Polygon, axis: int, value: float) -> list[tuple[float, float]]:
-    """Edges of poly whose two endpoints have u[axis] == value exactly.
+    """Where poly meets the line u[axis] == value along an edge.
 
-    Returns sorted, merged (lo, hi) intervals of the other coordinate.
-    Used by the boundary-measure evaluator for the line densities that sit
-    on the unit square's four edges.
+    Returns the (lo, hi) span of the other coordinate over the endpoints of
+    the edges with both endpoints at u[axis] == value exactly, or [] where
+    no edge lies there: a convex polygon meets a line in one segment.  Used
+    by the boundary-measure evaluator for the line densities that sit on
+    the unit square's four edges.
     """
     vs = poly.vertices
-    if not vs:
-        return []
-    spans: list[tuple[float, float]] = []
-    for v0, v1 in zip(vs, vs[1:] + vs[:1]):
-        if v0[axis] == value == v1[axis]:
-            lo, hi = sorted((v0[1 - axis], v1[1 - axis]))
-            if hi - lo > 0.0:
-                spans.append((lo, hi))
-    spans.sort()
-    merged: list[tuple[float, float]] = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    on_line = [(v0, v1) for v0, v1 in zip(vs, vs[1:] + vs[:1]) if v0[axis] == value == v1[axis]]
+    ends = [v[1 - axis] for edge in on_line for v in edge]
+    return [(min(ends), max(ends))] if ends else []

@@ -119,15 +119,9 @@ def _kind_e(c1, c2, b1, b2, f) -> tuple[Row, ...]:
     )
 
 
-#: Each kind's builder and the ``SolveParams`` fields it reads from the
+#: Each kind's builder, which reads its ``SolveParams`` fields from the
 #: structure's field dict, after the support's c1, c2, b1, b2.
-_BUILDERS = {
-    K.A: (_kind_a, ("p_a1", "p_a2", "a1", "a2", "p", "P", "Q")),
-    K.B: (_kind_b, ("p_a1", "a1", "m1", "p")),
-    K.C: (_kind_c, ("p",)),
-    K.D: (_kind_d, ("p_a1", "a1", "m1", "p")),
-    K.E: (_kind_e, ()),
-}
+_BUILDERS = {K.A: _kind_a, K.B: _kind_b, K.C: _kind_c, K.D: _kind_d, K.E: _kind_e}
 
 #: Where the revenue's sum overflows, the prices are summed in units of
 #: this power of 2: a support is solved with b1 + b2 below 4^20, so its
@@ -163,14 +157,14 @@ def build_mechanism(structure: Structure, rect: Rectangle, lam: float = 1.0) -> 
     ``build_mechanism(structure, rect).scaled(lam)`` once.
     """
     kind, fields, swap = structure
-    builder, names = _BUILDERS[kind]
+    builder = _BUILDERS[kind]
     try:
         if swap:
             rows = builder(rect.c2, rect.c1, rect.b2, rect.b1, fields)
         else:
             rows = builder(rect.c1, rect.c2, rect.b1, rect.b2, fields)
-    except (KeyError, TypeError):  # a field missing, None or not a number
-        raise IncompleteParams(f"kind {kind.value} requires parameters {names}") from None
+    except (KeyError, TypeError) as exc:  # a field missing, None or not a number
+        raise IncompleteParams(f"kind {kind.value} cannot read its parameters: {exc!r}") from None
     menu, nets = [], []
     for q1, q2, t, _, net in rows:
         t = lam * t

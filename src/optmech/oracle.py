@@ -25,8 +25,8 @@ order, so the first maximum it keeps is the one of an unsplit sweep.
 The cap is one refinement window, so at coarse 8 the coarse grid and
 each window are one block.  For memory, ``_pick`` computes a mixed
 mask's no branch, which is the nested case at every call site, before
-its flat yes branch, and copies the yes values into the no array in
-place of allocating a third.
+its flat yes branch, so the flat branch's values are not held while the
+nested one runs.
 A block lays its axes out as (tb, a1, t1, a2, t2) (``_AXES``), where
 numpy runs a full-size operation between two intermediates in fewer,
 longer inner loops than in the scan order (a1, a2, t1, t2, tb); its
@@ -63,7 +63,7 @@ import numpy as np
 from .geometry import Polygon, best_response_regions, boundary_sections, net_prices
 from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
-from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, no_area, unit_scale
+from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, UnitSizeOverflow, no_area, unit_scale
 
 # Verification tolerances.  Region masses and shuffle masses are
 # dimensionless (the corner atom is 1), and shuffle first moments are judged
@@ -161,25 +161,14 @@ def _pick(mask, yes, no):
     Each element comes from the same operations on the same inputs either
     way, so the values are bit for bit those of the eager np.where; a
     uniform mask returns its branch's own, possibly lower, shape.  A mixed
-    mask calls no() first, and where that returns a fresh, writeable array
-    of the full shape, copies yes() into it under the mask and returns it:
-    no() must hand over an array nothing else holds."""
+    mask calls no() first."""
     taken = np.count_nonzero(mask)
     if taken == np.size(mask):
         return yes()
     if not taken:
         return no()
     other = no()
-    value = yes()
-    if (
-        isinstance(other, np.ndarray)
-        and other.base is None
-        and other.flags.writeable
-        and other.shape == np.broadcast(mask, value, other).shape
-    ):
-        np.copyto(other, value, where=mask)
-        return other
-    return np.where(mask, value, other)
+    return np.where(mask, yes(), other)
 
 
 def _ramp(y0, y1, h, length, inv_slope) -> np.ndarray:
@@ -567,20 +556,27 @@ def certificate_check(
     ``revenue_form``.  A check fails where its value is NaN.  The checks
     run on the menu and support as given; one with b1 + b2 outside
     [4^-20, 4^20] is checked at unit size (``unit_scale``), with the
-    revenue gap scaled back.
+    revenue gap scaled back.  Raises ``UnitSizeOverflow`` where the offsets
+    factor 1 + c1/b1 + c2/b2 overflows at the size checked, where the
+    transformed measure's masses would read NaN.
     """
     lam = unit_scale(rect)
     if lam != 1.0:
         gap = None if oracle_gap is None else oracle_gap / lam
         report = certificate_check(mech.scaled(1.0 / lam), rect.scaled(1.0 / lam), oracle_gap=gap)
         return replace(report, revenue_gap=lam * report.revenue_gap, oracle_gap=oracle_gap)
+    offsets = 1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2
+    if offsets == math.inf:
+        raise UnitSizeOverflow(
+            f"the offsets ({rect.c1!r}, {rect.c2!r}) over the sides ({rect.b1!r}, {rect.b2!r}) "
+            "overflow the transformed measure at the size the support is checked at"
+        )
     menu = mech.menu
     nets = net_prices(rect, menu) if mech.net_prices is None else mech.net_prices
     mu_total = MuBar(rect).total()
     masses, shuffle_mass, shuffle_moment, signs_ok, revenue = _measure_certificate(rect, menu, nets)
     grad_norm, max_hess = _stationarity(menu, rect)
     revenue_gap = mech.revenue - revenue
-    offsets = 1.0 + rect.c1 / rect.b1 + rect.c2 / rect.b2
     checks = {
         "price_form": any(
             not abs(item.t - (net + (item.q1 * rect.c1 + item.q2 * rect.c2))) <= PRICE_FORM_ULPS * math.ulp(item.t)

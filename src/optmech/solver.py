@@ -263,9 +263,8 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
         if x != xs[-1]:
             xs.append(x)
     xs.append(b)
-    # one pass over the piece ends; the first double root goes after the
-    # root at 0, ahead of the roots the pieces give
-    first, found = len(roots), False
+    # one pass over the piece ends
+    found = False
     x0 = f0 = None
     double0 = False
     for x1 in xs:
@@ -276,7 +275,7 @@ def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, h
             scale = ((abs(a3) * ax + abs(a2)) * ax + abs(a1)) * ax + abs(a0)
             double1 = abs(f1) <= ROOT_DOUBLE_ULPS * sys.float_info.epsilon * scale
             if double1 and not found:
-                roots.insert(first, x1)
+                roots.append(x1)
                 found = True
         if x0 is not None and (f0 > 0.0) != (f1 > 0.0) and not (double0 or double1):
             roots.append(_monotone_root(a0, a1, a2, a3, x0, x1, f0, f1))

@@ -45,8 +45,9 @@ class PriceOverflow(ValueError):
 
 class UnitSizeOverflow(ValueError):
     """A corner offset overflows when a support with tiny sides is brought to
-    unit size (``unit_scale``), or the area b1 b2 is 0 at the size the
-    support is solved at: its offsets, or one side, lie too far from the
+    unit size (``unit_scale``), the area b1 b2 is 0 at the size the
+    support is solved at, or an offset over its side overflows where the
+    certificate checks it: its offsets, or one side, lie too far from the
     other side for the solver and the verifier to run it."""
 
 

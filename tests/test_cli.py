@@ -141,10 +141,10 @@ def test_a_corner_that_overflows_at_unit_size_exits_2(args, capsys):
         # offsets of 1e50 sides: the search's scores break its bundle-price
         # bound, and the certificate fails mu_W
         ("verify 1e50 1e50 1 1 --coarse 8 --rounds 2", 5),
-        # b2 is subnormal and b1 + b2 in the window: the support is judged
-        # as given, where c2/b2 overflows and the measure reads NaN
-        ("verify 1.2515227201268504e+241 9.896124836408601 5.410344535815978 5e-324 --coarse 8 --rounds 2", 5),
-        ("verify 0.5 1e300 1 1e-10 --coarse 8 --rounds 2", 5),
+        # b2 is subnormal or tiny and b1 + b2 in the window: the support is
+        # checked as given, where c2/b2 overflows the transformed measure
+        ("verify 1.2515227201268504e+241 9.896124836408601 5.410344535815978 5e-324 --coarse 8 --rounds 2", 2),
+        ("verify 0.5 1e300 1 1e-10 --coarse 8 --rounds 2", 2),
         # an area that is subnormal but not 0 is solved
         ("solve 0 0 1 1e-310", 0),
     ],

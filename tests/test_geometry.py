@@ -1,5 +1,7 @@
 """Polygon clipping, moments, and best-response partitions."""
 
+from fractions import Fraction
+
 import pytest
 
 from helpers import non_participation_region, polygon_intersection, rect_polygon
@@ -96,6 +98,14 @@ def test_boundary_sections_bottom_edge():
     lo, hi = spans[0]
     assert (lo, hi) == pytest.approx((0.0, 0.5))
     assert boundary_sections(half, 1, 0.25) == []
+
+
+@pytest.mark.parametrize("number", [float, Fraction])
+def test_boundary_sections_spans_a_vertex_in_the_middle_of_a_side(number):
+    # the bottom side is two edges, and the span runs over both
+    poly = Polygon(tuple((number(x), number(y)) for x, y in ((0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1))))
+    assert len(poly.vertices) == 5
+    assert boundary_sections(poly, 1, number(0)) == [(0, 1)]
 
 
 def test_a_corner_sliver_and_its_neighbour_split_the_corner_and_the_sides():

@@ -50,12 +50,13 @@ def test_kind_e_and_h_menus_are_deterministic():
 
 
 def test_missing_parameters_raise():
-    with pytest.raises(IncompleteParams):
+    # the message names the kind and the first field its builder misses
+    with pytest.raises(IncompleteParams, match="kind C.*'p'"):
         build_mechanism((StructureKind.C, {}, False), UNIT)
-    with pytest.raises(IncompleteParams):
+    with pytest.raises(IncompleteParams, match="kind A.*'p_a1'"):
         build_mechanism((StructureKind.A, {}, False), UNIT)
     for swap in (False, True):
-        with pytest.raises(IncompleteParams):
+        with pytest.raises(IncompleteParams, match="kind B.*'p'"):
             build_mechanism((StructureKind.B, dict(p_a1=0.7, a1=0.1, m1=7.0), swap), UNIT)
 
 
@@ -148,7 +149,7 @@ def test_closed_form_areas_are_the_best_response_polygons(kind, rect, p):
     # the builder's rows, run on the support in the frame it was solved in
     shape, fields, swap = structure
     frame = rect.swapped() if swap else rect
-    rows = optmech.mechanism._BUILDERS[shape][0](frame.c1, frame.c2, frame.b1, frame.b2, fields)
+    rows = optmech.mechanism._BUILDERS[shape](frame.c1, frame.c2, frame.b1, frame.b2, fields)
     areas = [row[3] for row in rows]
     polygons = optmech.geometry.best_response_regions(rect, mech.menu)
     assert len(areas) == len(mech.menu)

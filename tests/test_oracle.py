@@ -34,7 +34,7 @@ from optmech.measures import MuBar
 from optmech.mechanism import expected_revenue
 from optmech.oracle import _family_revenue, _pick, brute_force_menu_search, certificate_check
 from optmech.solver import solve
-from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind
+from optmech.types import NULL_ITEM, MenuItem, Rectangle, StructureKind, UnitSizeOverflow
 
 K = StructureKind
 UNIT = Rectangle(0.0, 0.0, 1.0, 1.0)
@@ -152,25 +152,15 @@ def _signed(rng, shape):
     return values
 
 
-def test_pick_merges_a_mixed_mask_into_the_fresh_array_no_returns():
-    rng = np.random.default_rng(23)
-    yes, no = _signed(rng, (4, 1, 6)), _signed(rng, (4, 5, 6))
-    for mask in (rng.random((4, 5, 6)) < 0.5, np.arange(6) % 2 == 0, np.eye(6, dtype=bool)[:5]):
-        fresh = no.copy()
-        picked = _pick(mask, lambda: yes, lambda: fresh)
-        assert picked is fresh
-        assert picked.tobytes() == np.where(mask, yes, no).tobytes()
-
-
-def test_pick_leaves_an_array_it_cannot_merge_into_untouched():
+def test_pick_leaves_the_array_no_returns_untouched():
     # A scalar, an array of lower shape than the result, views (read-only
-    # or not) and a fresh read-only array all go through np.where.
+    # or not) and fresh arrays (writeable or not) that the caller keeps.
     rng = np.random.default_rng(24)
     mask = rng.random((4, 5, 6)) < 0.5
     yes, full = _signed(rng, (4, 5, 6)), _signed(rng, (4, 5, 6))
     frozen = full.copy()
     frozen.flags.writeable = False
-    for no in (0.0, full[0].copy(), np.broadcast_to(full[0], full.shape), full[:], frozen):
+    for no in (0.0, full[0].copy(), np.broadcast_to(full[0], full.shape), full[:], full.copy(), frozen):
         before = np.array(no, copy=True)
         picked = _pick(mask, lambda: yes, lambda: no)
         assert picked is not no
@@ -470,15 +460,14 @@ def _search_peak(monkeypatch, *args):
 
 
 def test_a_search_at_the_bench_setting_peaks_under_3_mib(monkeypatch):
-    # Each window is one block of 9^5 menus, which peaks near 2.65 MiB
-    # with _pick merging into the nested branch's array, and near 3.1 MiB
-    # with np.where over both branches.
+    # Each window is one block of 9^5 menus; the traced peak measures
+    # 2.78 MiB.
     assert _search_peak(monkeypatch, 8, 2) < 3 << 20
 
 
 def test_a_search_at_the_defaults_peaks_under_4_5_mib(monkeypatch):
-    # Blocks of one a1 value of 16^4 menus and windows of 9^5 peak near
-    # 4.1 MiB with _pick merging in place, and near 5.1 MiB with np.where.
+    # Blocks of one a1 value of 16^4 menus and windows of 9^5; the traced
+    # peak measures 2.88 MiB.
     assert _search_peak(monkeypatch) < 4.5 * (1 << 20)
 
 
@@ -776,12 +765,27 @@ def test_certificate_judges_an_in_window_support_as_given(monkeypatch, rect):
     assert certificate_check(mech, rect).passed
 
 
-@pytest.mark.parametrize("rect", [Rectangle(0.5, 1e300, 1.0, 1e-10), Rectangle(1e300, 0.5, 1e-10, 1.0)])
-def test_certificate_fails_a_value_that_is_nan(rect):
-    # c2/b2 overflows in the transformed measure, whose total and masses
-    # read NaN: a comparison with NaN is false, so each check is written
-    # to fail on it
-    report = certificate_check(solve(rect), rect)
+@pytest.mark.parametrize(
+    "rect",
+    [
+        Rectangle(0.5, 1e300, 1.0, 1e-10),
+        Rectangle(1.2515227201268504e241, 9.896124836408601, 5.410344535815978, 5e-324),
+    ],
+)
+def test_certificate_refuses_offsets_that_overflow_the_measure(rect):
+    # c2/b2 overflows, so the transformed measure's line densities and
+    # its masses would read NaN: the support is refused, as is its mirror
+    for support in (rect, rect.swapped()):
+        with pytest.raises(UnitSizeOverflow, match="offsets"):
+            certificate_check(solve(support), support)
+
+
+def test_certificate_fails_a_value_that_is_nan(monkeypatch):
+    # a comparison with NaN is false, so each check is written to fail on it
+    rect = VERIFY_CENTRES["A"]
+    mech = solve(rect)
+    monkeypatch.setattr(oracle.MuBar, "moments", lambda self, poly: (math.nan,) * 3)
+    report = certificate_check(mech, rect)
     assert math.isnan(report.mu_D) and math.isnan(report.mu_W)
     assert {"mu_D", "mu_W"} <= set(report.failures)
     assert not report.passed

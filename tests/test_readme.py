@@ -67,4 +67,6 @@ def test_exit_code_commands_exit_as_stated(capsys):
         "solve 0 0 1 1e-310",
         "verify 0.01844544792661458 1.7e+308 0.02712023207648371 228.0278322398297 --coarse 8 --rounds 2",
         "verify 1e50 1e50 1 1 --coarse 8 --rounds 2",
+        "verify 0.5 1e300 1 1e-10 --coarse 8 --rounds 2",
+        "verify 1.2515227201268504e+241 9.896124836408601 5.410344535815978 5e-324 --coarse 8 --rounds 2",
     }
