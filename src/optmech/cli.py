@@ -110,7 +110,7 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         raise ValueError(f"--max-ratio must be positive and finite, got {ns.max_ratio}")
     # the far corner, where the offsets and the prices are largest
     far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
-    unit_scale(far)  # an offset that overflows, or an area that is 0, at unit size
+    unit_scale(far)  # an offset that overflows at unit size, or a subnormal area
     if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
         solve(far)
     out = ns.out

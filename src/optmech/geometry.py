@@ -23,8 +23,6 @@ Point = tuple[float, float]
 
 
 def _dedup(vs: tuple[Point, ...]) -> tuple[Point, ...]:
-    if not vs:
-        return ()
     out: list[Point] = []
     for v in vs:
         if not out or v != out[-1]:
@@ -65,12 +63,10 @@ class Polygon:
         return len(self.vertices) == 0
 
     def area(self) -> float:
-        return _signed_area(self.vertices) if self.vertices else 0.0
+        return _signed_area(self.vertices)
 
     def moments(self) -> tuple[float, float, float]:
         """Return (A, Mx, My) = (area, integral of z1, integral of z2)."""
-        if not self.vertices:
-            return 0.0, 0.0, 0.0
         a = mx = my = 0.0
         vs = self.vertices
         for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
@@ -99,8 +95,6 @@ def clip(poly: Polygon, n1: float, n2: float, d: float) -> Polygon:
     """Sutherland-Hodgman clip of a convex polygon to the closed half-plane
     n1*z1 + n2*z2 <= d; a zero normal keeps all for d >= 0, else nothing."""
     vs = poly.vertices
-    if not vs:
-        return poly
     out: list[Point] = []
     dists = [n1 * x + n2 * y - d for x, y in vs]
     n = len(vs)

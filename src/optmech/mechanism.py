@@ -35,7 +35,6 @@ from .types import (
     SolveParams,
     Structure,
     StructureKind,
-    no_area,
 )
 
 Menu = tuple[MenuItem, ...]
@@ -131,8 +130,6 @@ _PRICE_UNIT = 2.0**128
 
 def _revenue(rows: tuple[Row, ...], rect: Rectangle) -> float:
     area = rect.area
-    if area == 0.0:  # b1 b2 underflows
-        raise no_area(rect)
     total = sum([t * a for _, _, t, a, _ in rows])
     if total == math.inf:  # t * a overflows near the top of the float range
         return sum([t / _PRICE_UNIT * a for _, _, t, a, _ in rows]) / area * _PRICE_UNIT

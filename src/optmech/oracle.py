@@ -37,10 +37,10 @@ exactly 0, while the areas sum to the support.  So a tb value with
 tb (1 + ``_BOUND_SLACK``) below a score some grid point already reached
 holds no maximum, and each sweep drops those values, a prefix of its
 rising tb grid, before it blocks.  It keeps the top one, which rounding
-can put under the floor at offsets of about 2e15 sides or more or on a
-subnormal area, where scores break the bound.  The coarse sweep's floor
-is the best score of its pure-bundle line (a1 = a2 = 1, t1 = t2 = t_hi,
-every coarse tb), one kernel call on ``coarse`` menus; a window's is the
+can put under the floor at offsets of about 2e15 sides or more, where
+scores break the bound.  The coarse sweep's floor is the best score of
+its pure-bundle line (a1 = a2 = 1, t1 = t2 = t_hi, every coarse tb), one
+kernel call on ``coarse`` menus; a window's is the
 best score so far.  The floor is kept apart from the best score, which only a scored
 point sets, so a coarse maximum on that line is still kept.  Each kept
 menu is scored by the same operations as without the floor, so the scores
@@ -63,7 +63,7 @@ import numpy as np
 from .geometry import Polygon, best_response_regions, boundary_sections, net_prices
 from .measures import MuBar, Shuffle
 from .mechanism import Menu, expected_revenue
-from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, UnitSizeOverflow, no_area, unit_scale
+from .types import NULL_ITEM, Mechanism, MenuItem, PriceOverflow, Rectangle, UnitSizeOverflow, unit_scale
 
 # Verification tolerances.  Region masses and shuffle masses are
 # dimensionless (the corner atom is 1), and shuffle first moments are judged
@@ -318,8 +318,8 @@ def brute_force_menu_search(
     scoring every grid point finds.  A
     support with b1 + b2 outside [4^-20, 4^20] is searched at unit size
     and the result scaled back exactly (``unit_scale``).  Raises
-    ``UnitSizeOverflow`` where the area is 0 there, and ``PriceOverflow``
-    where the search's arithmetic overflows.
+    ``UnitSizeOverflow`` where ``unit_scale`` refuses the support, and
+    ``PriceOverflow`` where the search's arithmetic overflows.
     """
     if coarse < 8:
         raise ValueError(f"coarse must be at least 8, got {coarse}")
@@ -329,8 +329,6 @@ def brute_force_menu_search(
     if lam != 1.0:
         menu, revenue = brute_force_menu_search(rect.scaled(1.0 / lam), coarse, refine_rounds)
         return tuple(replace(item, t=lam * item.t) for item in menu), lam * revenue
-    if rect.area == 0.0:  # b1 b2 underflows
-        raise no_area(rect)
     t_hi = rect.z1_max + rect.z2_max
     if t_hi == math.inf:
         raise PriceOverflow("the price range [0, z1_max + z2_max] overflows the float range")
@@ -556,9 +554,10 @@ def certificate_check(
     ``revenue_form``.  A check fails where its value is NaN.  The checks
     run on the menu and support as given; one with b1 + b2 outside
     [4^-20, 4^20] is checked at unit size (``unit_scale``), with the
-    revenue gap scaled back.  Raises ``UnitSizeOverflow`` where the offsets
-    factor 1 + c1/b1 + c2/b2 overflows at the size checked, where the
-    transformed measure's masses would read NaN.
+    revenue gap scaled back.  Raises ``UnitSizeOverflow`` where
+    ``unit_scale`` refuses the support, and where the offsets factor
+    1 + c1/b1 + c2/b2 overflows at the size checked, where the transformed
+    measure's masses would read NaN.
     """
     lam = unit_scale(rect)
     if lam != 1.0:

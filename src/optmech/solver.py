@@ -580,6 +580,7 @@ def solve(rect: Rectangle) -> Mechanism:
 
     A support with b1 + b2 outside [4^-20, 4^20] is solved at unit size,
     and its record is made there and scaled back exactly (``unit_scale``).
+    Raises ``UnitSizeOverflow`` where ``unit_scale`` refuses the support.
     """
     structure, unit, lam = _structure(rect)
     return build_mechanism(structure, unit, lam)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 
@@ -45,8 +46,8 @@ class PriceOverflow(ValueError):
 
 class UnitSizeOverflow(ValueError):
     """A corner offset overflows when a support with tiny sides is brought to
-    unit size (``unit_scale``), the area b1 b2 is 0 at the size the
-    support is solved at, or an offset over its side overflows where the
+    unit size (``unit_scale``), the area b1 b2 is subnormal at the size the
+    support runs at, or an offset over its side overflows where the
     certificate checks it: its offsets, or one side, lie too far from the
     other side for the solver and the verifier to run it."""
 
@@ -101,6 +102,10 @@ class Rectangle:
         return Rectangle(lam * self.c1, lam * self.c2, lam * self.b1, lam * self.b2)
 
 
+#: The least area b1 b2 a support runs at.
+_MIN_AREA = sys.float_info.min
+
+
 def unit_scale(rect: Rectangle) -> float:
     """The power of 4 that brings b1 + b2 into [1, 4), or 1.0 while b1 + b2
     lies in [4^-20, 4^20], where the solver and the verifier run on the
@@ -112,32 +117,30 @@ def unit_scale(rect: Rectangle) -> float:
     normal range, free of the overflow and underflow of the support's
     squares and products.  The power stays within 4^-511 and 4^511, so it
     and its inverse are finite.  Raises ``UnitSizeOverflow`` where a corner
-    offset overflows at unit size, or where the area is 0 there
-    (``no_area``).  The area of a support in the window is checked where
-    it is divided by.
+    offset overflows at unit size, or where the area b1 b2 at the size the
+    support runs at is subnormal, below ``sys.float_info.min``: there the
+    solver's coefficients, products of the sides, lose digits, and its
+    prices with them.  So every support that runs has a normal area, which
+    each division by the area, and each test against a multiple of it,
+    rests on.
     """
-    width = rect.b1 + rect.b2
+    b1, b2 = rect.b1, rect.b2
+    width = b1 + b2
     if 4.0**-20 <= width <= 4.0**20:
-        return 1.0
-    # width in [2^(e-1), 2^e); an overflowed sum lies in [2^1024, 2^1025)
-    e = math.frexp(width)[1] if width < math.inf else 1025
-    lam = math.ldexp(1.0, 2 * min(max((e - 1) // 2, -511), 511))
-    if max(rect.c1, rect.c2) / lam == math.inf:
-        raise UnitSizeOverflow(
-            f"the corner ({rect.c1!r}, {rect.c2!r}) overflows at unit size, "
-            f"scaled by {1.0 / lam!r} to bring the sides to about 1"
-        )
-    if rect.b1 / lam * (rect.b2 / lam) == 0.0:
-        raise no_area(rect)
-    return lam
-
-
-def no_area(rect: Rectangle) -> UnitSizeOverflow:
-    """The error for a support whose area b1 b2 is 0 at the size it is
-    solved at: one side underflows there, or their product does."""
-    return UnitSizeOverflow(
-        f"the sides ({rect.b1!r}, {rect.b2!r}) leave no area at the size the support is solved at"
-    )
+        if b1 * b2 >= _MIN_AREA:
+            return 1.0
+    else:
+        # width in [2^(e-1), 2^e); an overflowed sum lies in [2^1024, 2^1025)
+        e = math.frexp(width)[1] if width < math.inf else 1025
+        lam = math.ldexp(1.0, 2 * min(max((e - 1) // 2, -511), 511))
+        if max(rect.c1, rect.c2) / lam == math.inf:
+            raise UnitSizeOverflow(
+                f"the corner ({rect.c1!r}, {rect.c2!r}) overflows at unit size, "
+                f"scaled by {1.0 / lam!r} to bring the sides to about 1"
+            )
+        if b1 / lam * (b2 / lam) >= _MIN_AREA:
+            return lam
+    raise UnitSizeOverflow(f"the sides ({b1!r}, {b2!r}) leave a subnormal area at the size the support runs at")
 
 
 @dataclass(frozen=True, init=False)

@@ -127,26 +127,33 @@ def test_a_corner_that_overflows_at_unit_size_exits_2(args, capsys):
     assert "overflows at unit size" in err
 
 
+#: Sides b1 b2 whose area is subnormal as given or, for 1e13 x 1e-300,
+#: at unit size.
+SUBNORMAL_AREAS = ["1 1e-308", "1 1e-310", "1 1e-315", "1 5e-324", "1e13 1e-300"]
+
+
 @pytest.mark.parametrize(
     "command, code",
     [
         # a side underflows to 0 where the sides are brought to unit size
         ("solve 6.9790745385297335 0.22840716114454754 2.8912976813182687e+279 1.510086571594266e-277", 2),
         ("phase 2.323982635771136e-231 4.342142079687406e+141 --grid 10 --max-ratio 216.72143261369322", 2),
-        # b1 b2 underflows to 0 on a support solved as given
+        # b1 b2 is subnormal, or underflows to 0, on a support run as given,
+        # or is subnormal at unit size: there the solver's prices lose digits
         ("solve 8.329559564690836 2.030421339897083 0.033916860774850385 5e-324", 2),
         ("verify 1.4473489521325638e+141 39.92868952274346 5e-324 0.0047706976682450625 --coarse 8 --rounds 2", 2),
+        ("verify 1.2515227201268504e+241 9.896124836408601 5.410344535815978 5e-324 --coarse 8 --rounds 2", 2),
+        *((f"solve 0 0 {sides}", 2) for sides in SUBNORMAL_AREAS),
+        *((f"phase {sides} --grid 10", 2) for sides in SUBNORMAL_AREAS),
+        *((f"verify 0 0 {sides} --coarse 8 --rounds 2", 2) for sides in SUBNORMAL_AREAS),
         # the search's top price times the area overflows, though solve's prices do not
         ("verify 0.01844544792661458 1.7e+308 0.02712023207648371 228.0278322398297 --coarse 8 --rounds 2", 2),
         # offsets of 1e50 sides: the search's scores break its bundle-price
         # bound, and the certificate fails mu_W
         ("verify 1e50 1e50 1 1 --coarse 8 --rounds 2", 5),
-        # b2 is subnormal or tiny and b1 + b2 in the window: the support is
-        # checked as given, where c2/b2 overflows the transformed measure
-        ("verify 1.2515227201268504e+241 9.896124836408601 5.410344535815978 5e-324 --coarse 8 --rounds 2", 2),
+        # b2 is tiny and b1 + b2 in the window: the support is checked as
+        # given, where c2/b2 overflows the transformed measure
         ("verify 0.5 1e300 1 1e-10 --coarse 8 --rounds 2", 2),
-        # an area that is subnormal but not 0 is solved
-        ("solve 0 0 1 1e-310", 0),
     ],
 )
 def test_a_support_at_the_edge_of_the_float_range_exits_as_documented(command, code, capsys):

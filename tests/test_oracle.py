@@ -765,19 +765,37 @@ def test_certificate_judges_an_in_window_support_as_given(monkeypatch, rect):
     assert certificate_check(mech, rect).passed
 
 
-@pytest.mark.parametrize(
-    "rect",
-    [
-        Rectangle(0.5, 1e300, 1.0, 1e-10),
-        Rectangle(1.2515227201268504e241, 9.896124836408601, 5.410344535815978, 5e-324),
-    ],
-)
+@pytest.mark.parametrize("rect", [Rectangle(0.5, 1e300, 1.0, 1e-10), Rectangle(0.5, 1e300, 1.0, 1e-9)])
 def test_certificate_refuses_offsets_that_overflow_the_measure(rect):
     # c2/b2 overflows, so the transformed measure's line densities and
     # its masses would read NaN: the support is refused, as is its mirror
     for support in (rect, rect.swapped()):
         with pytest.raises(UnitSizeOverflow, match="offsets"):
             certificate_check(solve(support), support)
+
+
+#: Supports whose area b1 b2 is subnormal at the size they run at: as
+#: given, with b1 + b2 in the window, or at unit size.
+SUBNORMAL_AREAS = [
+    *(Rectangle(0.0, 0.0, 1.0, b2) for b2 in (1e-308, 1e-310, 1e-315, 5e-324)),
+    Rectangle(0.0, 0.0, 1e13, 1e-300),
+    Rectangle(1.2515227201268504e241, 9.896124836408601, 5.410344535815978, 5e-324),
+]
+
+
+@pytest.mark.parametrize("rect", SUBNORMAL_AREAS)
+def test_every_entry_point_refuses_a_subnormal_area(rect):
+    # there the solver's coefficients lose digits: at b2 = 1e-315 it read
+    # revenue 0.2499999987648359 on (0, 0, 1, b2), and the verifier failed
+    # six checks of that menu, so no entry point runs such a support
+    for support in (rect, rect.swapped()):
+        for run in (
+            lambda: solve(support),
+            lambda: brute_force_menu_search(support, coarse=8, refine_rounds=0),
+            lambda: certificate_check(solve(UNIT), support),
+        ):
+            with pytest.raises(UnitSizeOverflow, match="subnormal area"):
+                run()
 
 
 def test_certificate_fails_a_value_that_is_nan(monkeypatch):

@@ -721,6 +721,16 @@ def _bits(mech):
     )
 
 
+@pytest.mark.parametrize("b2", [sys.float_info.min, math.nextafter(sys.float_info.min, 1.0), 4.0 * sys.float_info.min])
+def test_an_area_just_above_the_normal_range_solves_like_its_scaled_twin(b2):
+    # the least areas a support runs at: as given, and at unit size from
+    # 4^25 times the support, where the record is made and scaled back
+    rect = Rectangle(0.0, 0.0, 1.0, b2)
+    mech = solve(rect)
+    assert _bits(solve(rect.scaled(4.0**25))) == _bits(mech.scaled(4.0**25))
+    assert mech.revenue == pytest.approx(0.25, abs=1e-12)
+
+
 #: A SmallSmall support solved as pure bundling after both one-lottery
 #: searches, on the support and on its mirror, find no kink.
 SMALL_SMALL_C = Rectangle(0.05139164478185963, 0.6383455255767818, 0.8848183722526561, 1.4397147540733368)

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -126,6 +127,17 @@ def test_unit_scale_names_a_corner_that_overflows_at_unit_size():
     for c1, c2 in ((1e300, 0.0), (0.0, 1e300)):
         with pytest.raises(UnitSizeOverflow, match="overflows at unit size"):
             unit_scale(Rectangle(c1, c2, 1e-300, 1e-300))
+
+
+def test_unit_scale_refuses_an_area_below_the_normal_range_where_the_support_runs():
+    # as given in the window, and at unit size from 4^25 times the sides
+    tiny = sys.float_info.min
+    below = math.nextafter(tiny, 0.0)
+    assert unit_scale(Rectangle(0.0, 0.0, 1.0, tiny)) == 1.0
+    assert unit_scale(Rectangle(0.0, 0.0, 4.0**25, 4.0**25 * tiny)) == 4.0**25
+    for rect in (Rectangle(0.0, 0.0, 1.0, below), Rectangle(0.0, 0.0, 4.0**25, 4.0**25 * below)):
+        with pytest.raises(UnitSizeOverflow, match="subnormal area"):
+            unit_scale(rect)
 
 
 def test_scaling_a_mechanism_scales_prices_and_lengths_not_weights():
