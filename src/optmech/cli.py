@@ -9,8 +9,8 @@ import sys
 
 from .linear import NoConvergence, linear_revenue, solve_linear
 from .oracle import brute_force_menu_search, certificate_check
-from .solver import NoRoot, solve, solve_kind
-from .types import Rectangle, unit_scale
+from .solver import NoRoot, phase_kinds, solve
+from .types import Rectangle
 
 __all__ = ["main"]
 
@@ -42,9 +42,10 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def _phase_grid(b1: float, b2: float, ratios: list[float]) -> list[list[str]]:
-    """Kinds on the grid of corner ratios, row-major in c1/b1: ``solve``'s,
-    found with no record, whose price check the far corner stands in for."""
-    return [[solve_kind(Rectangle(r1 * b1, r2 * b2, b1, b2)).name for r2 in ratios] for r1 in ratios]
+    """Kind names on the grid of corner ratios, row-major in c1/b1:
+    ``solve``'s, found with no record, whose price check the far corner
+    stands in for."""
+    return [[kind.name for kind in row] for row in phase_kinds(b1, b2, ratios)]
 
 
 def _phase_csv(grid: list[list[str]], ratios: list[float]) -> str:
@@ -108,11 +109,6 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         raise ValueError(f"--grid must be at least 10, got {ns.grid}")
     if not 0.0 < ns.max_ratio < math.inf:
         raise ValueError(f"--max-ratio must be positive and finite, got {ns.max_ratio}")
-    # the far corner, where the offsets and the prices are largest
-    far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
-    unit_scale(far)  # an offset that overflows at unit size, or a subnormal area
-    if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
-        solve(far)
     out = ns.out
     if out in (None, "csv", "svg"):
         fmt = out or "csv"
@@ -123,6 +119,10 @@ def cmd_phase(ns: argparse.Namespace) -> int:
         fmt, path = "svg", out
     else:
         raise ValueError(f"--out must be csv, svg, or a path ending in .csv/.svg, got {out!r}")
+    # the far corner, where the offsets and the prices are largest
+    far = Rectangle(ns.max_ratio * ns.b1, ns.max_ratio * ns.b2, ns.b1, ns.b2)
+    if far.z1_max + far.z2_max == math.inf:  # else no price can overflow
+        solve(far)
 
     # numpy's linspace, to the bit: i * step, with the last ratio exact
     step = ns.max_ratio / (ns.grid - 1)

@@ -22,7 +22,9 @@ good-2 kink and the bracket's feasibility edge each the positive root of
 a quadratic.  That root, and any Newton search that leaves its piece,
 come from one Brent-Dekker search (``_root_in_bracket``) resolved to the
 rounding floor.  Each region's solver returns the structure it finds and
-makes no record: ``solve`` makes the one record, and ``solve_kind`` none.
+makes no record: ``solve`` makes the one record, and ``phase_kinds``,
+which takes a phase map's kinds from the regions where the region fixes
+the kind and solves a structure only where a root decides it, none.
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ def classify(rect: Rectangle) -> PhaseRegion:
     half-open at its upper threshold (the deterministic single-good
     structure takes over exactly at the threshold).
     """
-    c1, c2, b1, b2 = rect.c1, rect.c2, rect.b1, rect.b2
+    return _region(rect.c1, rect.c2, rect.b1, rect.b2)
+
+
+def _region(c1: float, c2: float, b1: float, b2: float) -> PhaseRegion:
+    """``classify`` on the support's coordinates."""
     # the ratio first: at a zero offset the threshold is exactly 2 b
     if (c1 <= b1 and c2 <= 2.0 * b2 * ((b1 + c1) / (b1 + 3.0 * c1))) or (
         c2 <= b2 and c1 <= 2.0 * b1 * ((b2 + c2) / (b2 + 3.0 * c2))
@@ -381,9 +387,9 @@ def _solve_ss_kind_a(rect: Rectangle) -> Structure | None:
         return _kind_a_residual(rect, m1, d1, m2, d2)
 
     g_lo = g(lo)
-    g_hi = g(hi)
     if g_lo < 0.0:
         return None
+    g_hi = g(hi)
     if g_hi >= 0.0:
         # the residual ends nonnegative only when the root sits at the
         # bracket end itself (coincident corner points)
@@ -569,10 +575,47 @@ def _structure(rect: Rectangle) -> tuple[Structure, Rectangle, float]:
     return _DISPATCH[classify(unit)](unit), unit, lam
 
 
-def solve_kind(rect: Rectangle) -> StructureKind:
-    """``solve(rect).kind``, found without making the record."""
-    kind, _, swap = _structure(rect)[0]
-    return kind.swapped() if swap else kind
+def phase_kinds(b1: float, b2: float, ratios: list[float]) -> list[list[StructureKind]]:
+    """``solve``'s kind on the support (r1 b1, r2 b2, b1, b2) for each r1
+    and r2 in ``ratios``, row-major in r1, found with no record.
+
+    Every cell has the sides b1 and b2, and none has larger offsets than
+    the far corner, at the largest ratio, so the scale ``unit_scale``
+    gives the far corner is every cell's, and it refuses there if it
+    would at any cell.  Each cell is classified at that size, on the
+    coordinates ``Rectangle.scaled`` gives it.  Where the region alone
+    fixes the kind, the cell takes it: pure bundling (C) in BothLarge,
+    and the good with the very large offset sold alone (E, or its mirror
+    in VeryLargeSmall).  Only the cells of the other three regions, whose
+    kind a root decides, solve the region's structure.
+    """
+    top = max(ratios)
+    inv = 1.0 / unit_scale(Rectangle(top * b1, top * b2, b1, b2))
+    u1, u2 = inv * b1, inv * b2
+    # read once: each read of an enum member goes through the enum's class
+    both_large, small_very_large, very_large_small = (
+        PhaseRegion.BOTH_LARGE, PhaseRegion.SMALL_VERY_LARGE, PhaseRegion.VERY_LARGE_SMALL,
+    )
+    bundling, single = StructureKind.C, StructureKind.E
+    single_mirror = single.swapped()
+    c2s = [inv * (r2 * b2) for r2 in ratios]
+    rows = []
+    for r1 in ratios:
+        c1 = inv * (r1 * b1)
+        row = []
+        for c2 in c2s:
+            region = _region(c1, c2, u1, u2)
+            if region is both_large:
+                row.append(bundling)
+            elif region is small_very_large:
+                row.append(single)
+            elif region is very_large_small:
+                row.append(single_mirror)
+            else:
+                kind, _, swap = _DISPATCH[region](Rectangle(c1, c2, u1, u2))
+                row.append(kind.swapped() if swap else kind)
+        rows.append(row)
+    return rows
 
 
 def solve(rect: Rectangle) -> Mechanism:

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import optmech.linear
+import optmech.solver
 from helpers import VERIFY_CENTRES
 from optmech import cli
 from optmech.mechanism import expected_revenue
 from optmech.oracle import REVENUE_TOL_REL
-from optmech.solver import NoRoot
+from optmech.solver import NoRoot, PhaseRegion
 from optmech.solver import solve as real_solve
 from optmech.types import Mechanism, Rectangle
 
@@ -60,7 +61,8 @@ def test_solve_reports_divergence(monkeypatch, capsys):
         raise NoRoot("no root bracketed")
 
     monkeypatch.setattr(cli, "solve", boom)
-    monkeypatch.setattr(cli, "solve_kind", boom)  # phase's cells
+    # phase's cells: the map's corner cell is in SmallSmall
+    monkeypatch.setitem(optmech.solver._DISPATCH, PhaseRegion.SMALL_SMALL, boom)
     assert cli.main(["solve", "0", "0", "1", "1"]) == 3
     assert "no root bracketed" in capsys.readouterr().err
     assert cli.main(["phase", "1", "1", "--grid", "10"]) == 3
@@ -223,19 +225,25 @@ def test_phase_makes_no_mechanism(sides, monkeypatch, capsys):
 
 
 def test_phase_csv_is_the_map_of_solved_kinds(capsys):
+    # grids of 10 to 40, corner ratios up to 1e-3 and 1e3, side ratios
+    # up to 1e-3 and 1e3, each at unit size, 4^30, 4^-30 and the
+    # subnormal 4^-520
     rng = random.Random(20261019)
     for _ in range(30):
         n, top = rng.randint(10, 40), math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
-        b1, b2 = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        b = rng.uniform(0.3, 3.0)
+        ratio = 10.0 ** rng.uniform(-3.0, 3.0)
         ratios = np.linspace(0.0, top, n).tolist()
-        expected = ["c1_ratio,c2_ratio,kind"] + [
-            f"{r1:.10g},{r2:.10g},{real_solve(Rectangle(r1 * b1, r2 * b2, b1, b2)).kind.name}"
-            for r1 in ratios
-            for r2 in ratios
-        ]
-        args = ["phase", repr(b1), repr(b2), "--grid", str(n), "--max-ratio", repr(top)]
-        assert cli.main(args) == 0
-        assert capsys.readouterr().out.splitlines() == expected, args
+        for j in (0, 30, -30, -520):
+            b1, b2 = b * 4.0**j, b * ratio * 4.0**j
+            expected = ["c1_ratio,c2_ratio,kind"] + [
+                f"{r1:.10g},{r2:.10g},{real_solve(Rectangle(r1 * b1, r2 * b2, b1, b2)).kind.name}"
+                for r1 in ratios
+                for r2 in ratios
+            ]
+            args = ["phase", repr(b1), repr(b2), "--grid", str(n), "--max-ratio", repr(top)]
+            assert cli.main(args) == 0
+            assert capsys.readouterr().out.splitlines() == expected, args
 
 
 def test_phase_csv_stdout_and_header(capsys, monkeypatch):
