@@ -543,7 +543,9 @@ def solve_small_large(rect: Rectangle, swap: bool = False) -> Structure:
 
 def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Structure:
     """Very large c2: good 2 sold deterministically, good 1 only in the
-    bundle; with ``swap``, the VeryLargeSmall mirror."""
+    bundle; with ``swap``, the VeryLargeSmall mirror.  The kind is E (its
+    mirror with ``swap``) on every support: ``phase_kinds`` takes it from
+    the region and runs no solve."""
     b1, c1 = (rect.b2, rect.c2) if swap else (rect.b1, rect.c1)
     return StructureKind.E, {"p": 0.5 * (b1 - c1)}, swap
 
@@ -551,7 +553,9 @@ def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Structure:
 def solve_bundling(rect: Rectangle) -> Structure:
     """Pure bundling at the critical diagonal offset
     p* = (sqrt(s^2 + 6 b1 b2) - s)/3, with s = c1 + c2: the positive root of
-    p^2 + (2 s/3) p - 2 b1 b2/3, taken free of cancellation when s >> b."""
+    p^2 + (2 s/3) p - 2 b1 b2/3, taken free of cancellation when s >> b.
+    The kind is C on every support: ``phase_kinds`` takes it from the
+    region and runs no solve."""
     s = rect.c1 + rect.c2
     p_star = _positive_root(2.0 * s / 3.0, 2.0 * rect.b1 * rect.b2 / 3.0)
     return StructureKind.C, {"p": p_star}, False
@@ -586,7 +590,8 @@ def phase_kinds(b1: float, b2: float, ratios: list[float]) -> list[list[Structur
     coordinates ``Rectangle.scaled`` gives it.  Where the region alone
     fixes the kind, the cell takes it: pure bundling (C) in BothLarge,
     and the good with the very large offset sold alone (E, or its mirror
-    in VeryLargeSmall).  Only the cells of the other three regions, whose
+    in VeryLargeSmall), the kinds ``solve_bundling`` and
+    ``solve_small_verylarge`` give on every support.  Only the cells of the other three regions, whose
     kind a root decides, solve the region's structure.
     """
     top = max(ratios)

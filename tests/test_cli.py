@@ -79,6 +79,11 @@ def test_phase_argument_validation(tmp_path, capsys):
     assert cli.main(["phase", "3e-300", "1e-300", "--grid", "10", "--max-ratio", "1.7e308"]) == 2
     assert cli.main(["phase", "1", "1", "--grid", "12", "--out", "table"]) == 2
     capsys.readouterr()
+    # the options are checked before the far corner: a bad --out is named
+    # even where the sides are invalid or leave a subnormal area
+    for b1, b2 in (("0", "1"), ("1", "1e-310")):
+        assert cli.main(["phase", b1, b2, "--grid", "12", "--out", "table"]) == 2
+        assert capsys.readouterr().err.startswith("error: --out must be"), (b1, b2)
     missing = tmp_path / "no_such_dir" / "map.csv"
     assert cli.main(["phase", "1", "1", "--grid", "10", "--out", str(missing)]) == 4
     assert "cannot write" in capsys.readouterr().err
