@@ -44,8 +44,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 def _phase_grid(b1: float, b2: float, ratios: list[float]) -> list[list[str]]:
     """Kind names on the grid of corner ratios, row-major in c1/b1:
     ``solve``'s, found with no record, whose price check the far corner
-    stands in for."""
-    return [[kind.name for kind in row] for row in phase_kinds(b1, b2, ratios)]
+    stands in for.  ``_name_`` is the member's name, read without the
+    enum's ``name`` property."""
+    return [[kind._name_ for kind in row] for row in phase_kinds(b1, b2, ratios)]
 
 
 def _phase_csv(grid: list[list[str]], ratios: list[float]) -> str:

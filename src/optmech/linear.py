@@ -11,21 +11,26 @@ The equations are polynomial.  At a fixed kink P1 the first two are
 quadratics in A0 = c + p_a1 + a1 c whose resultant is a quadratic in
 a1^2, so (p_a1, a1) follow in closed form; the bundle-region balance is
 then a function of P1 alone, whose root on (c, c + 1] the solver's
-bracketed root finder resolves to the rounding floor.
+bracketed root finder resolves to the rounding floor.  ``_balance_at(c)``
+builds that function once per solve, with its terms in c alone formed
+before the search.  ``linear_revenue`` reads its prices straight from
+the solution and builds no menu.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .solver import NoRoot, _root_in_bracket
-from .types import NULL_ITEM, MenuItem
+from .types import NULL_ITEM, MenuItem, _set
 
 #: Largest lower endpoint for which the sloped-boundary structure holds.
-#: Here the solved slope a1 is 1.0000012, just past 1: menu() clips it to
-#: 1, so the sloped segment is parallel to the bundle boundary and
-#: linear_revenue prices the menu on its a = 1 (pure bundling) branch.
+#: Here the solved slope a1 is 1.0000012, just past 1: menu() and
+#: linear_revenue clip it to 1, so the sloped segment is parallel to the
+#: bundle boundary and linear_revenue prices the menu on its a = 1 (pure
+#: bundling) branch.
 C_MAX = 0.250116
 
 _SQRT06 = math.sqrt(0.6)
@@ -55,12 +60,13 @@ def _check_c(c: float) -> None:
         raise OutOfRange(f"c={c!r} outside [0, {C_MAX}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearSolution:
     """Solved menu parameters for one family member.
 
     The menu is symmetric: the sloped boundary on the other side uses the
-    same (p_a1, a1) and the kink points mirror, Q = (P2, P1).
+    same (p_a1, a1) and the kink points mirror, Q = (P2, P1).  Like the
+    records in types.py, it sets its ``__dict__`` in one step.
     """
 
     c: float
@@ -69,6 +75,9 @@ class LinearSolution:
     P1: float
     P2: float
     p: float
+
+    def __init__(self, c: float, p_a1: float, a1: float, P1: float, P2: float, p: float) -> None:
+        _set(self, "__dict__", {"c": c, "p_a1": p_a1, "a1": a1, "P1": P1, "P2": P2, "p": p})
 
     @property
     def t_a1(self) -> float:
@@ -94,25 +103,30 @@ class LinearSolution:
 # unnormalized scale where the density carries no 1/(2c+1)^2 factor)
 
 
-def _mu_w(c: float, pa: float, a: float, P1: float) -> float:
-    """Mass balance of the bundle region (edge, interior, and the add-back
-    triangle below the bundle boundary)."""
+def _balance_at(c: float) -> Callable[[float], float]:
+    """The bundle region's mass balance (edge, interior, and the add-back
+    triangle below the bundle boundary) at lower endpoint c, as a function
+    of the kink P1, with (p_a1, a1) taken from ``_boundary_branch``.  The
+    terms that depend on c alone are formed once, here."""
     k = (c + 1.0) ** 2
     s = 2.0 * c + 1.0
-    a0 = c + pa + a * c
-    P2 = a0 - a * P1
-    p = P1 + P2
-    onem = (k - P1 * P1) / s
-    edge = 2.0 * (2.0 * k / s) * onem
-    interior = -5.0 * onem * onem
-    # the antiderivative ((p^2 - P1^2) z^2 - (4p/3) z^3 + z^4/2) / s^2,
-    # taken between P1 and P2
-    w = p * p - P1 * P1
-    f = 4.0 * p / 3.0
     ss = s * s
-    hi = (w * P2 * P2 - f * P2**3 + 0.5 * P2**4) / ss
-    lo = (w * P1 * P1 - f * P1**3 + 0.5 * P1**4) / ss
-    return edge + interior + 5.0 * (hi - lo)
+    edge_k = 2.0 * (2.0 * k / s)
+
+    def balance(P1: float) -> float:
+        pa, a = _boundary_branch(c, P1)
+        P2 = c + pa + a * c - a * P1
+        p = P1 + P2
+        onem = (k - P1 * P1) / s
+        # the antiderivative ((p^2 - P1^2) z^2 - (4p/3) z^3 + z^4/2) / s^2,
+        # taken between P1 and P2
+        w = p * p - P1 * P1
+        f = 4.0 * p / 3.0
+        hi = (w * P2 * P2 - f * P2**3 + 0.5 * P2**4) / ss
+        lo = (w * P1 * P1 - f * P1**3 + 0.5 * P1**4) / ss
+        return edge_k * onem + -5.0 * onem * onem + 5.0 * (hi - lo)
+
+    return balance
 
 
 def _boundary_branch(c: float, P1: float) -> tuple[float, float]:
@@ -169,8 +183,9 @@ def solve_linear(c: float) -> LinearSolution:
     c : float
         Lower endpoint of the support, in [0, C_MAX].  The kink P1 is the
         root of the bundle-region balance between just above c and c + 1,
-        found by a bracketed Brent-Dekker search (about 10 balance
-        evaluations); at each P1 the other two balance equations give
+        found by a bracketed Brent-Dekker search (about 10 evaluations,
+        8-15 over [0, C_MAX], of the one kernel ``_balance_at(c)`` builds
+        for the solve); at each P1 the other two balance equations give
         (p_a1, a1) in closed form.  At c = 0, where the boundary is flat
         (a1 = 0) and the balance has two positive roots, it takes the
         published one on [sqrt(0.6), 1 + sqrt(0.6)] as the bundle price.
@@ -190,10 +205,7 @@ def solve_linear(c: float) -> LinearSolution:
         the message names the bracket and both end balances.
     """
     _check_c(c)
-
-    def balance(kink: float) -> float:
-        return _mu_w(c, *_boundary_branch(c, kink), kink)
-
+    balance = _balance_at(c)
     as_price = c == 0.0
     lo, hi = (_SQRT06, 1.0 + _SQRT06) if as_price else (c + _KINK_OFFSET, c + 1.0)
     try:
@@ -234,7 +246,8 @@ def linear_revenue(sol: LinearSolution, c: float) -> float:
     on its mirror, and the bundle on the pentagon P, Q, (c + 1, P1),
     (c + 1, c + 1), (P1, c + 1).  This holds while P lies in the support
     above the diagonal, as on every solved menu and small moves of its
-    prices.  Where menu() clips a to 1 (at c = C_MAX), lotteries and
+    prices.  The slope is a = a1 clipped to [0, 1], as menu() clips it,
+    and no menu is built.  Where a = 1 (at c = C_MAX), lotteries and
     bundle share the allocation (1, 1): the menu is pure bundling at
     min(t_a1, p).
 
@@ -254,13 +267,18 @@ def linear_revenue(sol: LinearSolution, c: float) -> float:
     ------
     ValueError
         If a < 1 and the menu leaves that layout: the kink outside
-        c <= P1 <= P2 <= c + 1, or the edge price pa outside [0, 1].
+        c <= P1 <= P2 <= c + 1, or the edge price pa outside [0, 1]
+        (which a NaN, negative or infinite price does); if a = 1 and
+        t_a1 or p is NaN, negative or infinite.
     """
     _check_c(c)
-    _, lottery, _, bundle = sol.menu()
-    a, t, p = lottery.q1, lottery.t, bundle.t
+    a = min(max(sol.a1, 0.0), 1.0)
+    t, p = sol.t_a1, sol.p
     scale = 4.0 / (2.0 * c + 1.0) ** 2
     if a == 1.0:
+        # min(t, p) would drop a NaN price
+        if not (0.0 <= t < math.inf and 0.0 <= p < math.inf):
+            raise ValueError(f"menu prices must be finite and >= 0 at c={c!r}: t_a1={t!r}, p={p!r}")
         m = min(t, p)  # the square's moment is 1/scale; less the unsold triangle
         return m * (1.0 - scale * _xy_moment(((c, c), (m - c, c), (c, m - c))))
     pa = t - c * (1.0 + a)

@@ -578,14 +578,11 @@ def zero_endpoint_interior_root() -> LinearSolution:
     reading, the root above the flat boundary, as the bundle price.
 
     It searches the general kink bracket [c + _KINK_OFFSET, c + 1] with the
-    balance kernel looked up on ``optmech.linear`` at each call, so a
-    kernel patched there reaches it too.
+    balance kernel that ``optmech.linear._balance_at`` builds, looked up
+    there at each call, so a kernel patched there reaches it too.
     """
     linear, c = optmech.linear, 0.0
-
-    def balance(kink: float) -> float:
-        return linear._mu_w(c, *linear._boundary_branch(c, kink), kink)
-
+    balance = linear._balance_at(c)
     lo, hi = c + linear._KINK_OFFSET, c + 1.0
     x = _root_in_bracket(balance, lo, hi, balance(lo), balance(hi))
     pa, a = linear._boundary_branch(c, x)
@@ -595,8 +592,8 @@ def zero_endpoint_interior_root() -> LinearSolution:
 
 # The linear family's balance kernel with each polynomial in (c, s) summed
 # by a Horner loop and the bundle region's antiderivative as a closure: the
-# reference the straight-line ``linear._boundary_branch`` and
-# ``linear._mu_w`` must equal bit for bit.
+# reference the straight-line ``linear._boundary_branch`` and the kernel of
+# ``linear._balance_at`` must equal bit for bit.
 
 
 def _homogeneous(coeffs: tuple[float, ...], c: float, s: float) -> float:

@@ -393,7 +393,7 @@ def test_linear_rejects_out_of_range(capsys):
 
 
 def test_linear_reports_a_missing_kink_root(monkeypatch, capsys):
-    monkeypatch.setattr(optmech.linear, "_mu_w", lambda *args: -0.5)
+    monkeypatch.setattr(optmech.linear, "_balance_at", lambda c: lambda kink: -0.5)
     assert cli.main(["linear", "0.1"]) == 3
     err = capsys.readouterr().err
     assert "no kink root at c=0.1" in err and "f = -0.5, -0.5" in err

@@ -21,8 +21,8 @@ from optmech.linear import (
     LinearSolution,
     NoConvergence,
     OutOfRange,
+    _balance_at,
     _boundary_branch,
-    _mu_w,
     linear_revenue,
     solve_linear,
 )
@@ -122,7 +122,7 @@ def test_balance_equations_vanish_at_solutions():
         sh = GenShuffleAlpha(c, sol.p_a1, sol.a1, sol.P1)
         assert abs(sh.mass()) < 1e-12, f"boundary mass at c={c}"
         assert abs(sh.first_moment()) < 1e-12, f"boundary moment at c={c}"
-        assert abs(_mu_w(c, sol.p_a1, sol.a1, sol.P1)) < 1e-12, f"bundle-region mass at c={c}"
+        assert abs(looped_mu_w(c, sol.p_a1, sol.a1, sol.P1)) < 1e-12, f"bundle-region mass at c={c}"
         assert sh.point_mass() > 0.0
         assert sh.density(c + 1e-9) < 0.0, "density starts negative next to the atom"
         assert sh.density(sol.P1) > 0.0, "density ends positive at the kink"
@@ -133,11 +133,16 @@ def test_solve_stays_within_its_balance_budget(monkeypatch):
     # floor made 51-52
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _mu_w(*args)
+    def counted(c):
+        balance = _balance_at(c)
 
-    monkeypatch.setattr(optmech.linear, "_mu_w", counted)
+        def kernel(kink):
+            calls.append(kink)
+            return balance(kink)
+
+        return kernel
+
+    monkeypatch.setattr(optmech.linear, "_balance_at", counted)
     for k in range(1, 62):
         calls.clear()
         solve_linear(k * C_MAX / 61)
@@ -154,14 +159,18 @@ def test_straight_line_kernel_matches_the_looped_reference(monkeypatch):
     for _ in range(5000):
         c = rng.choice((0.0, 1e-12, 1e-9, C_MAX - rng.uniform(0.0, C_MAX)))
         P1 = c + rng.uniform(1e-6, 1.0)
-        branch = _boundary_branch(c, P1)
-        assert _hex(branch) == _hex(looped_boundary_branch(c, P1)), (c, P1)
-        assert _hex([_mu_w(c, *branch, P1)]) == _hex([looped_mu_w(c, *branch, P1)]), (c, P1)
+        looped_branch = looped_boundary_branch(c, P1)
+        assert _hex(_boundary_branch(c, P1)) == _hex(looped_branch), (c, P1)
+        assert _hex([_balance_at(c)(P1)]) == _hex([looped_mu_w(c, *looped_branch, P1)]), (c, P1)
     cs = [C_MAX * (i + 1) / 400 for i in range(400)]
     solved = [solve_linear(c).to_dict() for c in cs]
     solved += [solve_linear(0.0).to_dict(), zero_endpoint_interior_root().to_dict()]
     monkeypatch.setattr(optmech.linear, "_boundary_branch", looped_boundary_branch)
-    monkeypatch.setattr(optmech.linear, "_mu_w", looped_mu_w)
+    monkeypatch.setattr(
+        optmech.linear,
+        "_balance_at",
+        lambda c: lambda kink: looped_mu_w(c, *looped_boundary_branch(c, kink), kink),
+    )
     looped = [solve_linear(c).to_dict() for c in cs]
     looped += [solve_linear(0.0).to_dict(), zero_endpoint_interior_root().to_dict()]
     for got, want in zip(solved, looped, strict=True):
@@ -176,13 +185,14 @@ def test_kink_bracket_holds_one_sign_change_from_negative_to_positive():
             np.linspace(c + _KINK_OFFSET, c + 1.0, 150),
             c + np.geomspace(_KINK_OFFSET, 0.1, 50),
         ]))
-        signs = np.sign([_mu_w(c, *_boundary_branch(c, k), k) for k in map(float, kinks)])
+        balance = _balance_at(c)
+        signs = np.sign([balance(k) for k in map(float, kinks)])
         assert signs[0] < 0.0 and signs[-1] > 0.0, c
         assert np.count_nonzero(np.diff(signs)) == 1, c
 
 
 def test_no_sign_change_names_the_bracket_and_end_balances(monkeypatch):
-    monkeypatch.setattr(optmech.linear, "_mu_w", lambda *args: 0.5)
+    monkeypatch.setattr(optmech.linear, "_balance_at", lambda c: lambda kink: 0.5)
     with pytest.raises(NoConvergence) as info:
         solve_linear(0.1)
     message = str(info.value)
@@ -307,6 +317,21 @@ def test_revenue_rejects_a_menu_outside_the_solved_layout(p):
     sol = dataclasses.replace(solve_linear(0.1), p=p)
     with pytest.raises(ValueError, match="outside the solved layout"):
         linear_revenue(sol, 0.1)
+
+
+@pytest.mark.parametrize("c", [0.1, C_MAX], ids=["c=0.1", "c=C_MAX"])
+@pytest.mark.parametrize("field", ["p_a1", "p"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_revenue_refuses_a_price_that_is_nan_negative_or_infinite(c, field, bad):
+    # p_a1 = nan, -1 or inf makes t_a1 nan, negative or inf; at C_MAX the
+    # clipped slope a = 1 prices the menu at min(t_a1, p), which a NaN
+    # price would slip through
+    sol = solve_linear(c)
+    assert (min(max(sol.a1, 0.0), 1.0) == 1.0) is (c == C_MAX)
+    moved = dataclasses.replace(sol, **{field: bad})
+    assert not 0.0 <= (moved.t_a1 if field == "p_a1" else moved.p) < math.inf
+    with pytest.raises(ValueError):
+        linear_revenue(moved, c)
 
 
 def test_revenue_increases_with_c():
