@@ -10,7 +10,8 @@ needed; the solver takes its regions' areas in closed form instead.
 Nothing here has a tolerance.  A clip interpolates along each cut edge,
 which keeps the coordinate of an edge on a side of the square exactly and
 puts no vertex outside [0, 1]^2, so which edges of a region lie on a side
-and whether it holds the corner are read by exact comparisons.
+and whether it has the corner (0, 0) as a vertex are read by exact
+comparisons.
 """
 
 from __future__ import annotations
@@ -75,16 +76,6 @@ class Polygon:
             mx += (x0 + x1) * cross
             my += (y0 + y1) * cross
         return a / 2.0, mx / 6.0, my / 6.0
-
-    def contains(self, pt: Point) -> bool:
-        """True if pt lies in the closed polygon."""
-        vs = self.vertices
-        if not vs:
-            return False
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-            if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < 0.0:
-                return False
-        return True
 
 
 EMPTY_POLYGON = Polygon(())
@@ -155,11 +146,11 @@ def _region(k: int, rivals: tuple[MenuItem, ...], nets: tuple[float, ...], rect:
     return poly
 
 
-def boundary_sections(poly: Polygon, axis: int, value: float) -> list[tuple[float, float]]:
+def boundary_sections(poly: Polygon, axis: int, value: float) -> tuple[float, float] | None:
     """Where poly meets the line u[axis] == value along an edge.
 
     Returns the (lo, hi) span of the other coordinate over the endpoints of
-    the edges with both endpoints at u[axis] == value exactly, or [] where
+    the edges with both endpoints at u[axis] == value exactly, or None where
     no edge lies there: a convex polygon meets a line in one segment.  Used
     by the boundary-measure evaluator for the line densities that sit on
     the unit square's four edges.
@@ -167,4 +158,4 @@ def boundary_sections(poly: Polygon, axis: int, value: float) -> list[tuple[floa
     vs = poly.vertices
     on_line = [(v0, v1) for v0, v1 in zip(vs, vs[1:] + vs[:1]) if v0[axis] == value == v1[axis]]
     ends = [v[1 - axis] for edge in on_line for v in edge]
-    return [(min(ends), max(ends))] if ends else []
+    return (min(ends), max(ends)) if ends else None

@@ -220,18 +220,14 @@ def solve_linear(c: float) -> LinearSolution:
 
 
 def _xy_moment(vs: tuple[tuple[float, float], ...]) -> float:
-    """Exact integral of z1*z2 over the CCW polygon vs, by the boundary formula."""
+    """Exact integral of z1*z2 over the nonempty CCW polygon vs, by the edge
+    formula sum (x0 y1 - x1 y0) (x0 (2 y0 + y1) + x1 (y0 + 2 y1)) / 24."""
     total = 0.0
-    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-        dx, dy = x1 - x0, y1 - y0
-        inner = (
-            x0 * x0 * y0
-            + 0.5 * (x0 * x0 * dy + 2.0 * x0 * dx * y0)
-            + (2.0 * x0 * dx * dy + dx * dx * y0) / 3.0
-            + 0.25 * dx * dx * dy
-        )
-        total += 0.5 * dy * inner
-    return total
+    x0, y0 = vs[-1]
+    for x1, y1 in vs:
+        total += (x0 * y1 - x1 * y0) * (x0 * (2.0 * y0 + y1) + x1 * (y0 + 2.0 * y1))
+        x0, y0 = x1, y1
+    return total / 24.0
 
 
 def linear_revenue(sol: LinearSolution, c: float) -> float:

@@ -30,10 +30,11 @@ class MuBar:
     A polygon must lie inside the unit square, and it is measured exactly
     as given: an edge takes a side's line density only when both of its
     endpoints lie exactly on that side, and the corner atom counts only
-    when the polygon contains (0, 0) exactly.  Regions clipped from
-    ``UNIT_SQUARE`` meet this contract, since clipping keeps each side's
-    coordinate exactly; a polygon with a vertex outside [0, 1]^2 raises
-    ValueError.
+    when the polygon has (0, 0) as a vertex.  Regions clipped from
+    ``UNIT_SQUARE`` meet this contract: clipping keeps each side's
+    coordinate exactly, and a convex polygon inside the square holds its
+    corner only as a vertex.  A polygon with a vertex outside [0, 1]^2
+    raises ValueError.
     """
 
     def __init__(self, rect: Rectangle) -> None:
@@ -53,19 +54,20 @@ class MuBar:
         area, ix, iy = poly.moments()
         mass, m1, m2 = -3.0 * area, -3.0 * ix, -3.0 * iy
         for axis, value, dens in self._edges:
-            if dens == 0.0:
+            span = boundary_sections(poly, axis, value) if dens != 0.0 else None
+            if span is None:
                 continue
-            for lo, hi in boundary_sections(poly, axis, value):
-                length = hi - lo
-                second = 0.5 * (hi * hi - lo * lo)
-                mass += dens * length
-                if axis == 1:  # horizontal edge: varying coordinate is u1
-                    m1 += dens * second
-                    m2 += dens * value * length
-                else:
-                    m1 += dens * value * length
-                    m2 += dens * second
-        if poly.contains((0.0, 0.0)):
+            lo, hi = span
+            length = hi - lo
+            second = 0.5 * (hi * hi - lo * lo)
+            mass += dens * length
+            if axis == 1:  # horizontal edge: varying coordinate is u1
+                m1 += dens * second
+                m2 += dens * value * length
+            else:
+                m1 += dens * value * length
+                m2 += dens * second
+        if (0.0, 0.0) in poly.vertices:
             mass += 1.0
         return mass, m1, m2
 

@@ -418,7 +418,7 @@ def _lottery_shuffle(rect: Rectangle, item: MenuItem, net: float, region: Polygo
         frame, a, top = rect.swapped(), item.q2, boundary_sections(region, 0, 1.0)
     else:
         return None
-    end = frame.b1 * top[-1][1] if top else 0.0
+    end = frame.b1 * top[1] if top else 0.0
     if a > 0.0:
         ramp_end = min(net / a, end)
     elif net > 0.0 or frame.c2 == 0.0:

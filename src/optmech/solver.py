@@ -176,13 +176,6 @@ def _positive_root(b: float, c: float) -> float:
     return 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
 
 
-def _horner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
-
-
 def _monotone_root(
     a0: float, a1: float, a2: float, a3: float, lo: float, hi: float, flo: float, fhi: float
 ) -> float:
@@ -214,7 +207,11 @@ def _monotone_root(
         if abs(fy) >= abs(fx):
             return x
         x, fx = y, fy
-    return _root_in_bracket(partial(_horner, [a0, a1, a2, a3]), lo, hi, flo, fhi)
+    # default arguments bind the coefficients: a closure would make them
+    # cell variables here, and slow the Newton loop above
+    return _root_in_bracket(
+        lambda y, a0=a0, a1=a1, a2=a2, a3=a3: ((a3 * y + a2) * y + a1) * y + a0, lo, hi, flo, fhi
+    )
 
 
 def real_roots_in_interval(coeffs: tuple[float, ...] | list[float], lo: float, hi: float) -> list[float]:

@@ -2,14 +2,15 @@
 between the value frame z and the verifier's unit frame u = (z - c)/b, a
 mechanism's JSON read back, the goods-swap mirror of a menu item and of a
 mechanism, a menu item's utility, the bundle entry of a mechanism, random
-menus, polygon intersection, the non-participation region, a shuffle
-report, the closed-form shuffle parameters of the lottery structures, the
-simple menus every optimum must match, finite-difference checks of a
-menu's revenue, the buyer's best entry at a type, the duality-side revenue
-pairing, a payment-monotonicity check, one support per kind, the linear
-family's boundary measure, clipped-polygon revenue and looped balance
-kernel, a log-uniform draw, the companion-matrix root finder the solver's
-is checked against, every admissible structure of a support, the eager
+menus, a point-in-polygon test, polygon intersection, the
+non-participation region, a shuffle report, the closed-form shuffle
+parameters of the lottery structures, the simple menus every optimum must
+match, finite-difference checks of a menu's revenue, the buyer's best
+entry at a type, the duality-side revenue pairing, a payment-monotonicity
+check, one support per kind, the linear family's boundary measure,
+clipped-polygon revenue and looped balance kernel, a log-uniform draw, the
+companion-matrix root finder the solver's is checked against, with its own
+Horner evaluator, every admissible structure of a support, the eager
 grid-search kernel the oracle's lazy one is checked against and a grid
 search that scores every point with it, the supports whose null region
 is a sliver, and the exact-rational reference for the best-response
@@ -37,7 +38,7 @@ from optmech.geometry import (
     boundary_sections,
     clip,
 )
-from optmech.linear import LinearSolution, _xy_moment
+from optmech.linear import LinearSolution
 from optmech.measures import MuBar, Shuffle
 from optmech.mechanism import build_mechanism, expected_revenue
 from optmech.oracle import _REFINE_POINTS, FD_STEP, _clip, _cut, _perturbed
@@ -46,7 +47,6 @@ from optmech.solver import (
     ROOT_END_REL_TOL,
     ROOT_REL_TOL,
     PhaseRegion,
-    _horner,
     _kind_b_cubic,
     _kind_b_params,
     _kind_d_cubic,
@@ -182,6 +182,18 @@ def random_menu(rng, rect: Rectangle, n_items: int | None = None) -> tuple[MenuI
     return tuple(items)
 
 
+def contains(poly: Polygon, pt: tuple[float, float]) -> bool:
+    """True if pt lies in the closed convex polygon: on the inner side of
+    every CCW edge, or on it."""
+    vs = poly.vertices
+    if not vs:
+        return False
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        if (x1 - x0) * (pt[1] - y0) - (y1 - y0) * (pt[0] - x0) < 0.0:
+            return False
+    return True
+
+
 def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
     """Intersection of two convex polygons (clip a by b's edges)."""
     vs = b.vertices
@@ -303,9 +315,11 @@ def exact_region_masses(rect: Rectangle, menu: tuple[MenuItem, ...], nets: tuple
     for item, region in zip(items, regions):
         key = "Z" if item.is_null else "W" if item.is_bundle else "A" if item.q2 == 1 else "B" if item.q1 == 1 else ""
         if key and not region.is_empty:
-            masses[key] += -3 * exact_area(region) + (1 if region.contains((0, 0)) else 0)
+            masses[key] += -3 * exact_area(region) + (1 if (0, 0) in region.vertices else 0)
             for axis, value, dens in sides:
-                masses[key] += sum((dens * (hi - lo) for lo, hi in boundary_sections(region, axis, value)), Fraction(0))
+                span = boundary_sections(region, axis, value)
+                if span is not None:
+                    masses[key] += dens * (span[1] - span[0])
     return masses
 
 
@@ -559,15 +573,33 @@ class GenShuffleAlpha:
         return _expectation(self.c, self.p_a1, self.a1, self.P1) / scale
 
 
+def _per_edge_xy_moment(vs: tuple[tuple[float, float], ...]) -> float:
+    """Integral of z1*z2 over the CCW polygon vs, 0 for the empty one, by
+    Green's theorem edge by edge, in offsets from each edge's first end."""
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        inner = (
+            x0 * x0 * y0
+            + 0.5 * (x0 * x0 * dy + 2.0 * x0 * dx * y0)
+            + (2.0 * x0 * dx * dy + dx * dx * y0) / 3.0
+            + 0.25 * dx * dx * dy
+        )
+        total += 0.5 * dy * inner
+    return total
+
+
 def clipped_linear_revenue(sol: LinearSolution, c: float) -> float:
     """``linear.linear_revenue`` by clipping the four best-response polygons
-    out of the support: the reference its closed form is checked against."""
+    out of the support: the reference its closed form is checked against.
+    It shares no code with ``linear_revenue``, and takes the moments by its
+    own per-edge formula."""
     menu = sol.menu()
     rect = Rectangle(c, c, 1.0, 1.0)
     regions = best_response_regions(rect, menu)
     scale = 4.0 / (2.0 * c + 1.0) ** 2
     return sum(
-        item.t * scale * _xy_moment(to_values(rect, region).vertices) for item, region in zip(menu, regions)
+        item.t * scale * _per_edge_xy_moment(to_values(rect, region).vertices) for item, region in zip(menu, regions)
     )
 
 
@@ -645,6 +677,14 @@ def looped_mu_w(c: float, pa: float, a: float, P1: float) -> float:
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _horner(coeffs: list[float], x: float) -> float:
+    """The polynomial with ascending coefficients ``coeffs`` at x."""
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
 
 
 def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import non_participation_region, polygon_intersection, rect_polygon
+from helpers import contains, non_participation_region, polygon_intersection, rect_polygon
 from optmech.geometry import (
     EMPTY_POLYGON,
     UNIT_SQUARE,
@@ -28,10 +28,10 @@ def test_clip_by_a_zero_normal_keeps_all_or_nothing():
 def test_clip_keeps_the_side_below_the_line():
     # n1 z1 + n2 z2 <= d is kept, the boundary line included
     left = clip(UNIT_SQUARE, 1.0, 0.0, 0.5)  # z1 <= 0.5
-    assert left.contains((0.2, 0.9)) and not left.contains((0.9, 0.2))
-    assert left.contains((0.5, 0.0)) and left.contains((0.5, 1.0))
+    assert contains(left, (0.2, 0.9)) and not contains(left, (0.9, 0.2))
+    assert contains(left, (0.5, 0.0)) and contains(left, (0.5, 1.0))
     right = clip(UNIT_SQUARE, -1.0, 0.0, -0.5)  # z1 >= 0.5
-    assert right.contains((0.9, 0.2)) and not right.contains((0.2, 0.9))
+    assert contains(right, (0.9, 0.2)) and not contains(right, (0.2, 0.9))
     assert sorted(left.vertices + right.vertices) == sorted(UNIT_SQUARE.vertices + ((0.5, 0.0), (0.5, 1.0)) * 2)
 
 
@@ -66,9 +66,9 @@ def test_triangle_moments():
 
 def test_contains_boundary_and_interior():
     sq = rect_polygon(UNIT)
-    assert sq.contains((0.5, 0.5))
-    assert sq.contains((0.0, 0.0)), "closed polygon must contain its vertices"
-    assert not sq.contains((1.1, 0.5))
+    assert contains(sq, (0.5, 0.5))
+    assert contains(sq, (0.0, 0.0)), "closed polygon must contain its vertices"
+    assert not contains(sq, (1.1, 0.5))
 
 
 def test_clip_halves_the_square():
@@ -91,13 +91,12 @@ def test_diagonal_clip_gives_triangle():
 
 def test_boundary_sections_bottom_edge():
     sq = rect_polygon(UNIT)
-    assert boundary_sections(sq, 1, 0.0) == [(0.0, 1.0)]
+    assert boundary_sections(sq, 1, 0.0) == (0.0, 1.0)
     half = clip(sq, 1.0, 0.0, 0.5)
-    spans = boundary_sections(half, 1, 0.0)
-    assert len(spans) == 1
-    lo, hi = spans[0]
-    assert (lo, hi) == pytest.approx((0.0, 0.5))
-    assert boundary_sections(half, 1, 0.25) == []
+    span = boundary_sections(half, 1, 0.0)
+    assert isinstance(span, tuple) and len(span) == 2
+    assert span == pytest.approx((0.0, 0.5))
+    assert boundary_sections(half, 1, 0.25) is None
 
 
 @pytest.mark.parametrize("number", [float, Fraction])
@@ -105,7 +104,7 @@ def test_boundary_sections_spans_a_vertex_in_the_middle_of_a_side(number):
     # the bottom side is two edges, and the span runs over both
     poly = Polygon(tuple((number(x), number(y)) for x, y in ((0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1))))
     assert len(poly.vertices) == 5
-    assert boundary_sections(poly, 1, number(0)) == [(0, 1)]
+    assert boundary_sections(poly, 1, number(0)) == (0, 1)
 
 
 def test_a_corner_sliver_and_its_neighbour_split_the_corner_and_the_sides():
@@ -113,10 +112,11 @@ def test_a_corner_sliver_and_its_neighbour_split_the_corner_and_the_sides():
     # sliver holds the corner, and its hypotenuse lies on no side
     sliver = clip(UNIT_SQUARE, 1.0, 1.0, 1e-12)
     rest = clip(UNIT_SQUARE, -1.0, -1.0, -1e-12)
-    assert sliver.contains((0.0, 0.0)) and not rest.contains((0.0, 0.0))
+    assert (0.0, 0.0) in sliver.vertices and (0.0, 0.0) not in rest.vertices
+    assert contains(sliver, (0.0, 0.0)) and not contains(rest, (0.0, 0.0))
     for axis in (0, 1):
-        (low,) = boundary_sections(sliver, axis, 0.0)
-        (high,) = boundary_sections(rest, axis, 0.0)
+        low = boundary_sections(sliver, axis, 0.0)
+        high = boundary_sections(rest, axis, 0.0)
         assert low == pytest.approx((0.0, 1e-12), rel=1e-4, abs=0.0)
         assert high == pytest.approx((1e-12, 1.0), rel=1e-4, abs=0.0)
 

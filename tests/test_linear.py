@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from optmech.linear import (
     OutOfRange,
     _balance_at,
     _boundary_branch,
+    _xy_moment,
     linear_revenue,
     solve_linear,
 )
@@ -307,6 +309,37 @@ def test_closed_form_revenue_matches_clipped_polygons():
     for sol in sols:
         ref = clipped_linear_revenue(sol, sol.c)
         assert linear_revenue(sol, sol.c) == pytest.approx(ref, rel=1e-13, abs=0.0), sol
+
+
+def _exact_xy_moment(vs) -> Fraction:
+    """Integral of z1*z2 over the CCW polygon vs in rational arithmetic,
+    summed over a fan of triangles T from the first vertex, each by
+    |T| / 12 (sum x_k y_k + sum x_k * sum y_k)."""
+    (x0, y0), *rest = [(Fraction(x), Fraction(y)) for x, y in vs]
+    total = Fraction(0)
+    for (x1, y1), (x2, y2) in zip(rest, rest[1:]):
+        area = ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)) / 2
+        total += area / 12 * (x0 * y0 + x1 * y1 + x2 * y2 + (x0 + x1 + x2) * (y0 + y1 + y2))
+    return total
+
+
+def test_xy_moment_matches_the_exact_integral_on_the_solved_layouts():
+    # the quadrilateral and pentagon that linear_revenue sells on at 1,500
+    # values of c in [0, C_MAX), and the unsold triangle at C_MAX, where
+    # the clipped slope a = 1 makes the menu pure bundling
+    polygons = []
+    for i in range(1500):
+        sol = solve_linear(C_MAX * i / 1500)
+        c, P1, P2, top = sol.c, sol.P1, sol.P2, sol.c + 1.0
+        polygons.append(((c, c + sol.p_a1), (P1, P2), (P1, top), (c, top)))
+        polygons.append(((P1, P2), (P2, P1), (top, P1), (top, top), (P1, top)))
+    sol = solve_linear(C_MAX)
+    c, m = sol.c, min(sol.t_a1, sol.p)
+    polygons.append(((c, c), (m - c, c), (c, m - c)))
+    for vs in polygons:
+        exact = _exact_xy_moment(vs)
+        assert exact > 0
+        assert abs(Fraction(_xy_moment(vs)) - exact) <= Fraction(2e-15) * exact, vs
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
