@@ -14,9 +14,12 @@ offsets take the same path as positive ones.  The one-lottery and ramp
 residuals are cubics, split at their critical and inflection points into
 monotone pieces of one convexity, each holding at most one root, which
 Newton's method finds from the end that Fourier's condition picks.  Each
-cubic's first admissible root is its only one, and is the structure; in
-SmallSmall the first structure that exists is the optimum, so the solver
-compares none and prices only the one it returns.  The two-lottery
+search covers only the roots its structure can admit: the ramp's ends at
+pure bundling's offset, above which its weight exceeds 1, and the
+one-lottery's starts at its floor.  Each cubic's first admissible root is
+its only one, and is the structure; in SmallSmall the first structure
+that exists is the optimum, so the solver compares none and prices only
+the one it returns.  The two-lottery
 structure has one residual root in the good-1 kink, with the matching
 good-2 kink and the bracket's feasibility edge each the positive root of
 a quadratic.  That root, and any Newton search that leaves its piece,
@@ -50,6 +53,12 @@ ROOT_END_REL_TOL = 1e-10
 #: A critical point is a double root where the polynomial there is within
 #: this many rounding units of sum |a_i| |x|^i.
 ROOT_DOUBLE_ULPS = 16.0
+#: The ramp search ends at pure bundling's offset p* times ``RAMP_CAP``,
+#: or at b2 where that end lies above b2 times ``RAMP_DOUBLE_EDGE``, within
+#: the width of the rounding twins of the ramp cubic's double root at b2
+#: (``solve_small_large``).
+RAMP_CAP = 1.0 + 8.0 * sys.float_info.epsilon
+RAMP_DOUBLE_EDGE = 1.0 - 2.0 * math.sqrt(ROOT_DOUBLE_ULPS * sys.float_info.epsilon)
 
 
 class NoRoot(RuntimeError):
@@ -67,6 +76,9 @@ class PhaseRegion(Enum):
     LARGE_SMALL = "LargeSmall"
     VERY_LARGE_SMALL = "VeryLargeSmall"
     BOTH_LARGE = "BothLarge"
+
+    # identity hash, as for ``StructureKind``
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -458,10 +470,11 @@ def _solve_ss_kind_b(rect: Rectangle, swap: bool = False) -> Structure | None:
     if lo > hi:
         return None
     # roots below lo have a1 > 1, and those within the search's resolution
-    # ROOT_REL_TOL * hi of 0 are the root at 0; searching from 0 keeps the
-    # end rule, relative to hi, from clamping them onto a far smaller lo
+    # ROOT_REL_TOL * hi of 0 are the root at 0; the search starts at this
+    # floor, and the end rule, relative to hi, clamps onto it the roots
+    # just below it, which the loop rejects with the rest at the floor
     floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
-    for m1 in real_roots_in_interval(_kind_b_cubic(frame), 0.0, hi):
+    for m1 in real_roots_in_interval(_kind_b_cubic(frame), floor, hi):
         fields = _kind_b_params(frame, max(m1, lo)) if m1 > floor else None
         if fields is not None:
             return StructureKind.B, fields, swap
@@ -522,20 +535,41 @@ def solve_small_large(rect: Rectangle, swap: bool = False) -> Structure:
     """Intermediate c2 band: ramp-lottery structure or pure bundling.
 
     The edge price is the first root of ``_kind_d_cubic`` on
-    [(2 b2 - c2)+, b2] that ``_kind_d_params`` admits.  Where it admits
-    none (b1 b2 <= c1 p_a1, a1 > 1, or the lottery line meets z2 = c2
-    past the bundle boundary z1 = c1 + (b1 - c1)/2), the ramp structure
-    does not exist, leaving pure bundling.  With ``swap``, the LargeSmall
-    mirror: the same, solved with the goods exchanged.
+    [(2 b2 - c2)+, min(b2, p*)] that ``_kind_d_params`` admits, with p*
+    pure bundling's offset, the fallback, which the solve takes first.
+    Where it admits none (b1 b2 <= c1 p_a1, a1 > 1, or the lottery line
+    meets z2 = c2 past the bundle boundary z1 = c1 + (b1 - c1)/2), the
+    ramp structure does not exist, leaving pure bundling.  With ``swap``,
+    the LargeSmall mirror: the same, solved with the goods exchanged.
+
+    The weight a1 = p_a1 (1.5 p_a1 + c2)/(b1 b2 - c1 p_a1) exceeds 1
+    exactly above p*: a1 - 1 is 3/2 of p*'s quadratic over the positive
+    denominator.  So every root above p* is rejected, and the search does
+    not polish them.  In floats, with u = eps/2: the computed a1 moves
+    the edge a1 = 1 by at most 7 u of p_a1 (a1's relative slope in p_a1,
+    at least b1 b2/(b1 b2 - c1 p_a1), offsets the denominator's
+    cancellation), and the computed p* is within 8 u of p*, so a root up
+    to 15 u above p* may read a1 <= 1.  The search ends at p* (1 + 8 eps):
+    it keeps those roots, and a root the end rule clamps onto that end
+    reads a1 > 1 there, as it does at its own value.  As c1 tends to b1
+    the cubic tends to 2 b1^2 (p_a1 - b2)^2 (p_a1 + c2), and rounding
+    splits its double root b2 into twins up to 8 sqrt(eps) b2 either side
+    of it, which ``real_roots_in_interval`` reads as one double root.
+    Where p* lies within that width below b2 the search runs to b2, so its
+    end does not cut the twins apart and admit the lower one.
     """
     frame = rect.swapped() if swap else rect
+    # pure bundling is its own mirror: p* is the same in either frame
+    bundling = solve_bundling(frame)
     lo = max(2.0 * frame.b2 - frame.c2, 0.0)
-    for p_a1 in real_roots_in_interval(_kind_d_cubic(frame), lo, frame.b2):
+    hi = bundling[1]["p"] * RAMP_CAP
+    if hi > RAMP_DOUBLE_EDGE * frame.b2:
+        hi = frame.b2
+    for p_a1 in real_roots_in_interval(_kind_d_cubic(frame), lo, hi):
         fields = _kind_d_params(frame, p_a1)
         if fields is not None:
             return StructureKind.D, fields, swap
-    # pure bundling is its own mirror: p* is the same in either frame
-    return solve_bundling(frame)
+    return bundling
 
 
 def solve_small_verylarge(rect: Rectangle, swap: bool = False) -> Structure:

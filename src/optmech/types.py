@@ -186,6 +186,10 @@ class StructureKind(enum.Enum):
     G = "G"  # mirror of D
     H = "H"  # mirror of E
 
+    # members are singletons compared by identity: hash them as objects,
+    # not by name through the Python-level ``Enum.__hash__``
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -691,7 +691,15 @@ def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float
     """Real roots in [lo, hi] from numpy's companion-matrix eigenvalues
     (``polyroots``), each cluster of estimates polished in its bracket, with
     the zero factoring and end clamp of ``solver.real_roots_in_interval``:
-    the reference that function is checked against."""
+    the reference that function is checked against.
+
+    The estimates are the eigenvalues of the polynomial's companion matrix
+    and the reciprocals of those of its reversal.  A companion matrix
+    resolves its roots only to rounding of its largest one, so where the
+    roots span many orders of magnitude the small ones come from the
+    reversal: for the ramp cubic with ascending coefficients (1.5e-8,
+    -69.5, -4.9e-5, 3.9e-43), whose roots are -1.4e6, 2.1e-10 and 1.3e38,
+    ``polyroots`` gives 0, 0 and 1.3e38."""
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
@@ -704,9 +712,15 @@ def polyroots_real_roots_in_interval(coeffs, lo: float, hi: float) -> list[float
     coeffs = coeffs[order:]
     poly = partial(_horner, coeffs)
     slope = partial(_horner, [i * a for i, a in enumerate(coeffs)][1:])
+    reversal = (
+        [1.0 / complex(y) for y in npoly.polyroots(coeffs[::-1]) if y]
+        # the reversal's companion matrix divides by the constant coefficient
+        if max(map(abs, coeffs)) < abs(coeffs[0]) * sys.float_info.max
+        else []
+    )
     estimates = sorted(
         float(r.real)
-        for r in npoly.polyroots(coeffs)
+        for r in (*npoly.polyroots(coeffs), *reversal)
         if abs(r.imag) <= near and lo - near <= r.real <= hi + near
     )
     groups: list[list[float]] = []

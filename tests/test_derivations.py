@@ -84,3 +84,28 @@ def test_kind_d_cubic_is_the_lottery_region_moment():
         weight=u1,
     )
     assert_same_polynomial(_kind_d_cubic(SUPPORT), (3 * x + 2 * c2) ** 2 * lottery.subs(a1, weight), x)
+
+
+def test_the_ramp_weight_reaches_1_at_the_bundling_offset():
+    # a1 - 1 is 3/2 of pure bundling's quadratic in p_a1 over the weight's
+    # denominator, so where that is positive a1 <= 1 exactly up to p*, the
+    # quadratic's positive root: the ramp search ends there
+    x = sp.Symbol("p_a1", positive=True)
+    weight = x * (sp.Rational(3, 2) * x + c2) / (b1 * b2 - c1 * x)
+    bundling = x**2 + 2 * (c1 + c2) / 3 * x - 2 * b1 * b2 / 3
+    assert sp.simplify(weight - 1 - sp.Rational(3, 2) * bundling / (b1 * b2 - c1 * x)) == 0
+    s = c1 + c2
+    p_star = (sp.sqrt(s**2 + 6 * b1 * b2) - s) / 3
+    assert sp.simplify(bundling.subs(x, p_star)) == 0
+
+
+def test_the_ramp_cubic_has_a_double_root_at_b2_where_c1_is_b1():
+    # as c1 tends to b1 the ramp cubic tends to 2 b1^2 (p_a1 - b2)^2 (p_a1 + c2),
+    # whose double root b2 lies above p*: Newton's method converges only
+    # linearly there, and the ramp search ends below it
+    x = sp.Symbol("p_a1", positive=True)
+    at_edge = [sp.expand(coeff.subs(c1, b1)) for coeff in _kind_d_cubic(SUPPORT)]
+    assert_same_polynomial(at_edge, 2 * b1**2 * (x - b2) ** 2 * (x + c2), x)
+    # pure bundling's quadratic is positive at b2 there, so p* < b2
+    bundling = x**2 + 2 * (b1 + c2) / 3 * x - 2 * b1 * b2 / 3
+    assert sp.expand(bundling.subs(x, b2) - b2 * (b2 + 2 * c2 / 3)) == 0

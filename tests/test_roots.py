@@ -16,7 +16,20 @@ import pytest
 
 import optmech.solver
 from helpers import log_uniform, polyroots_real_roots_in_interval
-from optmech.solver import ROOT_DOUBLE_ULPS, ROOT_REL_TOL, real_roots_in_interval, solve
+from optmech.solver import (
+    ROOT_DOUBLE_ULPS,
+    ROOT_END_REL_TOL,
+    ROOT_REL_TOL,
+    PhaseRegion,
+    _kind_b_cubic,
+    _kind_d_cubic,
+    _kind_d_params,
+    _monotone_root,
+    _sweep_kinks,
+    classify,
+    real_roots_in_interval,
+    solve,
+)
 from optmech.types import Rectangle
 
 
@@ -262,3 +275,66 @@ def test_solve_runs_on_the_python_3_10_math_module(monkeypatch):
     for name in ("cbrt", "exp2"):
         monkeypatch.delattr(math, name, raising=False)
     assert [solve(rect) for rect in rects] == before
+
+
+def _open_region_draw(rng, n):
+    """The ``regions`` benchmark draw restricted to the regions whose kind a
+    root decides (sides log-uniform in [0.3, 3], offsets uniform in
+    [0, 4.5 b]), each support with its mirror, a zero or tiny c1 on every
+    fourth, and of every three one at its own size, one scaled by 4^30 and
+    one by 4^-30."""
+    out = []
+    while len(out) < 2 * n:
+        b1, b2 = log_uniform(rng, 0.3, 3.0), log_uniform(rng, 0.3, 3.0)
+        c1, c2 = rng.uniform(0.0, 4.5) * b1, rng.uniform(0.0, 4.5) * b2
+        if len(out) % 8 == 6:
+            c1 = rng.choice((0.0, log_uniform(rng, 1e-300, 1e-3) * b1))
+        rect = Rectangle(c1, c2, b1, b2)
+        if classify(rect) not in (PhaseRegion.SMALL_SMALL, PhaseRegion.SMALL_LARGE, PhaseRegion.LARGE_SMALL):
+            continue
+        j = (0, 30, -30)[len(out) // 2 % 3]
+        rect = rect.scaled(4.0**j)
+        out += [rect, rect.swapped()]
+    return out
+
+
+def test_the_cubic_searches_polish_only_roots_their_structure_can_admit(monkeypatch):
+    # the ramp weight a1 = p_a1 (1.5 p_a1 + c2)/(b1 b2 - c1 p_a1) reaches 1
+    # at pure bundling's p*, so the ramp search ends there; the one-lottery
+    # search rejects every root at or below its floor, so it starts there
+    searches = []
+
+    def tagged(name, cubic):
+        def wrapped(frame):
+            searches.append((name, frame, []))
+            return cubic(frame)
+        return wrapped
+
+    def polish(*args):
+        root = _monotone_root(*args)
+        searches[-1][2].append(root)
+        return root
+
+    monkeypatch.setattr(optmech.solver, "_kind_b_cubic", tagged("B", _kind_b_cubic))
+    monkeypatch.setattr(optmech.solver, "_kind_d_cubic", tagged("D", _kind_d_cubic))
+    monkeypatch.setattr(optmech.solver, "_monotone_root", polish)
+    for rect in _open_region_draw(random.Random("admissible roots"), 600):
+        solve(rect)
+    polished = {"B": 0, "D": 0}
+    for name, frame, roots in searches:
+        c1, c2, b1, b2 = frame.c1, frame.c2, frame.b1, frame.b2
+        lo, hi = _sweep_kinks(c1, c2, b1, b2)
+        floor = max(lo * (1.0 - ROOT_END_REL_TOL), ROOT_REL_TOL * hi)
+        for root in roots:
+            polished[name] += 1
+            if name == "B":
+                # a root within the end rule's slack below the floor is
+                # clamped onto it: at a tiny c1 the cubic has roots at
+                # about 0, closer than ROOT_END_REL_TOL * hi to a floor
+                # of about sqrt(c1)
+                assert root > floor - ROOT_END_REL_TOL * hi, (frame, root, floor)
+            else:
+                denom = b1 * b2 - c1 * root
+                a1_above_1 = denom > 0.0 and root * (1.5 * root + c2) > denom
+                assert _kind_d_params(frame, root) is not None or not a1_above_1, (frame, root)
+    assert polished["B"] >= 100 and polished["D"] >= 100, polished
